@@ -1,0 +1,85 @@
+//! Guard: recording a scam stream must cost about what recording a
+//! benign one does.
+//!
+//! Both render the same 320×240 frames with the same textured band; a
+//! scam stream's frames add a painted QR overlay. The overlay's matrix
+//! depends only on the stream's URL, so the platform encodes it once per
+//! stream. If `YouTube::record` ever re-encodes per frame again (~150 µs
+//! of Reed–Solomon and mask selection each, release build), the scam
+//! stream's cost jumps to several times the benign one and this fails.
+//! Both are timed best-of-N in one process, so machine speed cancels.
+//! Debug builds skip it: the threshold is set from release timings.
+
+use gt_qr::scan_frame;
+use gt_sim::{SimDuration, SimTime};
+use gt_social::{ChannelId, LiveStream, LiveStreamId, StreamVideo, ViewerCurve, YouTube};
+use std::hint::black_box;
+use std::time::{Duration, Instant};
+
+const ROUNDS: usize = 200;
+/// Measured 2.0-2.3× in release builds on a 2-vCPU x86-64 VM. With the
+/// QR re-encoded for every frame it was 7.9-8.3×.
+const MAX_RATIO: f64 = 4.6;
+
+fn stream(channel: ChannelId, video: StreamVideo) -> LiveStream {
+    LiveStream {
+        id: LiveStreamId(0),
+        channel,
+        title: "live".into(),
+        description: String::new(),
+        language: "en".into(),
+        fuzzy_topics: vec![],
+        start: SimTime(0),
+        end: SimTime(86_400),
+        video,
+        viewers: ViewerCurve {
+            peak_concurrent: 10,
+            total_views: 100,
+        },
+        chat: vec![],
+    }
+}
+
+/// Best-of-`ROUNDS` wall time of one two-second recording.
+fn best_record(yt: &YouTube, id: LiveStreamId) -> Duration {
+    let mut best = Duration::MAX;
+    for round in 0..ROUNDS {
+        let at = SimTime(60 + round as i64);
+        let started = Instant::now();
+        let frames = yt.record(id, at, SimDuration::seconds(2));
+        best = best.min(started.elapsed());
+        black_box(frames);
+    }
+    best
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "timing threshold set from release builds")]
+fn scam_stream_recording_costs_about_a_benign_one() {
+    let mut yt = YouTube::new();
+    let channel = yt.add_channel("c".into(), 1);
+    let benign = yt.add_stream(stream(channel, StreamVideo::Benign));
+    let scam = yt.add_stream(stream(
+        channel,
+        StreamVideo::ScamLoop {
+            qr_url: "https://btc-x2.fund/claim".into(),
+            qr_duty_cycle: None,
+            qr_scale: 2,
+        },
+    ));
+    let frames = yt.record(scam, SimTime(60), SimDuration::seconds(2));
+    assert_eq!(scan_frame(&frames[0]).len(), 1, "the scam frames show a QR");
+
+    // Interleave so a slow phase of the machine hits both alike.
+    let mut scam_best = Duration::MAX;
+    let mut benign_best = Duration::MAX;
+    for _ in 0..3 {
+        benign_best = benign_best.min(best_record(&yt, benign));
+        scam_best = scam_best.min(best_record(&yt, scam));
+    }
+    let ratio = scam_best.as_secs_f64() / benign_best.as_secs_f64().max(1e-9);
+    assert!(
+        ratio <= MAX_RATIO,
+        "scam recording {scam_best:?} vs benign {benign_best:?}: {ratio:.2}x (limit {MAX_RATIO}x)"
+    );
+}

@@ -87,41 +87,48 @@ struct FinderCandidate {
     module_size: f64,
 }
 
-/// Scan a row (or column) for 1:1:3:1:1 dark/light run signatures.
+/// Scan a row for 1:1:3:1:1 dark/light run signatures.
 fn row_candidates(frame: &Frame, y: usize) -> Vec<FinderCandidate> {
     let mut out = Vec::new();
-    let mut runs: Vec<(bool, usize, usize)> = Vec::new(); // (dark, start, len)
+    let row = &frame.luma[y * frame.width..(y + 1) * frame.width];
+    // An all-light row is a single light run and holds no signature.
+    // Most rows of a frame are all light; a min over the row (which
+    // compiles to vector instructions) finds them without a run walk.
+    if row.iter().fold(u8::MAX, |lo, &v| lo.min(v)) >= 128 {
+        return out;
+    }
+    // The lengths of the last five runs. Runs alternate, so when the
+    // newest run is dark the five read dark, light, dark, light, dark.
+    let mut lens = [0; 5];
+    let mut runs = 0;
     let mut x = 0;
-    while x < frame.width {
-        let dark = frame.dark(x, y);
+    while x < row.len() {
+        let dark = row[x] < 128;
         let start = x;
-        while x < frame.width && frame.dark(x, y) == dark {
+        while x < row.len() && (row[x] < 128) == dark {
             x += 1;
         }
-        runs.push((dark, start, x - start));
-    }
-    // A finder row signature: dark, light, dark(3x), light, dark with
-    // ratios 1:1:3:1:1.
-    for w in runs.windows(5) {
-        let [(d0, s0, l0), (d1, _, l1), (d2, _, l2), (d3, _, l3), (d4, _, l4)] =
-            [w[0], w[1], w[2], w[3], w[4]];
-        if !(d0 && !d1 && d2 && !d3 && d4) {
+        lens.copy_within(1.., 0);
+        lens[4] = x - start;
+        runs += 1;
+        if runs < 5 || !dark {
             continue;
         }
-        let unit = (l0 + l1 + l2 + l3 + l4) as f64 / 7.0;
+        let [l0, l1, l2, l3, l4] = lens;
+        let total = l0 + l1 + l2 + l3 + l4;
+        let unit = total as f64 / 7.0;
         let ok = |len: usize, expect: f64| {
             let tol = (unit * 0.5).max(0.5);
             (len as f64 - expect * unit).abs() <= tol * expect.max(1.0)
         };
         if ok(l0, 1.0) && ok(l1, 1.0) && ok(l2, 3.0) && ok(l3, 1.0) && ok(l4, 1.0) {
             out.push(FinderCandidate {
-                center_x: s0 as f64 + (l0 + l1 + l2 + l3 + l4) as f64 / 2.0,
+                center_x: (x - total) as f64 + total as f64 / 2.0,
                 center_y: y as f64,
                 module_size: unit,
             });
         }
     }
-    // silence unused-variable warning for s-values of inner runs
     out
 }
 
@@ -387,5 +394,108 @@ mod tests {
             .collect();
         payloads.sort();
         assert_eq!(payloads, ["https://first.com", "https://second.org"]);
+    }
+
+    /// The row scanner as first written: every run of the row collected
+    /// into a Vec, then every window of five tested.
+    fn reference_row_candidates(frame: &Frame, y: usize) -> Vec<FinderCandidate> {
+        let mut out = Vec::new();
+        let mut runs: Vec<(bool, usize, usize)> = Vec::new();
+        let mut x = 0;
+        while x < frame.width {
+            let dark = frame.dark(x, y);
+            let start = x;
+            while x < frame.width && frame.dark(x, y) == dark {
+                x += 1;
+            }
+            runs.push((dark, start, x - start));
+        }
+        for w in runs.windows(5) {
+            let [(d0, s0, l0), (d1, _, l1), (d2, _, l2), (d3, _, l3), (d4, _, l4)] =
+                [w[0], w[1], w[2], w[3], w[4]];
+            if !(d0 && !d1 && d2 && !d3 && d4) {
+                continue;
+            }
+            let unit = (l0 + l1 + l2 + l3 + l4) as f64 / 7.0;
+            let ok = |len: usize, expect: f64| {
+                let tol = (unit * 0.5).max(0.5);
+                (len as f64 - expect * unit).abs() <= tol * expect.max(1.0)
+            };
+            if ok(l0, 1.0) && ok(l1, 1.0) && ok(l2, 3.0) && ok(l3, 1.0) && ok(l4, 1.0) {
+                out.push(FinderCandidate {
+                    center_x: s0 as f64 + (l0 + l1 + l2 + l3 + l4) as f64 / 2.0,
+                    center_y: y as f64,
+                    module_size: unit,
+                });
+            }
+        }
+        out
+    }
+
+    fn assert_rows_match_reference(frame: &Frame) {
+        for y in 0..frame.height {
+            assert_eq!(
+                row_candidates(frame, y),
+                reference_row_candidates(frame, y),
+                "row {y} of a {}x{} frame",
+                frame.width,
+                frame.height
+            );
+        }
+    }
+
+    #[test]
+    fn textured_frames_scan_like_the_reference() {
+        for (scale, text) in [
+            (1usize, "https://btc-x2.com"),
+            (2, "https://xrp-event.live/go"),
+            (3, "https://eth-drop.org/claim"),
+        ] {
+            let m = qr(text);
+            let mut frame = Frame::blank(320, 240);
+            // A textured band on top (dark dots every 11 pixels), light
+            // rows below it, and the symbol in the bottom-right corner.
+            for y in 0..40 {
+                for x in 0..320 {
+                    if (x + y * 3 + scale).is_multiple_of(11) {
+                        frame.set(x, y, 40);
+                    }
+                }
+            }
+            let span = m.size() * scale + 8 * scale;
+            frame.paint_qr(&m, 320 - span - 5, 240 - span - 5, scale);
+            assert_rows_match_reference(&frame);
+            let hits = scan_frame(&frame);
+            assert_eq!(hits.len(), 1, "scale {scale}");
+            assert_eq!(hits[0].payload, text.as_bytes(), "scale {scale}");
+            assert_eq!(hits[0].symbol_size, m.size());
+        }
+        // Clutter that starts dark on the left edge and ends dark on the
+        // right, so the first and last runs of a row are signature runs.
+        let mut frame = Frame::blank(64, 20);
+        for y in 0..20 {
+            for x in 0..64 {
+                if (x / (1 + y % 4)) % 2 == 0 || x % 7 == 3 {
+                    frame.set(x, y, 0);
+                }
+            }
+        }
+        assert_rows_match_reference(&frame);
+    }
+
+    #[test]
+    fn frames_narrower_than_a_finder_have_no_hits() {
+        for width in 0..8 {
+            let mut frame = Frame::blank(width, 12);
+            for y in 0..12 {
+                for x in 0..width {
+                    if (x + y) % 2 == 0 {
+                        frame.set(x, y, 0);
+                    }
+                }
+            }
+            assert_rows_match_reference(&frame);
+            assert!(scan_frame(&frame).is_empty(), "width {width}");
+        }
     }
 }

@@ -11,6 +11,8 @@ use gt_sim::{SimDuration, SimTime};
 use gt_store::{StoreDecode, StoreEncode};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Maximum chat messages returned per history call (YouTube's cap).
 pub const CHAT_HISTORY_LIMIT: usize = 70;
@@ -80,6 +82,38 @@ pub enum StreamVideo {
         /// Pixels per module when painted into a frame.
         qr_scale: usize,
     },
+}
+
+impl StreamVideo {
+    /// Encode the QR overlay this video shows; `None` for benign video
+    /// (or a URL too long for any supported version).
+    fn qr_matrix(&self) -> Option<Matrix> {
+        match self {
+            StreamVideo::ScamLoop { qr_url, .. } => encode(qr_url.as_bytes(), EcLevel::M).ok(),
+            StreamVideo::Benign => None,
+        }
+    }
+}
+
+/// Per-stream QR matrices, encoded on a stream's first recorded QR
+/// frame instead of on every frame: the matrix depends only on the
+/// stream's `qr_url`. A derived cache keyed by stream id, so `YouTube`
+/// marks it `#[store(skip)]` and resets it whenever a stream is added. It
+/// holds one matrix per scam stream recorded.
+#[derive(Debug, Default)]
+struct QrMemo(Mutex<BTreeMap<u64, Option<Arc<Matrix>>>>);
+
+impl QrMemo {
+    /// The QR matrix `video` shows, for the stream with id `id`.
+    fn matrix(&self, id: u64, video: &StreamVideo) -> Option<Arc<Matrix>> {
+        if let Some(cached) = self.0.lock().get(&id) {
+            return cached.clone();
+        }
+        // Encode outside the lock: a concurrent monitor recording another
+        // stream need not wait, and a racing encode yields the same matrix.
+        let matrix = video.qr_matrix().map(Arc::new);
+        self.0.lock().entry(id).or_insert(matrix).clone()
+    }
 }
 
 /// How many viewers a stream has over time.
@@ -181,6 +215,9 @@ pub struct YouTube {
     /// query, so it is excluded from snapshots.
     #[store(skip)]
     live_index: Mutex<Option<LiveIndex>>,
+    /// Derived per-stream QR matrices, filled by `record`.
+    #[store(skip)]
+    qr: QrMemo,
 }
 
 /// A search result row (what the search endpoint exposes).
@@ -219,8 +256,13 @@ impl YouTube {
             (stream.channel.0 as usize) < self.channels.len(),
             "unknown channel"
         );
+        assert!(
+            stream.chat.is_sorted_by_key(|m| m.time),
+            "chat must be time-ordered"
+        );
         self.streams.push(stream);
         *self.live_index.lock() = None;
+        self.qr = QrMemo::default();
         id
     }
 
@@ -324,9 +366,9 @@ impl YouTube {
         if !s.is_live(now) {
             return Vec::new();
         }
-        let visible: Vec<ChatMessage> = s.chat.iter().filter(|m| m.time <= now).cloned().collect();
-        let skip = visible.len().saturating_sub(CHAT_HISTORY_LIMIT);
-        visible.into_iter().skip(skip).collect()
+        // `chat` is time-ordered: clone only the tail that is returned.
+        let visible = s.chat.partition_point(|m| m.time <= now);
+        s.chat[visible.saturating_sub(CHAT_HISTORY_LIMIT)..visible].to_vec()
     }
 
     /// Record `duration` of the stream's video starting at `now`,
@@ -346,7 +388,7 @@ impl YouTube {
             if !s.is_live(at) {
                 break;
             }
-            frames.push(render_frame(s, at));
+            frames.push(render_frame(s, at, &self.qr));
         }
         frames
     }
@@ -423,24 +465,21 @@ impl YouTube {
 const FRAME_W: usize = 320;
 const FRAME_H: usize = 240;
 
-fn render_frame(stream: &LiveStream, at: SimTime) -> Frame {
+fn render_frame(stream: &LiveStream, at: SimTime, qr: &QrMemo) -> Frame {
     let mut frame = Frame::blank(FRAME_W, FRAME_H);
     // A bit of deterministic "video content" texture in the top half so
-    // frames are not trivially blank.
+    // frames are not trivially blank: the pixels where
+    // `(x + 3y + phase) % 11 == 0`, stepped to directly.
     let phase = (at - stream.start).as_seconds() as usize;
     for y in 0..40 {
-        for x in 0..FRAME_W {
-            if (x + y * 3 + phase).is_multiple_of(11) {
-                frame.set(x, y, 40);
-            }
+        let first = (11 - (y * 3 + phase) % 11) % 11;
+        for x in (first..FRAME_W).step_by(11) {
+            frame.set(x, y, 40);
         }
     }
-    if let StreamVideo::ScamLoop {
-        qr_url, qr_scale, ..
-    } = &stream.video
-    {
+    if let StreamVideo::ScamLoop { qr_scale, .. } = &stream.video {
         if stream.qr_visible(at) {
-            if let Ok(matrix) = encode(qr_url.as_bytes(), EcLevel::M) {
+            if let Some(matrix) = qr.matrix(stream.id.0, &stream.video) {
                 let scale = (*qr_scale).max(1);
                 let span = matrix.size() * scale + 8 * scale;
                 if span + 10 <= FRAME_W && span + 50 <= FRAME_H {
@@ -454,14 +493,6 @@ fn render_frame(stream: &LiveStream, at: SimTime) -> Frame {
         }
     }
     frame
-}
-
-/// Render the QR matrix a stream would show (test helper / Figure 2).
-pub fn stream_qr_matrix(stream: &LiveStream) -> Option<Matrix> {
-    match &stream.video {
-        StreamVideo::ScamLoop { qr_url, .. } => encode(qr_url.as_bytes(), EcLevel::M).ok(),
-        StreamVideo::Benign => None,
-    }
 }
 
 #[cfg(test)]
@@ -569,6 +600,36 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "chat must be time-ordered")]
+    fn add_stream_rejects_unordered_chat() {
+        let mut yt = YouTube::new();
+        let ch = yt.add_channel("c".into(), 10);
+        let chat = [5, 3]
+            .map(|s| ChatMessage {
+                time: t(s),
+                author: "u".into(),
+                text: "m".into(),
+            })
+            .to_vec();
+        yt.add_stream(LiveStream {
+            id: LiveStreamId(0),
+            channel: ch,
+            title: "t".into(),
+            description: String::new(),
+            language: "en".into(),
+            fuzzy_topics: vec![],
+            start: t(0),
+            end: t(1000),
+            video: StreamVideo::Benign,
+            viewers: ViewerCurve {
+                peak_concurrent: 5,
+                total_views: 10,
+            },
+            chat,
+        });
+    }
+
+    #[test]
     fn recorded_frames_contain_scannable_qr() {
         let (yt, id) = platform_with_scam_stream();
         let frames = yt.record(id, t(300), SimDuration::seconds(2));
@@ -673,5 +734,99 @@ mod tests {
         assert!(v.concurrent_at(0.9) < 100);
         assert_eq!(v.views_by(1.0), 1000);
         assert_eq!(v.views_by(0.5), 500);
+    }
+
+    /// The frame renderer as first written: per-pixel texture test and a
+    /// fresh QR encode for every frame.
+    fn reference_frame(stream: &LiveStream, at: SimTime) -> Frame {
+        let mut frame = Frame::blank(FRAME_W, FRAME_H);
+        let phase = (at - stream.start).as_seconds() as usize;
+        for y in 0..40 {
+            for x in 0..FRAME_W {
+                if (x + y * 3 + phase).is_multiple_of(11) {
+                    frame.set(x, y, 40);
+                }
+            }
+        }
+        if let StreamVideo::ScamLoop {
+            qr_url, qr_scale, ..
+        } = &stream.video
+        {
+            if stream.qr_visible(at) {
+                if let Ok(matrix) = encode(qr_url.as_bytes(), EcLevel::M) {
+                    let scale = (*qr_scale).max(1);
+                    let span = matrix.size() * scale + 8 * scale;
+                    if span + 10 <= FRAME_W && span + 50 <= FRAME_H {
+                        frame.paint_qr(&matrix, FRAME_W - span - 5, FRAME_H - span - 5, scale);
+                    } else {
+                        let span1 = matrix.size() + 8;
+                        frame.paint_qr(&matrix, FRAME_W - span1 - 2, FRAME_H - span1 - 2, 1);
+                    }
+                }
+            }
+        }
+        frame
+    }
+
+    #[test]
+    fn memoized_frames_match_fresh_encoding() {
+        let mut yt = YouTube::new();
+        let ch = yt.add_channel("c".into(), 10);
+        let mut ids = Vec::new();
+        // Scaled, too large for its corner (scale-1 fallback), periodic
+        // (visible 15 s of every 40), and benign.
+        for (url, duty, scale) in [
+            (Some("https://xrp-2x.live/claim"), None, 2),
+            (Some("https://eth-x2.org/a-rather-long-claim-path"), None, 9),
+            (Some("https://btc-event.net"), Some((15, 25)), 3),
+            (None, None, 1),
+        ] {
+            let video = match url {
+                Some(url) => StreamVideo::ScamLoop {
+                    qr_url: url.into(),
+                    qr_duty_cycle: duty,
+                    qr_scale: scale,
+                },
+                None => StreamVideo::Benign,
+            };
+            ids.push(yt.add_stream(LiveStream {
+                id: LiveStreamId(0),
+                channel: ch,
+                title: "t".into(),
+                description: String::new(),
+                language: "en".into(),
+                fuzzy_topics: vec![],
+                start: t(0),
+                end: t(3600),
+                video,
+                viewers: ViewerCurve {
+                    peak_concurrent: 5,
+                    total_views: 10,
+                },
+                chat: vec![],
+            }));
+        }
+        let fallback = yt.stream(ids[1]).video.qr_matrix().unwrap().size() + 8;
+        assert!(
+            fallback * 9 + 10 > FRAME_W,
+            "stream 1 exercises the fallback"
+        );
+        // Repeated passes: the first fills the memo, later ones hit it.
+        for _ in 0..3 {
+            for &id in &ids {
+                for start in [0, 13, 14, 30, 47, 611] {
+                    let frames = yt.record(id, t(start), SimDuration::seconds(2));
+                    assert_eq!(frames.len(), 2);
+                    for (i, frame) in frames.iter().enumerate() {
+                        let expect = reference_frame(yt.stream(id), t(start + i as i64));
+                        assert_eq!((frame.width, frame.height), (expect.width, expect.height));
+                        assert!(frame.luma == expect.luma, "stream {id:?} at {start}+{i}");
+                    }
+                }
+            }
+        }
+        // Hidden and visible frames of the periodic stream both occur.
+        let periodic = yt.stream(ids[2]);
+        assert!(periodic.qr_visible(t(14)) && !periodic.qr_visible(t(15)));
     }
 }

@@ -21,7 +21,7 @@ use gt_text::extract_urls;
 use gt_web::crawler::{Crawler, CrawlerConfig, RevisitState};
 use gt_web::{Url, WebHost};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// The paper's 11 infrastructure outage days.
 pub const OUTAGE_DAYS: [CivilDate; 11] = [
@@ -185,7 +185,10 @@ impl Monitor {
     pub fn run(&self, youtube: &YouTube, web: &WebHost) -> MonitorReport {
         let cfg = &self.config;
         let mut report = MonitorReport::default();
-        let mut tracked: HashMap<LiveStreamId, Tracked> = HashMap::new();
+        // Ordered by stream id: every poll below draws retry jitter from
+        // the window's one gate and advances its breakers, so the order
+        // streams are sampled in is part of the result under faults.
+        let mut tracked: BTreeMap<LiveStreamId, Tracked> = BTreeMap::new();
         let mut lead_seen: HashSet<(String, LiveStreamId, UrlSource)> = HashSet::new();
         let mut revisits: Vec<RevisitState> = Vec::new();
         let mut known_urls: HashSet<String> = HashSet::new();
@@ -373,7 +376,6 @@ impl Monitor {
         }
 
         report.streams = tracked.into_values().map(|s| s.observed).collect();
-        report.streams.sort_by_key(|s| s.stream);
         report.leads.sort_by_key(|l| (l.stream, l.first_seen));
         report.degradation = gate.stats();
         drop(gate); // flush per-call telemetry before the summary rows
@@ -419,6 +421,7 @@ pub fn run_monitors(monitors: &[Monitor], youtube: &YouTube, web: &WebHost) -> V
 mod tests {
     use super::*;
     use crate::keywords::search_keyword_set;
+    use gt_sim::faults::{FaultKind, FaultWindow};
     use gt_social::{ChatMessage, LiveStream, StreamVideo, ViewerCurve};
 
     fn t0() -> SimTime {
@@ -577,5 +580,71 @@ mod tests {
         // 2-hour stream sampled at 7.5-minute cadence: ≤ 17 samples.
         assert!(obs.samples <= 17, "{}", obs.samples);
         assert!(obs.last_seen < t0() + SimDuration::hours(4));
+    }
+
+    #[test]
+    fn faulted_sampling_does_not_depend_on_map_order() {
+        // Four scam streams polled under transients on every details and
+        // chat call. A 17 s window outlasts some retry schedules (2-3 s,
+        // 4-6 s, 8-12 s of jittered backoff before the last attempt) and
+        // not others, so which stream loses a sample depends on the
+        // order the streams draw the gate's jitter in.
+        let mut yt = YouTube::new();
+        let ch = yt.add_channel("Crypto Daily".into(), 20_000);
+        for i in 0..4 {
+            yt.add_stream(LiveStream {
+                id: LiveStreamId(0),
+                channel: ch,
+                title: format!("Elon Musk {i}000 BTC giveaway LIVE"),
+                description: "scan and participate".into(),
+                language: "en".into(),
+                fuzzy_topics: vec![],
+                start: t0(),
+                end: t0() + SimDuration::hours(6),
+                video: StreamVideo::ScamLoop {
+                    qr_url: format!("https://btc-x{i}.fund/claim"),
+                    qr_duty_cycle: None,
+                    qr_scale: 2,
+                },
+                viewers: ViewerCurve {
+                    peak_concurrent: 500,
+                    total_views: 9_000,
+                },
+                chat: (0..40)
+                    .map(|m| ChatMessage {
+                        time: t0() + SimDuration::minutes(7 * m),
+                        author: format!("viewer{m}"),
+                        text: format!("sent {m} https://btc-x{i}.fund/claim"),
+                    })
+                    .collect(),
+            });
+        }
+        let web = WebHost::new();
+        let mut config = short_config(5);
+        config.crawl = false;
+        let ticks: Vec<FaultWindow> = (0..40)
+            .map(|k| {
+                let start = t0() + SimDuration::seconds(450 * k);
+                FaultWindow {
+                    start,
+                    end: start + SimDuration::seconds(17),
+                    kind: FaultKind::Transient,
+                }
+            })
+            .collect();
+        let mut plan = FaultPlan::quiet(11);
+        plan.schedules = BTreeMap::from([
+            (Substrate::YoutubeDetails, ticks.clone()),
+            (Substrate::YoutubeChat, ticks),
+        ]);
+        config.fault_plan = Some(plan);
+        let monitor = Monitor::new(config, search_keyword_set());
+
+        let first = monitor.run(&yt, &web);
+        assert_eq!(first.streams.len(), 4);
+        assert!(first.degradation.lost > 0 && first.degradation.recovered > 0);
+        for _ in 1..8 {
+            assert_eq!(monitor.run(&yt, &web), first);
+        }
     }
 }

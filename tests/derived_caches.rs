@@ -1,0 +1,68 @@
+//! Derived platform caches never show in any output. A world whose
+//! caches are filled (the YouTube live index and per-stream QR matrices)
+//! snapshots to the same bytes as its twin whose caches are empty, and a
+//! world restored from a snapshot, caches empty, renders the same frames.
+//!
+//! Snapshots do carry the platforms' API call counters, so the twin
+//! makes the same number of calls against a stream id that does not
+//! exist: those count but fill nothing.
+
+use givetake::core::Pipeline;
+use givetake::qr::{scan_frame, Frame};
+use givetake::sim::SimDuration;
+use givetake::social::LiveStreamId;
+use givetake::world::{World, WorldConfig};
+
+/// Record every scam stream at three points of its life.
+fn sample_frames(world: &World) -> Vec<Frame> {
+    let mut frames = Vec::new();
+    for &id in &world.truth.scam_streams {
+        let stream = world.youtube.stream(id);
+        let life = (stream.end - stream.start).as_seconds();
+        for at in [0, life / 3, life - 1] {
+            let at = stream.start + SimDuration::seconds(at);
+            frames.extend(world.youtube.record(id, at, SimDuration::seconds(2)));
+        }
+    }
+    frames
+}
+
+#[test]
+fn filled_caches_leave_snapshots_and_frames_unchanged() {
+    let mut config = WorldConfig::scaled(0.02);
+    config.seed = 0x0B5E_17ED;
+    let world = World::generate(config);
+    // A pipeline run first: it fills the caches the way the monitor does.
+    Pipeline::new(&world).threads(2).run();
+    let before = world.snapshot();
+    let twin = World::from_snapshot(&before).expect("snapshot decodes");
+
+    let warm = sample_frames(&world);
+    let first = world.youtube.streams()[0].start;
+    world.youtube.live_at(first);
+    let nowhere = LiveStreamId(u64::MAX);
+    for _ in 0..world.truth.scam_streams.len() * 3 {
+        assert!(twin
+            .youtube
+            .record(nowhere, first, SimDuration::seconds(2))
+            .is_empty());
+    }
+    let after = world.snapshot();
+    assert!(after != before, "the snapshot records API call counts");
+    assert!(
+        after == twin.snapshot(),
+        "filled caches changed the snapshot"
+    );
+
+    let restored = World::from_snapshot(&before).expect("snapshot decodes");
+    let cold = sample_frames(&restored);
+    assert!(!warm.is_empty());
+    assert_eq!(warm.len(), cold.len());
+    for (i, (w, c)) in warm.iter().zip(&cold).enumerate() {
+        assert!(w.luma == c.luma, "frame {i} differs after a restore");
+    }
+    assert!(
+        warm.iter().any(|f| !scan_frame(f).is_empty()),
+        "some sampled frame shows a QR code"
+    );
+}
