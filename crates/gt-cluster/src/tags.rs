@@ -143,23 +143,15 @@ impl TagService {
 /// Immutable tag lookups with precomputed cluster propagation.
 ///
 /// Built once from a [`TagService`] and a [`ClusterView`]; `Sync`, so the
-/// parallel pipeline stages share one resolver by reference.
-#[derive(Debug, Clone, StoreEncode, StoreDecode)]
+/// parallel pipeline stages share one resolver by reference. The
+/// `Default` resolver knows no tags: every category lookup is `None`.
+#[derive(Debug, Clone, Default, StoreEncode, StoreDecode)]
 pub struct TagResolver {
     direct: HashMap<Address, Category>,
     cluster_tags: HashMap<ClusterId, Category>,
 }
 
 impl TagResolver {
-    /// A resolver that knows no tags: every category lookup is `None`.
-    /// The quarantine-fallback companion of [`ClusterView::empty`].
-    pub fn empty() -> Self {
-        TagResolver {
-            direct: HashMap::new(),
-            cluster_tags: HashMap::new(),
-        }
-    }
-
     /// Direct lookup, no cluster propagation.
     pub fn category_direct(&self, address: Address) -> Option<Category> {
         self.direct.get(&address).copied()

@@ -24,8 +24,9 @@ use gt_store::{StoreDecode, StoreEncode};
 use std::collections::HashMap;
 
 /// Frozen multi-input clustering: immutable, `Sync`, shared by reference
-/// across analysis stages.
-#[derive(Debug, Clone, PartialEq, StoreEncode, StoreDecode)]
+/// across analysis stages. The `Default` view covers no transactions at
+/// all, so every lookup misses.
+#[derive(Debug, Clone, Default, PartialEq, StoreEncode, StoreDecode)]
 pub struct ClusterView {
     /// Address → dense address index, in first-appearance order.
     pub(crate) indices: HashMap<BtcAddress, usize>,
@@ -38,18 +39,6 @@ pub struct ClusterView {
 }
 
 impl ClusterView {
-    /// A view over no transactions at all: every lookup misses. Used as
-    /// the quarantine fallback for the chain-analysis stage — degraded
-    /// runs resolve no clusters instead of aborting.
-    pub fn empty() -> Self {
-        ClusterView {
-            indices: HashMap::new(),
-            ids: Vec::new(),
-            sizes: Vec::new(),
-            skipped_coinjoins: 0,
-        }
-    }
-
     /// Serial build with default options.
     pub fn build(ledger: &BtcLedger) -> Self {
         Self::build_with(ledger, ClusteringOptions::default())

@@ -11,6 +11,11 @@
 //! *when* a stage runs, not *what* it sees. The end-to-end determinism
 //! test (`tests/determinism.rs`) pins this down.
 //!
+//! There is one way to declare a stage, [`StageGraph::add_stage`]: every
+//! output is store-encodable (so any stage can be cached once a store is
+//! bound) and has a `Default`, which is the stage's quarantine fallback
+//! unless [`StageGraph::fallback`] overrides it.
+//!
 //! # Supervision
 //!
 //! By default a panicking stage poisons the run and the payload is
@@ -19,12 +24,11 @@
 //! retries the stage in place — re-probing any bound store first, so a
 //! crash-and-retry resumes from the last persisted upstream outputs —
 //! and, once attempts are exhausted, *quarantines* it: the stage's
-//! declared [`fallback`](StageGraph::fallback) output is substituted,
-//! every transitive dependent is marked tainted, and the run completes
-//! with a [`GraphHealth`] timeline instead of aborting. Stages without
-//! a fallback still poison the run when exhausted.
+//! fallback output is substituted, every transitive dependent is marked
+//! tainted, and the run completes with a [`RunHealth`] timeline instead
+//! of aborting.
 
-use crate::supervisor::{GraphHealth, StageHealth, StageStatus, SupervisionPolicy};
+use crate::supervisor::{degraded_tables, RunHealth, StageHealth, StageStatus, SupervisionPolicy};
 use gt_obs::MetricsRegistry;
 use gt_store::{digest, Digest, KeyBuilder, RunStore, StoreDecode, StoreEncode};
 use serde::Serialize;
@@ -135,12 +139,10 @@ struct Stage<'env> {
     deps: Vec<usize>,
     run: Mutex<Option<StageFn<'env>>>,
     /// Degraded substitute output used when the stage is quarantined
-    /// under a recovering policy; without one the stage poisons the run
-    /// once its attempts are exhausted.
+    /// under a recovering policy: `T::default()` unless overridden.
     fallback: Mutex<Option<FallbackFn<'env>>>,
-    /// Present for stages registered through `add_cached_stage*`;
-    /// ignored unless a store is bound.
-    codec: Option<StageCodec>,
+    /// Ignored unless a store is bound.
+    codec: StageCodec,
     /// Extra stage-local key material (e.g. the intervention lags) that
     /// the stage body reads but that is not part of the run-wide base
     /// fingerprint or any dependency output.
@@ -157,11 +159,7 @@ pub struct StageGraph<'env> {
 
 impl<'env> StageGraph<'env> {
     pub fn new() -> Self {
-        StageGraph {
-            stages: Vec::new(),
-            store: None,
-            policy: SupervisionPolicy::default(),
-        }
+        Self::default()
     }
 
     /// Attach a stage-result store. `base` must fingerprint everything
@@ -179,101 +177,17 @@ impl<'env> StageGraph<'env> {
         self.policy = policy;
     }
 
-    /// Register a stage. `deps` are indices of previously registered
-    /// stages ([`StageId::index`]); the body receives read access to
-    /// their outputs and returns its own.
-    pub fn add_stage<T, F>(&mut self, name: &str, deps: &[usize], f: F) -> StageId<T>
-    where
-        T: Send + Sync + 'static,
-        F: FnMut(&StageResults) -> T + Send + 'env,
-    {
-        let mut f = f;
-        self.add_stage_with_items(name, deps, move |r| (f(r), 0))
-    }
-
-    /// [`StageGraph::add_stage`] for stages that also report how many
-    /// items they processed.
-    pub fn add_stage_with_items<T, F>(&mut self, name: &str, deps: &[usize], f: F) -> StageId<T>
-    where
-        T: Send + Sync + 'static,
-        F: FnMut(&StageResults) -> (T, u64) + Send + 'env,
-    {
-        self.push_stage(name, deps, f, None, Vec::new())
-    }
-
-    /// [`StageGraph::add_stage`] for a stage whose output can be cached
-    /// in a bound [`RunStore`]. `salt` is stage-local key material: any
+    /// Register a stage. `salt` is stage-local cache-key material: any
     /// parameter the body reads that is neither in the run's base
-    /// fingerprint nor in a dependency's output (pass `&[]` when there
-    /// is none). Without a bound store this is exactly `add_stage`.
-    pub fn add_cached_stage<T, F>(
-        &mut self,
-        name: &str,
-        salt: &[u8],
-        deps: &[usize],
-        f: F,
-    ) -> StageId<T>
+    /// fingerprint nor in a dependency's output (`&[]` when there is
+    /// none). `deps` are indices of previously registered stages
+    /// ([`StageId::index`]); the body receives read access to their
+    /// outputs and returns its own plus how many items it processed
+    /// (persisted alongside the payload, so a cache hit restores it
+    /// too). The quarantine fallback is `T::default()`.
+    pub fn add_stage<T, F>(&mut self, name: &str, salt: &[u8], deps: &[usize], f: F) -> StageId<T>
     where
-        T: StoreEncode + StoreDecode + Send + Sync + 'static,
-        F: FnMut(&StageResults) -> T + Send + 'env,
-    {
-        let mut f = f;
-        self.add_cached_stage_with_items(name, salt, deps, move |r| (f(r), 0))
-    }
-
-    /// [`StageGraph::add_cached_stage`] for stages that also report an
-    /// item count (persisted alongside the payload, so a cache hit
-    /// restores it too).
-    pub fn add_cached_stage_with_items<T, F>(
-        &mut self,
-        name: &str,
-        salt: &[u8],
-        deps: &[usize],
-        f: F,
-    ) -> StageId<T>
-    where
-        T: StoreEncode + StoreDecode + Send + Sync + 'static,
-        F: FnMut(&StageResults) -> (T, u64) + Send + 'env,
-    {
-        let codec = StageCodec {
-            encode: Box::new(|any, items| {
-                let value = any
-                    .downcast_ref::<T>()
-                    .expect("stage output type mismatch in store codec");
-                gt_store::encode_to_vec(&(items, value))
-            }),
-            decode: Box::new(|bytes| {
-                let (items, value): (u64, T) = gt_store::decode_from_slice(bytes).ok()?;
-                Some((Box::new(value) as BoxedAny, items))
-            }),
-        };
-        self.push_stage(name, deps, f, Some(codec), salt.to_vec())
-    }
-
-    /// Declare a quarantine fallback for a registered stage: a degraded
-    /// substitute (empty, identity, or partial output) served in the
-    /// stage's place when a recovering policy exhausts its attempts.
-    /// The fallback sees the same completed dependencies the real body
-    /// would. Never invoked in strict mode or while retries remain.
-    pub fn fallback<T, F>(&mut self, id: StageId<T>, f: F)
-    where
-        T: Send + Sync + 'static,
-        F: FnOnce(&StageResults) -> T + Send + 'env,
-    {
-        self.stages[id.index()].fallback =
-            Mutex::new(Some(Box::new(move |r| (Box::new(f(r)) as BoxedAny, 0))));
-    }
-
-    fn push_stage<T, F>(
-        &mut self,
-        name: &str,
-        deps: &[usize],
-        f: F,
-        codec: Option<StageCodec>,
-        salt: Vec<u8>,
-    ) -> StageId<T>
-    where
-        T: Send + Sync + 'static,
+        T: StoreEncode + StoreDecode + Default + Send + Sync + 'static,
         F: FnMut(&StageResults) -> (T, u64) + Send + 'env,
     {
         let index = self.stages.len();
@@ -289,13 +203,40 @@ impl<'env> StageGraph<'env> {
                 (Box::new(value) as BoxedAny, items)
             }))),
             fallback: Mutex::new(None),
-            codec,
-            salt,
+            codec: StageCodec {
+                encode: Box::new(|any, items| {
+                    let value = any
+                        .downcast_ref::<T>()
+                        .expect("stage output type mismatch in store codec");
+                    gt_store::encode_to_vec(&(items, value))
+                }),
+                decode: Box::new(|bytes| {
+                    let (items, value): (u64, T) = gt_store::decode_from_slice(bytes).ok()?;
+                    Some((Box::new(value) as BoxedAny, items))
+                }),
+            },
+            salt: salt.to_vec(),
         });
-        StageId {
+        let id = StageId {
             index,
             _marker: PhantomData,
-        }
+        };
+        self.fallback(id, |_| T::default());
+        id
+    }
+
+    /// Override a stage's quarantine fallback: a degraded substitute
+    /// served in the stage's place when a recovering policy exhausts
+    /// its attempts. The fallback sees the same completed dependencies
+    /// the real body would. Never invoked in strict mode or while
+    /// retries remain.
+    pub fn fallback<T, F>(&mut self, id: StageId<T>, f: F)
+    where
+        T: Send + Sync + 'static,
+        F: FnOnce(&StageResults) -> T + Send + 'env,
+    {
+        self.stages[id.index()].fallback =
+            Mutex::new(Some(Box::new(move |r| (Box::new(f(r)) as BoxedAny, 0))));
     }
 
     /// Execute the graph on `threads` workers (0 = available
@@ -463,23 +404,26 @@ impl WorkerCtx<'_, '_> {
     }
 }
 
-/// The cache key for one stage, or `None` when any dependency has no
-/// recorded digest (it was registered without a codec), which makes the
-/// stage itself uncacheable.
+/// The cache key for one stage: the run's base fingerprint, the stage
+/// name and salt, and every dependency's content digest (always recorded
+/// by the time a dependent runs, since a store is bound).
 fn stage_key(
     binding: &StoreBinding,
     stage: &Stage<'_>,
     digests: &[Mutex<Option<Digest>>],
-) -> Option<Digest> {
+) -> Digest {
     let mut kb = KeyBuilder::new("stage");
     kb.push_digest(&binding.base);
     kb.push_str(&stage.name);
     kb.push_bytes(&stage.salt);
     for &d in &stage.deps {
-        let dep = (*digests[d].lock().unwrap())?;
+        let dep = digests[d]
+            .lock()
+            .unwrap()
+            .expect("dependency completed without a content digest");
         kb.push_digest(&dep);
     }
-    Some(kb.finish())
+    kb.finish()
 }
 
 /// Render a panic payload as a one-line message for the health report.
@@ -506,23 +450,19 @@ fn attempt_stage(
     write_failed: &AtomicBool,
 ) -> (BoxedAny, u64) {
     let stage = &ctx.stages[index];
-    let cache = ctx.store.and_then(|binding| {
-        stage.codec.as_ref().and_then(|codec| {
-            stage_key(binding, stage, ctx.digests).map(|key| (binding, codec, key))
-        })
-    });
-    let Some((binding, codec, key)) = cache else {
+    let Some(binding) = ctx.store else {
         return body(results);
     };
+    let key = stage_key(binding, stage, ctx.digests);
     if let Some(payload) = binding.store.load_stage(&binding.base, &stage.name, &key) {
-        if let Some((value, items)) = (codec.decode)(&payload) {
+        if let Some((value, items)) = (stage.codec.decode)(&payload) {
             ctx.obs.counter_add(&stage.name, "store", "cache_hit", 1);
             *ctx.digests[index].lock().unwrap() = Some(digest(&payload));
             return (value, items);
         }
     }
     let (value, items) = body(results);
-    let payload = (codec.encode)(&value, items);
+    let payload = (stage.codec.encode)(&value, items);
     *ctx.digests[index].lock().unwrap() = Some(digest(&payload));
     ctx.obs.counter_add(&stage.name, "store", "cache_miss", 1);
     if binding
@@ -565,11 +505,7 @@ fn run_worker(ctx: &WorkerCtx<'_, '_>) {
         let results = StageResults { slots: ctx.slots };
         let start = Instant::now();
         let span = ctx.obs.span(&stage.name, "stage");
-        let max_attempts = if ctx.policy.strict {
-            1
-        } else {
-            ctx.policy.max_attempts
-        };
+        let max_attempts = ctx.policy.max_attempts();
         let write_failed = AtomicBool::new(false);
         let mut attempts = 0u32;
         let mut last_error: Option<String> = None;
@@ -611,19 +547,19 @@ fn run_worker(ctx: &WorkerCtx<'_, '_>) {
                 (status, value, items)
             }
             None => {
-                // Attempts exhausted. Strict mode never reaches here
-                // with a fallback consulted: quarantine is a recovering-
-                // policy concept, so strict (and fallback-less) stages
-                // poison the run exactly as before supervision existed.
-                let fb = if ctx.policy.strict {
-                    None
-                } else {
-                    stage.fallback.lock().unwrap().take()
-                };
-                let Some(fb) = fb else {
+                // Attempts exhausted. Quarantine is a recovering-policy
+                // concept: strict mode never consults the fallback and
+                // poisons the run exactly as before supervision existed.
+                if ctx.policy == SupervisionPolicy::Strict {
                     ctx.poison_run(last_payload.expect("failed stage recorded no panic"));
                     return;
-                };
+                }
+                let fb = stage
+                    .fallback
+                    .lock()
+                    .unwrap()
+                    .take()
+                    .expect("fallback taken twice");
                 match catch_unwind(AssertUnwindSafe(|| fb(&results))) {
                     Ok((value, items)) => {
                         ctx.obs
@@ -634,11 +570,9 @@ fn run_worker(ctx: &WorkerCtx<'_, '_>) {
                         // and never persist the fallback under the
                         // stage's own key, which names the real
                         // computation.
-                        *ctx.digests[next].lock().unwrap() = stage
-                            .codec
-                            .as_ref()
-                            .filter(|_| ctx.store.is_some())
-                            .map(|codec| digest(&(codec.encode)(&value, items)));
+                        *ctx.digests[next].lock().unwrap() = ctx
+                            .store
+                            .map(|_| digest(&(stage.codec.encode)(&value, items)));
                         (StageStatus::Quarantined, value, items)
                     }
                     Err(fb_payload) => {
@@ -679,35 +613,48 @@ fn run_worker(ctx: &WorkerCtx<'_, '_>) {
     }
 }
 
-/// Fold per-stage records into a [`GraphHealth`], computing the taint
-/// closure: a stage is tainted when any dependency is quarantined or
-/// itself tainted. One forward pass suffices because dependencies
-/// always have lower indices than their dependents.
+/// Fold per-stage records into the run's [`RunHealth`], computing the
+/// taint closure: a stage is tainted when any dependency is quarantined
+/// or itself tainted. One forward pass suffices because dependencies
+/// always have lower indices than their dependents. The degraded report
+/// tables and the operator warnings follow from the same records.
 fn fold_health(
     stages: &[Stage<'_>],
     records: Vec<StageRecord>,
     policy: SupervisionPolicy,
-) -> GraphHealth {
+) -> RunHealth {
     let n = stages.len();
     let mut degraded = vec![false; n];
-    let mut health = GraphHealth {
-        supervised: !policy.strict,
-        ..GraphHealth::default()
+    let mut health = RunHealth {
+        supervised: policy != SupervisionPolicy::Strict,
+        ..RunHealth::default()
     };
     for (i, record) in records.into_iter().enumerate() {
+        let name = &stages[i].name;
         let quarantined = record.status == StageStatus::Quarantined;
         let tainted = !quarantined && stages[i].deps.iter().any(|&d| degraded[d]);
         degraded[i] = quarantined || tainted;
         health.attempts += u64::from(record.attempts);
         health.retries += u64::from(record.attempts - 1);
         if quarantined {
-            health.quarantined.push(stages[i].name.clone());
+            health.quarantined.push(name.clone());
+            health.warnings.push(format!(
+                "stage {name}: quarantined after {} attempts ({}); fallback output substituted",
+                record.attempts,
+                record.error.as_deref().unwrap_or("panic"),
+            ));
         }
         if tainted {
-            health.tainted.push(stages[i].name.clone());
+            health.tainted.push(name.clone());
+        }
+        if record.cache_write_failed {
+            health.warnings.push(format!(
+                "stage {name}: cache write failed (disk full or read-only?); \
+                 this run is fine but will not resume warm",
+            ));
         }
         health.stages.push(StageHealth {
-            name: stages[i].name.clone(),
+            name: name.clone(),
             attempts: record.attempts,
             status: record.status,
             error: record.error,
@@ -715,6 +662,13 @@ fn fold_health(
             cache_write_failed: record.cache_write_failed,
         });
     }
+    health.degraded_tables = degraded_tables(
+        health
+            .quarantined
+            .iter()
+            .chain(&health.tainted)
+            .map(String::as_str),
+    );
     health
 }
 
@@ -723,9 +677,10 @@ pub struct StageOutputs {
     slots: Vec<Option<BoxedAny>>,
     pub timings: StageTimings,
     /// Supervision outcome for the run: attempts, retries, quarantined
-    /// and tainted stages, and the per-stage recovery timeline. On a
-    /// strict clean run this is all-Completed with zero retries.
-    pub health: GraphHealth,
+    /// and tainted stages, the report tables they degrade, operator
+    /// warnings, and the per-stage recovery timeline. On a strict clean
+    /// run this is all-Completed with zero retries.
+    pub health: RunHealth,
 }
 
 impl StageOutputs {
@@ -751,10 +706,12 @@ mod tests {
     fn diamond_graph_runs_in_dependency_order() {
         for threads in [1, 2, 4] {
             let mut g = StageGraph::new();
-            let a = g.add_stage("a", &[], |_| 2u64);
-            let b = g.add_stage("b", &[a.index()], move |r| r.get(a) * 10);
-            let c = g.add_stage("c", &[a.index()], move |r| r.get(a) + 5);
-            let d = g.add_stage("d", &[b.index(), c.index()], move |r| r.get(b) + r.get(c));
+            let a = g.add_stage("a", &[], &[], |_| (2u64, 0));
+            let b = g.add_stage("b", &[], &[a.index()], move |r| (r.get(a) * 10, 0));
+            let c = g.add_stage("c", &[], &[a.index()], move |r| (r.get(a) + 5, 0));
+            let d = g.add_stage("d", &[], &[b.index(), c.index()], move |r| {
+                (r.get(b) + r.get(c), 0)
+            });
             let mut out = g.run(threads);
             assert_eq!(out.take(d), 27, "{threads} threads");
             assert_eq!(out.timings.threads, threads);
@@ -768,8 +725,8 @@ mod tests {
         let counter = AtomicUsize::new(0);
         let mut g = StageGraph::new();
         for i in 0..16 {
-            g.add_stage::<usize, _>(&format!("s{i}"), &[], |_| {
-                counter.fetch_add(1, Ordering::SeqCst)
+            g.add_stage::<usize, _>(&format!("s{i}"), &[], &[], |_| {
+                (counter.fetch_add(1, Ordering::SeqCst), 0)
             });
         }
         let out = g.run(4);
@@ -780,7 +737,7 @@ mod tests {
     #[test]
     fn items_are_recorded() {
         let mut g = StageGraph::new();
-        g.add_stage_with_items::<Vec<u32>, _>("count", &[], |_| (vec![1, 2, 3], 3));
+        g.add_stage::<Vec<u32>, _>("count", &[], &[], |_| (vec![1, 2, 3], 3));
         let out = g.run(1);
         let t = out.timings.stage("count").unwrap();
         assert_eq!(t.items, 3);
@@ -790,8 +747,8 @@ mod tests {
     #[test]
     fn heterogeneous_output_types() {
         let mut g = StageGraph::new();
-        let s = g.add_stage("string", &[], |_| "hello".to_string());
-        let v = g.add_stage("vec", &[s.index()], move |r| vec![r.get(s).len()]);
+        let s = g.add_stage("string", &[], &[], |_| ("hello".to_string(), 0));
+        let v = g.add_stage("vec", &[], &[s.index()], move |r| (vec![r.get(s).len()], 0));
         let mut out = g.run(2);
         assert_eq!(out.take(v), vec![5]);
         assert_eq!(out.take(s), "hello");
@@ -801,7 +758,7 @@ mod tests {
     #[should_panic(expected = "depends on a later stage")]
     fn forward_dependencies_are_rejected() {
         let mut g = StageGraph::new();
-        g.add_stage::<u8, _>("bad", &[3], |_| 0);
+        g.add_stage::<u8, _>("bad", &[], &[3], |_| (0, 0));
     }
 
     #[test]
@@ -810,10 +767,16 @@ mod tests {
         // sum pins that neither parent was skipped or reordered past d.
         for threads in [1, 2, 4, 8] {
             let mut g = StageGraph::new();
-            let a = g.add_stage("a", &[], |_| vec![1u64, 2, 3]);
-            let b = g.add_stage("b", &[a.index()], move |r| r.get(a).iter().sum::<u64>());
-            let c = g.add_stage("c", &[a.index()], move |r| r.get(a).iter().product::<u64>());
-            let d = g.add_stage("d", &[b.index(), c.index()], move |r| r.get(b) + r.get(c));
+            let a = g.add_stage("a", &[], &[], |_| (vec![1u64, 2, 3], 0));
+            let b = g.add_stage("b", &[], &[a.index()], move |r| {
+                (r.get(a).iter().sum::<u64>(), 0)
+            });
+            let c = g.add_stage("c", &[], &[a.index()], move |r| {
+                (r.get(a).iter().product::<u64>(), 0)
+            });
+            let d = g.add_stage("d", &[], &[b.index(), c.index()], move |r| {
+                (r.get(b) + r.get(c), 0)
+            });
             let mut out = g.run(threads);
             assert_eq!(out.take(d), 12, "{threads} threads");
         }
@@ -827,7 +790,7 @@ mod tests {
             let mut prev: Option<usize> = None;
             for name in names {
                 let deps: Vec<usize> = prev.into_iter().collect();
-                let id = g.add_stage::<u8, _>(name, &deps, |_| 0);
+                let id = g.add_stage::<u8, _>(name, &[], &deps, |_| (0, 0));
                 prev = Some(id.index());
             }
             let out = g.run(threads);
@@ -846,7 +809,7 @@ mod tests {
     #[should_panic(expected = "boom")]
     fn stage_panic_propagates_single_thread() {
         let mut g = StageGraph::new();
-        g.add_stage::<u8, _>("bad", &[], |_| panic!("boom"));
+        g.add_stage::<u8, _>("bad", &[], &[], |_| panic!("boom"));
         g.run(1);
     }
 
@@ -857,11 +820,11 @@ mod tests {
         // undecremented, deadlocking the other workers on the condvar.
         let mut g = StageGraph::new();
         for i in 0..8 {
-            g.add_stage::<u8, _>(&format!("ok{i}"), &[], |_| 0);
+            g.add_stage::<u8, _>(&format!("ok{i}"), &[], &[], |_| (0, 0));
         }
-        g.add_stage::<u8, _>("bad", &[], |_| panic!("boom"));
+        g.add_stage::<u8, _>("bad", &[], &[], |_| panic!("boom"));
         for i in 8..16 {
-            g.add_stage::<u8, _>(&format!("ok{i}"), &[], |_| 0);
+            g.add_stage::<u8, _>(&format!("ok{i}"), &[], &[], |_| (0, 0));
         }
         g.run(4);
     }
@@ -869,7 +832,7 @@ mod tests {
     #[test]
     fn zero_threads_means_available_parallelism() {
         let mut g = StageGraph::new();
-        let a = g.add_stage("only", &[], |_| 1u8);
+        let a = g.add_stage("only", &[], &[], |_| (1u8, 0));
         let mut out = g.run(0);
         assert_eq!(out.take(a), 1);
         assert!(out.timings.threads >= 1);
@@ -878,13 +841,14 @@ mod tests {
     #[test]
     fn clean_run_health_is_all_completed() {
         let mut g = StageGraph::new();
-        let a = g.add_stage("a", &[], |_| 1u8);
-        g.add_stage("b", &[a.index()], move |r| r.get(a) + 1);
+        let a = g.add_stage("a", &[], &[], |_| (1u8, 0));
+        g.add_stage("b", &[], &[a.index()], move |r| (r.get(a) + 1, 0));
         let out = g.run(1);
         assert!(!out.health.supervised, "default policy is strict");
         assert!(out.health.is_clean());
         assert_eq!(out.health.attempts, 2);
         assert_eq!(out.health.retries, 0);
+        assert!(out.health.degraded_tables.is_empty());
         assert!(out
             .health
             .stages
@@ -897,13 +861,13 @@ mod tests {
         for threads in [1, 4] {
             let failures = AtomicU32::new(0);
             let mut g = StageGraph::new();
-            let s = g.add_stage("flaky", &[], |_| {
+            let s = g.add_stage("flaky", &[], &[], |_| {
                 if failures.fetch_add(1, Ordering::SeqCst) < 2 {
                     panic!("transient wobble");
                 }
-                41u64
+                (41u64, 0)
             });
-            let t = g.add_stage("after", &[s.index()], move |r| r.get(s) + 1);
+            let t = g.add_stage("after", &[], &[s.index()], move |r| (r.get(s) + 1, 0));
             g.supervise(SupervisionPolicy::recover(3));
             let mut out = g.run(threads);
             assert_eq!(out.take(t), 42, "{threads} threads");
@@ -923,10 +887,12 @@ mod tests {
     fn quarantine_substitutes_fallback_and_taints_dependents() {
         for threads in [1, 4] {
             let mut g = StageGraph::new();
-            let a = g.add_stage("a", &[], |_| 7u64);
-            let b = g.add_stage::<u64, _>("b", &[a.index()], |_| panic!("b is broken"));
-            let c = g.add_stage("c", &[a.index()], move |r| r.get(a) + 1);
-            let d = g.add_stage("d", &[b.index(), c.index()], move |r| r.get(b) + r.get(c));
+            let a = g.add_stage("a", &[], &[], |_| (7u64, 0));
+            let b = g.add_stage::<u64, _>("b", &[], &[a.index()], |_| panic!("b is broken"));
+            let c = g.add_stage("c", &[], &[a.index()], move |r| (r.get(a) + 1, 0));
+            let d = g.add_stage("d", &[], &[b.index(), c.index()], move |r| {
+                (r.get(b) + r.get(c), 0)
+            });
             g.fallback(b, move |r| r.get(a) + 100);
             g.supervise(SupervisionPolicy::recover(2));
             let mut out = g.run(threads);
@@ -948,19 +914,38 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no fallback here")]
-    fn exhausted_stage_without_fallback_still_poisons() {
-        let mut g = StageGraph::new();
-        g.add_stage::<u8, _>("doomed", &[], |_| panic!("no fallback here"));
+    fn stage_without_an_override_quarantines_to_default_and_strict_still_poisons() {
+        let graph = || {
+            let mut g = StageGraph::new();
+            let doomed =
+                g.add_stage::<Vec<u64>, _>("doomed", &[], &[], |_| panic!("no override here"));
+            let after = g.add_stage("after", &[], &[doomed.index()], move |r| {
+                (r.get(doomed).len() as u64 + 1, 0)
+            });
+            (g, doomed, after)
+        };
+
+        let (mut g, doomed, after) = graph();
         g.supervise(SupervisionPolicy::recover(3));
-        g.run(1);
+        let mut out = g.run(1);
+        assert_eq!(out.take(doomed), Vec::<u64>::new(), "T::default() served");
+        assert_eq!(out.take(after), 1, "the dependent read the default");
+        assert_eq!(out.health.quarantined, vec!["doomed"]);
+        assert_eq!(out.health.tainted, vec!["after"]);
+        assert_eq!(out.health.stages[0].attempts, 3);
+
+        let (g, _, _) = graph();
+        let Err(payload) = catch_unwind(AssertUnwindSafe(|| g.run(1))) else {
+            panic!("strict mode must poison the run");
+        };
+        assert_eq!(panic_message(payload.as_ref()), "no override here");
     }
 
     #[test]
     #[should_panic(expected = "strict means strict")]
     fn strict_mode_ignores_declared_fallbacks() {
         let mut g = StageGraph::new();
-        let s = g.add_stage::<u8, _>("bad", &[], |_| panic!("strict means strict"));
+        let s = g.add_stage::<u8, _>("bad", &[], &[], |_| panic!("strict means strict"));
         g.fallback(s, |_| 0u8);
         // Default policy: no supervise() call.
         g.run(1);
@@ -969,11 +954,10 @@ mod tests {
     #[test]
     fn taint_propagates_transitively_through_chains() {
         let mut g = StageGraph::new();
-        let a = g.add_stage::<u8, _>("a", &[], |_| panic!("root failure"));
-        let b = g.add_stage("b", &[a.index()], move |r| r.get(a) + 1);
-        let c = g.add_stage("c", &[b.index()], move |r| r.get(b) + 1);
-        let lone = g.add_stage("lone", &[], |_| 9u8);
-        g.fallback(a, |_| 0u8);
+        let a = g.add_stage::<u8, _>("a", &[], &[], |_| panic!("root failure"));
+        let b = g.add_stage("b", &[], &[a.index()], move |r| (r.get(a) + 1, 0));
+        let c = g.add_stage("c", &[], &[b.index()], move |r| (r.get(b) + 1, 0));
+        let lone = g.add_stage("lone", &[], &[], |_| (9u8, 0));
         g.supervise(SupervisionPolicy::recover(1));
         let mut out = g.run(2);
         assert_eq!(out.take(c), 2);
@@ -981,5 +965,49 @@ mod tests {
         assert_eq!(out.health.quarantined, vec!["a"]);
         assert_eq!(out.health.tainted, vec!["b", "c"]);
         assert!(!out.health.stages[3].tainted, "independent stage untouched");
+    }
+
+    #[test]
+    fn health_names_degraded_tables_and_warns_per_quarantine() {
+        // Stage names from the pipeline's table map: the quarantined QR
+        // pilot and its tainted Figure 5 dependent each degrade a table.
+        let mut g = StageGraph::new();
+        let qr = g.add_stage::<u8, _>("qr_pilot", &[], &[], |_| panic!("boom"));
+        g.add_stage("fig5_keywords", &[], &[qr.index()], move |r| {
+            (*r.get(qr), 0)
+        });
+        g.supervise(SupervisionPolicy::recover(2));
+        let out = g.run(1);
+        let health = &out.health;
+        assert!(!health.is_clean());
+        assert_eq!(
+            health.degraded_tables,
+            vec!["appendix_b.qr_pilot", "fig5.keywords"]
+        );
+        assert_eq!(
+            health.warnings,
+            vec![
+                "stage qr_pilot: quarantined after 2 attempts (boom); fallback output substituted"
+            ]
+        );
+    }
+
+    #[test]
+    fn failed_cache_write_is_a_warning_not_a_failure() {
+        let dir = std::env::temp_dir().join(format!("gt-exec-write-{}", std::process::id()));
+        let store = Arc::new(RunStore::open(&dir).expect("store opens"));
+        // Writes stage through `tmp/`; without it every persist errors.
+        std::fs::remove_dir_all(dir.join("tmp")).unwrap();
+        let mut g = StageGraph::new();
+        g.bind_store(store, digest(b"write-failure"));
+        let a = g.add_stage("a", &[], &[], |_| (3u8, 0));
+        let mut out = g.run(1);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(out.take(a), 3, "the computed output is still served");
+        assert!(out.health.stages[0].cache_write_failed);
+        assert_eq!(out.health.stages[0].status, StageStatus::Completed);
+        assert!(!out.health.is_clean());
+        assert_eq!(out.health.warnings.len(), 1);
+        assert!(out.health.warnings[0].starts_with("stage a: cache write failed"));
     }
 }

@@ -40,4 +40,4 @@ pub use pipeline::{
     ChainAnalysis, DegradationReport, PaperRun, Pipeline, PipelineOptions, StageDegradation,
 };
 pub use report::PaperReport;
-pub use supervisor::{GraphHealth, RunHealth, StageHealth, StageStatus, SupervisionPolicy};
+pub use supervisor::{RunHealth, StageHealth, StageStatus, SupervisionPolicy};

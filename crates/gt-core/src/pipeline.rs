@@ -33,7 +33,7 @@ use gt_store::{Digest, KeyBuilder, RunStore, StoreDecode, StoreEncode};
 use gt_stream::keywords::search_keyword_set;
 use gt_stream::monitor::{Monitor, MonitorConfig, MonitorReport};
 use gt_stream::pilot::{qr_persistence, qr_stats};
-use gt_stream::twitch::{run_twitch_pilot_observed, TwitchPilotReport};
+use gt_stream::twitch::run_twitch_pilot_observed;
 use gt_world::{World, WorldConfig};
 use serde::Serialize;
 use std::collections::{HashMap, HashSet};
@@ -82,8 +82,8 @@ pub struct PipelineOptions {
     /// How the run treats a panicking stage. The default
     /// ([`SupervisionPolicy::strict`]) preserves poison semantics: the
     /// first stage panic aborts the run. [`SupervisionPolicy::recover`]
-    /// retries, then quarantines the stage behind its declared fallback
-    /// and reports the damage through [`PaperRun::health`]. Deliberately
+    /// retries, then quarantines the stage behind its fallback and
+    /// reports the damage through [`PaperRun::health`]. Deliberately
     /// excluded from [`PipelineOptions::base_fingerprint`]: supervision
     /// never changes what a healthy stage computes, so supervised and
     /// strict runs share cache entries.
@@ -239,7 +239,8 @@ impl DegradationReport {
 }
 
 /// The frozen blockchain analysis shared (by reference) across stages.
-#[derive(Debug, StoreEncode, StoreDecode)]
+/// Its `Default` (no clusters, no tags) is the quarantine fallback.
+#[derive(Debug, Default, StoreEncode, StoreDecode)]
 pub struct ChainAnalysis {
     pub view: ClusterView,
     pub resolver: TagResolver,
@@ -386,7 +387,7 @@ impl<'w> Pipeline<'w> {
         g.supervise(self.options.supervision);
 
         // ---- independent roots: datasets, monitors, chain analysis ----
-        let twitter_ds = g.add_cached_stage_with_items("twitter_dataset", &[], &[], move |_| {
+        let twitter_ds = g.add_stage("twitter_dataset", &[], &[], move |_| {
             let ds = build_twitter_dataset(&world.twitter, &world.scam_db);
             let domains = ds.domains.len() as u64;
             (ds, domains)
@@ -394,24 +395,23 @@ impl<'w> Pipeline<'w> {
 
         let pilot_plan = plan.clone();
         let pilot_sink = obs.sink("pilot_monitor");
-        let pilot =
-            g.add_cached_stage_with_items("pilot_monitor", &[skip_pilot as u8], &[], move |_| {
-                if skip_pilot {
-                    return (MonitorReport::default(), 0);
-                }
-                let mut cfg = MonitorConfig::paper(config.pilot_start, config.pilot_end);
-                cfg.fault_plan = pilot_plan.clone();
-                cfg.retry = retry;
-                cfg.sink = pilot_sink.clone();
-                let monitor = Monitor::new(cfg, search_keyword_set());
-                let report = monitor.run(&world.youtube, &world.web);
-                let streams = report.streams.len() as u64;
-                (report, streams)
-            });
+        let pilot = g.add_stage("pilot_monitor", &[skip_pilot as u8], &[], move |_| {
+            if skip_pilot {
+                return (MonitorReport::default(), 0);
+            }
+            let mut cfg = MonitorConfig::paper(config.pilot_start, config.pilot_end);
+            cfg.fault_plan = pilot_plan.clone();
+            cfg.retry = retry;
+            cfg.sink = pilot_sink.clone();
+            let monitor = Monitor::new(cfg, search_keyword_set());
+            let report = monitor.run(&world.youtube, &world.web);
+            let streams = report.streams.len() as u64;
+            (report, streams)
+        });
 
         let monitor_plan = plan.clone();
         let monitor_sink = obs.sink("main_monitor");
-        let main_monitor = g.add_cached_stage_with_items("main_monitor", &[], &[], move |_| {
+        let main_monitor = g.add_stage("main_monitor", &[], &[], move |_| {
             let mut cfg = MonitorConfig::paper(config.youtube_start, config.youtube_end);
             cfg.fault_plan = monitor_plan.clone();
             cfg.retry = retry;
@@ -423,7 +423,7 @@ impl<'w> Pipeline<'w> {
         });
 
         let chain_sink = obs.sink("chain_analysis");
-        let chain = g.add_cached_stage_with_items("chain_analysis", &[], &[], move |_| {
+        let chain = g.add_stage("chain_analysis", &[], &[], move |_| {
             let view = {
                 let _span = chain_sink.span("cluster.build");
                 ClusterView::build_par(&world.chains.btc, ClusteringOptions::default(), threads)
@@ -440,30 +440,26 @@ impl<'w> Pipeline<'w> {
 
         let twitch_plan = plan.clone();
         let twitch_sink = obs.sink("twitch_pilot");
-        let twitch = g.add_cached_stage("twitch_pilot", &[], &[], move |_| {
-            run_twitch_pilot_observed(
+        let twitch = g.add_stage("twitch_pilot", &[], &[], move |_| {
+            let report = run_twitch_pilot_observed(
                 &world.twitch,
                 config.pilot_start,
                 config.pilot_end,
                 twitch_plan.as_ref(),
                 retry,
                 twitch_sink.clone(),
-            )
+            );
+            (report, 0)
         });
 
         // ---- dataset assembly and the known-scam address set ----
-        let youtube_ds = g.add_cached_stage_with_items(
-            "youtube_dataset",
-            &[],
-            &[main_monitor.index()],
-            move |r| {
-                let ds = build_youtube_dataset(r.get(main_monitor), &search_keyword_set());
-                let domains = ds.domains.len() as u64;
-                (ds, domains)
-            },
-        );
+        let youtube_ds = g.add_stage("youtube_dataset", &[], &[main_monitor.index()], move |r| {
+            let ds = build_youtube_dataset(r.get(main_monitor), &search_keyword_set());
+            let domains = ds.domains.len() as u64;
+            (ds, domains)
+        });
 
-        let known_scam = g.add_cached_stage(
+        let known_scam = g.add_stage(
             "known_scam_addresses",
             &[],
             &[twitter_ds.index(), youtube_ds.index()],
@@ -475,52 +471,38 @@ impl<'w> Pipeline<'w> {
                 for d in &r.get(youtube_ds).domains {
                     known.extend(d.validation.addresses.iter().copied());
                 }
-                known
+                (known, 0)
             },
         );
 
         // ---- per-platform payment isolation (Sections 5.1–5.3) ----
         let twitter_plan = plan.clone();
         let twitter_sink = obs.sink("twitter_payments");
-        let twitter_an = g.add_cached_stage_with_items(
+        let twitter_an = g.add_stage(
             "twitter_payments",
             &[],
             &[twitter_ds.index(), chain.index(), known_scam.index()],
             move |r| {
                 let ca = r.get(chain);
-                // The RPC facade is engaged whenever it has work to do:
-                // a fault plan to consult or telemetry to report. A
-                // clean RpcView serves identical data, so the report is
-                // unchanged either way.
-                let analysis = if twitter_plan.is_some() || twitter_sink.enabled() {
-                    let rpc = RpcView::observed(
-                        &world.chains,
-                        twitter_plan.as_ref(),
-                        "rpc.twitter",
-                        retry,
-                        rpc_epoch,
-                        twitter_sink.clone(),
-                    );
-                    let mut a = analyze_twitter(
-                        r.get(twitter_ds),
-                        &rpc,
-                        &world.prices,
-                        &ca.resolver,
-                        &ca.view,
-                        r.get(known_scam),
-                    );
-                    a.degradation = rpc.stats();
-                    a
-                } else {
-                    analyze_twitter(
-                        r.get(twitter_ds),
-                        &world.chains,
-                        &world.prices,
-                        &ca.resolver,
-                        &ca.view,
-                        r.get(known_scam),
-                    )
-                };
+                // Without a fault plan the gate admits every call, so
+                // the RPC facade serves exactly the chain's data.
+                let rpc = RpcView::observed(
+                    &world.chains,
+                    twitter_plan.as_ref(),
+                    "rpc.twitter",
+                    retry,
+                    rpc_epoch,
+                    twitter_sink.clone(),
+                );
+                let mut analysis = analyze_twitter(
+                    r.get(twitter_ds),
+                    &rpc,
+                    &world.prices,
+                    &ca.resolver,
+                    &ca.view,
+                    r.get(known_scam),
+                );
+                analysis.degradation = rpc.stats();
                 let payments = analysis.funnel.payments_any as u64;
                 (analysis, payments)
             },
@@ -528,60 +510,48 @@ impl<'w> Pipeline<'w> {
 
         let youtube_plan = plan.clone();
         let youtube_sink = obs.sink("youtube_payments");
-        let youtube_an = g.add_cached_stage_with_items(
+        let youtube_an = g.add_stage(
             "youtube_payments",
             &[],
             &[youtube_ds.index(), chain.index(), known_scam.index()],
             move |r| {
                 let ca = r.get(chain);
-                let analysis = if youtube_plan.is_some() || youtube_sink.enabled() {
-                    let rpc = RpcView::observed(
-                        &world.chains,
-                        youtube_plan.as_ref(),
-                        "rpc.youtube",
-                        retry,
-                        rpc_epoch,
-                        youtube_sink.clone(),
-                    );
-                    let mut a = analyze_youtube(
-                        r.get(youtube_ds),
-                        &rpc,
-                        &world.prices,
-                        &ca.resolver,
-                        &ca.view,
-                        r.get(known_scam),
-                    );
-                    a.degradation = rpc.stats();
-                    a
-                } else {
-                    analyze_youtube(
-                        r.get(youtube_ds),
-                        &world.chains,
-                        &world.prices,
-                        &ca.resolver,
-                        &ca.view,
-                        r.get(known_scam),
-                    )
-                };
+                let rpc = RpcView::observed(
+                    &world.chains,
+                    youtube_plan.as_ref(),
+                    "rpc.youtube",
+                    retry,
+                    rpc_epoch,
+                    youtube_sink.clone(),
+                );
+                let mut analysis = analyze_youtube(
+                    r.get(youtube_ds),
+                    &rpc,
+                    &world.prices,
+                    &ca.resolver,
+                    &ca.view,
+                    r.get(known_scam),
+                );
+                analysis.degradation = rpc.stats();
                 let payments = analysis.funnel.payments_any as u64;
                 (analysis, payments)
             },
         );
 
         // ---- Section 4: lures ----
-        let twitter_weekly =
-            g.add_cached_stage("twitter_weekly", &[], &[twitter_ds.index()], move |r| {
-                WeeklySeries::build(
-                    config.twitter_start,
-                    config.twitter_end,
-                    r.get(twitter_ds)
-                        .domains
-                        .iter()
-                        .flat_map(|d| d.tweet_times.iter().map(|&t| (t, 0u64))),
-                )
-            });
+        let twitter_weekly = g.add_stage("twitter_weekly", &[], &[twitter_ds.index()], move |r| {
+            let series = WeeklySeries::build(
+                config.twitter_start,
+                config.twitter_end,
+                r.get(twitter_ds)
+                    .domains
+                    .iter()
+                    .flat_map(|d| d.tweet_times.iter().map(|&t| (t, 0u64))),
+            );
+            (series, 0)
+        });
 
-        let youtube_weekly = g.add_cached_stage(
+        let youtube_weekly = g.add_stage(
             "youtube_weekly",
             &[],
             &[youtube_ds.index(), main_monitor.index()],
@@ -592,7 +562,7 @@ impl<'w> Pipeline<'w> {
                     .iter()
                     .map(|s| (s.stream, s))
                     .collect();
-                WeeklySeries::build(
+                let series = WeeklySeries::build(
                     config.youtube_start,
                     config.youtube_end,
                     r.get(youtube_ds).scam_streams.iter().filter_map(|sid| {
@@ -600,45 +570,58 @@ impl<'w> Pipeline<'w> {
                             .get(sid)
                             .map(|obs| (obs.first_seen, obs.max_total_views))
                     }),
-                )
+                );
+                (series, 0)
             },
         );
 
         let twitter_discover =
-            g.add_cached_stage("twitter_discover", &[], &[twitter_ds.index()], move |r| {
-                discover::twitter_discoverability(r.get(twitter_ds), &world.twitter)
+            g.add_stage("twitter_discover", &[], &[twitter_ds.index()], move |r| {
+                (
+                    discover::twitter_discoverability(r.get(twitter_ds), &world.twitter),
+                    0,
+                )
             });
-        let youtube_discover = g.add_cached_stage(
+        let youtube_discover = g.add_stage(
             "youtube_discover",
             &[],
             &[youtube_ds.index(), main_monitor.index()],
             move |r| {
-                discover::youtube_discoverability(
+                let stats = discover::youtube_discoverability(
                     r.get(youtube_ds),
                     r.get(main_monitor),
                     &search_keyword_set(),
-                )
+                );
+                (stats, 0)
             },
         );
-        let twitter_coins =
-            g.add_cached_stage("twitter_coins", &[], &[twitter_ds.index()], move |r| {
-                currencies::twitter_coin_rates(r.get(twitter_ds), &world.twitter)
-            });
-        let youtube_coins = g.add_cached_stage(
+        let twitter_coins = g.add_stage("twitter_coins", &[], &[twitter_ds.index()], move |r| {
+            (
+                currencies::twitter_coin_rates(r.get(twitter_ds), &world.twitter),
+                0,
+            )
+        });
+        let youtube_coins = g.add_stage(
             "youtube_coins",
             &[],
             &[youtube_ds.index(), main_monitor.index()],
-            move |r| currencies::youtube_coin_rates(r.get(youtube_ds), r.get(main_monitor)),
+            move |r| {
+                let rates = currencies::youtube_coin_rates(r.get(youtube_ds), r.get(main_monitor));
+                (rates, 0)
+            },
         );
 
         // ---- Section 5.4: victims ----
-        let twitter_conversions = g.add_cached_stage(
+        let twitter_conversions = g.add_stage(
             "twitter_conversions",
             &[],
             &[twitter_an.index(), twitter_ds.index()],
-            move |r| victims::conversions(r.get(twitter_an), r.get(twitter_ds).tweet_count as u64),
+            move |r| {
+                let tweets = r.get(twitter_ds).tweet_count as u64;
+                (victims::conversions(r.get(twitter_an), tweets), 0)
+            },
         );
-        let youtube_conversions = g.add_cached_stage(
+        let youtube_conversions = g.add_stage(
             "youtube_conversions",
             &[],
             &[youtube_an.index(), youtube_ds.index(), main_monitor.index()],
@@ -655,83 +638,81 @@ impl<'w> Pipeline<'w> {
                     .iter()
                     .filter_map(|sid| observed.get(sid).map(|o| o.max_total_views))
                     .sum();
-                victims::conversions(r.get(youtube_an), total_views)
+                (victims::conversions(r.get(youtube_an), total_views), 0)
             },
         );
-        let origins = g.add_cached_stage(
+        let origins = g.add_stage(
             "payment_origins",
             &[],
             &[twitter_an.index(), youtube_an.index(), chain.index()],
             move |r| {
                 let ca = r.get(chain);
-                victims::payment_origins(
+                let origins = victims::payment_origins(
                     &[r.get(twitter_an), r.get(youtube_an)],
                     &ca.resolver,
                     &ca.view,
-                )
+                );
+                (origins, 0)
             },
         );
-        let twitter_whales =
-            g.add_cached_stage("twitter_whales", &[], &[twitter_an.index()], move |r| {
-                victims::whale_distribution(r.get(twitter_an))
-            });
-        let youtube_whales =
-            g.add_cached_stage("youtube_whales", &[], &[youtube_an.index()], move |r| {
-                victims::whale_distribution(r.get(youtube_an))
-            });
+        let twitter_whales = g.add_stage("twitter_whales", &[], &[twitter_an.index()], move |r| {
+            (victims::whale_distribution(r.get(twitter_an)), 0)
+        });
+        let youtube_whales = g.add_stage("youtube_whales", &[], &[youtube_an.index()], move |r| {
+            (victims::whale_distribution(r.get(youtube_an)), 0)
+        });
 
         // ---- Section 5.5: scammers ----
-        let recipients = g.add_cached_stage(
+        let recipients = g.add_stage(
             "recipient_stats",
             &[],
             &[twitter_an.index(), youtube_an.index(), chain.index()],
             move |r| {
-                scammers::recipient_stats(
+                let stats = scammers::recipient_stats(
                     &[r.get(twitter_an), r.get(youtube_an)],
                     &r.get(chain).view,
-                )
+                );
+                (stats, 0)
             },
         );
         let outgoing_plan = plan.clone();
         let outgoing_sink = obs.sink("outgoing_stats");
-        let outgoing = g.add_cached_stage(
+        let outgoing = g.add_stage(
             "outgoing_stats",
             &[],
             &[twitter_an.index(), youtube_an.index(), chain.index()],
             move |r| {
                 let ca = r.get(chain);
                 let analyses = [r.get(twitter_an), r.get(youtube_an)];
-                if outgoing_plan.is_some() || outgoing_sink.enabled() {
-                    let rpc = RpcView::observed(
-                        &world.chains,
-                        outgoing_plan.as_ref(),
-                        "rpc.outgoing",
-                        retry,
-                        rpc_epoch,
-                        outgoing_sink.clone(),
-                    );
-                    let stats = scammers::outgoing_stats(&analyses, &rpc, &ca.resolver, &ca.view);
-                    (stats, rpc.stats())
-                } else {
-                    let stats =
-                        scammers::outgoing_stats(&analyses, &world.chains, &ca.resolver, &ca.view);
-                    (stats, DegradationStats::default())
-                }
+                let rpc = RpcView::observed(
+                    &world.chains,
+                    outgoing_plan.as_ref(),
+                    "rpc.outgoing",
+                    retry,
+                    rpc_epoch,
+                    outgoing_sink.clone(),
+                );
+                let stats = scammers::outgoing_stats(&analyses, &rpc, &ca.resolver, &ca.view);
+                ((stats, rpc.stats()), 0)
             },
         );
 
         // ---- Appendix B ----
-        let qr_pilot = g.add_cached_stage("qr_pilot", &[], &[pilot.index()], move |r| {
+        let qr_pilot = g.add_stage("qr_pilot", &[], &[pilot.index()], move |r| {
             let persistences = qr_persistence(r.get(pilot), SimDuration::seconds(450));
-            qr_stats(&persistences).map(|s| QrPilotSummary {
+            let summary = qr_stats(&persistences).map(|s| QrPilotSummary {
                 tracked: s.tracked,
                 mean_seconds: s.mean_seconds,
                 median_seconds: s.median_seconds,
                 intermittent: s.intermittent,
-            })
+            });
+            (summary, 0)
         });
-        let fig5 = g.add_cached_stage("fig5_keywords", &[], &[pilot.index()], move |r| {
-            fig5::keyword_contribution(r.get(pilot), &search_keyword_set())
+        let fig5 = g.add_stage("fig5_keywords", &[], &[pilot.index()], move |r| {
+            (
+                fig5::keyword_contribution(r.get(pilot), &search_keyword_set()),
+                0,
+            )
         });
 
         // ---- Section 6.2 extension: exchange-side intervention sweep ----
@@ -739,7 +720,7 @@ impl<'w> Pipeline<'w> {
         // fingerprint, not visible in any dependency output), so they
         // go into the stage salt.
         let interventions_salt = gt_store::encode_to_vec(&(skip_interventions, &lags));
-        let interventions = g.add_cached_stage_with_items(
+        let interventions = g.add_stage(
             "interventions",
             &interventions_salt,
             &[twitter_an.index(), youtube_an.index(), chain.index()],
@@ -762,25 +743,13 @@ impl<'w> Pipeline<'w> {
         // ---- quarantine fallbacks (used only under a recovering
         // supervision policy) ----
         //
-        // Every stage declares the least-wrong output it can stand in
-        // with: empty datasets and analyses for producers, a no-tag /
-        // no-cluster view for the chain analysis, zeroed series and
-        // statistics for the report tables. A quarantined stage's
-        // dependents still run — over visibly empty inputs — and the
-        // affected tables are named in `RunHealth::degraded_tables`
-        // instead of the whole run aborting.
-        g.fallback(twitter_ds, |_| crate::datasets::TwitterDataset::default());
-        g.fallback(pilot, |_| MonitorReport::default());
-        g.fallback(main_monitor, |_| MonitorReport::default());
-        g.fallback(chain, |_| ChainAnalysis {
-            view: ClusterView::empty(),
-            resolver: TagResolver::empty(),
-        });
-        g.fallback(twitch, |_| TwitchPilotReport::default());
-        g.fallback(youtube_ds, |_| crate::datasets::YouTubeDataset::default());
-        g.fallback(known_scam, |_| HashSet::new());
-        g.fallback(twitter_an, |_| PaymentAnalysis::default());
-        g.fallback(youtube_an, |_| PaymentAnalysis::default());
+        // Every other stage stands in with its output type's `Default`:
+        // empty datasets and analyses, a no-tag / no-cluster chain view,
+        // zeroed statistics. The weekly series instead keep their zero
+        // buckets over the window. A quarantined stage's dependents
+        // still run — over visibly empty inputs — and the affected
+        // tables are named in `RunHealth::degraded_tables` instead of
+        // the whole run aborting.
         g.fallback(twitter_weekly, move |_| {
             WeeklySeries::build(
                 config.twitter_start,
@@ -795,29 +764,6 @@ impl<'w> Pipeline<'w> {
                 std::iter::empty::<(SimTime, u64)>(),
             )
         });
-        g.fallback(twitter_discover, |_| {
-            discover::TwitterDiscoverability::default()
-        });
-        g.fallback(youtube_discover, |_| {
-            discover::YouTubeDiscoverability::default()
-        });
-        g.fallback(twitter_coins, |_| currencies::CoinRates::default());
-        g.fallback(youtube_coins, |_| currencies::CoinRates::default());
-        g.fallback(twitter_conversions, |_| victims::Conversions::default());
-        g.fallback(youtube_conversions, |_| victims::Conversions::default());
-        g.fallback(origins, |_| victims::PaymentOrigins::default());
-        g.fallback(twitter_whales, |_| victims::WhaleDistribution::default());
-        g.fallback(youtube_whales, |_| victims::WhaleDistribution::default());
-        g.fallback(recipients, |_| scammers::RecipientStats::default());
-        g.fallback(outgoing, |_| {
-            (
-                scammers::OutgoingStats::default(),
-                DegradationStats::default(),
-            )
-        });
-        g.fallback(qr_pilot, |_| None);
-        g.fallback(fig5, |_| fig5::KeywordContribution::default());
-        g.fallback(interventions, |_| Vec::new());
 
         // ---- execute the DAG and assemble the report ----
         let mut out = g.run_observed(threads, &obs);
@@ -884,7 +830,7 @@ impl<'w> Pipeline<'w> {
             timings: out.timings,
             degradation,
             telemetry: obs.snapshot(),
-            health: RunHealth::from_graph(out.health),
+            health: out.health,
         }
     }
 }

@@ -8,15 +8,21 @@
 //! stage in a recovery state machine —
 //!
 //! ```text
-//!            ┌────────── retry (attempt < max_attempts) ──────────┐
-//!            ▼                                                    │
-//! run ─▶ attempt ──panic──▶ exhausted? ──yes──▶ fallback declared? │
-//!            │                   │ no ─────────────────────────────┘
-//!            │ ok                ├─ yes ─▶ QUARANTINED (substitute fallback,
-//!            ▼                   │         taint every dependent stage)
-//!        COMPLETED /             └─ no ──▶ poison the run (strict semantics)
-//!        RECOVERED
+//!            ┌──── retry (attempt < max_attempts) ────┐
+//!            ▼                                        │
+//! run ─▶ attempt ──panic──▶ exhausted? ──no───────────┘
+//!            │                   │ yes
+//!            │ ok                ├─ Recover ─▶ QUARANTINED (substitute the
+//!            ▼                   │             fallback, taint every
+//!        COMPLETED /             │             dependent stage)
+//!        RECOVERED               └─ Strict ──▶ poison the run
 //! ```
+//!
+//! Under [`SupervisionPolicy::Strict`] a stage gets one attempt and the
+//! first panic poisons the run; no fallback is ever consulted. Under
+//! [`SupervisionPolicy::Recover`] every stage can be quarantined: its
+//! fallback is `T::default()` unless the graph overrides it with
+//! [`StageGraph::fallback`](crate::executor::StageGraph::fallback).
 //!
 //! Every retry re-probes the bound [`RunStore`](gt_store::RunStore)
 //! first, so a crash during a persist (or a flaky stage body) resumes
@@ -25,8 +31,8 @@
 //!
 //! # Taint propagation
 //!
-//! A quarantined stage substitutes its declared fallback (an empty or
-//! identity output), which is *wrong data served knowingly*: every
+//! A quarantined stage substitutes its fallback (an empty or identity
+//! output), which is *wrong data served knowingly*: every
 //! transitive dependent is marked **tainted**, and every report table a
 //! quarantined or tainted stage feeds is listed in
 //! [`RunHealth::degraded_tables`]. Tables stay filled — they just come
@@ -51,42 +57,36 @@
 use serde::Serialize;
 
 /// How the executor treats a panicking stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct SupervisionPolicy {
-    /// Total attempts per stage (1 = no retries).
-    pub max_attempts: u32,
-    /// Strict mode: the first panic poisons the run and is re-raised on
-    /// the caller — the pre-supervision semantics, kept as the
-    /// degenerate case. Retries and fallbacks are both disabled.
-    pub strict: bool,
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum SupervisionPolicy {
+    /// The first panic poisons the run and is re-raised on the caller —
+    /// the pre-supervision semantics. One attempt, no fallbacks. The
+    /// default, so existing callers keep exact pre-supervision behavior.
+    #[default]
+    Strict,
+    /// Retry each failing stage up to `max_attempts` total attempts,
+    /// then quarantine it behind its fallback.
+    Recover { max_attempts: u32 },
 }
 
 impl SupervisionPolicy {
     /// Today's poison semantics: any stage panic aborts the run.
     pub fn strict() -> Self {
-        SupervisionPolicy {
-            max_attempts: 1,
-            strict: true,
-        }
+        SupervisionPolicy::Strict
     }
 
-    /// Recovering supervision: retry each failing stage up to
-    /// `max_attempts` total attempts, then quarantine it behind its
-    /// declared fallback. Stages without a fallback still poison the
-    /// run once their attempts are exhausted.
+    /// Recovering supervision with `max_attempts` total attempts per
+    /// stage (1 = quarantine on the first panic, no retries).
     pub fn recover(max_attempts: u32) -> Self {
-        SupervisionPolicy {
-            max_attempts: max_attempts.max(1),
-            strict: false,
-        }
+        SupervisionPolicy::Recover { max_attempts }
     }
-}
 
-impl Default for SupervisionPolicy {
-    /// Strict — supervision is opt-in so existing callers keep exact
-    /// pre-supervision behavior.
-    fn default() -> Self {
-        SupervisionPolicy::strict()
+    /// Total attempts per stage: 1 under strict, at least 1 otherwise.
+    pub fn max_attempts(self) -> u32 {
+        match self {
+            SupervisionPolicy::Strict => 1,
+            SupervisionPolicy::Recover { max_attempts } => max_attempts.max(1),
+        }
     }
 }
 
@@ -98,7 +98,7 @@ pub enum StageStatus {
     Completed,
     /// At least one attempt panicked but a retry succeeded.
     Recovered,
-    /// All attempts panicked; the declared fallback was substituted.
+    /// All attempts panicked; the fallback was substituted.
     Quarantined,
 }
 
@@ -118,34 +118,6 @@ pub struct StageHealth {
     /// The stage computed but its cache write failed (full or
     /// read-only disk): the run is fine, but it will not resume warm.
     pub cache_write_failed: bool,
-}
-
-/// Executor-level health for a completed graph run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
-pub struct GraphHealth {
-    /// Whether a recovering (non-strict) policy was active.
-    pub supervised: bool,
-    /// Total attempts across all stages (= stage count on a clean run).
-    pub attempts: u64,
-    /// Extra attempts beyond the first, across all stages.
-    pub retries: u64,
-    /// Names of quarantined stages, in registration order.
-    pub quarantined: Vec<String>,
-    /// Names of tainted (transitively degraded) stages, in
-    /// registration order.
-    pub tainted: Vec<String>,
-    /// Per-stage recovery timeline, in registration order.
-    pub stages: Vec<StageHealth>,
-}
-
-impl GraphHealth {
-    /// No quarantines, no taint, no retries, no failed cache writes.
-    pub fn is_clean(&self) -> bool {
-        self.quarantined.is_empty()
-            && self.tainted.is_empty()
-            && self.retries == 0
-            && self.stages.iter().all(|s| !s.cache_write_failed)
-    }
 }
 
 /// Which `PaperReport` artifacts each pipeline stage *directly*
@@ -204,11 +176,11 @@ pub fn degraded_tables<'a>(stages: impl IntoIterator<Item = &'a str>) -> Vec<Str
     tables
 }
 
-/// Run-level health: the executor's [`GraphHealth`] plus the report
-/// tables it degrades and operator-facing warnings. Lives in
-/// [`PaperRun`](crate::pipeline::PaperRun) and the experiments JSON —
-/// never in [`PaperReport`](crate::report::PaperReport), which must
-/// stay byte-identical across thread counts.
+/// Run-level health, built by the executor: the per-stage recovery
+/// timeline plus the report tables it degrades and operator-facing
+/// warnings. Lives in [`PaperRun`](crate::pipeline::PaperRun) and the
+/// experiments JSON — never in [`PaperReport`](crate::report::PaperReport),
+/// which must stay byte-identical across thread counts.
 #[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct RunHealth {
     /// Whether a recovering (non-strict) policy was active.
@@ -230,45 +202,6 @@ pub struct RunHealth {
 }
 
 impl RunHealth {
-    /// Fold a completed graph's health into the run-level view.
-    pub fn from_graph(graph: GraphHealth) -> RunHealth {
-        let degraded = degraded_tables(
-            graph
-                .quarantined
-                .iter()
-                .chain(graph.tainted.iter())
-                .map(String::as_str),
-        );
-        let mut warnings = Vec::new();
-        for stage in &graph.stages {
-            if stage.status == StageStatus::Quarantined {
-                warnings.push(format!(
-                    "stage {}: quarantined after {} attempts ({}); fallback output substituted",
-                    stage.name,
-                    stage.attempts,
-                    stage.error.as_deref().unwrap_or("panic"),
-                ));
-            }
-            if stage.cache_write_failed {
-                warnings.push(format!(
-                    "stage {}: cache write failed (disk full or read-only?); \
-                     this run is fine but will not resume warm",
-                    stage.name,
-                ));
-            }
-        }
-        RunHealth {
-            supervised: graph.supervised,
-            attempts: graph.attempts,
-            retries: graph.retries,
-            quarantined: graph.quarantined,
-            tainted: graph.tainted,
-            degraded_tables: degraded,
-            warnings,
-            stages: graph.stages,
-        }
-    }
-
     /// Nothing degraded, nothing retried, nothing to warn about.
     pub fn is_clean(&self) -> bool {
         self.quarantined.is_empty()
@@ -285,12 +218,14 @@ mod tests {
     #[test]
     fn strict_is_the_default_and_degenerate_case() {
         let p = SupervisionPolicy::default();
-        assert!(p.strict);
-        assert_eq!(p.max_attempts, 1);
         assert_eq!(p, SupervisionPolicy::strict());
-        let r = SupervisionPolicy::recover(0);
-        assert!(!r.strict);
-        assert_eq!(r.max_attempts, 1, "zero attempts clamps to one");
+        assert_eq!(p.max_attempts(), 1);
+        assert_eq!(SupervisionPolicy::recover(3).max_attempts(), 3);
+        assert_eq!(
+            SupervisionPolicy::recover(0).max_attempts(),
+            1,
+            "zero attempts clamps to one"
+        );
     }
 
     #[test]
@@ -310,55 +245,15 @@ mod tests {
     }
 
     #[test]
-    fn every_mapped_stage_is_a_real_pipeline_stage_name() {
-        // Guards the map against drifting from pipeline.rs renames:
-        // stage names are snake_case identifiers, one entry per stage.
+    fn table_feeds_has_21_unique_entries() {
+        // `tests/supervision.rs` checks that these are exactly the real
+        // pipeline stages feeding a table; this pins that the map holds
+        // nothing else.
         let mut seen = std::collections::HashSet::new();
         for (stage, feeds) in TABLE_FEEDS {
             assert!(seen.insert(*stage), "duplicate map entry for {stage}");
             assert!(!feeds.is_empty());
         }
         assert_eq!(TABLE_FEEDS.len(), 21);
-    }
-
-    #[test]
-    fn run_health_folds_warnings_and_degraded_tables() {
-        let graph = GraphHealth {
-            supervised: true,
-            attempts: 27,
-            retries: 2,
-            quarantined: vec!["qr_pilot".into()],
-            tainted: vec!["fig5_keywords".into()],
-            stages: vec![StageHealth {
-                name: "qr_pilot".into(),
-                attempts: 2,
-                status: StageStatus::Quarantined,
-                error: Some("boom".into()),
-                tainted: false,
-                cache_write_failed: true,
-            }],
-        };
-        assert!(!graph.is_clean());
-        let health = RunHealth::from_graph(graph);
-        assert!(!health.is_clean());
-        assert_eq!(
-            health.degraded_tables,
-            vec!["appendix_b.qr_pilot", "fig5.keywords"]
-        );
-        assert_eq!(health.warnings.len(), 2);
-        assert!(health.warnings[0].contains("quarantined after 2 attempts"));
-        assert!(health.warnings[1].contains("cache write failed"));
-    }
-
-    #[test]
-    fn clean_graph_health_is_clean() {
-        let health = RunHealth::from_graph(GraphHealth {
-            supervised: true,
-            attempts: 25,
-            ..GraphHealth::default()
-        });
-        assert!(health.is_clean());
-        assert!(health.degraded_tables.is_empty());
-        assert!(health.warnings.is_empty());
     }
 }

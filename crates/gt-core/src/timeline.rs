@@ -19,7 +19,9 @@ pub struct WeekBucket {
 }
 
 /// A weekly series over a window.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, StoreEncode, StoreDecode)]
+#[derive(
+    Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize, StoreEncode, StoreDecode,
+)]
 pub struct WeeklySeries {
     pub window_start: SimTime,
     pub buckets: Vec<WeekBucket>,

@@ -17,7 +17,5 @@ pub mod pilot;
 pub mod twitch;
 
 pub use keywords::{search_keyword_set, SearchKeywords};
-pub use monitor::{
-    run_monitors, Monitor, MonitorConfig, MonitorReport, ObservedStream, UrlLead, UrlSource,
-};
+pub use monitor::{Monitor, MonitorConfig, MonitorReport, ObservedStream, UrlLead, UrlSource};
 pub use twitch::{run_twitch_pilot, TwitchPilotReport};

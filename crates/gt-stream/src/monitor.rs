@@ -393,30 +393,6 @@ impl Monitor {
     }
 }
 
-/// Run several monitoring windows (e.g. the pilot study and the main
-/// measurement) concurrently, one scoped thread per monitor.
-///
-/// [`Monitor::run`] only reads the platform and web host (`&self`
-/// everywhere), so the windows cannot interfere; each report is exactly
-/// what a standalone [`Monitor::run`] would have produced, returned in
-/// input order.
-pub fn run_monitors(monitors: &[Monitor], youtube: &YouTube, web: &WebHost) -> Vec<MonitorReport> {
-    if monitors.len() <= 1 {
-        return monitors.iter().map(|m| m.run(youtube, web)).collect();
-    }
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = monitors
-            .iter()
-            .map(|m| scope.spawn(move |_| m.run(youtube, web)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("monitor thread panicked"))
-            .collect()
-    })
-    .expect("monitor thread panicked")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -558,17 +534,6 @@ mod tests {
         // Visible through (most of) the stream's remaining life.
         assert!((last - first).as_seconds() >= 3_600, "{}", last - first);
         assert_eq!(obs.qr_samples, obs.samples, "continuously visible");
-    }
-
-    #[test]
-    fn concurrent_windows_match_serial_runs() {
-        let (yt, web) = scam_platform();
-        let pilot = Monitor::new(short_config(3), search_keyword_set());
-        let main = Monitor::new(short_config(6), search_keyword_set());
-
-        let serial = vec![pilot.run(&yt, &web), main.run(&yt, &web)];
-        let concurrent = run_monitors(&[pilot, main], &yt, &web);
-        assert_eq!(concurrent, serial);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Supervision suite: a recovering [`SupervisionPolicy`] must keep runs
 //! alive — retrying flaky stages, quarantining dead ones behind their
-//! declared fallbacks, tainting every transitive dependent, and naming
+//! fallbacks, tainting every transitive dependent, and naming
 //! the degraded report tables — while changing *nothing* about healthy
 //! runs: under a quiet fault plan a supervised pipeline is byte-identical
 //! to an unsupervised one at any thread count.
 
+use givetake::core::supervisor::degraded_tables;
 use givetake::core::{Pipeline, StageGraph, StageStatus, SupervisionPolicy};
 use givetake::sim::faults::{FaultKind, FaultPlan, FaultWindow, Substrate};
 use givetake::store::{digest, RunStore};
@@ -50,12 +51,12 @@ fn flaky_stage_recovers_and_the_timeline_records_it() {
     let fails = AtomicU32::new(0);
     let mut g = StageGraph::new();
     g.supervise(SupervisionPolicy::recover(3));
-    let a = g.add_stage("a", &[], |_| 5u64);
-    let b = g.add_stage("b", &[a.index()], |r| {
+    let a = g.add_stage("a", &[], &[], |_| (5u64, 0));
+    let b = g.add_stage("b", &[], &[a.index()], |r| {
         if fails.fetch_add(1, Ordering::SeqCst) < 2 {
             panic!("flaky substrate");
         }
-        r.get(a) + 1
+        (r.get(a) + 1, 0)
     });
     let mut out = g.run(4);
     assert_eq!(out.take(b), 6, "the third attempt's real output is served");
@@ -79,11 +80,13 @@ fn quarantined_diamond_stage_degrades_dependents_not_the_run() {
     // b's fallback, and d — which consumed it — must be tainted.
     let mut g = StageGraph::new();
     g.supervise(SupervisionPolicy::recover(2));
-    let a = g.add_stage("a", &[], |_| 100u64);
-    let b = g.add_stage("b", &[a.index()], |_| -> u64 { panic!("b is dead") });
+    let a = g.add_stage("a", &[], &[], |_| (100u64, 0));
+    let b = g.add_stage::<u64, _>("b", &[], &[a.index()], |_| panic!("b is dead"));
     g.fallback(b, |r| r.get(a) + 7);
-    let c = g.add_stage("c", &[a.index()], |r| r.get(a) + 1);
-    let d = g.add_stage("d", &[b.index(), c.index()], |r| r.get(b) + r.get(c));
+    let c = g.add_stage("c", &[], &[a.index()], |r| (r.get(a) + 1, 0));
+    let d = g.add_stage("d", &[], &[b.index(), c.index()], |r| {
+        (r.get(b) + r.get(c), 0)
+    });
     let mut out = g.run(2);
     assert_eq!(out.take(d), 107 + 101, "d ran over the fallback value");
     let h = &out.health;
@@ -96,10 +99,9 @@ fn quarantined_diamond_stage_degrades_dependents_not_the_run() {
 
     // The same graph in strict mode keeps the poison semantics.
     let mut g = StageGraph::new();
-    let a = g.add_stage("a", &[], |_| 100u64);
-    let b = g.add_stage("b", &[a.index()], |_| -> u64 { panic!("b is dead") });
+    let a = g.add_stage("a", &[], &[], |_| (100u64, 0));
+    let b = g.add_stage::<u64, _>("b", &[], &[a.index()], |_| panic!("b is dead"));
     g.fallback(b, |r| r.get(a) + 7);
-    let _ = b;
     assert!(
         catch_unwind(AssertUnwindSafe(|| g.run(2))).is_err(),
         "strict mode must re-raise the panic, fallback or not"
@@ -112,12 +114,13 @@ fn quarantining_the_first_of_25_stages_taints_the_whole_chain() {
     // other stage is a transitive dependent.
     let mut g = StageGraph::new();
     g.supervise(SupervisionPolicy::recover(2));
-    let root = g.add_stage("s00", &[], |_| -> u64 { panic!("dead root") });
-    g.fallback(root, |_| 0u64);
+    let root = g.add_stage::<u64, _>("s00", &[], &[], |_| panic!("dead root"));
     let mut prev = root;
     for i in 1..25 {
         let dep = prev;
-        prev = g.add_stage(&format!("s{i:02}"), &[dep.index()], move |r| r.get(dep) + 1);
+        prev = g.add_stage(&format!("s{i:02}"), &[], &[dep.index()], move |r| {
+            (r.get(dep) + 1, 0)
+        });
     }
     let mut out = g.run(4);
     assert_eq!(out.take(prev), 24, "the chain ran over the fallback root");
@@ -137,27 +140,27 @@ fn persist_crash_quarantines_and_a_fresh_run_resumes_from_survivors() {
     // Run 1: the first stage write lands, every later write panics
     // mid-persist (the `kill -9` simulation). Supervision retries b —
     // re-probing the store first — and quarantines it when the persist
-    // dies again.
+    // dies again; c's own persist dies the same way.
     {
         let store = scratch.open();
         store.fail_writes_after(1);
         let mut g = StageGraph::new();
         g.bind_store(store, digest(b"supervision-persist"));
         g.supervise(SupervisionPolicy::recover(2));
-        let a = g.add_cached_stage("a", &[], &[], |_| {
+        let a = g.add_stage("a", &[], &[], |_| {
             a_runs.fetch_add(1, Ordering::SeqCst);
-            7u64
+            (7u64, 0)
         });
-        let b = g.add_cached_stage("b", &[], &[a.index()], |r| {
+        let b = g.add_stage("b", &[], &[a.index()], |r| {
             b_runs.fetch_add(1, Ordering::SeqCst);
-            r.get(a) * 10
+            (r.get(a) * 10, 0)
         });
-        g.fallback(b, |_| 0u64);
-        let c = g.add_stage("c", &[b.index()], |r| r.get(b) + 1);
+        let c = g.add_stage("c", &[], &[b.index()], |r| (r.get(b) + 1, 0));
+        g.fallback(c, |r| r.get(b) + 1);
         let mut out = g.run(1);
         assert_eq!(out.take(c), 1, "c consumed b's fallback, not 70");
         let h = &out.health;
-        assert_eq!(h.quarantined, vec!["b"]);
+        assert_eq!(h.quarantined, vec!["b", "c"]);
         assert_eq!(h.stages[b.index()].attempts, 2);
         assert_eq!(
             b_runs.load(Ordering::SeqCst),
@@ -172,15 +175,15 @@ fn persist_crash_quarantines_and_a_fresh_run_resumes_from_survivors() {
     let store = scratch.open();
     let mut g = StageGraph::new();
     g.bind_store(store, digest(b"supervision-persist"));
-    let a = g.add_cached_stage("a", &[], &[], |_| {
+    let a = g.add_stage("a", &[], &[], |_| {
         a_runs.fetch_add(1, Ordering::SeqCst);
-        7u64
+        (7u64, 0)
     });
-    let b = g.add_cached_stage("b", &[], &[a.index()], |r| {
+    let b = g.add_stage("b", &[], &[a.index()], |r| {
         b_runs.fetch_add(1, Ordering::SeqCst);
-        r.get(a) * 10
+        (r.get(a) * 10, 0)
     });
-    let c = g.add_stage("c", &[b.index()], |r| r.get(b) + 1);
+    let c = g.add_stage("c", &[], &[b.index()], |r| (r.get(b) + 1, 0));
     let mut out = g.run(1);
     assert_eq!(out.take(c), 71, "the resumed run serves the real value");
     assert!(out.health.is_clean());
@@ -305,5 +308,24 @@ fn supervision_is_byte_identical_on_healthy_runs() {
         assert!(supervised.health.is_clean());
         assert_eq!(supervised.health.attempts, 25);
         assert_eq!(supervised.health.retries, 0);
+
+        // The stage → table map tracks the real stage names: 21 of the
+        // 25 stages feed a report table, and only these four do not.
+        let (feeding, silent): (Vec<&str>, Vec<&str>) = supervised
+            .health
+            .stages
+            .iter()
+            .map(|s| s.name.as_str())
+            .partition(|name| !degraded_tables([*name]).is_empty());
+        assert_eq!(feeding.len(), 21, "stages feeding a table: {feeding:?}");
+        assert_eq!(
+            silent,
+            [
+                "pilot_monitor",
+                "main_monitor",
+                "chain_analysis",
+                "known_scam_addresses"
+            ]
+        );
     }
 }
