@@ -4,7 +4,7 @@
 //! Three configurations over the shared bench world:
 //!
 //! * `clean` — `fault_plan: None`, the pre-fault-layer fast path
-//!   (drivers report disabled, no RNG, no schedule lookups);
+//!   (gates have no plan: no RNG, no schedule lookups);
 //! * `quiet_plan` — a plan with zero windows attached, which exercises
 //!   the schedule-lookup machinery but injects nothing (the expected
 //!   overhead is a no-window BTreeMap miss per gated call, ~zero);
@@ -13,7 +13,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gt_bench::bench_world;
-use gt_core::Pipeline;
+use gt_core::{Pipeline, PipelineOptions};
 use gt_sim::faults::{ChaosProfile, FaultPlan};
 use std::hint::black_box;
 
@@ -21,15 +21,24 @@ fn bench_chaos_overhead(c: &mut Criterion) {
     let world = bench_world();
 
     c.bench_function("chaos_overhead/clean", |b| {
-        b.iter(|| black_box(Pipeline::new(world).threads(2).run()))
+        b.iter(|| {
+            black_box(
+                Pipeline::new(world)
+                    .options(PipelineOptions::default().threads(2))
+                    .run(),
+            )
+        })
     });
 
     c.bench_function("chaos_overhead/quiet_plan", |b| {
         b.iter(|| {
             black_box(
                 Pipeline::new(world)
-                    .threads(2)
-                    .fault_plan(Some(FaultPlan::quiet(1)))
+                    .options(
+                        PipelineOptions::default()
+                            .threads(2)
+                            .fault_plan(Some(FaultPlan::quiet(1))),
+                    )
                     .run(),
             )
         })
@@ -39,8 +48,11 @@ fn bench_chaos_overhead(c: &mut Criterion) {
         b.iter(|| {
             black_box(
                 Pipeline::new(world)
-                    .threads(2)
-                    .chaos(1, &ChaosProfile::default())
+                    .options(
+                        PipelineOptions::default()
+                            .threads(2)
+                            .chaos(1, &ChaosProfile::default()),
+                    )
                     .run(),
             )
         })

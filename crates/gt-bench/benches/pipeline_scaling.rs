@@ -9,7 +9,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gt_bench::bench_world;
-use gt_core::Pipeline;
+use gt_core::{Pipeline, PipelineOptions};
 use std::hint::black_box;
 
 fn bench_scaling(c: &mut Criterion) {
@@ -18,7 +18,9 @@ fn bench_scaling(c: &mut Criterion) {
     // Print one run's per-stage breakdown so the scaling numbers can be
     // read against the critical path.
     {
-        let run = Pipeline::new(world).threads(4).run();
+        let run = Pipeline::new(world)
+            .options(PipelineOptions::default().threads(4))
+            .run();
         println!(
             "pipeline stages at 4 threads ({:.0} ms total):",
             run.timings.total_ms
@@ -35,7 +37,13 @@ fn bench_scaling(c: &mut Criterion) {
 
     for threads in [1usize, 2, 4, 8] {
         c.bench_function(&format!("pipeline_scaling/{threads}_threads"), |b| {
-            b.iter(|| black_box(Pipeline::new(world).threads(threads).run()))
+            b.iter(|| {
+                black_box(
+                    Pipeline::new(world)
+                        .options(PipelineOptions::default().threads(threads))
+                        .run(),
+                )
+            })
         });
     }
 }

@@ -6,24 +6,36 @@
 //! Two configurations over the shared bench world:
 //!
 //! * `off` — `telemetry(false)`, the registry is a no-op and gated
-//!   calls take the pass-through fast path;
+//!   calls record no metrics;
 //! * `on` — the default: every stage span, executor item counter, and
 //!   substrate call sheet is recorded and flushed.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gt_bench::bench_world;
-use gt_core::Pipeline;
+use gt_core::{Pipeline, PipelineOptions};
 use std::hint::black_box;
 
 fn bench_telemetry_overhead(c: &mut Criterion) {
     let world = bench_world();
 
     c.bench_function("telemetry_overhead/off", |b| {
-        b.iter(|| black_box(Pipeline::new(world).threads(2).telemetry(false).run()))
+        b.iter(|| {
+            black_box(
+                Pipeline::new(world)
+                    .options(PipelineOptions::default().threads(2).telemetry(false))
+                    .run(),
+            )
+        })
     });
 
     c.bench_function("telemetry_overhead/on", |b| {
-        b.iter(|| black_box(Pipeline::new(world).threads(2).telemetry(true).run()))
+        b.iter(|| {
+            black_box(
+                Pipeline::new(world)
+                    .options(PipelineOptions::default().threads(2).telemetry(true))
+                    .run(),
+            )
+        })
     });
 }
 

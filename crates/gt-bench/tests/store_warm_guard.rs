@@ -8,7 +8,7 @@
 //! cache-key regression fails loudly here instead of showing up as a
 //! mysterious timing miss.
 
-use gt_core::Pipeline;
+use gt_core::{Pipeline, PipelineOptions};
 use gt_store::RunStore;
 use gt_world::{World, WorldConfig};
 use std::sync::Arc;
@@ -40,8 +40,11 @@ fn warm_store_run_is_5x_faster_than_cold() {
 
     let cold_started = Instant::now();
     let cold = Pipeline::new(&world)
-        .threads(2)
-        .store(Some(store.clone()))
+        .options(
+            PipelineOptions::default()
+                .threads(2)
+                .store(Some(store.clone())),
+        )
         .run();
     let cold_time = cold_started.elapsed();
     assert_eq!(store_metric(&cold, "cache_hit"), 0, "cold run hit?");
@@ -54,8 +57,11 @@ fn warm_store_run_is_5x_faster_than_cold() {
     for _ in 0..=ROUNDS {
         let started = Instant::now();
         let warm = Pipeline::new(&world)
-            .threads(2)
-            .store(Some(store.clone()))
+            .options(
+                PipelineOptions::default()
+                    .threads(2)
+                    .store(Some(store.clone())),
+            )
             .run();
         warm_time = warm_time.min(started.elapsed());
         assert_eq!(

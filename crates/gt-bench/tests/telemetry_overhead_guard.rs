@@ -7,7 +7,7 @@
 //! machines without masking a real regression (at this scale a 5%
 //! regression is an order of magnitude above the slack).
 
-use gt_core::Pipeline;
+use gt_core::{Pipeline, PipelineOptions};
 use gt_world::{World, WorldConfig};
 use std::time::{Duration, Instant};
 
@@ -17,7 +17,9 @@ const ABSOLUTE_SLACK: Duration = Duration::from_millis(60);
 
 fn timed_run(world: &World, telemetry: bool) -> Duration {
     let started = Instant::now();
-    let run = Pipeline::new(world).threads(2).telemetry(telemetry).run();
+    let run = Pipeline::new(world)
+        .options(PipelineOptions::default().threads(2).telemetry(telemetry))
+        .run();
     assert_eq!(run.telemetry.enabled, telemetry);
     std::hint::black_box(&run.report);
     started.elapsed()

@@ -18,7 +18,7 @@ use crate::types::Transfer;
 use crate::view::ChainView;
 use gt_addr::Address;
 use gt_obs::StageSink;
-use gt_sim::faults::{CheckedCall, DegradationStats, FaultPlan, Gated, RetryPolicy, Substrate};
+use gt_sim::faults::{DegradationStats, FaultPlan, Gated, RetryPolicy, Substrate};
 use gt_sim::{SimDuration, SimTime};
 use std::cell::{Cell, RefCell};
 
@@ -59,21 +59,10 @@ impl<'a> RpcView<'a> {
     /// Gate `chains` behind `plan`, with the read cursor starting at
     /// `epoch` (typically the end of the collection window: the paper's
     /// backfill ran after monitoring finished). `label` separates the
-    /// jitter streams of different analysis stages.
+    /// jitter streams of different analysis stages. Per-read telemetry
+    /// (call counts, transfers served, retry/backoff accounting) goes
+    /// into `sink` under the `chain.rpc` substrate.
     pub fn new(
-        chains: &'a ChainView,
-        plan: Option<&'a FaultPlan>,
-        label: &str,
-        retry: RetryPolicy,
-        epoch: SimTime,
-    ) -> Self {
-        RpcView::observed(chains, plan, label, retry, epoch, StageSink::noop())
-    }
-
-    /// [`RpcView::new`] reporting per-read telemetry (call counts,
-    /// transfers served, retry/backoff accounting) into `sink` under
-    /// the `chain.rpc` substrate.
-    pub fn observed(
         chains: &'a ChainView,
         plan: Option<&'a FaultPlan>,
         label: &str,
@@ -138,7 +127,14 @@ mod tests {
     #[test]
     fn clean_rpc_view_matches_chain_view() {
         let (view, addr) = view_with_history();
-        let rpc = RpcView::new(&view, None, "test", RetryPolicy::default(), SimTime(1_000));
+        let rpc = RpcView::new(
+            &view,
+            None,
+            "test",
+            RetryPolicy::default(),
+            SimTime(1_000),
+            StageSink::noop(),
+        );
         assert_eq!(rpc.incoming(addr), view.incoming(addr));
         assert_eq!(rpc.outgoing(addr), view.outgoing(addr));
         assert!(rpc.stats().is_zero());
@@ -162,6 +158,7 @@ mod tests {
             "test",
             RetryPolicy::default(),
             SimTime(1_000),
+            StageSink::noop(),
         );
         assert!(rpc.incoming(addr).is_empty());
         assert!(!view.incoming(addr).is_empty(), "data exists underneath");
@@ -187,6 +184,7 @@ mod tests {
             "test",
             RetryPolicy::default(),
             SimTime(1_000),
+            StageSink::noop(),
         );
         // First read hits the blip but retries through it.
         assert_eq!(rpc.incoming(addr), view.incoming(addr));

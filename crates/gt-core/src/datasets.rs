@@ -116,9 +116,13 @@ impl YouTubeDataset {
 /// spans of the streams that promoted them.
 pub fn build_youtube_dataset(report: &MonitorReport, keywords: &SearchKeywords) -> YouTubeDataset {
     // Validate each crawled page, grouped by domain (any validating URL
-    // marks the domain).
+    // marks the domain). Pages are visited in URL order, so a domain
+    // with several validating pages keeps its lowest URL's verdict
+    // whatever order the page map iterates in.
+    let mut pages: Vec<_> = report.pages.iter().collect();
+    pages.sort_unstable_by_key(|(url, _)| *url);
     let mut validated: BTreeMap<String, ValidatedSite> = BTreeMap::new();
-    for page in report.pages.values() {
+    for (_, page) in pages {
         let Some(url) = Url::parse(&page.url) else {
             continue;
         };
@@ -218,6 +222,52 @@ mod tests {
         let total: usize = dataset.domains.iter().map(|d| d.tweets.len()).sum();
         assert_eq!(total, dataset.tweet_count);
         assert!(dataset.accounts.len() > 1);
+    }
+
+    #[test]
+    fn youtube_validation_keeps_the_lowest_url_whatever_the_map_order() {
+        use gt_stream::keywords::search_keyword_set;
+        use gt_stream::monitor::{CrawledPage, UrlLead, UrlSource};
+
+        // Two validating pages on one host, each with its own address.
+        let pages = [
+            ("http://give.io/b", "rN7n7otQDd6FczFgLdSqtcsAUxDkw6fzRH"),
+            ("http://give.io/a", "1A1zP1eP5QGefi2DMPTfTL5SLmv7DivfNa"),
+        ];
+        let keywords = search_keyword_set();
+        let lowest = validate_page(
+            "give.io",
+            &format!("<html>{}</html>", pages[1].1),
+            &keywords,
+        );
+        assert!(lowest.is_scam());
+        // Each report's page map gets its own hasher, so 16 of them
+        // cover both iteration orders with near certainty.
+        for _ in 0..16 {
+            let report = MonitorReport {
+                pages: pages
+                    .iter()
+                    .map(|&(url, addr)| {
+                        let page = CrawledPage {
+                            url: url.to_string(),
+                            html: format!("<html>{addr}</html>"),
+                            fetched: SimTime(0),
+                        };
+                        (url.to_string(), page)
+                    })
+                    .collect(),
+                leads: vec![UrlLead {
+                    url: pages[0].0.to_string(),
+                    source: UrlSource::QrCode,
+                    stream: LiveStreamId(0),
+                    first_seen: SimTime(0),
+                }],
+                ..MonitorReport::default()
+            };
+            let dataset = build_youtube_dataset(&report, &keywords);
+            assert_eq!(dataset.domains.len(), 1);
+            assert_eq!(dataset.domains[0].validation, lowest);
+        }
     }
 
     #[test]

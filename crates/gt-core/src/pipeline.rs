@@ -292,69 +292,6 @@ impl<'w> Pipeline<'w> {
         self
     }
 
-    /// Set the worker-thread count (0 = available parallelism).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.options = self.options.threads(threads);
-        self
-    }
-
-    /// Skip the pilot study.
-    pub fn skip_pilot(mut self, skip: bool) -> Self {
-        self.options = self.options.skip_pilot(skip);
-        self
-    }
-
-    /// Skip the intervention lag sweep.
-    pub fn skip_interventions(mut self, skip: bool) -> Self {
-        self.options = self.options.skip_interventions(skip);
-        self
-    }
-
-    /// Use custom detection lags for the intervention sweep.
-    pub fn intervention_lags(mut self, lags: &[SimDuration]) -> Self {
-        self.options = self.options.intervention_lags(lags);
-        self
-    }
-
-    /// Attach (or clear) a fault plan.
-    pub fn fault_plan(mut self, plan: Option<FaultPlan>) -> Self {
-        self.options = self.options.fault_plan(plan);
-        self
-    }
-
-    /// Override the retry/backoff policy used under faults.
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.options = self.options.retry(retry);
-        self
-    }
-
-    /// Enable or disable telemetry collection.
-    pub fn telemetry(mut self, enabled: bool) -> Self {
-        self.options = self.options.telemetry(enabled);
-        self
-    }
-
-    /// Attach a fault plan generated from `seed` and `profile` over the
-    /// world's full measurement span, extended past the end of
-    /// collection so the RPC backfill reads (whose virtual cursor
-    /// starts at `youtube_end`) have a fault surface too.
-    pub fn chaos(mut self, seed: u64, profile: &ChaosProfile) -> Self {
-        self.options = self.options.chaos(seed, profile);
-        self
-    }
-
-    /// Attach (or clear) a stage-result store.
-    pub fn store(mut self, store: Option<Arc<RunStore>>) -> Self {
-        self.options = self.options.store(store);
-        self
-    }
-
-    /// Set the supervision policy for the run.
-    pub fn supervise(mut self, policy: SupervisionPolicy) -> Self {
-        self.options = self.options.supervise(policy);
-        self
-    }
-
     /// Run the full pipeline.
     pub fn run(&self) -> PaperRun {
         let world = self.world;
@@ -486,7 +423,7 @@ impl<'w> Pipeline<'w> {
                 let ca = r.get(chain);
                 // Without a fault plan the gate admits every call, so
                 // the RPC facade serves exactly the chain's data.
-                let rpc = RpcView::observed(
+                let rpc = RpcView::new(
                     &world.chains,
                     twitter_plan.as_ref(),
                     "rpc.twitter",
@@ -516,7 +453,7 @@ impl<'w> Pipeline<'w> {
             &[youtube_ds.index(), chain.index(), known_scam.index()],
             move |r| {
                 let ca = r.get(chain);
-                let rpc = RpcView::observed(
+                let rpc = RpcView::new(
                     &world.chains,
                     youtube_plan.as_ref(),
                     "rpc.youtube",
@@ -684,7 +621,7 @@ impl<'w> Pipeline<'w> {
             move |r| {
                 let ca = r.get(chain);
                 let analyses = [r.get(twitter_an), r.get(youtube_an)];
-                let rpc = RpcView::observed(
+                let rpc = RpcView::new(
                     &world.chains,
                     outgoing_plan.as_ref(),
                     "rpc.outgoing",

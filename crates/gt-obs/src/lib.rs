@@ -18,7 +18,7 @@
 //!
 //! Every metric *value* (counter increments, gauge maxima, histogram
 //! observations) must be computed from simulation state only: item
-//! counts, sim-time backoff waits, fault-driver accounting. Wall-clock
+//! counts, sim-time backoff waits, fault-gate accounting. Wall-clock
 //! readings never feed a metric — they live exclusively in span records
 //! inside [`WallBlock`]. `tests/telemetry.rs` pins the metrics block
 //! byte-identical across 1/2/4 worker threads.

@@ -23,10 +23,14 @@
 //! - `FaultPlan::generate` derives one RNG stream per substrate from
 //!   [`RngFactory`], so schedules are byte-stable across runs, thread
 //!   counts, and substrate-iteration order.
-//! - Consumers own their [`FaultDriver`] (one per sequential loop, e.g.
-//!   a monitor window or an RPC read cursor). Drivers are never shared
-//!   across worker threads, so retry ordering cannot depend on
-//!   scheduling.
+//! - Every substrate call goes through one concrete gate, [`Gated`].
+//!   Consumers own their gate (one per sequential loop, e.g. a monitor
+//!   window or an RPC read cursor) and never share it across worker
+//!   threads, so retry jitter draws and breaker transitions cannot
+//!   depend on scheduling.
+//! - A gate's admissions and [`DegradationStats`] are the same whether
+//!   or not its telemetry sink is enabled; the sink only records them.
+//!   With no plan the gate admits every call and draws no RNG.
 //! - Degradation accounting lives in `PaperRun`/experiments JSON only,
 //!   never in `PaperReport`.
 
@@ -566,68 +570,67 @@ impl DegradationStats {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Denied;
 
-/// Per-consumer gate over a [`FaultPlan`]: owns the retry loop, jitter
-/// RNG, per-substrate circuit breakers, and degradation accounting.
+/// The checked-call gate every substrate client calls through: a
+/// per-consumer view of a [`FaultPlan`] that owns the retry loop, the
+/// jitter RNG, per-substrate circuit breakers and the degradation
+/// accounting, and reports every call into a telemetry sink.
 ///
-/// A driver must live inside one sequential loop (a monitor window, an
+/// A gate must live inside one sequential loop (a monitor window, an
 /// RPC cursor, a revisit crawl) — never shared across worker threads —
 /// so its RNG draws and breaker transitions are reproducible.
-#[derive(Debug, Clone)]
-pub struct FaultDriver<'p> {
+///
+/// An enabled sink receives per-substrate call/served/denied/record
+/// counters, the full degradation breakdown and a backoff-sleep
+/// histogram. Metrics are accumulated lock-free in a local
+/// [`MetricSheet`] and flushed to the registry once, when the gate
+/// drops. All recorded values derive from sim state ([`DegradationStats`]
+/// deltas and caller-supplied record counts), so telemetry inherits the
+/// fault layer's determinism: byte-identical across thread counts.
+#[derive(Debug)]
+pub struct Gated<'p> {
     plan: Option<&'p FaultPlan>,
     policy: RetryPolicy,
     rng: Option<StdRng>,
     breakers: BTreeMap<Substrate, CircuitBreaker>,
     stats: DegradationStats,
+    sink: StageSink,
+    sheet: MetricSheet,
 }
 
-impl<'p> FaultDriver<'p> {
-    /// A driver with no plan: every `admit` is an infallible no-op.
-    pub fn disabled() -> Self {
-        FaultDriver {
-            plan: None,
-            policy: RetryPolicy::default(),
-            rng: None,
+impl<'p> Gated<'p> {
+    /// A gate over `plan` reporting into `sink`. `label` scopes the
+    /// jitter stream so two gates on the same plan (e.g. pilot vs main
+    /// monitor) draw independent jitter.
+    pub fn new(
+        plan: Option<&'p FaultPlan>,
+        label: &str,
+        policy: RetryPolicy,
+        sink: StageSink,
+    ) -> Self {
+        Gated {
+            plan,
+            policy,
+            rng: plan.map(|p| p.factory().rng(label)),
             breakers: BTreeMap::new(),
             stats: DegradationStats::default(),
+            sink,
+            sheet: MetricSheet::new(),
         }
     }
 
-    /// A driver over `plan`. `label` scopes the jitter stream so two
-    /// drivers on the same plan (e.g. pilot vs main monitor) draw
-    /// independent jitter.
-    pub fn new(plan: Option<&'p FaultPlan>, label: &str, policy: RetryPolicy) -> Self {
-        let rng = plan.map(|p| p.factory().rng(label));
-        FaultDriver {
-            plan,
-            policy,
-            rng,
-            breakers: BTreeMap::new(),
-            stats: DegradationStats::default(),
-        }
+    /// No plan, no telemetry: every call is admitted and nothing is
+    /// recorded.
+    pub fn disabled() -> Gated<'static> {
+        Gated::new(None, "", RetryPolicy::default(), StageSink::noop())
     }
 
     pub fn stats(&self) -> DegradationStats {
         self.stats
     }
 
-    pub fn policy(&self) -> RetryPolicy {
-        self.policy
-    }
-
-    pub fn plan(&self) -> Option<&'p FaultPlan> {
-        self.plan
-    }
-
-    /// True when no plan is attached (fast path for hot loops).
-    pub fn is_disabled(&self) -> bool {
-        self.plan.is_none()
-    }
-
-    /// Consult the plan before a call at `now`. `Ok(())` means the call
-    /// may serve — always with data as of `now` (snapshot semantics),
-    /// even if retries pushed the virtual completion time later.
-    pub fn admit(&mut self, sub: Substrate, now: SimTime) -> Result<(), Denied> {
+    /// Consult the plan before a call at `now`: the retry loop. With no
+    /// plan every call is admitted untouched.
+    fn admit(&mut self, sub: Substrate, now: SimTime) -> Result<(), Denied> {
         let Some(plan) = self.plan else {
             return Ok(());
         };
@@ -711,29 +714,47 @@ impl<'p> FaultDriver<'p> {
             }
         }
     }
-}
 
-/// The unified checked-call surface every substrate client codes
-/// against. A substrate defines its raw call once and exposes one
-/// `*_gated` method generic over `G: CheckedCall`; fault gating and
-/// telemetry then come for free from whichever gate the caller holds —
-/// a bare [`FaultDriver`] (gating only) or a [`Gated`] wrapper (gating
-/// plus per-call metrics).
-pub trait CheckedCall {
     /// Gate one call at `now`. On admission, run `body` and return its
-    /// value; `body` also reports how many records (hits, messages,
-    /// frames, bytes — the substrate chooses the unit) the call
-    /// produced, which an observing gate turns into metrics.
-    fn checked_counted<T>(
+    /// value — always with data as of `now` (snapshot semantics), even
+    /// if retries pushed the virtual completion time later. `body` also
+    /// reports how many records (hits, messages, frames, bytes — the
+    /// substrate chooses the unit) the call produced, which an enabled
+    /// sink records.
+    pub fn checked_counted<T>(
         &mut self,
         sub: Substrate,
         now: SimTime,
         body: impl FnOnce() -> (T, u64),
-    ) -> Result<T, Denied>;
+    ) -> Result<T, Denied> {
+        if !self.sink.enabled() {
+            self.admit(sub, now)?;
+            return Ok(body().0);
+        }
+        let label = sub.label();
+        let before = self.stats;
+        let admitted = self.admit(sub, now);
+        self.sheet.add(label, "calls", 1);
+        self.record_delta(label, &before);
+        match admitted {
+            Ok(()) => {
+                let (value, records) = body();
+                self.sheet.add(label, "served", 1);
+                if records > 0 {
+                    self.sheet.add(label, "records", records);
+                }
+                Ok(value)
+            }
+            Err(denied) => {
+                self.sheet.add(label, "denied", 1);
+                Err(denied)
+            }
+        }
+    }
 
-    /// [`CheckedCall::checked_counted`] for calls with no meaningful
-    /// record count.
-    fn checked<T>(
+    /// [`Gated::checked_counted`] for calls with no meaningful record
+    /// count.
+    pub fn checked<T>(
         &mut self,
         sub: Substrate,
         now: SimTime,
@@ -742,89 +763,17 @@ pub trait CheckedCall {
         self.checked_counted(sub, now, || (body(), 0))
     }
 
-    /// True when the gate does nothing at all — no fault plan *and* no
-    /// telemetry — so hot paths may skip instrumentation entirely.
-    fn pass_through(&self) -> bool;
-
     /// The fault window (if any) covering `sub` at `now`, for callers
     /// that map fault kinds onto domain errors (e.g. the web fetcher).
-    fn active_fault(&self, sub: Substrate, now: SimTime) -> Option<FaultKind>;
-}
-
-impl CheckedCall for FaultDriver<'_> {
-    fn checked_counted<T>(
-        &mut self,
-        sub: Substrate,
-        now: SimTime,
-        body: impl FnOnce() -> (T, u64),
-    ) -> Result<T, Denied> {
-        self.admit(sub, now)?;
-        Ok(body().0)
-    }
-
-    fn pass_through(&self) -> bool {
-        self.is_disabled()
-    }
-
-    fn active_fault(&self, sub: Substrate, now: SimTime) -> Option<FaultKind> {
-        self.plan().and_then(|p| p.fault_at(sub, now))
-    }
-}
-
-/// A [`FaultDriver`] that also reports every call into a telemetry
-/// sink: per-substrate call/served/denied/record counters, the full
-/// degradation breakdown, and a backoff-sleep histogram. Metrics are
-/// accumulated lock-free in a local [`MetricSheet`] and flushed to the
-/// registry once, when the gate drops.
-///
-/// All recorded values derive from sim state ([`DegradationStats`]
-/// deltas and caller-supplied record counts), so telemetry inherits the
-/// fault layer's determinism: byte-identical across thread counts.
-#[derive(Debug)]
-pub struct Gated<'p> {
-    driver: FaultDriver<'p>,
-    sink: StageSink,
-    sheet: MetricSheet,
-}
-
-impl<'p> Gated<'p> {
-    /// A gate over `plan` reporting into `sink`. `label` scopes the
-    /// jitter stream exactly as in [`FaultDriver::new`].
-    pub fn new(
-        plan: Option<&'p FaultPlan>,
-        label: &str,
-        policy: RetryPolicy,
-        sink: StageSink,
-    ) -> Self {
-        Gated {
-            driver: FaultDriver::new(plan, label, policy),
-            sink,
-            sheet: MetricSheet::new(),
-        }
-    }
-
-    /// No plan, no telemetry: every call passes through untouched.
-    pub fn disabled() -> Gated<'static> {
-        Gated {
-            driver: FaultDriver::disabled(),
-            sink: StageSink::noop(),
-            sheet: MetricSheet::new(),
-        }
-    }
-
-    pub fn stats(&self) -> DegradationStats {
-        self.driver.stats()
-    }
-
-    pub fn sink(&self) -> &StageSink {
-        &self.sink
+    pub fn active_fault(&self, sub: Substrate, now: SimTime) -> Option<FaultKind> {
+        self.plan.and_then(|p| p.fault_at(sub, now))
     }
 
     /// Record how the last admission changed the degradation counters,
     /// attributing the delta to `label` (exact, because `admit` only
     /// ever touches one substrate's accounting per call).
     fn record_delta(&mut self, label: &'static str, before: &DegradationStats) {
-        let after = self.driver.stats();
+        let after = self.stats;
         for (metric, delta) in [
             ("retries", after.retries - before.retries),
             ("transients", after.transients - before.transients),
@@ -857,47 +806,6 @@ impl Drop for Gated<'_> {
     }
 }
 
-impl CheckedCall for Gated<'_> {
-    fn checked_counted<T>(
-        &mut self,
-        sub: Substrate,
-        now: SimTime,
-        body: impl FnOnce() -> (T, u64),
-    ) -> Result<T, Denied> {
-        if !self.sink.enabled() {
-            self.driver.admit(sub, now)?;
-            return Ok(body().0);
-        }
-        let label = sub.label();
-        let before = self.driver.stats();
-        let admitted = self.driver.admit(sub, now);
-        self.sheet.add(label, "calls", 1);
-        self.record_delta(label, &before);
-        match admitted {
-            Ok(()) => {
-                let (value, records) = body();
-                self.sheet.add(label, "served", 1);
-                if records > 0 {
-                    self.sheet.add(label, "records", records);
-                }
-                Ok(value)
-            }
-            Err(denied) => {
-                self.sheet.add(label, "denied", 1);
-                Err(denied)
-            }
-        }
-    }
-
-    fn pass_through(&self) -> bool {
-        self.driver.is_disabled() && !self.sink.enabled()
-    }
-
-    fn active_fault(&self, sub: Substrate, now: SimTime) -> Option<FaultKind> {
-        self.driver.plan().and_then(|p| p.fault_at(sub, now))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -911,8 +819,13 @@ mod tests {
         (t(0), t(90 * 86_400))
     }
 
+    /// A gate over `plan` that reports into no sink.
+    fn noop_gate<'p>(plan: &'p FaultPlan, label: &str, policy: RetryPolicy) -> Gated<'p> {
+        Gated::new(Some(plan), label, policy, StageSink::noop())
+    }
+
     #[test]
-    fn gated_accounting_matches_driver_and_flushes_on_drop() {
+    fn gated_accounting_matches_stats_and_flushes_on_drop() {
         let (a, b) = span();
         let plan = FaultPlan::generate(7, a, b, &ChaosProfile::severe());
         let reg = gt_obs::MetricsRegistry::new();
@@ -947,35 +860,30 @@ mod tests {
     }
 
     #[test]
-    fn gated_with_quiet_sink_still_gates() {
+    fn noop_and_enabled_sinks_gate_identically() {
         let (a, b) = span();
         let plan = FaultPlan::generate(7, a, b, &ChaosProfile::severe());
-        let via_driver = {
-            let mut d = FaultDriver::new(Some(&plan), "same-label", RetryPolicy::default());
+        let sweep = |mut gate: Gated| {
             let mut ok = 0u64;
             let mut now = a;
             while now < b {
-                ok += d.admit(Substrate::TwitchList, now).is_ok() as u64;
+                ok += gate.checked(Substrate::TwitchList, now, || ()).is_ok() as u64;
                 now += SimDuration::hours(6);
             }
-            (ok, d.stats())
+            (ok, gate.stats())
         };
-        let via_gated = {
-            let mut g = Gated::new(
-                Some(&plan),
-                "same-label",
-                RetryPolicy::default(),
-                gt_obs::StageSink::noop(),
-            );
-            let mut ok = 0u64;
-            let mut now = a;
-            while now < b {
-                ok += g.checked(Substrate::TwitchList, now, || ()).is_ok() as u64;
-                now += SimDuration::hours(6);
-            }
-            (ok, g.stats())
-        };
-        assert_eq!(via_driver, via_gated, "telemetry must not change gating");
+        let reg = gt_obs::MetricsRegistry::new();
+        let quiet = sweep(noop_gate(&plan, "same-label", RetryPolicy::default()));
+        let observed = sweep(Gated::new(
+            Some(&plan),
+            "same-label",
+            RetryPolicy::default(),
+            reg.sink("stage"),
+        ));
+        assert_eq!(quiet, observed, "telemetry must not change gating");
+        assert!(!quiet.1.is_zero(), "severe profile should fault something");
+        let calls = reg.snapshot().counter("stage", "twitch.list", "calls");
+        assert_eq!(calls, Some(90 * 4), "the enabled sink saw every call");
     }
 
     #[test]
@@ -1026,18 +934,20 @@ mod tests {
     fn quiet_plan_admits_everything() {
         let plan = FaultPlan::quiet(9);
         assert!(plan.is_quiet());
-        let mut gate = FaultDriver::new(Some(&plan), "test", RetryPolicy::default());
+        let mut gate = noop_gate(&plan, "test", RetryPolicy::default());
         for secs in 0..100 {
-            assert!(gate.admit(Substrate::YoutubeSearch, t(secs)).is_ok());
+            assert!(gate
+                .checked(Substrate::YoutubeSearch, t(secs), || ())
+                .is_ok());
         }
         assert!(gate.stats().is_zero());
     }
 
     #[test]
-    fn disabled_driver_is_a_noop() {
-        let mut gate = FaultDriver::disabled();
-        assert!(gate.is_disabled());
-        assert!(gate.admit(Substrate::ChainRpc, t(5)).is_ok());
+    fn disabled_gate_is_a_noop() {
+        let mut gate = Gated::disabled();
+        assert_eq!(gate.active_fault(Substrate::ChainRpc, t(5)), None);
+        assert_eq!(gate.checked(Substrate::ChainRpc, t(5), || 7), Ok(7));
         assert!(gate.stats().is_zero());
     }
 
@@ -1052,8 +962,8 @@ mod tests {
                 kind: FaultKind::Transient,
             }],
         );
-        let mut gate = FaultDriver::new(Some(&plan), "t", RetryPolicy::default());
-        assert!(gate.admit(Substrate::WebFetch, t(101)).is_ok());
+        let mut gate = noop_gate(&plan, "t", RetryPolicy::default());
+        assert!(gate.checked(Substrate::WebFetch, t(101), || ()).is_ok());
         let s = gate.stats();
         assert!(s.transients >= 1);
         assert_eq!(s.recovered, 1);
@@ -1072,8 +982,11 @@ mod tests {
                 kind: FaultKind::RateLimit,
             }],
         );
-        let mut gate = FaultDriver::new(Some(&plan), "q", RetryPolicy::default());
-        assert_eq!(gate.admit(Substrate::YoutubeChat, t(10)), Err(Denied));
+        let mut gate = noop_gate(&plan, "q", RetryPolicy::default());
+        assert_eq!(
+            gate.checked(Substrate::YoutubeChat, t(10), || ()),
+            Err(Denied)
+        );
         let s = gate.stats();
         assert_eq!(s.rate_limited, 1);
         assert_eq!(s.lost, 1);
@@ -1091,8 +1004,8 @@ mod tests {
                 kind: FaultKind::RateLimit,
             }],
         );
-        let mut gate = FaultDriver::new(Some(&plan), "q", RetryPolicy::default());
-        assert!(gate.admit(Substrate::YoutubeSearch, t(10)).is_ok());
+        let mut gate = noop_gate(&plan, "q", RetryPolicy::default());
+        assert!(gate.checked(Substrate::YoutubeSearch, t(10), || ()).is_ok());
         let s = gate.stats();
         assert_eq!(s.rate_limited, 1);
         assert_eq!(s.retries, 1);
@@ -1114,11 +1027,11 @@ mod tests {
             breaker_threshold: 2,
             ..RetryPolicy::default()
         };
-        let mut gate = FaultDriver::new(Some(&plan), "o", policy);
-        assert_eq!(gate.admit(Substrate::ChainRpc, t(1)), Err(Denied));
-        assert_eq!(gate.admit(Substrate::ChainRpc, t(2)), Err(Denied));
+        let mut gate = noop_gate(&plan, "o", policy);
+        assert_eq!(gate.checked(Substrate::ChainRpc, t(1), || ()), Err(Denied));
+        assert_eq!(gate.checked(Substrate::ChainRpc, t(2), || ()), Err(Denied));
         // Breaker now open: further calls shed without outage hits.
-        assert_eq!(gate.admit(Substrate::ChainRpc, t(3)), Err(Denied));
+        assert_eq!(gate.checked(Substrate::ChainRpc, t(3), || ()), Err(Denied));
         let s = gate.stats();
         assert_eq!(s.outage_hits, 2);
         assert_eq!(s.circuit_opens, 1);
@@ -1138,8 +1051,10 @@ mod tests {
                 },
             }],
         );
-        let mut gate = FaultDriver::new(Some(&plan), "l", RetryPolicy::default());
-        assert!(gate.admit(Substrate::YoutubeDetails, t(50)).is_ok());
+        let mut gate = noop_gate(&plan, "l", RetryPolicy::default());
+        assert!(gate
+            .checked(Substrate::YoutubeDetails, t(50), || ())
+            .is_ok());
         let s = gate.stats();
         assert_eq!(s.latency_spikes, 1);
         assert_eq!(s.recovered, 1);
@@ -1227,7 +1142,7 @@ mod tests {
     }
 
     #[test]
-    fn driver_readmits_substrate_after_outage_clears_and_cooldown() {
+    fn gate_readmits_substrate_after_outage_clears_and_cooldown() {
         // Outage ends at t=100; breaker trips during it. After the
         // cool-down, the half-open probe lands on a clean schedule and
         // the substrate is readmitted — it no longer latches forever.
@@ -1245,18 +1160,18 @@ mod tests {
             breaker_cooldown: SimDuration::seconds(300),
             ..RetryPolicy::default()
         };
-        let mut gate = FaultDriver::new(Some(&plan), "ho", policy);
-        assert_eq!(gate.admit(Substrate::ChainRpc, t(10)), Err(Denied));
+        let mut gate = noop_gate(&plan, "ho", policy);
+        assert_eq!(gate.checked(Substrate::ChainRpc, t(10), || ()), Err(Denied));
         assert_eq!(
-            gate.admit(Substrate::ChainRpc, t(200)),
+            gate.checked(Substrate::ChainRpc, t(200), || ()),
             Err(Denied),
             "outage over but breaker still cooling down"
         );
         assert!(
-            gate.admit(Substrate::ChainRpc, t(310)).is_ok(),
+            gate.checked(Substrate::ChainRpc, t(310), || ()).is_ok(),
             "half-open probe succeeds and closes the breaker"
         );
-        assert!(gate.admit(Substrate::ChainRpc, t(311)).is_ok());
+        assert!(gate.checked(Substrate::ChainRpc, t(311), || ()).is_ok());
         let s = gate.stats();
         assert_eq!(s.outage_hits, 1);
         assert_eq!(s.circuit_opens, 1);
@@ -1274,10 +1189,10 @@ mod tests {
                 kind: FaultKind::StagePanic,
             }],
         );
-        let mut gate = FaultDriver::new(Some(&plan), "p", RetryPolicy::default());
-        assert!(gate.admit(Substrate::YoutubeSearch, t(50)).is_ok());
+        let mut gate = noop_gate(&plan, "p", RetryPolicy::default());
+        assert!(gate.checked(Substrate::YoutubeSearch, t(50), || ()).is_ok());
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = gate.admit(Substrate::YoutubeSearch, t(150));
+            let _ = gate.checked(Substrate::YoutubeSearch, t(150), || ());
         }));
         let message = panic_text(panicked.expect_err("panic window must panic").as_ref());
         assert!(message.contains("injected stage panic"), "{message}");

@@ -29,8 +29,8 @@ pub mod time;
 pub use clock::Clock;
 pub use events::EventQueue;
 pub use faults::{
-    ChaosProfile, CheckedCall, CircuitBreaker, DegradationStats, Denied, FaultDriver, FaultKind,
-    FaultPlan, FaultWindow, Gated, RetryPolicy, Substrate,
+    ChaosProfile, CircuitBreaker, DegradationStats, Denied, FaultKind, FaultPlan, FaultWindow,
+    Gated, RetryPolicy, Substrate,
 };
 pub use rng::RngFactory;
 pub use time::{CivilDate, SimDuration, SimTime, Weekday};

@@ -65,7 +65,7 @@ proptest! {
             ..RetryPolicy::default()
         };
         let mut rng = RngFactory::new(seed).rng("budget");
-        // Simulate the driver's retry loop: it gives up once the waited
+        // Simulate the gate's retry loop: it gives up once the waited
         // total passes the budget, so the overshoot is at most one
         // (capped) delay.
         let mut waited = SimDuration::ZERO;

@@ -12,7 +12,7 @@
 
 use crate::youtube::{ChatMessage, StreamVideo, ViewerCurve};
 use gt_qr::{encode, EcLevel, Frame};
-use gt_sim::faults::{CheckedCall, Denied, Substrate};
+use gt_sim::faults::{Denied, Gated, Substrate};
 use gt_sim::{SimDuration, SimTime};
 use gt_store::{StoreDecode, StoreEncode};
 use parking_lot::Mutex;
@@ -149,10 +149,10 @@ impl Twitch {
     // ---- gated variants (see the YouTube counterparts) ----
 
     /// [`Twitch::get_streams`] behind a checked-call gate.
-    pub fn get_streams_gated<G: CheckedCall>(
+    pub fn get_streams_gated(
         &self,
         now: SimTime,
-        gate: &mut G,
+        gate: &mut Gated<'_>,
     ) -> Result<Vec<&TwitchStream>, Denied> {
         gate.checked_counted(Substrate::TwitchList, now, || {
             let streams = self.get_streams(now);
@@ -164,12 +164,12 @@ impl Twitch {
     /// [`Twitch::record`] behind a checked-call gate. Recording rides
     /// the chat/IRC substrate: both are per-stream taps, distinct from
     /// the Helix listing quota.
-    pub fn record_gated<G: CheckedCall>(
+    pub fn record_gated(
         &self,
         id: TwitchStreamId,
         now: SimTime,
         duration: SimDuration,
-        gate: &mut G,
+        gate: &mut Gated<'_>,
     ) -> Result<Vec<Frame>, Denied> {
         gate.checked_counted(Substrate::TwitchChat, now, || {
             let frames = self.record(id, now, duration);
@@ -179,12 +179,12 @@ impl Twitch {
     }
 
     /// [`Twitch::chat_since`] behind a checked-call gate.
-    pub fn chat_since_gated<G: CheckedCall>(
+    pub fn chat_since_gated(
         &self,
         id: TwitchStreamId,
         since: SimTime,
         now: SimTime,
-        gate: &mut G,
+        gate: &mut Gated<'_>,
     ) -> Result<Vec<ChatMessage>, Denied> {
         gate.checked_counted(Substrate::TwitchChat, now, || {
             let messages = self.chat_since(id, since, now);

@@ -6,7 +6,7 @@
 //! recorded for quota audits.
 
 use gt_qr::{encode, EcLevel, Frame, Matrix};
-use gt_sim::faults::{CheckedCall, Denied, Substrate};
+use gt_sim::faults::{Denied, Gated, Substrate};
 use gt_sim::{SimDuration, SimTime};
 use gt_store::{StoreDecode, StoreEncode};
 use parking_lot::Mutex;
@@ -395,20 +395,20 @@ impl YouTube {
 
     // ---- gated variants of the API surface ----
     //
-    // Each routes through a [`CheckedCall`] gate, which consults its
+    // Each routes through a [`Gated`], which consults its
     // `FaultPlan` before answering (retrying transients inside its
-    // budget) and, for observing gates, records per-call telemetry.
+    // budget) and records per-call telemetry into its sink.
     // `Err(Denied)` means the poll was shed. A successful call serves
     // data as of `now` even when retries delayed it (snapshot
     // semantics), so a faulty run observes a strict subset of a clean
     // run.
 
     /// [`YouTube::search_live`] behind a checked-call gate.
-    pub fn search_live_gated<G: CheckedCall>(
+    pub fn search_live_gated(
         &self,
         keywords: &gt_text::KeywordSet,
         now: SimTime,
-        gate: &mut G,
+        gate: &mut Gated<'_>,
     ) -> Result<Vec<SearchHit>, Denied> {
         gate.checked_counted(Substrate::YoutubeSearch, now, || {
             let hits = self.search_live(keywords, now);
@@ -418,11 +418,11 @@ impl YouTube {
     }
 
     /// [`YouTube::stream_details`] behind a checked-call gate.
-    pub fn stream_details_gated<G: CheckedCall>(
+    pub fn stream_details_gated(
         &self,
         id: LiveStreamId,
         now: SimTime,
-        gate: &mut G,
+        gate: &mut Gated<'_>,
     ) -> Result<Option<(u64, u64)>, Denied> {
         gate.checked_counted(Substrate::YoutubeDetails, now, || {
             let details = self.stream_details(id, now);
@@ -432,11 +432,11 @@ impl YouTube {
     }
 
     /// [`YouTube::chat_history`] behind a checked-call gate.
-    pub fn chat_history_gated<G: CheckedCall>(
+    pub fn chat_history_gated(
         &self,
         id: LiveStreamId,
         now: SimTime,
-        gate: &mut G,
+        gate: &mut Gated<'_>,
     ) -> Result<Vec<ChatMessage>, Denied> {
         gate.checked_counted(Substrate::YoutubeChat, now, || {
             let messages = self.chat_history(id, now);
@@ -446,12 +446,12 @@ impl YouTube {
     }
 
     /// [`YouTube::record`] behind a checked-call gate.
-    pub fn record_gated<G: CheckedCall>(
+    pub fn record_gated(
         &self,
         id: LiveStreamId,
         now: SimTime,
         duration: SimDuration,
-        gate: &mut G,
+        gate: &mut Gated<'_>,
     ) -> Result<Vec<Frame>, Denied> {
         gate.checked_counted(Substrate::YoutubeRecord, now, || {
             let frames = self.record(id, now, duration);

@@ -13,7 +13,7 @@
 use crate::keywords::SearchKeywords;
 use gt_obs::StageSink;
 use gt_qr::scan_frame;
-use gt_sim::faults::{CheckedCall, DegradationStats, FaultPlan, Gated, RetryPolicy, Substrate};
+use gt_sim::faults::{DegradationStats, FaultPlan, Gated, RetryPolicy, Substrate};
 use gt_sim::{CivilDate, SimDuration, SimTime};
 use gt_social::{ChannelId, LiveStreamId, YouTube};
 use gt_store::{StoreDecode, StoreEncode};
@@ -218,7 +218,7 @@ impl Monitor {
             }
 
             // ---- monitor-host outage: the window is cut short ----
-            if !gate.pass_through() && gate.checked(Substrate::StreamMonitor, t, || ()).is_err() {
+            if gate.checked(Substrate::StreamMonitor, t, || ()).is_err() {
                 report.cut_short = Some(t);
                 break;
             }

@@ -2,7 +2,7 @@
 
 use crate::host::{FetchError, NetOrigin, Request, Response, WebHost};
 use crate::url::Url;
-use gt_sim::faults::{CheckedCall, FaultDriver};
+use gt_sim::faults::Gated;
 use gt_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -119,20 +119,20 @@ impl Crawler {
     /// Crawl one URL at `now`, following front pages up to the
     /// configured interaction budget.
     pub fn crawl(&self, host: &WebHost, url: &Url, now: SimTime) -> CrawlOutcome {
-        self.crawl_gated(host, url, now, &mut FaultDriver::disabled())
+        self.crawl_gated(host, url, now, &mut Gated::disabled())
     }
 
     /// [`Crawler::crawl`] under a checked-call gate: every fetch
     /// consults the gate's `FaultPlan`, with transient failures retried
-    /// inside the gate's `RetryPolicy` budget, and an observing gate
-    /// records per-fetch telemetry. With a pass-through gate this is
-    /// byte-for-byte identical to `crawl`.
-    pub fn crawl_gated<G: CheckedCall>(
+    /// inside the gate's `RetryPolicy` budget, and the gate's sink
+    /// records per-fetch telemetry. With [`Gated::disabled`] this is
+    /// `crawl`.
+    pub fn crawl_gated(
         &self,
         host: &WebHost,
         url: &Url,
         now: SimTime,
-        gate: &mut G,
+        gate: &mut Gated<'_>,
     ) -> CrawlOutcome {
         let mut interacted = false;
         let mut interactions = 0u32;
@@ -445,15 +445,22 @@ mod tests {
     }
 
     #[test]
-    fn checked_crawl_with_disabled_gate_matches_plain() {
+    fn checked_crawl_without_a_plan_matches_plain() {
+        use gt_sim::faults::RetryPolicy;
+
         let host = host_with(CloakingProfile::default(), None);
         let crawler = Crawler::new(CrawlerConfig::default());
-        let mut gate = FaultDriver::disabled();
-        assert_eq!(
-            crawler.crawl_gated(&host, &url(), t(10), &mut gate),
-            crawler.crawl(&host, &url(), t(10))
-        );
+        let plain = crawler.crawl(&host, &url(), t(10));
+        assert!(plain.html().is_some());
+        // Without a plan the gate admits every fetch, and an enabled
+        // sink only records them.
+        let registry = gt_obs::MetricsRegistry::new();
+        let mut gate = Gated::new(None, "test", RetryPolicy::default(), registry.sink("s"));
+        assert_eq!(crawler.crawl_gated(&host, &url(), t(10), &mut gate), plain);
         assert!(gate.stats().is_zero());
+        drop(gate);
+        let served = registry.snapshot().counter("s", "web.fetch", "served");
+        assert!(served >= Some(1), "{served:?}");
     }
 
     #[test]
@@ -471,7 +478,12 @@ mod tests {
                 kind: FaultKind::Outage,
             }],
         );
-        let mut gate = FaultDriver::new(Some(&plan), "test", RetryPolicy::default());
+        let mut gate = Gated::new(
+            Some(&plan),
+            "test",
+            RetryPolicy::default(),
+            gt_obs::StageSink::noop(),
+        );
         assert_eq!(
             crawler.crawl_gated(&host, &url(), t(10), &mut gate),
             CrawlOutcome::Error(FetchError::DnsFailure)

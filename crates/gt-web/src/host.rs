@@ -1,7 +1,7 @@
 //! The simulated web: domains, cloaking scam sites, benign sites.
 
 use crate::url::Url;
-use gt_sim::faults::{CheckedCall, FaultKind, Substrate};
+use gt_sim::faults::{FaultKind, Gated, Substrate};
 use gt_sim::SimTime;
 use gt_store::{StoreDecode, StoreEncode};
 use parking_lot::Mutex;
@@ -269,17 +269,14 @@ impl WebHost {
     /// fetch-layer windows are retried inside the gate's budget and
     /// only surface once the budget or schedule says so. A served
     /// response always carries data as of `now` (snapshot semantics).
-    /// An observing gate additionally records per-substrate call counts
-    /// and served body bytes.
-    pub fn fetch_gated<G: CheckedCall>(
+    /// A gate with an enabled sink also records per-substrate call
+    /// counts and served body bytes.
+    pub fn fetch_gated(
         &self,
         req: &Request,
         now: SimTime,
-        gate: &mut G,
+        gate: &mut Gated<'_>,
     ) -> Result<Response, FetchError> {
-        if gate.pass_through() {
-            return self.fetch(req, now);
-        }
         for (sub, err) in [
             (Substrate::WebDns, FetchError::DnsFailure),
             (Substrate::WebTls, FetchError::TlsHandshake),

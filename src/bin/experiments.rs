@@ -201,9 +201,12 @@ fn run_soak(args: &Args, config: WorldConfig) -> ! {
         for (name, profile) in &profiles {
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 Pipeline::new(&world)
-                    .threads(args.threads)
-                    .chaos(fault_seed, profile)
-                    .supervise(SupervisionPolicy::recover(2))
+                    .options(
+                        PipelineOptions::default()
+                            .threads(args.threads)
+                            .chaos(fault_seed, profile)
+                            .supervise(SupervisionPolicy::recover(2)),
+                    )
                     .run()
             }));
             match outcome {
@@ -239,9 +242,12 @@ fn run_soak(args: &Args, config: WorldConfig) -> ! {
     eprintln!("[soak] quiet-plan equivalence: supervised vs strict at 1 and 4 threads ...");
     let quiet_run = |threads: usize, policy: SupervisionPolicy| {
         Pipeline::new(&world)
-            .threads(threads)
-            .fault_plan(Some(FaultPlan::quiet(base_seed)))
-            .supervise(policy)
+            .options(
+                PipelineOptions::default()
+                    .threads(threads)
+                    .fault_plan(Some(FaultPlan::quiet(base_seed)))
+                    .supervise(policy),
+            )
             .run()
     };
     let fingerprint = |run: &givetake::core::PaperRun| {

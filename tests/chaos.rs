@@ -6,7 +6,7 @@
 //! The clean-run determinism contract is pinned too: a `None` plan and
 //! a quiet plan are exact no-ops, byte-identical to pre-fault behavior.
 
-use givetake::core::{PaperRun, Pipeline};
+use givetake::core::{PaperRun, Pipeline, PipelineOptions};
 use givetake::sim::faults::{ChaosProfile, FaultPlan};
 use givetake::world::{World, WorldConfig};
 use std::sync::OnceLock;
@@ -20,9 +20,13 @@ fn world() -> &'static World {
     })
 }
 
+fn run_with(options: PipelineOptions) -> PaperRun {
+    Pipeline::new(world()).options(options).run()
+}
+
 fn clean() -> &'static PaperRun {
     static R: OnceLock<PaperRun> = OnceLock::new();
-    R.get_or_init(|| Pipeline::new(world()).threads(2).run())
+    R.get_or_init(|| run_with(PipelineOptions::default().threads(2)))
 }
 
 /// Assert every "faults only remove observations" invariant against the
@@ -97,10 +101,11 @@ fn assert_degraded_not_inflated(chaos: &PaperRun) {
 #[test]
 fn pipeline_completes_under_seeded_chaos() {
     for seed in [1u64, 2, 0xBAD_CAFE] {
-        let chaos = Pipeline::new(world())
-            .threads(2)
-            .chaos(seed, &ChaosProfile::default())
-            .run();
+        let chaos = run_with(
+            PipelineOptions::default()
+                .threads(2)
+                .chaos(seed, &ChaosProfile::default()),
+        );
         assert!(chaos.degradation.enabled, "seed {seed}: plan attached");
         assert!(
             chaos.degradation.total.injected() > 0,
@@ -112,10 +117,11 @@ fn pipeline_completes_under_seeded_chaos() {
 
 #[test]
 fn severe_chaos_still_completes() {
-    let chaos = Pipeline::new(world())
-        .threads(2)
-        .chaos(9, &ChaosProfile::severe())
-        .run();
+    let chaos = run_with(
+        PipelineOptions::default()
+            .threads(2)
+            .chaos(9, &ChaosProfile::severe()),
+    );
     assert!(chaos.degradation.total.injected() > 0);
     assert!(
         chaos.degradation.total.lost > 0,
@@ -126,10 +132,11 @@ fn severe_chaos_still_completes() {
 
 #[test]
 fn degradation_accounting_is_consistent() {
-    let chaos = Pipeline::new(world())
-        .threads(2)
-        .chaos(5, &ChaosProfile::default())
-        .run();
+    let chaos = run_with(
+        PipelineOptions::default()
+            .threads(2)
+            .chaos(5, &ChaosProfile::default()),
+    );
     let d = &chaos.degradation;
 
     // The total is exactly the merge of the per-stage entries.
@@ -164,14 +171,16 @@ fn degradation_accounting_is_consistent() {
 
 #[test]
 fn chaos_run_is_reproducible() {
-    let a = Pipeline::new(world())
-        .threads(2)
-        .chaos(11, &ChaosProfile::default())
-        .run();
-    let b = Pipeline::new(world())
-        .threads(2)
-        .chaos(11, &ChaosProfile::default())
-        .run();
+    let a = run_with(
+        PipelineOptions::default()
+            .threads(2)
+            .chaos(11, &ChaosProfile::default()),
+    );
+    let b = run_with(
+        PipelineOptions::default()
+            .threads(2)
+            .chaos(11, &ChaosProfile::default()),
+    );
     assert_eq!(
         serde_json::to_string(&a.report).unwrap(),
         serde_json::to_string(&b.report).unwrap()
@@ -181,10 +190,11 @@ fn chaos_run_is_reproducible() {
 
 #[test]
 fn quiet_plan_matches_clean_run_byte_for_byte() {
-    let quiet = Pipeline::new(world())
-        .threads(2)
-        .fault_plan(Some(FaultPlan::quiet(42)))
-        .run();
+    let quiet = run_with(
+        PipelineOptions::default()
+            .threads(2)
+            .fault_plan(Some(FaultPlan::quiet(42))),
+    );
     assert!(quiet.degradation.enabled);
     assert!(
         quiet.degradation.total.is_zero(),

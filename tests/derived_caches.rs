@@ -7,7 +7,7 @@
 //! makes the same number of calls against a stream id that does not
 //! exist: those count but fill nothing.
 
-use givetake::core::Pipeline;
+use givetake::core::{Pipeline, PipelineOptions};
 use givetake::qr::{scan_frame, Frame};
 use givetake::sim::SimDuration;
 use givetake::social::LiveStreamId;
@@ -33,7 +33,9 @@ fn filled_caches_leave_snapshots_and_frames_unchanged() {
     config.seed = 0x0B5E_17ED;
     let world = World::generate(config);
     // A pipeline run first: it fills the caches the way the monitor does.
-    Pipeline::new(&world).threads(2).run();
+    Pipeline::new(&world)
+        .options(PipelineOptions::default().threads(2))
+        .run();
     let before = world.snapshot();
     let twin = World::from_snapshot(&before).expect("snapshot decodes");
 

@@ -3,7 +3,7 @@
 //! multi-threaded runs must produce byte-identical `PaperReport` JSON —
 //! same stage outputs, same sharded clustering, same tag resolution.
 
-use givetake::core::{Pipeline, PipelineOptions};
+use givetake::core::{PaperRun, Pipeline, PipelineOptions};
 use givetake::world::{World, WorldConfig};
 use std::sync::OnceLock;
 
@@ -16,8 +16,12 @@ fn world() -> &'static World {
     })
 }
 
+fn run_with(options: PipelineOptions) -> PaperRun {
+    Pipeline::new(world()).options(options).run()
+}
+
 fn report_json(threads: usize) -> String {
-    let run = Pipeline::new(world()).threads(threads).run();
+    let run = run_with(PipelineOptions::default().threads(threads));
     assert_eq!(run.timings.threads, threads);
     serde_json::to_string(&run.report).expect("report serializes")
 }
@@ -41,10 +45,11 @@ fn faulted_report_is_byte_identical_across_thread_counts() {
     // be exactly as thread-invariant as the clean one.
     let profile = givetake::sim::faults::ChaosProfile::default();
     let run_json = |threads: usize| {
-        let run = Pipeline::new(world())
-            .threads(threads)
-            .chaos(0xFA_017, &profile)
-            .run();
+        let run = run_with(
+            PipelineOptions::default()
+                .threads(threads)
+                .chaos(0xFA_017, &profile),
+        );
         (
             serde_json::to_string(&run.report).expect("report serializes"),
             run.degradation,
@@ -67,24 +72,31 @@ fn faulted_report_is_byte_identical_across_thread_counts() {
 
 #[test]
 fn options_equivalents_match() {
-    // The Pipeline setters and a fluently built PipelineOptions are the
-    // same (`PipelineOptions` is `#[non_exhaustive]`, so the builder is
-    // the only way to construct one by hand).
-    let via_setters = Pipeline::new(world()).threads(2).run();
-    let via_options = Pipeline::new(world())
-        .options(PipelineOptions::default().threads(2))
-        .run();
-    assert_eq!(via_setters.report, via_options.report);
+    // Fluent `PipelineOptions` setters and direct field writes configure
+    // the same run (`PipelineOptions` is `#[non_exhaustive]`, so neither
+    // can be replaced by a struct literal outside `gt-core`).
+    let via_setters = run_with(
+        PipelineOptions::default()
+            .threads(2)
+            .skip_interventions(true),
+    );
+    let mut fields = PipelineOptions::default();
+    fields.threads = 2;
+    fields.skip_interventions = true;
+    let via_fields = run_with(fields);
+    assert_eq!(via_setters.report, via_fields.report);
+    assert!(via_fields.report.interventions.is_empty());
 }
 
 #[test]
 fn skip_flags_only_affect_their_sections() {
-    let full = Pipeline::new(world()).threads(2).run();
-    let skipped = Pipeline::new(world())
-        .threads(2)
-        .skip_pilot(true)
-        .skip_interventions(true)
-        .run();
+    let full = run_with(PipelineOptions::default().threads(2));
+    let skipped = run_with(
+        PipelineOptions::default()
+            .threads(2)
+            .skip_pilot(true)
+            .skip_interventions(true),
+    );
 
     assert!(skipped.report.qr_pilot.is_none(), "pilot skipped");
     assert!(skipped.report.interventions.is_empty(), "sweep skipped");
@@ -104,10 +116,11 @@ fn custom_intervention_lags_are_honored() {
         givetake::sim::SimDuration::ZERO,
         givetake::sim::SimDuration::hours(2),
     ];
-    let run = Pipeline::new(world())
-        .threads(2)
-        .intervention_lags(&lags)
-        .run();
+    let run = run_with(
+        PipelineOptions::default()
+            .threads(2)
+            .intervention_lags(&lags),
+    );
     assert_eq!(run.report.interventions.len(), 2);
     assert_eq!(run.report.interventions[0].lag_seconds, 0);
     assert_eq!(run.report.interventions[1].lag_seconds, 7_200);
@@ -115,7 +128,7 @@ fn custom_intervention_lags_are_honored() {
 
 #[test]
 fn timings_cover_every_stage() {
-    let run = Pipeline::new(world()).threads(2).run();
+    let run = run_with(PipelineOptions::default().threads(2));
     let t = &run.timings;
     assert!(t.total_ms > 0.0);
     for name in [

@@ -5,7 +5,7 @@
 //! sharing one store directory; a killed run must resume from its
 //! completed stages instead of starting over.
 
-use givetake::core::{PaperRun, Pipeline};
+use givetake::core::{PaperRun, Pipeline, PipelineOptions};
 use givetake::store::RunStore;
 use givetake::world::{World, WorldConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -23,10 +23,14 @@ fn world() -> &'static World {
     })
 }
 
+fn run_with(options: PipelineOptions) -> PaperRun {
+    Pipeline::new(world()).options(options).run()
+}
+
 fn baseline_json() -> &'static str {
     static J: OnceLock<String> = OnceLock::new();
     J.get_or_init(|| {
-        let run = Pipeline::new(world()).threads(1).run();
+        let run = run_with(PipelineOptions::default().threads(1));
         serde_json::to_string(&run.report).expect("report serializes")
     })
 }
@@ -71,15 +75,16 @@ fn cold_and_warm_runs_match_the_storeless_report() {
     let scratch = Scratch::new("cold-warm");
     let store = scratch.open();
 
-    let cold = Pipeline::new(world())
-        .threads(1)
-        .store(Some(store.clone()))
-        .run();
+    let cold = run_with(
+        PipelineOptions::default()
+            .threads(1)
+            .store(Some(store.clone())),
+    );
     assert_eq!(json(&cold), baseline_json(), "cold-store report diverged");
     assert_eq!(store_metric(&cold, "cache_hit"), 0);
     assert_eq!(store_metric(&cold, "cache_miss"), STAGES);
 
-    let warm = Pipeline::new(world()).threads(1).store(Some(store)).run();
+    let warm = run_with(PipelineOptions::default().threads(1).store(Some(store)));
     assert_eq!(json(&warm), baseline_json(), "warm-store report diverged");
     assert_eq!(
         store_metric(&warm, "cache_hit"),
@@ -98,10 +103,11 @@ fn thread_counts_share_one_store_directory() {
     let store = scratch.open();
 
     for (i, threads) in [1usize, 2, 4].into_iter().enumerate() {
-        let run = Pipeline::new(world())
-            .threads(threads)
-            .store(Some(store.clone()))
-            .run();
+        let run = run_with(
+            PipelineOptions::default()
+                .threads(threads)
+                .store(Some(store.clone())),
+        );
         assert_eq!(
             json(&run),
             baseline_json(),
@@ -127,10 +133,11 @@ fn killed_run_resumes_from_completed_stages() {
     let store = scratch.open();
     store.fail_writes_after(6);
     let crashed = catch_unwind(AssertUnwindSafe(|| {
-        Pipeline::new(world())
-            .threads(1)
-            .store(Some(store.clone()))
-            .run()
+        run_with(
+            PipelineOptions::default()
+                .threads(1)
+                .store(Some(store.clone())),
+        )
     }));
     assert!(crashed.is_err(), "the simulated crash must abort the run");
     drop(store);
@@ -138,7 +145,7 @@ fn killed_run_resumes_from_completed_stages() {
     // A new process: reopen the same directory and rerun. Only the
     // unfinished stages may execute.
     let store = scratch.open();
-    let resumed = Pipeline::new(world()).threads(2).store(Some(store)).run();
+    let resumed = run_with(PipelineOptions::default().threads(2).store(Some(store)));
     assert_eq!(
         json(&resumed),
         baseline_json(),
@@ -160,16 +167,17 @@ fn multi_thread_crash_also_resumes() {
     let store = scratch.open();
     store.fail_writes_after(4);
     let crashed = catch_unwind(AssertUnwindSafe(|| {
-        Pipeline::new(world())
-            .threads(4)
-            .store(Some(store.clone()))
-            .run()
+        run_with(
+            PipelineOptions::default()
+                .threads(4)
+                .store(Some(store.clone())),
+        )
     }));
     assert!(crashed.is_err());
     drop(store);
 
     let store = scratch.open();
-    let resumed = Pipeline::new(world()).threads(4).store(Some(store)).run();
+    let resumed = run_with(PipelineOptions::default().threads(4).store(Some(store)));
     assert_eq!(json(&resumed), baseline_json());
     assert_eq!(store_metric(&resumed, "cache_hit"), 4);
 }
@@ -179,10 +187,11 @@ fn changed_tail_parameter_reuses_all_upstream_stages() {
     let scratch = Scratch::new("warm-tail");
     let store = scratch.open();
 
-    let cold = Pipeline::new(world())
-        .threads(2)
-        .store(Some(store.clone()))
-        .run();
+    let cold = run_with(
+        PipelineOptions::default()
+            .threads(2)
+            .store(Some(store.clone())),
+    );
     assert_eq!(store_metric(&cold, "cache_miss"), STAGES);
 
     // Change only the intervention lags: a stage-local salt, invisible
@@ -192,11 +201,12 @@ fn changed_tail_parameter_reuses_all_upstream_stages() {
         givetake::sim::SimDuration::ZERO,
         givetake::sim::SimDuration::hours(2),
     ];
-    let warm = Pipeline::new(world())
-        .threads(2)
-        .store(Some(store))
-        .intervention_lags(&lags)
-        .run();
+    let warm = run_with(
+        PipelineOptions::default()
+            .threads(2)
+            .store(Some(store))
+            .intervention_lags(&lags),
+    );
     assert_eq!(store_metric(&warm, "cache_hit"), STAGES - 1);
     assert_eq!(store_metric(&warm, "cache_miss"), 1);
     assert_eq!(warm.report.interventions.len(), 2, "new lags took effect");
@@ -220,10 +230,11 @@ fn store_off_on_and_evict_leave_no_trace_in_the_report() {
     let base = options.base_fingerprint(&world().config);
     let world_fpr = World::fingerprint(&world().config);
 
-    let cold = Pipeline::new(world())
-        .threads(2)
-        .store(Some(store.clone()))
-        .run();
+    let cold = run_with(
+        PipelineOptions::default()
+            .threads(2)
+            .store(Some(store.clone())),
+    );
     assert_eq!(json(&cold), baseline_json());
     assert_eq!(store.stage_entry_count(&base), STAGES as usize);
 
@@ -231,7 +242,7 @@ fn store_off_on_and_evict_leave_no_trace_in_the_report() {
     assert_eq!(stats.stage_groups, 0, "the active run's group survives");
     assert_eq!(store.stage_entry_count(&base), STAGES as usize);
 
-    let warm = Pipeline::new(world()).threads(2).store(Some(store)).run();
+    let warm = run_with(PipelineOptions::default().threads(2).store(Some(store)));
     assert_eq!(json(&warm), baseline_json());
     assert_eq!(store_metric(&warm, "cache_hit"), STAGES);
 }

@@ -6,7 +6,9 @@
 //! to an unsupervised one at any thread count.
 
 use givetake::core::supervisor::degraded_tables;
-use givetake::core::{Pipeline, StageGraph, StageStatus, SupervisionPolicy};
+use givetake::core::{
+    PaperRun, Pipeline, PipelineOptions, StageGraph, StageStatus, SupervisionPolicy,
+};
 use givetake::sim::faults::{FaultKind, FaultPlan, FaultWindow, Substrate};
 use givetake::store::{digest, RunStore};
 use givetake::world::{World, WorldConfig};
@@ -23,6 +25,10 @@ fn world() -> &'static World {
         config.seed = 0x5AFE_5EED;
         World::generate(config)
     })
+}
+
+fn run_with(options: PipelineOptions) -> PaperRun {
+    Pipeline::new(world()).options(options).run()
 }
 
 /// A fresh scratch directory (removed on drop) for one test's store.
@@ -217,11 +223,12 @@ fn search_panic_plan() -> FaultPlan {
 
 #[test]
 fn injected_stage_panic_quarantines_the_monitor_and_names_the_damage() {
-    let run = Pipeline::new(world())
-        .threads(2)
-        .fault_plan(Some(search_panic_plan()))
-        .supervise(SupervisionPolicy::recover(2))
-        .run();
+    let run = run_with(
+        PipelineOptions::default()
+            .threads(2)
+            .fault_plan(Some(search_panic_plan()))
+            .supervise(SupervisionPolicy::recover(2)),
+    );
 
     let h = &run.health;
     assert!(h.supervised);
@@ -253,7 +260,7 @@ fn injected_stage_panic_quarantines_the_monitor_and_names_the_damage() {
 
     // The Twitter dataset is a root stage (archived corpus, no live
     // collection): its Table 1 column must never be marked degraded.
-    let clean = Pipeline::new(world()).threads(2).run();
+    let clean = run_with(PipelineOptions::default().threads(2));
     assert_eq!(
         run.report.table1.twitter_domains,
         clean.report.table1.twitter_domains
@@ -275,10 +282,11 @@ fn injected_stage_panic_quarantines_the_monitor_and_names_the_damage() {
 
     // The same plan under the default (strict) policy aborts the run.
     let aborted = catch_unwind(AssertUnwindSafe(|| {
-        Pipeline::new(world())
-            .threads(2)
-            .fault_plan(Some(search_panic_plan()))
-            .run()
+        run_with(
+            PipelineOptions::default()
+                .threads(2)
+                .fault_plan(Some(search_panic_plan())),
+        )
     }));
     assert!(aborted.is_err(), "strict mode keeps the poison semantics");
 }
@@ -286,15 +294,17 @@ fn injected_stage_panic_quarantines_the_monitor_and_names_the_damage() {
 #[test]
 fn supervision_is_byte_identical_on_healthy_runs() {
     for threads in [1usize, 4] {
-        let strict = Pipeline::new(world())
-            .threads(threads)
-            .fault_plan(Some(FaultPlan::quiet(42)))
-            .run();
-        let supervised = Pipeline::new(world())
-            .threads(threads)
-            .fault_plan(Some(FaultPlan::quiet(42)))
-            .supervise(SupervisionPolicy::recover(2))
-            .run();
+        let strict = run_with(
+            PipelineOptions::default()
+                .threads(threads)
+                .fault_plan(Some(FaultPlan::quiet(42))),
+        );
+        let supervised = run_with(
+            PipelineOptions::default()
+                .threads(threads)
+                .fault_plan(Some(FaultPlan::quiet(42)))
+                .supervise(SupervisionPolicy::recover(2)),
+        );
         assert_eq!(
             serde_json::to_string(&strict.report).unwrap(),
             serde_json::to_string(&supervised.report).unwrap(),

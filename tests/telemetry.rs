@@ -8,7 +8,7 @@
 //! * the Chrome trace export is well-formed JSON covering all stages;
 //! * turning telemetry off changes nothing in `PaperReport`.
 
-use givetake::core::{PaperRun, Pipeline};
+use givetake::core::{PaperRun, Pipeline, PipelineOptions};
 use givetake::obs::SpanSnap;
 use givetake::sim::faults::{ChaosProfile, FaultPlan};
 use givetake::world::{World, WorldConfig};
@@ -52,8 +52,12 @@ fn world() -> &'static World {
     })
 }
 
+fn run_with(options: PipelineOptions) -> PaperRun {
+    Pipeline::new(world()).options(options).run()
+}
+
 fn clean_run(threads: usize) -> PaperRun {
-    Pipeline::new(world()).threads(threads).run()
+    run_with(PipelineOptions::default().threads(threads))
 }
 
 fn metrics_json(run: &PaperRun) -> String {
@@ -79,10 +83,11 @@ fn metrics_are_byte_identical_across_thread_counts() {
 fn chaotic_metrics_are_byte_identical_across_thread_counts() {
     let profile = ChaosProfile::default();
     let run_json = |threads: usize| {
-        let run = Pipeline::new(world())
-            .threads(threads)
-            .chaos(0xFA_017, &profile)
-            .run();
+        let run = run_with(
+            PipelineOptions::default()
+                .threads(threads)
+                .chaos(0xFA_017, &profile),
+        );
         metrics_json(&run)
     };
     let baseline = run_json(1);
@@ -161,10 +166,11 @@ fn span_nesting_is_well_formed() {
 
 #[test]
 fn quiet_plan_leaves_fault_counters_at_zero() {
-    let run = Pipeline::new(world())
-        .threads(2)
-        .fault_plan(Some(FaultPlan::quiet(7)))
-        .run();
+    let run = run_with(
+        PipelineOptions::default()
+            .threads(2)
+            .fault_plan(Some(FaultPlan::quiet(7))),
+    );
     let t = &run.telemetry;
     for metric in [
         "retries",
@@ -200,7 +206,7 @@ fn quiet_plan_leaves_fault_counters_at_zero() {
 #[test]
 fn telemetry_off_is_empty_and_report_invariant() {
     let on = clean_run(2);
-    let off = Pipeline::new(world()).threads(2).telemetry(false).run();
+    let off = run_with(PipelineOptions::default().threads(2).telemetry(false));
     assert!(!off.telemetry.enabled);
     assert!(off.telemetry.metrics.is_empty());
     assert!(off.telemetry.wall.spans.is_empty());
