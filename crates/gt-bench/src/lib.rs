@@ -1,56 +1,6 @@
-//! Shared fixtures for the benchmark suite.
+//! Performance guard tests for the givetake workspace.
 //!
-//! Every bench works over the same lazily-generated small-scale world
-//! so criterion timings measure the *analysis* code, not world
-//! generation.
-
-use gt_world::{World, WorldConfig};
-use std::sync::OnceLock;
-
-/// Scale used by the bench fixtures (a compromise between realism and
-/// criterion iteration counts).
-pub const BENCH_SCALE: f64 = 0.05;
-
-/// The shared world.
-pub fn bench_world() -> &'static World {
-    static WORLD: OnceLock<World> = OnceLock::new();
-    WORLD.get_or_init(|| {
-        let mut config = WorldConfig::scaled(BENCH_SCALE);
-        config.seed = 0xBE7C;
-        World::generate(config)
-    })
-}
-
-/// A pre-run monitoring report over the main YouTube window.
-pub fn bench_monitor_report() -> &'static gt_stream::monitor::MonitorReport {
-    static REPORT: OnceLock<gt_stream::monitor::MonitorReport> = OnceLock::new();
-    REPORT.get_or_init(|| {
-        let world = bench_world();
-        let monitor = gt_stream::monitor::Monitor::new(
-            gt_stream::monitor::MonitorConfig::paper(
-                world.config.youtube_start,
-                world.config.youtube_end,
-            ),
-            gt_stream::keywords::search_keyword_set(),
-        );
-        monitor.run(&world.youtube, &world.web)
-    })
-}
-
-/// The assembled datasets.
-pub fn bench_datasets() -> &'static (
-    gt_core::datasets::TwitterDataset,
-    gt_core::datasets::YouTubeDataset,
-) {
-    static DATASETS: OnceLock<(
-        gt_core::datasets::TwitterDataset,
-        gt_core::datasets::YouTubeDataset,
-    )> = OnceLock::new();
-    DATASETS.get_or_init(|| {
-        let world = bench_world();
-        let keywords = gt_stream::keywords::search_keyword_set();
-        let twitter = gt_core::datasets::build_twitter_dataset(&world.twitter, &world.scam_db);
-        let youtube = gt_core::datasets::build_youtube_dataset(bench_monitor_report(), &keywords);
-        (twitter, youtube)
-    })
-}
+//! The crate holds no library code: its `tests/` directory holds the
+//! guards (telemetry span overhead, warm-store speedup, scam/benign
+//! recording cost ratio). The end-to-end and per-layer timings live in
+//! the `givebench` benchmark.

@@ -18,7 +18,7 @@ use crate::types::Transfer;
 use crate::view::ChainView;
 use gt_addr::Address;
 use gt_obs::StageSink;
-use gt_sim::faults::{DegradationStats, FaultPlan, Gated, RetryPolicy, Substrate};
+use gt_sim::faults::{FaultPlan, Gated, RetryPolicy, Substrate};
 use gt_sim::{SimDuration, SimTime};
 use std::cell::{Cell, RefCell};
 
@@ -77,11 +77,6 @@ impl<'a> RpcView<'a> {
         }
     }
 
-    /// Degradation accounting accumulated by this view's reads.
-    pub fn stats(&self) -> DegradationStats {
-        self.gate.borrow().stats()
-    }
-
     fn read(&self, fetch: impl FnOnce() -> Vec<Transfer>) -> Vec<Transfer> {
         let at = self.cursor.get();
         self.cursor.set(at + READ_SPACING);
@@ -113,6 +108,15 @@ mod tests {
     use gt_addr::BtcAddress;
     use gt_sim::faults::{FaultKind, FaultWindow};
 
+    /// The `chain.rpc` counter `metric` as recorded into `sink` (a view
+    /// flushes its gate's counters when it drops).
+    fn recorded(sink: &StageSink, metric: &str) -> u64 {
+        sink.sheet()
+            .rows("")
+            .find(|r| r.substrate == "chain.rpc" && r.metric == metric)
+            .map_or(0, |r| r.value)
+    }
+
     fn view_with_history() -> (ChainView, Address) {
         let mut view = ChainView::new();
         let a = BtcAddress::P2pkh([1; 20]);
@@ -127,17 +131,22 @@ mod tests {
     #[test]
     fn clean_rpc_view_matches_chain_view() {
         let (view, addr) = view_with_history();
+        let sink = gt_obs::MetricsRegistry::new().sink("test");
         let rpc = RpcView::new(
             &view,
             None,
             "test",
             RetryPolicy::default(),
             SimTime(1_000),
-            StageSink::noop(),
+            sink.clone(),
         );
         assert_eq!(rpc.incoming(addr), view.incoming(addr));
         assert_eq!(rpc.outgoing(addr), view.outgoing(addr));
-        assert!(rpc.stats().is_zero());
+        drop(rpc);
+        assert_eq!(recorded(&sink, "served"), 2);
+        for metric in ["retries", "recovered", "lost", "denied"] {
+            assert_eq!(recorded(&sink, metric), 0, "{metric}");
+        }
     }
 
     #[test]
@@ -152,17 +161,19 @@ mod tests {
                 kind: FaultKind::Outage,
             }],
         );
+        let sink = gt_obs::MetricsRegistry::new().sink("test");
         let rpc = RpcView::new(
             &view,
             Some(&plan),
             "test",
             RetryPolicy::default(),
             SimTime(1_000),
-            StageSink::noop(),
+            sink.clone(),
         );
         assert!(rpc.incoming(addr).is_empty());
         assert!(!view.incoming(addr).is_empty(), "data exists underneath");
-        assert!(rpc.stats().lost >= 1);
+        drop(rpc);
+        assert!(recorded(&sink, "lost") >= 1);
     }
 
     #[test]
@@ -178,19 +189,21 @@ mod tests {
                 kind: FaultKind::Transient,
             }],
         );
+        let sink = gt_obs::MetricsRegistry::new().sink("test");
         let rpc = RpcView::new(
             &view,
             Some(&plan),
             "test",
             RetryPolicy::default(),
             SimTime(1_000),
-            StageSink::noop(),
+            sink.clone(),
         );
-        // First read hits the blip but retries through it.
+        // First read hits the blip but retries through it; the second
+        // is past the window entirely.
         assert_eq!(rpc.incoming(addr), view.incoming(addr));
-        assert_eq!(rpc.stats().recovered, 1);
-        // Subsequent reads are past the window entirely.
         assert_eq!(rpc.outgoing(addr), view.outgoing(addr));
-        assert_eq!(rpc.stats().recovered, 1);
+        drop(rpc);
+        assert_eq!(recorded(&sink, "recovered"), 1);
+        assert_eq!(recorded(&sink, "served"), 2);
     }
 }

@@ -16,6 +16,11 @@
 //! bound) and has a `Default`, which is the stage's quarantine fallback
 //! unless [`StageGraph::fallback`] overrides it.
 //!
+//! Each stage body records its metrics through its own sink
+//! ([`StageResults::sink`]). The sink's sheet covers every attempt of
+//! the stage and is cached with the output, so a cache hit replays
+//! exactly the metric rows the computing run recorded.
+//!
 //! # Supervision
 //!
 //! By default a panicking stage poisons the run and the payload is
@@ -29,7 +34,7 @@
 //! of aborting.
 
 use crate::supervisor::{degraded_tables, RunHealth, StageHealth, StageStatus, SupervisionPolicy};
-use gt_obs::MetricsRegistry;
+use gt_obs::{Histogram, MetricRow, MetricSheet, MetricsRegistry, StageSink};
 use gt_store::{digest, Digest, KeyBuilder, RunStore, StoreDecode, StoreEncode};
 use serde::Serialize;
 use std::any::Any;
@@ -43,12 +48,52 @@ use std::time::Instant;
 type BoxedAny = Box<dyn Any + Send + Sync>;
 type StageFn<'env> = Box<dyn FnMut(&StageResults) -> (BoxedAny, u64) + Send + 'env>;
 type FallbackFn<'env> = Box<dyn FnOnce(&StageResults) -> (BoxedAny, u64) + Send + 'env>;
-type EncodeFn = Box<dyn Fn(&BoxedAny, u64) -> Vec<u8> + Send + Sync>;
-type DecodeFn = Box<dyn Fn(&[u8]) -> Option<(BoxedAny, u64)> + Send + Sync>;
+type EncodeFn = Box<dyn Fn(&BoxedAny, u64, &MetricSheet) -> Vec<u8> + Send + Sync>;
+type DecodeFn = Box<dyn Fn(&[u8]) -> Option<(BoxedAny, u64, MetricSheet)> + Send + Sync>;
+
+/// A metric sheet as a stage record stores it: one `(substrate, metric,
+/// kind, (value, histogram))` tuple per row, a histogram as `(edges,
+/// counts, sum)`.
+type SheetRecord = Vec<(
+    String,
+    String,
+    String,
+    (u64, Option<(Vec<u64>, Vec<u64>, u64)>),
+)>;
+
+fn sheet_record(sheet: &MetricSheet) -> SheetRecord {
+    sheet
+        .rows("")
+        .map(|r| {
+            let hist = r.hist.map(|h| (h.edges, h.counts, h.sum));
+            (r.substrate, r.metric, r.kind, (r.value, hist))
+        })
+        .collect()
+}
+
+fn sheet_from_record(record: SheetRecord) -> Option<MetricSheet> {
+    MetricSheet::from_rows(
+        record
+            .into_iter()
+            .map(|(substrate, metric, kind, (value, hist))| MetricRow {
+                stage: String::new(),
+                substrate,
+                metric,
+                kind,
+                value,
+                hist: hist.map(|(edges, counts, sum)| Histogram {
+                    edges,
+                    counts,
+                    count: value,
+                    sum,
+                }),
+            }),
+    )
+}
 
 /// Type-erased (encode, decode) pair for one cacheable stage's
-/// `(items, payload)` record. Decode failures surface as `None` and
-/// decay to a recompute — never an error.
+/// `(items, sheet, payload)` record. Decode failures surface as `None`
+/// and decay to a recompute — never an error.
 struct StageCodec {
     encode: EncodeFn,
     decode: DecodeFn,
@@ -114,12 +159,20 @@ impl<T> StageId<T> {
     }
 }
 
-/// Read access to completed dependencies, handed to each stage body.
+/// Read access to completed dependencies, plus the stage's own metric
+/// sink, handed to each stage body.
 pub struct StageResults<'a> {
     slots: &'a [OnceLock<BoxedAny>],
+    sink: &'a StageSink,
 }
 
 impl StageResults<'_> {
+    /// The sink the stage records its metrics into (spans go to the
+    /// run's span log). Its sheet is cached with the stage output.
+    pub fn sink(&self) -> &StageSink {
+        self.sink
+    }
+
     /// The output of a completed dependency stage.
     ///
     /// # Panics
@@ -182,9 +235,10 @@ impl<'env> StageGraph<'env> {
     /// fingerprint nor in a dependency's output (`&[]` when there is
     /// none). `deps` are indices of previously registered stages
     /// ([`StageId::index`]); the body receives read access to their
-    /// outputs and returns its own plus how many items it processed
-    /// (persisted alongside the payload, so a cache hit restores it
-    /// too). The quarantine fallback is `T::default()`.
+    /// outputs and returns its own plus how many items it processed.
+    /// The item count and the body's metric sheet are persisted
+    /// alongside the payload, so a cache hit restores both. The
+    /// quarantine fallback is `T::default()`.
     pub fn add_stage<T, F>(&mut self, name: &str, salt: &[u8], deps: &[usize], f: F) -> StageId<T>
     where
         T: StoreEncode + StoreDecode + Default + Send + Sync + 'static,
@@ -204,15 +258,20 @@ impl<'env> StageGraph<'env> {
             }))),
             fallback: Mutex::new(None),
             codec: StageCodec {
-                encode: Box::new(|any, items| {
+                encode: Box::new(|any, items, sheet| {
                     let value = any
                         .downcast_ref::<T>()
                         .expect("stage output type mismatch in store codec");
-                    gt_store::encode_to_vec(&(items, value))
+                    gt_store::encode_to_vec(&(items, sheet_record(sheet), value))
                 }),
                 decode: Box::new(|bytes| {
-                    let (items, value): (u64, T) = gt_store::decode_from_slice(bytes).ok()?;
-                    Some((Box::new(value) as BoxedAny, items))
+                    let (items, sheet, value): (u64, SheetRecord, T) =
+                        gt_store::decode_from_slice(bytes).ok()?;
+                    Some((
+                        Box::new(value) as BoxedAny,
+                        items,
+                        sheet_from_record(sheet)?,
+                    ))
                 }),
             },
             salt: salt.to_vec(),
@@ -242,17 +301,20 @@ impl<'env> StageGraph<'env> {
     /// Execute the graph on `threads` workers (0 = available
     /// parallelism) and return every stage output plus timings.
     pub fn run(self, threads: usize) -> StageOutputs {
-        self.run_observed(threads, &MetricsRegistry::disabled())
+        self.run_observed(threads, &MetricsRegistry::without_spans())
     }
 
     /// [`StageGraph::run`] reporting into a telemetry registry: each
-    /// stage body runs inside a wall-clock span named after the stage,
-    /// and its item count lands on the `(stage, "executor", "items")`
-    /// counter — recorded even when zero, so the metrics block covers
-    /// every stage deterministically. Supervision events additionally
-    /// record `(stage, "supervisor", retry|recovered|quarantined)`
-    /// counters — only when they fire, so a clean run's metrics block
-    /// is byte-identical with or without supervision.
+    /// stage body runs inside a wall-clock span named after the stage
+    /// and records into its own sink ([`StageResults::sink`]), whose
+    /// sheet a cache hit replays. The executor adds its own counters:
+    /// the item count on `(stage, "executor", "items")` — recorded even
+    /// when zero, so the metrics block covers every stage
+    /// deterministically; `(stage, "store", cache_hit|cache_miss|
+    /// write_error)` when a store is bound; and `(stage, "supervisor",
+    /// retry|recovered|quarantined)` — only when they fire, so a clean
+    /// run's metrics block is byte-identical with or without
+    /// supervision.
     pub fn run_observed(self, threads: usize, obs: &MetricsRegistry) -> StageOutputs {
         let threads = if threads == 0 {
             std::thread::available_parallelism()
@@ -439,14 +501,17 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 
 /// One attempt at a stage: probe the store (every retry re-probes, so a
 /// crash-and-retry resumes from whatever upstream persists survived),
-/// run the body on a miss, persist the encoding. Runs inside the
-/// worker's `catch_unwind` — a panic anywhere here (the store's
-/// simulated-crash hook included) is one failed attempt.
+/// replay the cached sheet into the stage's sink on a hit, run the body
+/// on a miss and persist the encoding with the sink's sheet. Runs inside
+/// the worker's `catch_unwind` — a panic anywhere here (the store's
+/// simulated-crash hook included) is one failed attempt. `exec` takes
+/// the executor's own counters, which are never cached.
 fn attempt_stage(
     ctx: &WorkerCtx<'_, '_>,
     index: usize,
     body: &mut StageFn<'_>,
     results: &StageResults<'_>,
+    exec: &StageSink,
     write_failed: &AtomicBool,
 ) -> (BoxedAny, u64) {
     let stage = &ctx.stages[index];
@@ -455,16 +520,17 @@ fn attempt_stage(
     };
     let key = stage_key(binding, stage, ctx.digests);
     if let Some(payload) = binding.store.load_stage(&binding.base, &stage.name, &key) {
-        if let Some((value, items)) = (stage.codec.decode)(&payload) {
-            ctx.obs.counter_add(&stage.name, "store", "cache_hit", 1);
+        if let Some((value, items, mut sheet)) = (stage.codec.decode)(&payload) {
+            exec.counter_add("store", "cache_hit", 1);
+            results.sink.flush(&mut sheet);
             *ctx.digests[index].lock().unwrap() = Some(digest(&payload));
             return (value, items);
         }
     }
     let (value, items) = body(results);
-    let payload = (stage.codec.encode)(&value, items);
+    let payload = (stage.codec.encode)(&value, items, &results.sink.sheet());
     *ctx.digests[index].lock().unwrap() = Some(digest(&payload));
-    ctx.obs.counter_add(&stage.name, "store", "cache_miss", 1);
+    exec.counter_add("store", "cache_miss", 1);
     if binding
         .store
         .store_stage(&binding.base, &stage.name, &key, &payload)
@@ -474,7 +540,7 @@ fn attempt_stage(
         // hand and the entry will be recomputed next time. It is still
         // reported: the run will not resume warm, and the operator
         // should hear about the full/read-only disk now.
-        ctx.obs.counter_add(&stage.name, "store", "write_error", 1);
+        exec.counter_add("store", "write_error", 1);
         write_failed.store(true, Ordering::Relaxed);
     }
     (value, items)
@@ -502,7 +568,12 @@ fn run_worker(ctx: &WorkerCtx<'_, '_>) {
             .unwrap()
             .take()
             .expect("stage scheduled twice");
-        let results = StageResults { slots: ctx.slots };
+        let sink = ctx.obs.sink(&stage.name);
+        let exec = ctx.obs.sink(&stage.name);
+        let results = StageResults {
+            slots: ctx.slots,
+            sink: &sink,
+        };
         let start = Instant::now();
         let span = ctx.obs.span(&stage.name, "stage");
         let max_attempts = ctx.policy.max_attempts();
@@ -519,7 +590,7 @@ fn run_worker(ctx: &WorkerCtx<'_, '_>) {
             // poison or retry rather than deadlock the other workers on
             // the condvar.
             match catch_unwind(AssertUnwindSafe(|| {
-                attempt_stage(ctx, next, &mut body, &results, &write_failed)
+                attempt_stage(ctx, next, &mut body, &results, &exec, &write_failed)
             })) {
                 Ok(out) => {
                     outcome = Some(out);
@@ -529,7 +600,7 @@ fn run_worker(ctx: &WorkerCtx<'_, '_>) {
                     last_error = Some(panic_message(payload.as_ref()));
                     last_payload = Some(payload);
                     if attempts < max_attempts {
-                        ctx.obs.counter_add(&stage.name, "supervisor", "retry", 1);
+                        exec.counter_add("supervisor", "retry", 1);
                     }
                 }
             }
@@ -538,8 +609,7 @@ fn run_worker(ctx: &WorkerCtx<'_, '_>) {
         let (status, value, items) = match outcome {
             Some((value, items)) => {
                 let status = if attempts > 1 {
-                    ctx.obs
-                        .counter_add(&stage.name, "supervisor", "recovered", 1);
+                    exec.counter_add("supervisor", "recovered", 1);
                     StageStatus::Recovered
                 } else {
                     StageStatus::Completed
@@ -562,17 +632,16 @@ fn run_worker(ctx: &WorkerCtx<'_, '_>) {
                     .expect("fallback taken twice");
                 match catch_unwind(AssertUnwindSafe(|| fb(&results))) {
                     Ok((value, items)) => {
-                        ctx.obs
-                            .counter_add(&stage.name, "supervisor", "quarantined", 1);
+                        exec.counter_add("supervisor", "quarantined", 1);
                         // Re-key (or clear) the stage's content digest
                         // from the fallback payload so dependents cache
                         // under addresses that name the degraded data —
                         // and never persist the fallback under the
                         // stage's own key, which names the real
                         // computation.
-                        *ctx.digests[next].lock().unwrap() = ctx
-                            .store
-                            .map(|_| digest(&(stage.codec.encode)(&value, items)));
+                        *ctx.digests[next].lock().unwrap() = ctx.store.map(|_| {
+                            digest(&(stage.codec.encode)(&value, items, &MetricSheet::new()))
+                        });
                         (StageStatus::Quarantined, value, items)
                     }
                     Err(fb_payload) => {
@@ -586,7 +655,7 @@ fn run_worker(ctx: &WorkerCtx<'_, '_>) {
         };
         drop(span);
         let wall_ms = start.elapsed().as_secs_f64() * 1_000.0;
-        ctx.obs.counter_add(&stage.name, "executor", "items", items);
+        exec.counter_add("executor", "items", items);
         let _ = ctx.slots[next].set(value);
         let _ = ctx.timings[next].set(StageTiming {
             name: stage.name.clone(),
@@ -990,6 +1059,40 @@ mod tests {
                 "stage qr_pilot: quarantined after 2 attempts (boom); fallback output substituted"
             ]
         );
+    }
+
+    #[test]
+    fn a_cache_hit_replays_the_sheet_of_every_attempt() {
+        let dir = std::env::temp_dir().join(format!("gt-exec-sheet-{}", std::process::id()));
+        let store = Arc::new(RunStore::open(&dir).expect("store opens"));
+        let bodies = AtomicU32::new(0);
+        let run = || {
+            let mut g = StageGraph::new();
+            g.bind_store(store.clone(), digest(b"sheet-replay"));
+            g.supervise(SupervisionPolicy::recover(2));
+            g.add_stage("flaky", &[], &[], |r| {
+                r.sink().counter_add("sub", "calls", 1);
+                if bodies.fetch_add(1, Ordering::SeqCst) == 0 {
+                    panic!("first attempt fails");
+                }
+                (5u8, 0)
+            });
+            let obs = MetricsRegistry::new();
+            g.run_observed(1, &obs);
+            obs.snapshot()
+        };
+        let cold = run();
+        let warm = run();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(bodies.load(Ordering::SeqCst), 2, "the warm run is a hit");
+        assert_eq!(
+            cold.counter("flaky", "sub", "calls"),
+            Some(2),
+            "both attempts"
+        );
+        assert_eq!(warm.counter("flaky", "sub", "calls"), Some(2), "replayed");
+        assert_eq!(warm.counter("flaky", "store", "cache_hit"), Some(1));
+        assert_eq!(warm.counter("flaky", "supervisor", "retry"), None);
     }
 
     #[test]

@@ -153,7 +153,6 @@ mod tests {
                 payments_final: 0,
             },
             revenue: RevenueRow::default(),
-            degradation: Default::default(),
         }
     }
 

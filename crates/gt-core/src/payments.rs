@@ -5,7 +5,6 @@ use gt_addr::{Address, Coin};
 use gt_chain::{ChainReads, Transfer};
 use gt_cluster::{Category, ClusterView, TagResolver};
 use gt_price::PriceOracle;
-use gt_sim::faults::DegradationStats;
 use gt_sim::{SimDuration, SimTime};
 use gt_store::{StoreDecode, StoreEncode};
 use serde::{Deserialize, Serialize};
@@ -77,10 +76,6 @@ pub struct PaymentAnalysis {
     pub payments: Vec<IsolatedPayment>,
     pub funnel: PaymentFunnel,
     pub revenue: RevenueRow,
-    /// RPC-read degradation behind this analysis (all zero when the
-    /// reads went straight to the ledger). Lives in `PaperRun`, never
-    /// in `PaperReport`.
-    pub degradation: DegradationStats,
 }
 
 impl PaymentAnalysis {
@@ -204,7 +199,6 @@ fn isolate<C: ChainReads>(
         payments,
         funnel,
         revenue,
-        degradation: DegradationStats::default(),
     }
 }
 

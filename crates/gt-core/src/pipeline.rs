@@ -69,9 +69,9 @@ pub struct PipelineOptions {
     pub chaos: Option<(u64, ChaosProfile)>,
     /// Retry/backoff policy for fault-gated calls.
     pub retry: RetryPolicy,
-    /// Collect deterministic metrics and wall-clock spans into
-    /// [`PaperRun::telemetry`] (on by default; cheap enough for
-    /// every run — see the gt-bench overhead guard).
+    /// Record wall-clock spans into [`PaperRun::telemetry`] (on by
+    /// default; cheap enough for every run — see the gt-bench overhead
+    /// guard). The sim-derived metrics block is collected either way.
     pub telemetry: bool,
     /// Stage-result store: every stage probes it before computing and
     /// persists its output after. `None` (the default) computes
@@ -159,7 +159,7 @@ impl PipelineOptions {
         self
     }
 
-    /// Enable or disable telemetry collection.
+    /// Enable or disable span recording (metrics are always on).
     pub fn telemetry(mut self, enabled: bool) -> Self {
         self.telemetry = enabled;
         self
@@ -179,18 +179,16 @@ impl PipelineOptions {
 
     /// The run's base cache fingerprint for a given world config: a
     /// digest over everything run-global that stage outputs can depend
-    /// on — the config, the *resolved* fault plan, the retry policy,
-    /// and the telemetry flag (telemetry changes the degradation
-    /// accounting embedded in cached payloads). The thread count is
-    /// deliberately absent: results are thread-invariant, so runs at
-    /// different parallelism share cache entries.
+    /// on — the config, the *resolved* fault plan and the retry policy.
+    /// The thread count and the telemetry flag are deliberately absent:
+    /// results and metric sheets are thread-invariant, and the flag
+    /// only switches wall-clock spans, so such runs share cache entries.
     pub fn base_fingerprint(&self, config: &WorldConfig) -> Digest {
         let plan = self.resolve_fault_plan(config);
         let mut kb = KeyBuilder::new("base");
         kb.push_encoded(config);
         kb.push_encoded(&plan);
         kb.push_encoded(&self.retry);
-        kb.push_bytes(&[self.telemetry as u8]);
         kb.finish()
     }
 
@@ -217,9 +215,20 @@ pub struct StageDegradation {
     pub stats: DegradationStats,
 }
 
+/// The stages whose substrate calls go through a fault gate.
+const GATED_STAGES: [&str; 6] = [
+    "pilot_monitor",
+    "main_monitor",
+    "twitch_pilot",
+    "twitter_payments",
+    "youtube_payments",
+    "outgoing_stats",
+];
+
 /// Degradation accounting for a whole run: what each fault-gated stage
-/// lost, retried and recovered. Surfaced through [`PaperRun`] and the
-/// experiments JSON — never through [`PaperReport`].
+/// lost, retried and recovered. A view of the gate counters in the
+/// metrics block, surfaced through [`PaperRun`] and the experiments
+/// JSON — never through [`PaperReport`].
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct DegradationReport {
     /// Whether a fault plan was attached to the run.
@@ -229,12 +238,21 @@ pub struct DegradationReport {
 }
 
 impl DegradationReport {
-    fn push(&mut self, stage: &str, stats: DegradationStats) {
-        self.total.merge(&stats);
-        self.stages.push(StageDegradation {
-            stage: stage.to_string(),
-            stats,
-        });
+    /// Read every gated stage's accounting out of `telemetry`.
+    fn from_snapshot(enabled: bool, telemetry: &TelemetrySnapshot) -> Self {
+        let mut report = DegradationReport {
+            enabled,
+            ..Default::default()
+        };
+        for stage in GATED_STAGES {
+            let stats = DegradationStats::from_snapshot(telemetry, stage);
+            report.total.merge(&stats);
+            report.stages.push(StageDegradation {
+                stage: stage.to_string(),
+                stats,
+            });
+        }
+        report
     }
 }
 
@@ -258,9 +276,11 @@ pub struct PaperRun {
     pub youtube_analysis: PaymentAnalysis,
     /// Per-stage wall times and item counts for this run.
     pub timings: StageTimings,
-    /// Injected-fault accounting (all zero / disabled on clean runs).
+    /// Injected-fault accounting (all zero / disabled on clean runs),
+    /// derived from the gate counters in `telemetry`.
     pub degradation: DegradationReport,
-    /// Deterministic metrics plus wall-clock spans (disabled/empty when
+    /// Deterministic metrics — the same rows whether a stage ran or
+    /// replayed its cached sheet — plus wall-clock spans (empty when
     /// [`PipelineOptions::telemetry`] is off). Like `timings`, this
     /// never feeds [`PaperReport`].
     pub telemetry: TelemetrySnapshot,
@@ -311,7 +331,7 @@ impl<'w> Pipeline<'w> {
         let obs = if self.options.telemetry {
             MetricsRegistry::new()
         } else {
-            MetricsRegistry::disabled()
+            MetricsRegistry::without_spans()
         };
         // RPC backfill reads start once collection has finished.
         let rpc_epoch = config.youtube_end;
@@ -331,15 +351,14 @@ impl<'w> Pipeline<'w> {
         });
 
         let pilot_plan = plan.clone();
-        let pilot_sink = obs.sink("pilot_monitor");
-        let pilot = g.add_stage("pilot_monitor", &[skip_pilot as u8], &[], move |_| {
+        let pilot = g.add_stage("pilot_monitor", &[skip_pilot as u8], &[], move |r| {
             if skip_pilot {
                 return (MonitorReport::default(), 0);
             }
             let mut cfg = MonitorConfig::paper(config.pilot_start, config.pilot_end);
             cfg.fault_plan = pilot_plan.clone();
             cfg.retry = retry;
-            cfg.sink = pilot_sink.clone();
+            cfg.sink = r.sink().clone();
             let monitor = Monitor::new(cfg, search_keyword_set());
             let report = monitor.run(&world.youtube, &world.web);
             let streams = report.streams.len() as u64;
@@ -347,20 +366,19 @@ impl<'w> Pipeline<'w> {
         });
 
         let monitor_plan = plan.clone();
-        let monitor_sink = obs.sink("main_monitor");
-        let main_monitor = g.add_stage("main_monitor", &[], &[], move |_| {
+        let main_monitor = g.add_stage("main_monitor", &[], &[], move |r| {
             let mut cfg = MonitorConfig::paper(config.youtube_start, config.youtube_end);
             cfg.fault_plan = monitor_plan.clone();
             cfg.retry = retry;
-            cfg.sink = monitor_sink.clone();
+            cfg.sink = r.sink().clone();
             let monitor = Monitor::new(cfg, search_keyword_set());
             let report = monitor.run(&world.youtube, &world.web);
             let streams = report.streams.len() as u64;
             (report, streams)
         });
 
-        let chain_sink = obs.sink("chain_analysis");
-        let chain = g.add_stage("chain_analysis", &[], &[], move |_| {
+        let chain = g.add_stage("chain_analysis", &[], &[], move |r| {
+            let chain_sink = r.sink();
             let view = {
                 let _span = chain_sink.span("cluster.build");
                 ClusterView::build_par(&world.chains.btc, ClusteringOptions::default(), threads)
@@ -376,15 +394,14 @@ impl<'w> Pipeline<'w> {
         });
 
         let twitch_plan = plan.clone();
-        let twitch_sink = obs.sink("twitch_pilot");
-        let twitch = g.add_stage("twitch_pilot", &[], &[], move |_| {
+        let twitch = g.add_stage("twitch_pilot", &[], &[], move |r| {
             let report = run_twitch_pilot_observed(
                 &world.twitch,
                 config.pilot_start,
                 config.pilot_end,
                 twitch_plan.as_ref(),
                 retry,
-                twitch_sink.clone(),
+                r.sink().clone(),
             );
             (report, 0)
         });
@@ -414,7 +431,6 @@ impl<'w> Pipeline<'w> {
 
         // ---- per-platform payment isolation (Sections 5.1–5.3) ----
         let twitter_plan = plan.clone();
-        let twitter_sink = obs.sink("twitter_payments");
         let twitter_an = g.add_stage(
             "twitter_payments",
             &[],
@@ -429,9 +445,9 @@ impl<'w> Pipeline<'w> {
                     "rpc.twitter",
                     retry,
                     rpc_epoch,
-                    twitter_sink.clone(),
+                    r.sink().clone(),
                 );
-                let mut analysis = analyze_twitter(
+                let analysis = analyze_twitter(
                     r.get(twitter_ds),
                     &rpc,
                     &world.prices,
@@ -439,14 +455,12 @@ impl<'w> Pipeline<'w> {
                     &ca.view,
                     r.get(known_scam),
                 );
-                analysis.degradation = rpc.stats();
                 let payments = analysis.funnel.payments_any as u64;
                 (analysis, payments)
             },
         );
 
         let youtube_plan = plan.clone();
-        let youtube_sink = obs.sink("youtube_payments");
         let youtube_an = g.add_stage(
             "youtube_payments",
             &[],
@@ -459,9 +473,9 @@ impl<'w> Pipeline<'w> {
                     "rpc.youtube",
                     retry,
                     rpc_epoch,
-                    youtube_sink.clone(),
+                    r.sink().clone(),
                 );
-                let mut analysis = analyze_youtube(
+                let analysis = analyze_youtube(
                     r.get(youtube_ds),
                     &rpc,
                     &world.prices,
@@ -469,7 +483,6 @@ impl<'w> Pipeline<'w> {
                     &ca.view,
                     r.get(known_scam),
                 );
-                analysis.degradation = rpc.stats();
                 let payments = analysis.funnel.payments_any as u64;
                 (analysis, payments)
             },
@@ -613,7 +626,6 @@ impl<'w> Pipeline<'w> {
             },
         );
         let outgoing_plan = plan.clone();
-        let outgoing_sink = obs.sink("outgoing_stats");
         let outgoing = g.add_stage(
             "outgoing_stats",
             &[],
@@ -627,10 +639,10 @@ impl<'w> Pipeline<'w> {
                     "rpc.outgoing",
                     retry,
                     rpc_epoch,
-                    outgoing_sink.clone(),
+                    r.sink().clone(),
                 );
                 let stats = scammers::outgoing_stats(&analyses, &rpc, &ca.resolver, &ca.view);
-                ((stats, rpc.stats()), 0)
+                (stats, 0)
             },
         );
 
@@ -712,18 +724,8 @@ impl<'w> Pipeline<'w> {
         let twitter_analysis = out.take(twitter_an);
         let youtube_analysis = out.take(youtube_an);
         let twitch_report = out.take(twitch);
-        let (outgoing_stats, outgoing_deg) = out.take(outgoing);
-
-        let mut degradation = DegradationReport {
-            enabled: plan.is_some(),
-            ..Default::default()
-        };
-        degradation.push("pilot_monitor", pilot_report.degradation);
-        degradation.push("main_monitor", monitor_report.degradation);
-        degradation.push("twitch_pilot", twitch_report.degradation);
-        degradation.push("twitter_payments", twitter_analysis.degradation);
-        degradation.push("youtube_payments", youtube_analysis.degradation);
-        degradation.push("outgoing_stats", outgoing_deg);
+        let telemetry = obs.snapshot();
+        let degradation = DegradationReport::from_snapshot(plan.is_some(), &telemetry);
 
         let report = PaperReport {
             table1: Table1::new(&twitter_dataset, &youtube_dataset),
@@ -745,7 +747,7 @@ impl<'w> Pipeline<'w> {
             recipients: out.take(recipients),
             twitter_recipients: scammers::distinct_recipients(&twitter_analysis),
             youtube_recipients: scammers::distinct_recipients(&youtube_analysis),
-            outgoing: outgoing_stats,
+            outgoing: out.take(outgoing),
             qr_pilot: out.take(qr_pilot),
             twitch: TwitchSummary {
                 streams_listed: twitch_report.streams_listed,
@@ -766,7 +768,7 @@ impl<'w> Pipeline<'w> {
             youtube_analysis,
             timings: out.timings,
             degradation,
-            telemetry: obs.snapshot(),
+            telemetry,
             health: out.health,
         }
     }

@@ -156,7 +156,6 @@ mod tests {
                 payments_final: 0,
             },
             revenue: RevenueRow::default(),
-            degradation: Default::default(),
         }
     }
 

@@ -3,25 +3,29 @@
 //! The pipeline is a measurement instrument; this crate instruments the
 //! instrument. It provides three pieces:
 //!
-//! - a lock-cheap [`MetricsRegistry`] holding counters, gauges, and
-//!   fixed-bucket [`Histogram`]s keyed by `(stage, substrate, metric)`;
+//! - a [`MetricsRegistry`] whose [`StageSink`]s each record counters
+//!   and fixed-bucket [`Histogram`]s keyed `(substrate,
+//!   metric)` into a [`MetricSheet`] of their own — one stage's record
+//!   of what it observed, which the stage executor caches with the
+//!   stage's output and replays on a cache hit;
 //! - a span API ([`MetricsRegistry::span`], [`StageSink::span`]) that
 //!   records nestable wall-clock intervals, optionally annotated with a
 //!   sim-clock timestamp, suitable for Chrome `trace_event` export;
 //! - a serializable [`TelemetrySnapshot`] that splits the two worlds:
-//!   the `metrics` block is derived purely from sim state and must be
-//!   byte-identical across thread counts, while the `wall` block holds
+//!   the `metrics` block (every sheet, folded per stage) is derived
+//!   purely from sim state and must be byte-identical across thread
+//!   counts and cold or warm runs, while the `wall` block holds
 //!   wall-clock spans and is explicitly excluded from determinism
 //!   checks.
 //!
 //! # Determinism contract
 //!
-//! Every metric *value* (counter increments, gauge maxima, histogram
-//! observations) must be computed from simulation state only: item
+//! Every metric *value* (counter increments, histogram observations) must be computed from simulation state only: item
 //! counts, sim-time backoff waits, fault-gate accounting. Wall-clock
 //! readings never feed a metric — they live exclusively in span records
 //! inside [`WallBlock`]. `tests/telemetry.rs` pins the metrics block
-//! byte-identical across 1/2/4 worker threads.
+//! byte-identical across 1/2/4 worker threads, and `tests/store.rs`
+//! across cold, warm and resumed runs.
 //!
 //! # Layering
 //!
@@ -30,17 +34,16 @@
 //! into the registry without a cycle. Sim timestamps therefore cross
 //! this API as raw `i64` seconds.
 //!
-//! A disabled registry ([`MetricsRegistry::disabled`]) is a true no-op:
-//! every operation returns immediately without locking, so substrate
-//! code can call sinks unconditionally. The `gt-bench` overhead guard
-//! holds the enabled path to <5% of end-to-end wall time.
+//! Metrics are always collected; spans are optional
+//! ([`MetricsRegistry::without_spans`]). [`StageSink::noop`] records
+//! nothing, so substrate code can call sinks unconditionally. The
+//! `gt-bench` overhead guard holds spans to <5% of end-to-end wall
+//! time.
 
 mod metrics;
 mod snapshot;
 mod span;
 
-pub use metrics::{
-    Histogram, MetricSheet, MetricsRegistry, StageSink, BACKOFF_BUCKET_EDGES, RECORD_BUCKET_EDGES,
-};
+pub use metrics::{Histogram, MetricSheet, MetricsRegistry, StageSink, BACKOFF_BUCKET_EDGES};
 pub use snapshot::{MetricRow, SpanSnap, TelemetrySnapshot, WallBlock};
 pub use span::SpanGuard;

@@ -1,9 +1,11 @@
-//! Registry, per-stage sinks, and the lock-free local accumulator.
+//! Registry, per-stage sinks, and the metric sheet they record into.
 
 use crate::snapshot::{MetricRow, SpanSnap, TelemetrySnapshot, WallBlock};
 use crate::span::{SpanGuard, SpanRecord};
 use parking_lot::Mutex;
 use serde::Serialize;
+use std::borrow::Cow;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -11,9 +13,6 @@ use std::time::Instant;
 /// Bucket edges (seconds) for backoff-sleep histograms. Powers of two
 /// track the exponential retry schedule; the last bucket is overflow.
 pub const BACKOFF_BUCKET_EDGES: &[u64] = &[1, 2, 4, 8, 16, 32, 64, 128, 256, 512];
-
-/// Bucket edges (items) for per-call record-count histograms.
-pub const RECORD_BUCKET_EDGES: &[u64] = &[1, 2, 4, 8, 16, 32, 64, 128, 256];
 
 /// A fixed-bucket histogram. `counts[i]` holds observations `<=
 /// edges[i]`; the final slot counts overflow. Edges are fixed at
@@ -68,27 +67,40 @@ impl Histogram {
     }
 }
 
-/// One metric cell inside the registry.
-#[derive(Debug, Clone)]
+/// One metric cell.
+#[derive(Debug, Clone, PartialEq, Eq)]
 enum MetricCell {
     /// Monotonic sum.
     Counter(u64),
-    /// Maximum observed value (max is order-free, so gauges stay
-    /// deterministic under concurrent flushes).
-    Gauge(u64),
     Hist(Histogram),
 }
 
-type MetricKey = (String, String, String); // (stage, substrate, metric)
+impl MetricCell {
+    /// Fold `other` into `self`; `false` if the two differ in kind.
+    fn merge(&mut self, other: &MetricCell) -> bool {
+        match (self, other) {
+            (MetricCell::Counter(a), MetricCell::Counter(b)) => *a += b,
+            (MetricCell::Hist(a), MetricCell::Hist(b)) => a.merge(b),
+            _ => return false,
+        }
+        true
+    }
+}
 
-/// A local, lock-free accumulator a driver fills during its run and
-/// flushes to the registry once ([`StageSink::flush`]). Keys are
-/// `(substrate, metric)`; the owning sink supplies the stage.
-#[derive(Debug, Clone, Default)]
+/// `(substrate, metric)`. Borrowed when recorded by code, owned when
+/// rebuilt from persisted rows.
+type SheetKey = (Cow<'static, str>, Cow<'static, str>);
+
+/// One stage's metric cells, keyed `(substrate, metric)`.
+///
+/// Gates and drivers fill a local sheet lock-free and flush it into
+/// their [`StageSink`] once; the sink's own sheet is the stage's record
+/// of what it observed, which the executor persists next to the stage
+/// output and replays on a cache hit ([`MetricSheet::rows`] /
+/// [`MetricSheet::from_rows`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricSheet {
-    counters: BTreeMap<(&'static str, &'static str), u64>,
-    gauges: BTreeMap<(&'static str, &'static str), u64>,
-    hists: BTreeMap<(&'static str, &'static str), Histogram>,
+    cells: BTreeMap<SheetKey, MetricCell>,
 }
 
 impl MetricSheet {
@@ -96,15 +108,28 @@ impl MetricSheet {
         MetricSheet::default()
     }
 
-    /// Add to a counter.
-    pub fn add(&mut self, substrate: &'static str, metric: &'static str, value: u64) {
-        *self.counters.entry((substrate, metric)).or_insert(0) += value;
+    /// Fold `cell` in under `key`.
+    ///
+    /// # Panics
+    /// If the sheet holds a cell of another kind (or, for histograms,
+    /// other bucket edges) under `key`.
+    fn fold(&mut self, key: SheetKey, cell: MetricCell) {
+        match self.cells.entry(key) {
+            Entry::Vacant(e) => {
+                e.insert(cell);
+            }
+            Entry::Occupied(mut e) => {
+                if !e.get_mut().merge(&cell) {
+                    panic!("metric kind clash for {}/{}", e.key().0, e.key().1);
+                }
+            }
+        }
     }
 
-    /// Raise a max-gauge.
-    pub fn gauge_max(&mut self, substrate: &'static str, metric: &'static str, value: u64) {
-        let cell = self.gauges.entry((substrate, metric)).or_insert(0);
-        *cell = (*cell).max(value);
+    /// Add to a counter.
+    pub fn add(&mut self, substrate: &'static str, metric: &'static str, value: u64) {
+        let key = (Cow::Borrowed(substrate), Cow::Borrowed(metric));
+        self.fold(key, MetricCell::Counter(value));
     }
 
     /// Observe into a fixed-bucket histogram (created on first use).
@@ -115,37 +140,92 @@ impl MetricSheet {
         value: u64,
         edges: &[u64],
     ) {
-        self.hists
-            .entry((substrate, metric))
-            .or_insert_with(|| Histogram::new(edges))
-            .observe(value);
+        let mut hist = Histogram::new(edges);
+        hist.observe(value);
+        let key = (Cow::Borrowed(substrate), Cow::Borrowed(metric));
+        self.fold(key, MetricCell::Hist(hist));
     }
 
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.hists.is_empty()
+        self.cells.is_empty()
     }
 
-    fn clear(&mut self) {
-        self.counters.clear();
-        self.gauges.clear();
-        self.hists.clear();
+    /// Fold every cell of `other` into `self`.
+    ///
+    /// # Panics
+    /// If a cell exists in both with different kinds or bucket edges.
+    pub fn merge(&mut self, other: &MetricSheet) {
+        for (key, cell) in &other.cells {
+            self.fold(key.clone(), cell.clone());
+        }
+    }
+
+    /// The sheet's cells as rows under `stage`, sorted by
+    /// `(substrate, metric)`.
+    pub fn rows<'s>(&'s self, stage: &'s str) -> impl Iterator<Item = MetricRow> + 's {
+        self.cells.iter().map(move |((substrate, metric), cell)| {
+            let (kind, value, hist) = match cell {
+                MetricCell::Counter(c) => ("counter", *c, None),
+                MetricCell::Hist(h) => ("histogram", h.count, Some(h.clone())),
+            };
+            MetricRow {
+                stage: stage.to_string(),
+                substrate: substrate.to_string(),
+                metric: metric.to_string(),
+                kind: kind.to_string(),
+                value,
+                hist,
+            }
+        })
+    }
+
+    /// Rebuild a sheet from its [`MetricSheet::rows`] (row stages are
+    /// ignored). `None` if a row is malformed: an unknown kind, or a
+    /// histogram whose buckets do not match its edges.
+    pub fn from_rows(rows: impl IntoIterator<Item = MetricRow>) -> Option<MetricSheet> {
+        let mut sheet = MetricSheet::new();
+        for row in rows {
+            let cell = match (row.kind.as_str(), row.hist) {
+                ("counter", None) => MetricCell::Counter(row.value),
+                ("histogram", Some(h)) if h.counts.len() == h.edges.len() + 1 => {
+                    MetricCell::Hist(h)
+                }
+                _ => return None,
+            };
+            let key = (Cow::Owned(row.substrate), Cow::Owned(row.metric));
+            sheet.cells.insert(key, cell);
+        }
+        Some(sheet)
     }
 }
 
+/// The run's span log: wall-clock intervals, kept only when spans are
+/// on.
 #[derive(Debug)]
-pub(crate) struct Inner {
+pub(crate) struct SpanLog {
     /// Wall-clock zero for span timestamps.
     pub(crate) epoch: Instant,
-    metrics: Mutex<BTreeMap<MetricKey, MetricCell>>,
-    pub(crate) spans: Mutex<Vec<SpanRecord>>,
+    pub(crate) records: Mutex<Vec<SpanRecord>>,
 }
 
-/// The shared metric/span store. Cloning is cheap (an `Arc`); a
-/// disabled registry carries no storage and every operation on it is a
-/// no-op, so instrumented code never needs an `if enabled` branch.
+/// A sink's sheet, shared by every clone of the sink.
+type SharedSheet = Arc<Mutex<MetricSheet>>;
+
+/// Every sheet a registry handed out, with its stage.
+type SheetList = Arc<Mutex<Vec<(Arc<str>, SharedSheet)>>>;
+
+/// The run's metrics and spans. Cloning is cheap (`Arc`s).
+///
+/// Metrics are always collected: every [`StageSink`] handed out by
+/// [`MetricsRegistry::sink`] records into a sheet of its own, and
+/// [`MetricsRegistry::snapshot`] folds the sheets per stage. Spans are
+/// optional ([`MetricsRegistry::without_spans`]); a span opened on a
+/// registry without them is a no-op.
 #[derive(Debug, Clone)]
 pub struct MetricsRegistry {
-    inner: Option<Arc<Inner>>,
+    epoch: Instant,
+    sheets: SheetList,
+    spans: Option<Arc<SpanLog>>,
 }
 
 impl Default for MetricsRegistry {
@@ -155,159 +235,104 @@ impl Default for MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// An enabled registry with its wall-clock epoch set to now.
+    /// A registry recording metrics and spans, its wall-clock epoch set
+    /// to now.
     pub fn new() -> Self {
+        let epoch = Instant::now();
         MetricsRegistry {
-            inner: Some(Arc::new(Inner {
-                epoch: Instant::now(),
-                metrics: Mutex::new(BTreeMap::new()),
-                spans: Mutex::new(Vec::new()),
+            epoch,
+            sheets: Arc::default(),
+            spans: Some(Arc::new(SpanLog {
+                epoch,
+                records: Mutex::new(Vec::new()),
             })),
         }
     }
 
-    /// A no-op registry: no storage, no locking, empty snapshots.
-    pub fn disabled() -> Self {
-        MetricsRegistry { inner: None }
+    /// A registry recording metrics only: spans are no-ops and the
+    /// snapshot's span list is empty.
+    pub fn without_spans() -> Self {
+        MetricsRegistry {
+            spans: None,
+            ..MetricsRegistry::new()
+        }
     }
 
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// A sink bound to one pipeline stage. Sinks are cheap to clone and
-    /// `Send + Sync`; hand one to each stage body / substrate driver.
+    /// A sink bound to one pipeline stage, recording into a fresh sheet
+    /// that the registry's snapshot includes. Sinks are cheap to clone
+    /// and `Send + Sync`; clones share the sheet.
     pub fn sink(&self, stage: &str) -> StageSink {
+        let stage: Arc<str> = Arc::from(stage);
+        let sheet = SharedSheet::default();
+        self.sheets.lock().push((stage.clone(), sheet.clone()));
         StageSink {
-            registry: self.clone(),
-            stage: Arc::from(stage),
+            stage,
+            sheet: Some(sheet),
+            spans: self.spans.clone(),
         }
     }
 
     /// Open a wall-clock span; it records itself when dropped.
     pub fn span(&self, name: &str, cat: &'static str) -> SpanGuard {
-        SpanGuard::open(self.inner.clone(), name, cat, None)
-    }
-
-    /// Add to a counter keyed `(stage, substrate, metric)`.
-    pub fn counter_add(&self, stage: &str, substrate: &str, metric: &str, value: u64) {
-        let Some(inner) = &self.inner else { return };
-        let mut map = inner.metrics.lock();
-        match map
-            .entry((stage.to_string(), substrate.to_string(), metric.to_string()))
-            .or_insert(MetricCell::Counter(0))
-        {
-            MetricCell::Counter(c) => *c += value,
-            other => {
-                panic!("metric kind clash for counter {stage}/{substrate}/{metric}: {other:?}")
-            }
-        }
-    }
-
-    /// Drain a [`MetricSheet`] into the registry under a single lock.
-    fn flush_sheet(&self, stage: &str, sheet: &mut MetricSheet) {
-        let Some(inner) = &self.inner else {
-            sheet.clear();
-            return;
-        };
-        if sheet.is_empty() {
-            return;
-        }
-        let mut map = inner.metrics.lock();
-        for (&(substrate, metric), &value) in &sheet.counters {
-            match map
-                .entry(key(stage, substrate, metric))
-                .or_insert(MetricCell::Counter(0))
-            {
-                MetricCell::Counter(c) => *c += value,
-                other => panic!("metric kind clash for counter {substrate}/{metric}: {other:?}"),
-            }
-        }
-        for (&(substrate, metric), &value) in &sheet.gauges {
-            match map
-                .entry(key(stage, substrate, metric))
-                .or_insert(MetricCell::Gauge(0))
-            {
-                MetricCell::Gauge(g) => *g = (*g).max(value),
-                other => panic!("metric kind clash for gauge {substrate}/{metric}: {other:?}"),
-            }
-        }
-        for ((substrate, metric), hist) in &sheet.hists {
-            match map
-                .entry(key(stage, substrate, metric))
-                .or_insert_with(|| MetricCell::Hist(Histogram::new(&hist.edges)))
-            {
-                MetricCell::Hist(h) => h.merge(hist),
-                other => panic!("metric kind clash for histogram {substrate}/{metric}: {other:?}"),
-            }
-        }
-        sheet.clear();
+        SpanGuard::open(self.spans.clone(), name, cat, None)
     }
 
     /// Freeze the registry contents into a serializable snapshot.
-    /// Metric rows come out in `BTreeMap` key order — deterministic for
-    /// deterministic inputs; spans sort by `(lane, start)`.
+    /// Metric rows come out sorted by `(stage, substrate, metric)` —
+    /// deterministic for deterministic inputs, whatever order the sinks
+    /// were created in; spans sort by `(lane, start)`.
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        let Some(inner) = &self.inner else {
-            return TelemetrySnapshot {
-                enabled: false,
-                metrics: Vec::new(),
-                wall: WallBlock::default(),
-            };
-        };
-        let metrics = inner
-            .metrics
-            .lock()
+        let mut by_stage: BTreeMap<Arc<str>, MetricSheet> = BTreeMap::new();
+        for (stage, sheet) in self.sheets.lock().iter() {
+            by_stage
+                .entry(stage.clone())
+                .or_default()
+                .merge(&sheet.lock());
+        }
+        let metrics = by_stage
             .iter()
-            .map(|((stage, substrate, metric), cell)| {
-                let (kind, value, hist) = match cell {
-                    MetricCell::Counter(c) => ("counter", *c, None),
-                    MetricCell::Gauge(g) => ("gauge", *g, None),
-                    MetricCell::Hist(h) => ("histogram", h.count, Some(h.clone())),
-                };
-                MetricRow {
-                    stage: stage.clone(),
-                    substrate: substrate.clone(),
-                    metric: metric.clone(),
-                    kind: kind.to_string(),
-                    value,
-                    hist,
-                }
-            })
+            .flat_map(|(stage, sheet)| sheet.rows(stage))
             .collect();
-        let mut spans: Vec<SpanSnap> = inner.spans.lock().iter().map(SpanRecord::snap).collect();
+        let mut spans: Vec<SpanSnap> = self.spans.as_ref().map_or_else(Vec::new, |log| {
+            log.records.lock().iter().map(SpanRecord::snap).collect()
+        });
         spans.sort_by_key(|a| (a.lane, a.start_us));
         TelemetrySnapshot {
-            enabled: true,
+            enabled: self.spans.is_some(),
             metrics,
             wall: WallBlock {
-                total_ms: inner.epoch.elapsed().as_secs_f64() * 1_000.0,
+                total_ms: self.epoch.elapsed().as_secs_f64() * 1_000.0,
                 spans,
             },
         }
     }
 }
 
-fn key(stage: &str, substrate: &str, metric: &str) -> MetricKey {
-    (stage.to_string(), substrate.to_string(), metric.to_string())
-}
-
-/// A registry handle bound to one pipeline stage. The stage string is
-/// baked in so substrate drivers only name `(substrate, metric)`.
+/// A handle bound to one pipeline stage. The stage string is baked in
+/// so substrate drivers only name `(substrate, metric)`; metric rows go
+/// to the sink's own sheet, spans to the run's span log.
 #[derive(Debug, Clone)]
 pub struct StageSink {
-    registry: MetricsRegistry,
     stage: Arc<str>,
+    /// `None` for [`StageSink::noop`].
+    sheet: Option<SharedSheet>,
+    spans: Option<Arc<SpanLog>>,
 }
 
 impl StageSink {
-    /// A sink over a disabled registry: every operation is a no-op.
+    /// A sink that records nothing: no sheet, no spans.
     pub fn noop() -> Self {
-        MetricsRegistry::disabled().sink("noop")
+        StageSink {
+            stage: Arc::from("noop"),
+            sheet: None,
+            spans: None,
+        }
     }
 
+    /// Whether metric rows are recorded (false only for
+    /// [`StageSink::noop`]).
     pub fn enabled(&self) -> bool {
-        self.registry.is_enabled()
+        self.sheet.is_some()
     }
 
     pub fn stage(&self) -> &str {
@@ -316,24 +341,37 @@ impl StageSink {
 
     /// Open a nested wall-clock span under this stage.
     pub fn span(&self, name: &str) -> SpanGuard {
-        SpanGuard::open(self.registry.inner.clone(), name, "substrate", None)
+        SpanGuard::open(self.spans.clone(), name, "substrate", None)
     }
 
     /// [`StageSink::span`] annotated with the sim-clock second the
     /// spanned work models.
     pub fn span_sim(&self, name: &str, sim_ts: i64) -> SpanGuard {
-        SpanGuard::open(self.registry.inner.clone(), name, "substrate", Some(sim_ts))
+        SpanGuard::open(self.spans.clone(), name, "substrate", Some(sim_ts))
     }
 
     /// Add to a counter under this stage.
-    pub fn counter_add(&self, substrate: &str, metric: &str, value: u64) {
-        self.registry
-            .counter_add(&self.stage, substrate, metric, value);
+    pub fn counter_add(&self, substrate: &'static str, metric: &'static str, value: u64) {
+        if let Some(sheet) = &self.sheet {
+            sheet.lock().add(substrate, metric, value);
+        }
     }
 
-    /// Drain `sheet` into the registry under a single lock.
+    /// Drain `sheet` into this sink's sheet under a single lock.
     pub fn flush(&self, sheet: &mut MetricSheet) {
-        self.registry.flush_sheet(&self.stage, sheet);
+        if let Some(own) = &self.sheet {
+            if !sheet.is_empty() {
+                own.lock().merge(sheet);
+            }
+        }
+        *sheet = MetricSheet::new();
+    }
+
+    /// A copy of everything this sink (and its clones) recorded so far.
+    pub fn sheet(&self) -> MetricSheet {
+        self.sheet
+            .as_ref()
+            .map_or_else(MetricSheet::new, |s| s.lock().clone())
     }
 }
 
@@ -342,26 +380,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_registry_is_inert() {
-        let reg = MetricsRegistry::disabled();
-        reg.counter_add("s", "sub", "m", 3);
-        let sink = reg.sink("s");
+    fn noop_sink_is_inert() {
+        let sink = StageSink::noop();
+        assert!(!sink.enabled());
+        sink.counter_add("sub", "m", 3);
         let mut sheet = MetricSheet::new();
         sheet.add("sub", "m", 1);
         sink.flush(&mut sheet);
-        assert!(sheet.is_empty(), "flush drains even when disabled");
-        let snap = reg.snapshot();
-        assert!(!snap.enabled);
-        assert!(snap.metrics.is_empty());
-        assert!(snap.wall.spans.is_empty());
+        assert!(sheet.is_empty(), "flush drains even a noop sink");
+        assert!(sink.sheet().is_empty());
     }
 
     #[test]
     fn counters_accumulate_and_sort() {
         let reg = MetricsRegistry::new();
-        reg.counter_add("b", "x", "m", 1);
-        reg.counter_add("a", "x", "m", 2);
-        reg.counter_add("a", "x", "m", 3);
+        reg.sink("b").counter_add("x", "m", 1);
+        reg.sink("a").counter_add("x", "m", 2);
+        reg.sink("a").counter_add("x", "m", 3);
         let snap = reg.snapshot();
         let rows: Vec<(&str, u64)> = snap
             .metrics
@@ -378,18 +413,43 @@ mod tests {
         for _ in 0..2 {
             let mut sheet = MetricSheet::new();
             sheet.add("yt", "calls", 4);
-            sheet.gauge_max("yt", "tracked", 7);
             sheet.observe("yt", "backoff", 3, BACKOFF_BUCKET_EDGES);
             sink.flush(&mut sheet);
         }
         let snap = reg.snapshot();
         let calls = snap.counter("stage", "yt", "calls").unwrap();
         assert_eq!(calls, 8);
-        let gauge = snap.metrics.iter().find(|r| r.metric == "tracked").unwrap();
-        assert_eq!((gauge.kind.as_str(), gauge.value), ("gauge", 7));
         let hist = snap.metrics.iter().find(|r| r.metric == "backoff").unwrap();
         let h = hist.hist.as_ref().unwrap();
         assert_eq!((h.count, h.sum), (2, 6));
+    }
+
+    #[test]
+    fn sheet_rows_round_trip() {
+        let mut sheet = MetricSheet::new();
+        sheet.add("yt", "calls", 4);
+        sheet.observe("yt", "backoff", 3, BACKOFF_BUCKET_EDGES);
+        let rebuilt = MetricSheet::from_rows(sheet.rows("ignored")).unwrap();
+        assert_eq!(rebuilt, sheet);
+
+        let mut bad: Vec<MetricRow> = sheet.rows("s").collect();
+        bad[0].kind = "timer".to_string();
+        assert!(MetricSheet::from_rows(bad).is_none(), "unknown kind");
+    }
+
+    #[test]
+    fn sinks_without_spans_still_record_metrics() {
+        let reg = MetricsRegistry::without_spans();
+        let sink = reg.sink("stage");
+        {
+            let _span = sink.span("ghost");
+            sink.counter_add("yt", "calls", 1);
+        }
+        assert_eq!(sink.sheet().rows("stage").count(), 1);
+        let snap = reg.snapshot();
+        assert!(!snap.enabled);
+        assert_eq!(snap.counter("stage", "yt", "calls"), Some(1));
+        assert!(snap.wall.spans.is_empty());
     }
 
     #[test]
@@ -401,6 +461,16 @@ mod tests {
         assert_eq!(h.counts, [2, 1, 1, 1]);
         assert_eq!(h.count, 5);
         assert_eq!(h.sum, 108);
+    }
+
+    #[test]
+    #[should_panic(expected = "metric kind clash")]
+    fn sheet_merge_rejects_kind_clashes() {
+        let mut a = MetricSheet::new();
+        a.add("yt", "calls", 1);
+        let mut b = MetricSheet::new();
+        b.observe("yt", "calls", 1, BACKOFF_BUCKET_EDGES);
+        a.merge(&b);
     }
 
     #[test]

@@ -11,9 +11,9 @@ pub struct MetricRow {
     pub stage: String,
     pub substrate: String,
     pub metric: String,
-    /// `"counter"`, `"gauge"`, or `"histogram"`.
+    /// `"counter"` or `"histogram"`.
     pub kind: String,
-    /// Counter sum, gauge maximum, or histogram observation count.
+    /// Counter sum or histogram observation count.
     pub value: u64,
     /// Bucket detail for histogram rows.
     pub hist: Option<Histogram>,
@@ -53,6 +53,7 @@ pub struct WallBlock {
 /// `PaperReport`.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TelemetrySnapshot {
+    /// Whether spans were recorded. Metrics always are.
     pub enabled: bool,
     /// Sim-derived metric rows, sorted by `(stage, substrate, metric)`.
     pub metrics: Vec<MetricRow>,
@@ -158,8 +159,8 @@ mod tests {
     #[test]
     fn helpers_find_rows() {
         let reg = MetricsRegistry::new();
-        reg.counter_add("a", "yt", "calls", 2);
-        reg.counter_add("b", "yt", "calls", 3);
+        reg.sink("a").counter_add("yt", "calls", 2);
+        reg.sink("b").counter_add("yt", "calls", 3);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("a", "yt", "calls"), Some(2));
         assert_eq!(snap.counter("a", "yt", "missing"), None);

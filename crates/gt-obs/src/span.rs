@@ -7,7 +7,7 @@
 //! number (the `tid` in Chrome-trace terms) and a depth counter, both
 //! thread-local, so spans on one lane are properly nested intervals.
 
-use crate::metrics::Inner;
+use crate::metrics::SpanLog;
 use crate::snapshot::SpanSnap;
 use std::cell::Cell;
 use std::marker::PhantomData;
@@ -68,7 +68,7 @@ impl SpanRecord {
 /// [`StageSink::span`](crate::StageSink::span). Deliberately `!Send`:
 /// the lane/depth bookkeeping is thread-local.
 pub struct SpanGuard {
-    inner: Option<Arc<Inner>>,
+    log: Option<Arc<SpanLog>>,
     name: String,
     cat: &'static str,
     lane: u32,
@@ -80,12 +80,12 @@ pub struct SpanGuard {
 
 impl SpanGuard {
     pub(crate) fn open(
-        inner: Option<Arc<Inner>>,
+        log: Option<Arc<SpanLog>>,
         name: &str,
         cat: &'static str,
         sim_ts: Option<i64>,
     ) -> SpanGuard {
-        let (lane, depth) = if inner.is_some() {
+        let (lane, depth) = if log.is_some() {
             let depth = DEPTH.with(|d| {
                 let depth = d.get();
                 d.set(depth + 1);
@@ -96,7 +96,7 @@ impl SpanGuard {
             (0, 0)
         };
         SpanGuard {
-            inner,
+            log,
             name: name.to_string(),
             cat,
             lane,
@@ -110,16 +110,16 @@ impl SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some(inner) = self.inner.take() else {
+        let Some(log) = self.log.take() else {
             return;
         };
         DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
         let start_us = self
             .started
-            .saturating_duration_since(inner.epoch)
+            .saturating_duration_since(log.epoch)
             .as_micros() as u64;
         let dur_us = self.started.elapsed().as_micros() as u64;
-        inner.spans.lock().push(SpanRecord {
+        log.records.lock().push(SpanRecord {
             name: std::mem::take(&mut self.name),
             cat: self.cat,
             lane: self.lane,
@@ -155,7 +155,7 @@ mod tests {
 
     #[test]
     fn disabled_spans_cost_nothing_and_record_nothing() {
-        let reg = MetricsRegistry::disabled();
+        let reg = MetricsRegistry::without_spans();
         let _span = reg.span("ghost", "stage");
         assert!(reg.snapshot().wall.spans.is_empty());
     }

@@ -31,12 +31,13 @@
 //! - A gate's admissions and [`DegradationStats`] are the same whether
 //!   or not its telemetry sink is enabled; the sink only records them.
 //!   With no plan the gate admits every call and draws no RNG.
-//! - Degradation accounting lives in `PaperRun`/experiments JSON only,
-//!   never in `PaperReport`.
+//! - The sink's metric rows are the only record of degradation:
+//!   `PaperRun::degradation` is rebuilt from them
+//!   ([`DegradationStats::from_snapshot`]), never from `PaperReport`.
 
 use crate::rng::RngFactory;
 use crate::time::{SimDuration, SimTime};
-use gt_obs::{MetricSheet, StageSink, BACKOFF_BUCKET_EDGES};
+use gt_obs::{MetricSheet, StageSink, TelemetrySnapshot, BACKOFF_BUCKET_EDGES};
 use gt_store::{StoreDecode, StoreEncode};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -563,6 +564,38 @@ impl DegradationStats {
     pub fn is_zero(&self) -> bool {
         *self == DegradationStats::default()
     }
+
+    /// What the gates of `stage` recorded in `snapshot`: the sum of the
+    /// per-substrate delta counters [`Gated`] records under each field's
+    /// name. This is the only record of a
+    /// stage's degradation, so it reads the same whether the stage ran
+    /// or replayed its cached sheet.
+    pub fn from_snapshot(snapshot: &TelemetrySnapshot, stage: &str) -> DegradationStats {
+        let total = |name: &str| -> u64 {
+            snapshot
+                .metrics
+                .iter()
+                .filter(|r| {
+                    r.stage == stage
+                        && r.metric == name
+                        && r.kind == "counter"
+                        && Substrate::ALL.iter().any(|s| s.label() == r.substrate)
+                })
+                .map(|r| r.value)
+                .sum()
+        };
+        DegradationStats {
+            transients: total("transients"),
+            rate_limited: total("rate_limited"),
+            latency_spikes: total("latency_spikes"),
+            outage_hits: total("outage_hits"),
+            retries: total("retries"),
+            recovered: total("recovered"),
+            lost: total("lost"),
+            circuit_opens: total("circuit_opens"),
+            backoff_wait_secs: total("backoff_wait_secs"),
+        }
+    }
 }
 
 /// A call was shed: the substrate is down, the breaker is open, or the
@@ -582,8 +615,8 @@ pub struct Denied;
 /// An enabled sink receives per-substrate call/served/denied/record
 /// counters, the full degradation breakdown and a backoff-sleep
 /// histogram. Metrics are accumulated lock-free in a local
-/// [`MetricSheet`] and flushed to the registry once, when the gate
-/// drops. All recorded values derive from sim state ([`DegradationStats`]
+/// [`MetricSheet`] and flushed into the sink's sheet once, when the
+/// gate drops. All recorded values derive from sim state ([`DegradationStats`]
 /// deltas and caller-supplied record counts), so telemetry inherits the
 /// fault layer's determinism: byte-identical across thread counts.
 #[derive(Debug)]
@@ -847,7 +880,15 @@ mod tests {
             }
             gate.stats()
         }; // drop flushes the sheet
+
+        // A non-gate substrate's row of the same name is not degradation.
+        reg.sink("stage").counter_add("supervisor", "recovered", 1);
         let snap = reg.snapshot();
+        assert_eq!(DegradationStats::from_snapshot(&snap, "stage"), stats);
+        assert_eq!(
+            DegradationStats::from_snapshot(&snap, "other"),
+            DegradationStats::default()
+        );
         let get = |m: &str| snap.counter("stage", "youtube.search", m).unwrap_or(0);
         assert_eq!(get("calls"), served + denied);
         assert_eq!(get("served"), served);

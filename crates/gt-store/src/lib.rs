@@ -26,7 +26,7 @@
 //! Key derivation lives in [`KeyBuilder`]; the executor composes stage
 //! keys as `H(base ‖ stage name ‖ stage salt ‖ dependency digests)`,
 //! where `base` fingerprints everything global to the run (schema
-//! version, world config, fault plan, retry policy, telemetry flag).
+//! version, world config, fault plan, retry policy).
 //! See DESIGN.md "Persistence & caching" for the invalidation rules.
 
 mod codec;

@@ -17,8 +17,9 @@ pub const MAGIC: [u8; 4] = *b"GTS1";
 
 /// Version of both the codec wire format and the keyed content layout.
 /// Bump on any change to either; it participates in every cache key, so
-/// old entries are simply never looked up again.
-pub const SCHEMA_VERSION: u32 = 1;
+/// old entries are simply never looked up again. Version 2: stage
+/// records carry the stage's metric sheet next to its output.
+pub const SCHEMA_VERSION: u32 = 2;
 
 const HEADER_LEN: usize = 4 + 4 + 8;
 const FOOTER_LEN: usize = 32;

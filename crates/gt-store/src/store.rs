@@ -9,7 +9,7 @@
 //! ```
 //!
 //! `<base>` fingerprints everything global to a run (schema version,
-//! world config, fault plan, retry policy, telemetry flag), so one
+//! world config, fault plan, retry policy), so one
 //! directory holds exactly the entries that can legally serve one
 //! configuration. Writes are atomic (unique temp file + rename): a run
 //! killed mid-write leaves at worst a stray temp file, never a partial

@@ -13,7 +13,7 @@
 use crate::keywords::SearchKeywords;
 use gt_obs::StageSink;
 use gt_qr::scan_frame;
-use gt_sim::faults::{DegradationStats, FaultPlan, Gated, RetryPolicy, Substrate};
+use gt_sim::faults::{FaultPlan, Gated, RetryPolicy, Substrate};
 use gt_sim::{CivilDate, SimDuration, SimTime};
 use gt_social::{ChannelId, LiveStreamId, YouTube};
 use gt_store::{StoreDecode, StoreEncode};
@@ -142,8 +142,6 @@ pub struct MonitorReport {
     pub samples_run: u64,
     pub outage_ticks_skipped: u64,
     pub crawl_attempts: u64,
-    /// Injected-fault accounting for this window (all zero when clean).
-    pub degradation: DegradationStats,
     /// Set when a monitor-host outage cut the window short at this tick.
     pub cut_short: Option<SimTime>,
 }
@@ -377,7 +375,6 @@ impl Monitor {
 
         report.streams = tracked.into_values().map(|s| s.observed).collect();
         report.leads.sort_by_key(|l| (l.stream, l.first_seen));
-        report.degradation = gate.stats();
         drop(gate); // flush per-call telemetry before the summary rows
         for (metric, value) in [
             ("searches_run", report.searches_run),
@@ -603,11 +600,20 @@ mod tests {
             (Substrate::YoutubeChat, ticks),
         ]);
         config.fault_plan = Some(plan);
+        let sink = gt_obs::MetricsRegistry::new().sink("monitor");
+        config.sink = sink.clone();
         let monitor = Monitor::new(config, search_keyword_set());
 
         let first = monitor.run(&yt, &web);
         assert_eq!(first.streams.len(), 4);
-        assert!(first.degradation.lost > 0 && first.degradation.recovered > 0);
+        let total = |metric: &str| -> u64 {
+            sink.sheet()
+                .rows("")
+                .filter(|r| r.metric == metric)
+                .map(|r| r.value)
+                .sum()
+        };
+        assert!(total("lost") > 0 && total("recovered") > 0);
         for _ in 1..8 {
             assert_eq!(monitor.run(&yt, &web), first);
         }

@@ -11,7 +11,7 @@
 use crate::keywords::twitch_keyword_set;
 use gt_obs::StageSink;
 use gt_qr::scan_frame;
-use gt_sim::faults::{DegradationStats, FaultPlan, Gated, RetryPolicy};
+use gt_sim::faults::{FaultPlan, Gated, RetryPolicy};
 use gt_sim::{SimDuration, SimTime};
 use gt_social::{Twitch, TwitchStreamId};
 use gt_store::{StoreDecode, StoreEncode};
@@ -43,8 +43,6 @@ pub struct TwitchPilotReport {
     pub qr_hits: usize,
     /// URLs extracted from candidate chats.
     pub chat_urls: Vec<String>,
-    /// Injected-fault accounting (all zero when run clean).
-    pub degradation: DegradationStats,
 }
 
 /// Run the Twitch pilot over a window at a 30-minute cadence.
@@ -151,7 +149,6 @@ pub fn run_twitch_pilot_observed(
     }
     report.chat_urls.sort();
     report.chat_urls.dedup();
-    report.degradation = gate.stats();
     drop(gate); // flush per-call telemetry before the summary rows
     for (metric, value) in [
         ("streams_listed", report.streams_listed as u64),

@@ -94,7 +94,7 @@ pub fn run(
     while i < btc_addrs.len() {
         now += SimDuration::minutes(30);
         let cospend = rng.gen_bool(BTC_COSPEND_RATE) && i + 1 < btc_addrs.len();
-        let group: Vec<gt_addr::BtcAddress> = if cospend {
+        let mut group: Vec<gt_addr::BtcAddress> = if cospend {
             summary.btc_cospent += 2;
             let g = vec![btc_addrs[i], btc_addrs[i + 1]];
             i += 2;
@@ -105,6 +105,9 @@ pub fn run(
             i += 1;
             g
         };
+        // Two domains can share one address, so a co-spend may pair an
+        // address with itself; its outputs must only be spent once.
+        group.dedup();
         let mut inputs = Vec::new();
         let mut total = 0u64;
         for a in &group {

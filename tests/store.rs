@@ -1,11 +1,14 @@
 //! Checkpoint/resume pins: the stage-result store must never change
 //! what the pipeline computes — only whether it recomputes. The
-//! `PaperReport` JSON must be byte-identical across {no store, cold
-//! store, warm store, resumed-after-kill} and across thread counts
-//! sharing one store directory; a killed run must resume from its
-//! completed stages instead of starting over.
+//! `PaperReport` JSON, the metrics block (minus the store's own rows)
+//! and the degradation accounting must be byte-identical across {no
+//! store, cold store, warm store, resumed-after-kill}, clean or under a
+//! fault plan, and across thread counts sharing one store directory; a
+//! killed run must resume from its completed stages instead of starting
+//! over.
 
 use givetake::core::{PaperRun, Pipeline, PipelineOptions};
+use givetake::sim::faults::ChaosProfile;
 use givetake::store::RunStore;
 use givetake::world::{World, WorldConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -27,12 +30,33 @@ fn run_with(options: PipelineOptions) -> PaperRun {
     Pipeline::new(world()).options(options).run()
 }
 
-fn baseline_json() -> &'static str {
-    static J: OnceLock<String> = OnceLock::new();
-    J.get_or_init(|| {
-        let run = run_with(PipelineOptions::default().threads(1));
-        serde_json::to_string(&run.report).expect("report serializes")
-    })
+/// What a run recorded: its report, its metrics block without the
+/// store's own rows, and its degradation accounting, as JSON.
+#[derive(Debug, PartialEq)]
+struct Record {
+    report: String,
+    metrics: String,
+    degradation: String,
+}
+
+fn record(run: &PaperRun) -> Record {
+    let metrics: Vec<_> = run
+        .telemetry
+        .metrics
+        .iter()
+        .filter(|m| m.substrate != "store")
+        .collect();
+    Record {
+        report: json(run),
+        metrics: serde_json::to_string(&metrics).expect("metrics serialize"),
+        degradation: serde_json::to_string(&run.degradation).expect("degradation serializes"),
+    }
+}
+
+/// The storeless single-threaded run's record.
+fn baseline() -> &'static Record {
+    static R: OnceLock<Record> = OnceLock::new();
+    R.get_or_init(|| record(&run_with(PipelineOptions::default().threads(1))))
 }
 
 fn json(run: &PaperRun) -> String {
@@ -80,12 +104,16 @@ fn cold_and_warm_runs_match_the_storeless_report() {
             .threads(1)
             .store(Some(store.clone())),
     );
-    assert_eq!(json(&cold), baseline_json(), "cold-store report diverged");
+    assert_eq!(&record(&cold), baseline(), "cold-store run diverged");
     assert_eq!(store_metric(&cold, "cache_hit"), 0);
     assert_eq!(store_metric(&cold, "cache_miss"), STAGES);
 
     let warm = run_with(PipelineOptions::default().threads(1).store(Some(store)));
-    assert_eq!(json(&warm), baseline_json(), "warm-store report diverged");
+    assert_eq!(
+        &record(&warm),
+        baseline(),
+        "a warm run must record what the cold run saw"
+    );
     assert_eq!(
         store_metric(&warm, "cache_hit"),
         STAGES,
@@ -109,9 +137,9 @@ fn thread_counts_share_one_store_directory() {
                 .store(Some(store.clone())),
         );
         assert_eq!(
-            json(&run),
-            baseline_json(),
-            "{threads}-thread stored report diverged"
+            &record(&run),
+            baseline(),
+            "{threads}-thread stored run diverged"
         );
         let expected_hits = if i == 0 { 0 } else { STAGES };
         assert_eq!(
@@ -147,9 +175,9 @@ fn killed_run_resumes_from_completed_stages() {
     let store = scratch.open();
     let resumed = run_with(PipelineOptions::default().threads(2).store(Some(store)));
     assert_eq!(
-        json(&resumed),
-        baseline_json(),
-        "resumed report diverged from an uninterrupted run"
+        &record(&resumed),
+        baseline(),
+        "resumed run diverged from an uninterrupted one"
     );
     assert_eq!(
         store_metric(&resumed, "cache_hit"),
@@ -178,8 +206,39 @@ fn multi_thread_crash_also_resumes() {
 
     let store = scratch.open();
     let resumed = run_with(PipelineOptions::default().threads(4).store(Some(store)));
-    assert_eq!(json(&resumed), baseline_json());
+    assert_eq!(&record(&resumed), baseline());
     assert_eq!(store_metric(&resumed, "cache_hit"), 4);
+}
+
+#[test]
+fn chaotic_runs_record_the_same_faults_cold_warm_and_resumed() {
+    let chaos = || PipelineOptions::default().chaos(0x5709, &ChaosProfile::default());
+    let storeless = run_with(chaos().threads(1));
+    assert!(
+        storeless.degradation.total.injected() > 0,
+        "the plan must inject faults for this test to mean anything"
+    );
+    let storeless = record(&storeless);
+
+    let scratch = Scratch::new("chaos");
+    let store = scratch.open();
+    let cold = run_with(chaos().threads(1).store(Some(store.clone())));
+    assert_eq!(record(&cold), storeless, "chaotic cold run diverged");
+    let warm = run_with(chaos().threads(4).store(Some(store)));
+    assert_eq!(store_metric(&warm, "cache_hit"), STAGES);
+    assert_eq!(record(&warm), storeless, "chaotic warm run diverged");
+
+    let scratch = Scratch::new("chaos-kill");
+    let store = scratch.open();
+    store.fail_writes_after(5);
+    let crashed = catch_unwind(AssertUnwindSafe(|| {
+        run_with(chaos().threads(4).store(Some(store.clone())))
+    }));
+    assert!(crashed.is_err());
+    drop(store);
+    let resumed = run_with(chaos().threads(1).store(Some(scratch.open())));
+    assert_eq!(store_metric(&resumed, "cache_hit"), 5);
+    assert_eq!(record(&resumed), storeless, "chaotic resumed run diverged");
 }
 
 #[test]
@@ -235,7 +294,7 @@ fn store_off_on_and_evict_leave_no_trace_in_the_report() {
             .threads(2)
             .store(Some(store.clone())),
     );
-    assert_eq!(json(&cold), baseline_json());
+    assert_eq!(&record(&cold), baseline());
     assert_eq!(store.stage_entry_count(&base), STAGES as usize);
 
     let stats = store.evict(&base, &world_fpr).expect("evict succeeds");
@@ -243,6 +302,6 @@ fn store_off_on_and_evict_leave_no_trace_in_the_report() {
     assert_eq!(store.stage_entry_count(&base), STAGES as usize);
 
     let warm = run_with(PipelineOptions::default().threads(2).store(Some(store)));
-    assert_eq!(json(&warm), baseline_json());
+    assert_eq!(&record(&warm), baseline());
     assert_eq!(store_metric(&warm, "cache_hit"), STAGES);
 }
