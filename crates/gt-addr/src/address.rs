@@ -278,11 +278,6 @@ impl<R: Rng> AddressGenerator<R> {
             Coin::Xrp => Address::Xrp(XrpAddress(self.random20())),
         }
     }
-
-    /// A fresh BTC address of a specific format.
-    pub fn generate_btc_p2pkh(&mut self) -> BtcAddress {
-        BtcAddress::P2pkh(self.random20())
-    }
 }
 
 #[cfg(test)]

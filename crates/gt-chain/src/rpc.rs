@@ -66,13 +66,12 @@ impl<'a> RpcView<'a> {
         chains: &'a ChainView,
         plan: Option<&'a FaultPlan>,
         label: &str,
-        retry: RetryPolicy,
         epoch: SimTime,
         sink: StageSink,
     ) -> Self {
         RpcView {
             chains,
-            gate: RefCell::new(Gated::new(plan, label, retry, sink)),
+            gate: RefCell::new(Gated::new(plan, label, RetryPolicy::default(), sink)),
             cursor: Cell::new(epoch),
         }
     }
@@ -132,14 +131,7 @@ mod tests {
     fn clean_rpc_view_matches_chain_view() {
         let (view, addr) = view_with_history();
         let sink = gt_obs::MetricsRegistry::new().sink("test");
-        let rpc = RpcView::new(
-            &view,
-            None,
-            "test",
-            RetryPolicy::default(),
-            SimTime(1_000),
-            sink.clone(),
-        );
+        let rpc = RpcView::new(&view, None, "test", SimTime(1_000), sink.clone());
         assert_eq!(rpc.incoming(addr), view.incoming(addr));
         assert_eq!(rpc.outgoing(addr), view.outgoing(addr));
         drop(rpc);
@@ -162,14 +154,7 @@ mod tests {
             }],
         );
         let sink = gt_obs::MetricsRegistry::new().sink("test");
-        let rpc = RpcView::new(
-            &view,
-            Some(&plan),
-            "test",
-            RetryPolicy::default(),
-            SimTime(1_000),
-            sink.clone(),
-        );
+        let rpc = RpcView::new(&view, Some(&plan), "test", SimTime(1_000), sink.clone());
         assert!(rpc.incoming(addr).is_empty());
         assert!(!view.incoming(addr).is_empty(), "data exists underneath");
         drop(rpc);
@@ -190,14 +175,7 @@ mod tests {
             }],
         );
         let sink = gt_obs::MetricsRegistry::new().sink("test");
-        let rpc = RpcView::new(
-            &view,
-            Some(&plan),
-            "test",
-            RetryPolicy::default(),
-            SimTime(1_000),
-            sink.clone(),
-        );
+        let rpc = RpcView::new(&view, Some(&plan), "test", SimTime(1_000), sink.clone());
         // First read hits the blip but retries through it; the second
         // is past the window entirely.
         assert_eq!(rpc.incoming(addr), view.incoming(addr));

@@ -22,8 +22,9 @@ pub struct ClusterId(pub usize);
 /// Options controlling cluster construction.
 #[derive(Debug, Clone, Copy)]
 pub struct ClusteringOptions {
-    /// Skip CoinJoin-shaped transactions (on in production; the ablation
-    /// bench turns it off to measure the false-merge impact).
+    /// Skip CoinJoin-shaped transactions (on in production;
+    /// `tests/pipeline_ablations.rs` turns it off to measure the
+    /// false-merge impact).
     pub coinjoin_aware: bool,
 }
 

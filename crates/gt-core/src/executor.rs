@@ -196,10 +196,6 @@ struct Stage<'env> {
     fallback: Mutex<Option<FallbackFn<'env>>>,
     /// Ignored unless a store is bound.
     codec: StageCodec,
-    /// Extra stage-local key material (e.g. the intervention lags) that
-    /// the stage body reads but that is not part of the run-wide base
-    /// fingerprint or any dependency output.
-    salt: Vec<u8>,
 }
 
 /// The stage graph under construction.
@@ -230,16 +226,16 @@ impl<'env> StageGraph<'env> {
         self.policy = policy;
     }
 
-    /// Register a stage. `salt` is stage-local cache-key material: any
-    /// parameter the body reads that is neither in the run's base
-    /// fingerprint nor in a dependency's output (`&[]` when there is
-    /// none). `deps` are indices of previously registered stages
-    /// ([`StageId::index`]); the body receives read access to their
-    /// outputs and returns its own plus how many items it processed.
-    /// The item count and the body's metric sheet are persisted
-    /// alongside the payload, so a cache hit restores both. The
-    /// quarantine fallback is `T::default()`.
-    pub fn add_stage<T, F>(&mut self, name: &str, salt: &[u8], deps: &[usize], f: F) -> StageId<T>
+    /// Register a stage. `deps` are indices of previously registered
+    /// stages ([`StageId::index`]); the body receives read access to
+    /// their outputs and returns its own plus how many items it
+    /// processed. The body may read nothing else that can vary between
+    /// runs sharing a store, beyond what the run's base fingerprint
+    /// covers: the cache key is the base, the stage name and the
+    /// dependencies' content digests. The item count and the body's
+    /// metric sheet are persisted alongside the payload, so a cache hit
+    /// restores both. The quarantine fallback is `T::default()`.
+    pub fn add_stage<T, F>(&mut self, name: &str, deps: &[usize], f: F) -> StageId<T>
     where
         T: StoreEncode + StoreDecode + Default + Send + Sync + 'static,
         F: FnMut(&StageResults) -> (T, u64) + Send + 'env,
@@ -274,7 +270,6 @@ impl<'env> StageGraph<'env> {
                     ))
                 }),
             },
-            salt: salt.to_vec(),
         });
         let id = StageId {
             index,
@@ -467,8 +462,8 @@ impl WorkerCtx<'_, '_> {
 }
 
 /// The cache key for one stage: the run's base fingerprint, the stage
-/// name and salt, and every dependency's content digest (always recorded
-/// by the time a dependent runs, since a store is bound).
+/// name, and every dependency's content digest (always recorded by the
+/// time a dependent runs, since a store is bound).
 fn stage_key(
     binding: &StoreBinding,
     stage: &Stage<'_>,
@@ -477,7 +472,6 @@ fn stage_key(
     let mut kb = KeyBuilder::new("stage");
     kb.push_digest(&binding.base);
     kb.push_str(&stage.name);
-    kb.push_bytes(&stage.salt);
     for &d in &stage.deps {
         let dep = digests[d]
             .lock()
@@ -775,10 +769,10 @@ mod tests {
     fn diamond_graph_runs_in_dependency_order() {
         for threads in [1, 2, 4] {
             let mut g = StageGraph::new();
-            let a = g.add_stage("a", &[], &[], |_| (2u64, 0));
-            let b = g.add_stage("b", &[], &[a.index()], move |r| (r.get(a) * 10, 0));
-            let c = g.add_stage("c", &[], &[a.index()], move |r| (r.get(a) + 5, 0));
-            let d = g.add_stage("d", &[], &[b.index(), c.index()], move |r| {
+            let a = g.add_stage("a", &[], |_| (2u64, 0));
+            let b = g.add_stage("b", &[a.index()], move |r| (r.get(a) * 10, 0));
+            let c = g.add_stage("c", &[a.index()], move |r| (r.get(a) + 5, 0));
+            let d = g.add_stage("d", &[b.index(), c.index()], move |r| {
                 (r.get(b) + r.get(c), 0)
             });
             let mut out = g.run(threads);
@@ -794,7 +788,7 @@ mod tests {
         let counter = AtomicUsize::new(0);
         let mut g = StageGraph::new();
         for i in 0..16 {
-            g.add_stage::<usize, _>(&format!("s{i}"), &[], &[], |_| {
+            g.add_stage::<usize, _>(&format!("s{i}"), &[], |_| {
                 (counter.fetch_add(1, Ordering::SeqCst), 0)
             });
         }
@@ -806,7 +800,7 @@ mod tests {
     #[test]
     fn items_are_recorded() {
         let mut g = StageGraph::new();
-        g.add_stage::<Vec<u32>, _>("count", &[], &[], |_| (vec![1, 2, 3], 3));
+        g.add_stage::<Vec<u32>, _>("count", &[], |_| (vec![1, 2, 3], 3));
         let out = g.run(1);
         let t = out.timings.stage("count").unwrap();
         assert_eq!(t.items, 3);
@@ -816,8 +810,8 @@ mod tests {
     #[test]
     fn heterogeneous_output_types() {
         let mut g = StageGraph::new();
-        let s = g.add_stage("string", &[], &[], |_| ("hello".to_string(), 0));
-        let v = g.add_stage("vec", &[], &[s.index()], move |r| (vec![r.get(s).len()], 0));
+        let s = g.add_stage("string", &[], |_| ("hello".to_string(), 0));
+        let v = g.add_stage("vec", &[s.index()], move |r| (vec![r.get(s).len()], 0));
         let mut out = g.run(2);
         assert_eq!(out.take(v), vec![5]);
         assert_eq!(out.take(s), "hello");
@@ -827,7 +821,7 @@ mod tests {
     #[should_panic(expected = "depends on a later stage")]
     fn forward_dependencies_are_rejected() {
         let mut g = StageGraph::new();
-        g.add_stage::<u8, _>("bad", &[], &[3], |_| (0, 0));
+        g.add_stage::<u8, _>("bad", &[3], |_| (0, 0));
     }
 
     #[test]
@@ -836,14 +830,14 @@ mod tests {
         // sum pins that neither parent was skipped or reordered past d.
         for threads in [1, 2, 4, 8] {
             let mut g = StageGraph::new();
-            let a = g.add_stage("a", &[], &[], |_| (vec![1u64, 2, 3], 0));
-            let b = g.add_stage("b", &[], &[a.index()], move |r| {
+            let a = g.add_stage("a", &[], |_| (vec![1u64, 2, 3], 0));
+            let b = g.add_stage("b", &[a.index()], move |r| {
                 (r.get(a).iter().sum::<u64>(), 0)
             });
-            let c = g.add_stage("c", &[], &[a.index()], move |r| {
+            let c = g.add_stage("c", &[a.index()], move |r| {
                 (r.get(a).iter().product::<u64>(), 0)
             });
-            let d = g.add_stage("d", &[], &[b.index(), c.index()], move |r| {
+            let d = g.add_stage("d", &[b.index(), c.index()], move |r| {
                 (r.get(b) + r.get(c), 0)
             });
             let mut out = g.run(threads);
@@ -859,7 +853,7 @@ mod tests {
             let mut prev: Option<usize> = None;
             for name in names {
                 let deps: Vec<usize> = prev.into_iter().collect();
-                let id = g.add_stage::<u8, _>(name, &[], &deps, |_| (0, 0));
+                let id = g.add_stage::<u8, _>(name, &deps, |_| (0, 0));
                 prev = Some(id.index());
             }
             let out = g.run(threads);
@@ -878,7 +872,7 @@ mod tests {
     #[should_panic(expected = "boom")]
     fn stage_panic_propagates_single_thread() {
         let mut g = StageGraph::new();
-        g.add_stage::<u8, _>("bad", &[], &[], |_| panic!("boom"));
+        g.add_stage::<u8, _>("bad", &[], |_| panic!("boom"));
         g.run(1);
     }
 
@@ -889,11 +883,11 @@ mod tests {
         // undecremented, deadlocking the other workers on the condvar.
         let mut g = StageGraph::new();
         for i in 0..8 {
-            g.add_stage::<u8, _>(&format!("ok{i}"), &[], &[], |_| (0, 0));
+            g.add_stage::<u8, _>(&format!("ok{i}"), &[], |_| (0, 0));
         }
-        g.add_stage::<u8, _>("bad", &[], &[], |_| panic!("boom"));
+        g.add_stage::<u8, _>("bad", &[], |_| panic!("boom"));
         for i in 8..16 {
-            g.add_stage::<u8, _>(&format!("ok{i}"), &[], &[], |_| (0, 0));
+            g.add_stage::<u8, _>(&format!("ok{i}"), &[], |_| (0, 0));
         }
         g.run(4);
     }
@@ -901,7 +895,7 @@ mod tests {
     #[test]
     fn zero_threads_means_available_parallelism() {
         let mut g = StageGraph::new();
-        let a = g.add_stage("only", &[], &[], |_| (1u8, 0));
+        let a = g.add_stage("only", &[], |_| (1u8, 0));
         let mut out = g.run(0);
         assert_eq!(out.take(a), 1);
         assert!(out.timings.threads >= 1);
@@ -910,8 +904,8 @@ mod tests {
     #[test]
     fn clean_run_health_is_all_completed() {
         let mut g = StageGraph::new();
-        let a = g.add_stage("a", &[], &[], |_| (1u8, 0));
-        g.add_stage("b", &[], &[a.index()], move |r| (r.get(a) + 1, 0));
+        let a = g.add_stage("a", &[], |_| (1u8, 0));
+        g.add_stage("b", &[a.index()], move |r| (r.get(a) + 1, 0));
         let out = g.run(1);
         assert!(!out.health.supervised, "default policy is strict");
         assert!(out.health.is_clean());
@@ -930,13 +924,13 @@ mod tests {
         for threads in [1, 4] {
             let failures = AtomicU32::new(0);
             let mut g = StageGraph::new();
-            let s = g.add_stage("flaky", &[], &[], |_| {
+            let s = g.add_stage("flaky", &[], |_| {
                 if failures.fetch_add(1, Ordering::SeqCst) < 2 {
                     panic!("transient wobble");
                 }
                 (41u64, 0)
             });
-            let t = g.add_stage("after", &[], &[s.index()], move |r| (r.get(s) + 1, 0));
+            let t = g.add_stage("after", &[s.index()], move |r| (r.get(s) + 1, 0));
             g.supervise(SupervisionPolicy::recover(3));
             let mut out = g.run(threads);
             assert_eq!(out.take(t), 42, "{threads} threads");
@@ -956,10 +950,10 @@ mod tests {
     fn quarantine_substitutes_fallback_and_taints_dependents() {
         for threads in [1, 4] {
             let mut g = StageGraph::new();
-            let a = g.add_stage("a", &[], &[], |_| (7u64, 0));
-            let b = g.add_stage::<u64, _>("b", &[], &[a.index()], |_| panic!("b is broken"));
-            let c = g.add_stage("c", &[], &[a.index()], move |r| (r.get(a) + 1, 0));
-            let d = g.add_stage("d", &[], &[b.index(), c.index()], move |r| {
+            let a = g.add_stage("a", &[], |_| (7u64, 0));
+            let b = g.add_stage::<u64, _>("b", &[a.index()], |_| panic!("b is broken"));
+            let c = g.add_stage("c", &[a.index()], move |r| (r.get(a) + 1, 0));
+            let d = g.add_stage("d", &[b.index(), c.index()], move |r| {
                 (r.get(b) + r.get(c), 0)
             });
             g.fallback(b, move |r| r.get(a) + 100);
@@ -986,9 +980,8 @@ mod tests {
     fn stage_without_an_override_quarantines_to_default_and_strict_still_poisons() {
         let graph = || {
             let mut g = StageGraph::new();
-            let doomed =
-                g.add_stage::<Vec<u64>, _>("doomed", &[], &[], |_| panic!("no override here"));
-            let after = g.add_stage("after", &[], &[doomed.index()], move |r| {
+            let doomed = g.add_stage::<Vec<u64>, _>("doomed", &[], |_| panic!("no override here"));
+            let after = g.add_stage("after", &[doomed.index()], move |r| {
                 (r.get(doomed).len() as u64 + 1, 0)
             });
             (g, doomed, after)
@@ -1014,7 +1007,7 @@ mod tests {
     #[should_panic(expected = "strict means strict")]
     fn strict_mode_ignores_declared_fallbacks() {
         let mut g = StageGraph::new();
-        let s = g.add_stage::<u8, _>("bad", &[], &[], |_| panic!("strict means strict"));
+        let s = g.add_stage::<u8, _>("bad", &[], |_| panic!("strict means strict"));
         g.fallback(s, |_| 0u8);
         // Default policy: no supervise() call.
         g.run(1);
@@ -1023,10 +1016,10 @@ mod tests {
     #[test]
     fn taint_propagates_transitively_through_chains() {
         let mut g = StageGraph::new();
-        let a = g.add_stage::<u8, _>("a", &[], &[], |_| panic!("root failure"));
-        let b = g.add_stage("b", &[], &[a.index()], move |r| (r.get(a) + 1, 0));
-        let c = g.add_stage("c", &[], &[b.index()], move |r| (r.get(b) + 1, 0));
-        let lone = g.add_stage("lone", &[], &[], |_| (9u8, 0));
+        let a = g.add_stage::<u8, _>("a", &[], |_| panic!("root failure"));
+        let b = g.add_stage("b", &[a.index()], move |r| (r.get(a) + 1, 0));
+        let c = g.add_stage("c", &[b.index()], move |r| (r.get(b) + 1, 0));
+        let lone = g.add_stage("lone", &[], |_| (9u8, 0));
         g.supervise(SupervisionPolicy::recover(1));
         let mut out = g.run(2);
         assert_eq!(out.take(c), 2);
@@ -1041,10 +1034,8 @@ mod tests {
         // Stage names from the pipeline's table map: the quarantined QR
         // pilot and its tainted Figure 5 dependent each degrade a table.
         let mut g = StageGraph::new();
-        let qr = g.add_stage::<u8, _>("qr_pilot", &[], &[], |_| panic!("boom"));
-        g.add_stage("fig5_keywords", &[], &[qr.index()], move |r| {
-            (*r.get(qr), 0)
-        });
+        let qr = g.add_stage::<u8, _>("qr_pilot", &[], |_| panic!("boom"));
+        g.add_stage("fig5_keywords", &[qr.index()], move |r| (*r.get(qr), 0));
         g.supervise(SupervisionPolicy::recover(2));
         let out = g.run(1);
         let health = &out.health;
@@ -1070,7 +1061,7 @@ mod tests {
             let mut g = StageGraph::new();
             g.bind_store(store.clone(), digest(b"sheet-replay"));
             g.supervise(SupervisionPolicy::recover(2));
-            g.add_stage("flaky", &[], &[], |r| {
+            g.add_stage("flaky", &[], |r| {
                 r.sink().counter_add("sub", "calls", 1);
                 if bodies.fetch_add(1, Ordering::SeqCst) == 0 {
                     panic!("first attempt fails");
@@ -1096,6 +1087,53 @@ mod tests {
     }
 
     #[test]
+    fn a_changed_output_recomputes_its_cone_and_nothing_else() {
+        let dir = std::env::temp_dir().join(format!("gt-exec-cone-{}", std::process::id()));
+        let store = Arc::new(RunStore::open(&dir).expect("store opens"));
+        let b_bodies = AtomicU32::new(0);
+        let c_bodies = AtomicU32::new(0);
+        // a → b, plus an independent c; `a_out` is what a computes.
+        let run = |a_out: u64| {
+            let mut g = StageGraph::new();
+            g.bind_store(store.clone(), digest(b"cone"));
+            let a = g.add_stage("a", &[], move |_| (a_out, 0));
+            let b = g.add_stage("b", &[a.index()], |r| {
+                b_bodies.fetch_add(1, Ordering::SeqCst);
+                (r.get(a) * 10, 0)
+            });
+            g.add_stage("c", &[], |_| {
+                c_bodies.fetch_add(1, Ordering::SeqCst);
+                (7u64, 0)
+            });
+            let obs = MetricsRegistry::new();
+            let mut out = g.run_observed(1, &obs);
+            (out.take(b), obs.snapshot())
+        };
+        assert_eq!(run(1).0, 10);
+        let a_record = std::fs::read_dir(dir.join("stages"))
+            .unwrap()
+            .flat_map(|group| std::fs::read_dir(group.unwrap().path()).unwrap())
+            .map(|entry| entry.unwrap().path())
+            .find(|path| {
+                path.file_name()
+                    .unwrap()
+                    .to_string_lossy()
+                    .starts_with("a-")
+            })
+            .expect("a's record exists");
+        std::fs::remove_file(a_record).unwrap();
+
+        let (b, warm) = run(2);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(b, 20, "b read a's new output");
+        assert_eq!(b_bodies.load(Ordering::SeqCst), 2, "b recomputed");
+        assert_eq!(c_bodies.load(Ordering::SeqCst), 1, "c replayed");
+        assert_eq!(warm.counter("a", "store", "cache_miss"), Some(1));
+        assert_eq!(warm.counter("b", "store", "cache_miss"), Some(1));
+        assert_eq!(warm.counter("c", "store", "cache_hit"), Some(1));
+    }
+
+    #[test]
     fn failed_cache_write_is_a_warning_not_a_failure() {
         let dir = std::env::temp_dir().join(format!("gt-exec-write-{}", std::process::id()));
         let store = Arc::new(RunStore::open(&dir).expect("store opens"));
@@ -1103,7 +1141,7 @@ mod tests {
         std::fs::remove_dir_all(dir.join("tmp")).unwrap();
         let mut g = StageGraph::new();
         g.bind_store(store, digest(b"write-failure"));
-        let a = g.add_stage("a", &[], &[], |_| (3u8, 0));
+        let a = g.add_stage("a", &[], |_| (3u8, 0));
         let mut out = g.run(1);
         let _ = std::fs::remove_dir_all(&dir);
         assert_eq!(out.take(a), 3, "the computed output is still served");

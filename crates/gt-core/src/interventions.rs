@@ -97,6 +97,17 @@ pub fn exchange_blocklist(
     outcome
 }
 
+/// The detection lags the pipeline sweeps: immediate, one hour, eight
+/// hours, one day, three days and one week.
+pub const SWEEP_LAGS: [SimDuration; 6] = [
+    SimDuration::ZERO,
+    SimDuration::hours(1),
+    SimDuration::hours(8),
+    SimDuration::days(1),
+    SimDuration::days(3),
+    SimDuration::days(7),
+];
+
 /// Sweep the intervention over several detection lags.
 pub fn lag_sweep(
     analyses: &[&PaymentAnalysis],

@@ -22,7 +22,7 @@ use crate::payments::{analyze_twitter, analyze_youtube, PaymentAnalysis};
 use crate::report::{PaperReport, QrPilotSummary, TwitchSummary};
 use crate::supervisor::{RunHealth, SupervisionPolicy};
 use crate::timeline::WeeklySeries;
-use crate::{currencies, discover, fig5, scammers, victims};
+use crate::{currencies, discover, fig5, interventions, scammers, victims};
 use gt_addr::Address;
 use gt_chain::RpcView;
 use gt_cluster::{ClusterView, ClusteringOptions, TagResolver};
@@ -33,32 +33,26 @@ use gt_store::{Digest, KeyBuilder, RunStore, StoreDecode, StoreEncode};
 use gt_stream::keywords::search_keyword_set;
 use gt_stream::monitor::{Monitor, MonitorConfig, MonitorReport};
 use gt_stream::pilot::{qr_persistence, qr_stats};
-use gt_stream::twitch::run_twitch_pilot_observed;
+use gt_stream::twitch::run_twitch_pilot;
 use gt_world::{World, WorldConfig};
 use serde::Serialize;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-/// Tuning knobs for a pipeline run.
+/// Tuning knobs for a pipeline run. The paper's own measurement
+/// parameters (monitor cadences, intervention lags, the retry policy)
+/// are constants, not knobs.
 ///
 /// `#[non_exhaustive]` so new knobs can land without breaking callers:
 /// construct via [`PipelineOptions::default`] and chain the fluent
 /// setters —
-/// `PipelineOptions::default().threads(8).chaos(seed, &profile).telemetry(true)`.
+/// `PipelineOptions::default().threads(8).chaos(seed, &profile)`.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct PipelineOptions {
     /// Worker threads for the stage executor and the sharded cluster
     /// build. `0` means the machine's available parallelism.
     pub threads: usize,
-    /// Skip the prospective pilot study (the pilot monitor window, QR
-    /// persistence, and the Figure 5 keyword attribution). The Twitch
-    /// pilot still runs — it is independent and cheap.
-    pub skip_pilot: bool,
-    /// Skip the Section 6.2 exchange-intervention lag sweep.
-    pub skip_interventions: bool,
-    /// Detection lags for the intervention sweep.
-    pub intervention_lags: Vec<SimDuration>,
     /// Fault schedule every substrate consults; `None` runs clean.
     /// The clean run is byte-identical to pre-fault-layer behavior.
     /// Takes precedence over [`PipelineOptions::chaos`].
@@ -67,8 +61,6 @@ pub struct PipelineOptions {
     /// measurement span at run time. Ignored when an explicit
     /// [`PipelineOptions::fault_plan`] is set.
     pub chaos: Option<(u64, ChaosProfile)>,
-    /// Retry/backoff policy for fault-gated calls.
-    pub retry: RetryPolicy,
     /// Record wall-clock spans into [`PaperRun::telemetry`] (on by
     /// default; cheap enough for every run — see the gt-bench overhead
     /// guard). The sim-derived metrics block is collected either way.
@@ -94,19 +86,8 @@ impl Default for PipelineOptions {
     fn default() -> Self {
         PipelineOptions {
             threads: 0,
-            skip_pilot: false,
-            skip_interventions: false,
-            intervention_lags: vec![
-                SimDuration::ZERO,
-                SimDuration::hours(1),
-                SimDuration::hours(8),
-                SimDuration::days(1),
-                SimDuration::days(3),
-                SimDuration::days(7),
-            ],
             fault_plan: None,
             chaos: None,
-            retry: RetryPolicy::default(),
             telemetry: true,
             store: None,
             supervision: SupervisionPolicy::strict(),
@@ -121,24 +102,6 @@ impl PipelineOptions {
         self
     }
 
-    /// Skip the pilot study.
-    pub fn skip_pilot(mut self, skip: bool) -> Self {
-        self.skip_pilot = skip;
-        self
-    }
-
-    /// Skip the intervention lag sweep.
-    pub fn skip_interventions(mut self, skip: bool) -> Self {
-        self.skip_interventions = skip;
-        self
-    }
-
-    /// Use custom detection lags for the intervention sweep.
-    pub fn intervention_lags(mut self, lags: &[SimDuration]) -> Self {
-        self.intervention_lags = lags.to_vec();
-        self
-    }
-
     /// Attach (or clear) an explicit fault plan.
     pub fn fault_plan(mut self, plan: Option<FaultPlan>) -> Self {
         self.fault_plan = plan;
@@ -150,12 +113,6 @@ impl PipelineOptions {
     /// span itself is only known at [`Pipeline::run`] time).
     pub fn chaos(mut self, seed: u64, profile: &ChaosProfile) -> Self {
         self.chaos = Some((seed, *profile));
-        self
-    }
-
-    /// Override the retry/backoff policy used under faults.
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
         self
     }
 
@@ -179,16 +136,18 @@ impl PipelineOptions {
 
     /// The run's base cache fingerprint for a given world config: a
     /// digest over everything run-global that stage outputs can depend
-    /// on — the config, the *resolved* fault plan and the retry policy.
-    /// The thread count and the telemetry flag are deliberately absent:
-    /// results and metric sheets are thread-invariant, and the flag
-    /// only switches wall-clock spans, so such runs share cache entries.
+    /// on — the config, the *resolved* fault plan and the gates' retry
+    /// policy ([`RetryPolicy::default`], folded in so that a change to
+    /// it misses the cache). The thread count and the telemetry flag
+    /// are deliberately absent: results and metric sheets are
+    /// thread-invariant, and the flag only switches wall-clock spans,
+    /// so such runs share cache entries.
     pub fn base_fingerprint(&self, config: &WorldConfig) -> Digest {
         let plan = self.resolve_fault_plan(config);
         let mut kb = KeyBuilder::new("base");
         kb.push_encoded(config);
         kb.push_encoded(&plan);
-        kb.push_encoded(&self.retry);
+        kb.push_encoded(&RetryPolicy::default());
         kb.finish()
     }
 
@@ -323,11 +282,7 @@ impl<'w> Pipeline<'w> {
         } else {
             self.options.threads
         };
-        let skip_pilot = self.options.skip_pilot;
-        let skip_interventions = self.options.skip_interventions;
-        let lags = self.options.intervention_lags.clone();
         let plan = self.options.resolve_fault_plan(config);
-        let retry = self.options.retry;
         let obs = if self.options.telemetry {
             MetricsRegistry::new()
         } else {
@@ -344,20 +299,16 @@ impl<'w> Pipeline<'w> {
         g.supervise(self.options.supervision);
 
         // ---- independent roots: datasets, monitors, chain analysis ----
-        let twitter_ds = g.add_stage("twitter_dataset", &[], &[], move |_| {
+        let twitter_ds = g.add_stage("twitter_dataset", &[], move |_| {
             let ds = build_twitter_dataset(&world.twitter, &world.scam_db);
             let domains = ds.domains.len() as u64;
             (ds, domains)
         });
 
         let pilot_plan = plan.clone();
-        let pilot = g.add_stage("pilot_monitor", &[skip_pilot as u8], &[], move |r| {
-            if skip_pilot {
-                return (MonitorReport::default(), 0);
-            }
+        let pilot = g.add_stage("pilot_monitor", &[], move |r| {
             let mut cfg = MonitorConfig::paper(config.pilot_start, config.pilot_end);
             cfg.fault_plan = pilot_plan.clone();
-            cfg.retry = retry;
             cfg.sink = r.sink().clone();
             let monitor = Monitor::new(cfg, search_keyword_set());
             let report = monitor.run(&world.youtube, &world.web);
@@ -366,10 +317,9 @@ impl<'w> Pipeline<'w> {
         });
 
         let monitor_plan = plan.clone();
-        let main_monitor = g.add_stage("main_monitor", &[], &[], move |r| {
+        let main_monitor = g.add_stage("main_monitor", &[], move |r| {
             let mut cfg = MonitorConfig::paper(config.youtube_start, config.youtube_end);
             cfg.fault_plan = monitor_plan.clone();
-            cfg.retry = retry;
             cfg.sink = r.sink().clone();
             let monitor = Monitor::new(cfg, search_keyword_set());
             let report = monitor.run(&world.youtube, &world.web);
@@ -377,7 +327,7 @@ impl<'w> Pipeline<'w> {
             (report, streams)
         });
 
-        let chain = g.add_stage("chain_analysis", &[], &[], move |r| {
+        let chain = g.add_stage("chain_analysis", &[], move |r| {
             let chain_sink = r.sink();
             let view = {
                 let _span = chain_sink.span("cluster.build");
@@ -394,20 +344,19 @@ impl<'w> Pipeline<'w> {
         });
 
         let twitch_plan = plan.clone();
-        let twitch = g.add_stage("twitch_pilot", &[], &[], move |r| {
-            let report = run_twitch_pilot_observed(
+        let twitch = g.add_stage("twitch_pilot", &[], move |r| {
+            let report = run_twitch_pilot(
                 &world.twitch,
                 config.pilot_start,
                 config.pilot_end,
                 twitch_plan.as_ref(),
-                retry,
                 r.sink().clone(),
             );
             (report, 0)
         });
 
         // ---- dataset assembly and the known-scam address set ----
-        let youtube_ds = g.add_stage("youtube_dataset", &[], &[main_monitor.index()], move |r| {
+        let youtube_ds = g.add_stage("youtube_dataset", &[main_monitor.index()], move |r| {
             let ds = build_youtube_dataset(r.get(main_monitor), &search_keyword_set());
             let domains = ds.domains.len() as u64;
             (ds, domains)
@@ -415,7 +364,6 @@ impl<'w> Pipeline<'w> {
 
         let known_scam = g.add_stage(
             "known_scam_addresses",
-            &[],
             &[twitter_ds.index(), youtube_ds.index()],
             move |r| {
                 let mut known: HashSet<Address> = HashSet::new();
@@ -433,7 +381,6 @@ impl<'w> Pipeline<'w> {
         let twitter_plan = plan.clone();
         let twitter_an = g.add_stage(
             "twitter_payments",
-            &[],
             &[twitter_ds.index(), chain.index(), known_scam.index()],
             move |r| {
                 let ca = r.get(chain);
@@ -443,7 +390,6 @@ impl<'w> Pipeline<'w> {
                     &world.chains,
                     twitter_plan.as_ref(),
                     "rpc.twitter",
-                    retry,
                     rpc_epoch,
                     r.sink().clone(),
                 );
@@ -463,7 +409,6 @@ impl<'w> Pipeline<'w> {
         let youtube_plan = plan.clone();
         let youtube_an = g.add_stage(
             "youtube_payments",
-            &[],
             &[youtube_ds.index(), chain.index(), known_scam.index()],
             move |r| {
                 let ca = r.get(chain);
@@ -471,7 +416,6 @@ impl<'w> Pipeline<'w> {
                     &world.chains,
                     youtube_plan.as_ref(),
                     "rpc.youtube",
-                    retry,
                     rpc_epoch,
                     r.sink().clone(),
                 );
@@ -489,7 +433,7 @@ impl<'w> Pipeline<'w> {
         );
 
         // ---- Section 4: lures ----
-        let twitter_weekly = g.add_stage("twitter_weekly", &[], &[twitter_ds.index()], move |r| {
+        let twitter_weekly = g.add_stage("twitter_weekly", &[twitter_ds.index()], move |r| {
             let series = WeeklySeries::build(
                 config.twitter_start,
                 config.twitter_end,
@@ -503,7 +447,6 @@ impl<'w> Pipeline<'w> {
 
         let youtube_weekly = g.add_stage(
             "youtube_weekly",
-            &[],
             &[youtube_ds.index(), main_monitor.index()],
             move |r| {
                 let observed: HashMap<_, _> = r
@@ -525,16 +468,14 @@ impl<'w> Pipeline<'w> {
             },
         );
 
-        let twitter_discover =
-            g.add_stage("twitter_discover", &[], &[twitter_ds.index()], move |r| {
-                (
-                    discover::twitter_discoverability(r.get(twitter_ds), &world.twitter),
-                    0,
-                )
-            });
+        let twitter_discover = g.add_stage("twitter_discover", &[twitter_ds.index()], move |r| {
+            (
+                discover::twitter_discoverability(r.get(twitter_ds), &world.twitter),
+                0,
+            )
+        });
         let youtube_discover = g.add_stage(
             "youtube_discover",
-            &[],
             &[youtube_ds.index(), main_monitor.index()],
             move |r| {
                 let stats = discover::youtube_discoverability(
@@ -545,7 +486,7 @@ impl<'w> Pipeline<'w> {
                 (stats, 0)
             },
         );
-        let twitter_coins = g.add_stage("twitter_coins", &[], &[twitter_ds.index()], move |r| {
+        let twitter_coins = g.add_stage("twitter_coins", &[twitter_ds.index()], move |r| {
             (
                 currencies::twitter_coin_rates(r.get(twitter_ds), &world.twitter),
                 0,
@@ -553,7 +494,6 @@ impl<'w> Pipeline<'w> {
         });
         let youtube_coins = g.add_stage(
             "youtube_coins",
-            &[],
             &[youtube_ds.index(), main_monitor.index()],
             move |r| {
                 let rates = currencies::youtube_coin_rates(r.get(youtube_ds), r.get(main_monitor));
@@ -564,7 +504,6 @@ impl<'w> Pipeline<'w> {
         // ---- Section 5.4: victims ----
         let twitter_conversions = g.add_stage(
             "twitter_conversions",
-            &[],
             &[twitter_an.index(), twitter_ds.index()],
             move |r| {
                 let tweets = r.get(twitter_ds).tweet_count as u64;
@@ -573,7 +512,6 @@ impl<'w> Pipeline<'w> {
         );
         let youtube_conversions = g.add_stage(
             "youtube_conversions",
-            &[],
             &[youtube_an.index(), youtube_ds.index(), main_monitor.index()],
             move |r| {
                 let observed: HashMap<_, _> = r
@@ -593,7 +531,6 @@ impl<'w> Pipeline<'w> {
         );
         let origins = g.add_stage(
             "payment_origins",
-            &[],
             &[twitter_an.index(), youtube_an.index(), chain.index()],
             move |r| {
                 let ca = r.get(chain);
@@ -605,17 +542,16 @@ impl<'w> Pipeline<'w> {
                 (origins, 0)
             },
         );
-        let twitter_whales = g.add_stage("twitter_whales", &[], &[twitter_an.index()], move |r| {
+        let twitter_whales = g.add_stage("twitter_whales", &[twitter_an.index()], move |r| {
             (victims::whale_distribution(r.get(twitter_an)), 0)
         });
-        let youtube_whales = g.add_stage("youtube_whales", &[], &[youtube_an.index()], move |r| {
+        let youtube_whales = g.add_stage("youtube_whales", &[youtube_an.index()], move |r| {
             (victims::whale_distribution(r.get(youtube_an)), 0)
         });
 
         // ---- Section 5.5: scammers ----
         let recipients = g.add_stage(
             "recipient_stats",
-            &[],
             &[twitter_an.index(), youtube_an.index(), chain.index()],
             move |r| {
                 let stats = scammers::recipient_stats(
@@ -628,7 +564,6 @@ impl<'w> Pipeline<'w> {
         let outgoing_plan = plan.clone();
         let outgoing = g.add_stage(
             "outgoing_stats",
-            &[],
             &[twitter_an.index(), youtube_an.index(), chain.index()],
             move |r| {
                 let ca = r.get(chain);
@@ -637,7 +572,6 @@ impl<'w> Pipeline<'w> {
                     &world.chains,
                     outgoing_plan.as_ref(),
                     "rpc.outgoing",
-                    retry,
                     rpc_epoch,
                     r.sink().clone(),
                 );
@@ -647,8 +581,8 @@ impl<'w> Pipeline<'w> {
         );
 
         // ---- Appendix B ----
-        let qr_pilot = g.add_stage("qr_pilot", &[], &[pilot.index()], move |r| {
-            let persistences = qr_persistence(r.get(pilot), SimDuration::seconds(450));
+        let qr_pilot = g.add_stage("qr_pilot", &[pilot.index()], move |r| {
+            let persistences = qr_persistence(r.get(pilot));
             let summary = qr_stats(&persistences).map(|s| QrPilotSummary {
                 tracked: s.tracked,
                 mean_seconds: s.mean_seconds,
@@ -657,7 +591,7 @@ impl<'w> Pipeline<'w> {
             });
             (summary, 0)
         });
-        let fig5 = g.add_stage("fig5_keywords", &[], &[pilot.index()], move |r| {
+        let fig5 = g.add_stage("fig5_keywords", &[pilot.index()], move |r| {
             (
                 fig5::keyword_contribution(r.get(pilot), &search_keyword_set()),
                 0,
@@ -665,24 +599,16 @@ impl<'w> Pipeline<'w> {
         });
 
         // ---- Section 6.2 extension: exchange-side intervention sweep ----
-        // The sweep's knobs are stage-local (not in the base
-        // fingerprint, not visible in any dependency output), so they
-        // go into the stage salt.
-        let interventions_salt = gt_store::encode_to_vec(&(skip_interventions, &lags));
         let interventions = g.add_stage(
             "interventions",
-            &interventions_salt,
             &[twitter_an.index(), youtube_an.index(), chain.index()],
             move |r| {
-                if skip_interventions {
-                    return (Vec::new(), 0);
-                }
                 let ca = r.get(chain);
-                let sweep = crate::interventions::lag_sweep(
+                let sweep = interventions::lag_sweep(
                     &[r.get(twitter_an), r.get(youtube_an)],
                     &ca.resolver,
                     &ca.view,
-                    &lags,
+                    &interventions::SWEEP_LAGS,
                 );
                 let n = sweep.len() as u64;
                 (sweep, n)

@@ -258,18 +258,6 @@ impl Matrix {
             self.get(j, i)
         }
     }
-
-    /// Render as text for debugging ('#' dark, '.' light).
-    pub fn to_text(&self) -> String {
-        let mut s = String::with_capacity(self.size * (self.size + 1));
-        for r in 0..self.size {
-            for c in 0..self.size {
-                s.push(if self.get(r, c) { '#' } else { '.' });
-            }
-            s.push('\n');
-        }
-        s
-    }
 }
 
 /// Mask predicate: whether (row, col) flips under mask `mask`.

@@ -2,8 +2,8 @@
 //!
 //! The paper's measurement pipeline is cadence-driven: search polls every
 //! 30 minutes, chat polls every 7.5 minutes, two-second stream recordings,
-//! daily crawls, weekly volume buckets. Reproducing its figures requires a
-//! *virtual* clock that every simulator advances in lock-step, plus
+//! daily crawls, weekly volume buckets. Reproducing its figures requires
+//! *virtual* time that every simulator advances in lock-step, plus
 //! deterministic randomness so a given seed regenerates every table
 //! bit-for-bit.
 //!
@@ -11,26 +11,21 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — seconds-since-epoch timestamps with
 //!   civil-calendar conversions (no `std::time` wall-clock involvement);
-//! * [`Clock`] — a shared virtual clock;
-//! * [`EventQueue`] — a discrete-event scheduler with stable FIFO ordering
-//!   among simultaneous events;
 //! * [`RngFactory`] — a labelled fan-out of deterministic RNG streams;
 //! * [`dist`] — the heavy-tailed samplers (log-normal, Pareto, Zipf,
-//!   Poisson) the world generator needs and that `rand` alone lacks.
+//!   Poisson) the world generator needs and that `rand` alone lacks;
+//! * [`faults`] — seeded fault plans and the [`Gated`] call gate every
+//!   simulated substrate consults.
 
-pub mod clock;
 pub mod dist;
-pub mod events;
 pub mod faults;
 pub mod ids;
 pub mod rng;
 pub mod time;
 
-pub use clock::Clock;
-pub use events::EventQueue;
 pub use faults::{
     ChaosProfile, CircuitBreaker, DegradationStats, Denied, FaultKind, FaultPlan, FaultWindow,
     Gated, RetryPolicy, Substrate,
 };
 pub use rng::RngFactory;
-pub use time::{CivilDate, SimDuration, SimTime, Weekday};
+pub use time::{CivilDate, SimDuration, SimTime};

@@ -61,11 +61,6 @@ impl RngFactory {
         StdRng::seed_from_u64(self.child_seed(label))
     }
 
-    /// A deterministic RNG for a label plus an index.
-    pub fn rng_indexed(&self, label: &str, index: u64) -> StdRng {
-        StdRng::seed_from_u64(self.child_seed_indexed(label, index))
-    }
-
     /// A sub-factory scoped under a label, for components that fan out
     /// further (e.g. the world generator hands each campaign its own
     /// factory).

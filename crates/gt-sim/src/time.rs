@@ -45,18 +45,6 @@ pub struct SimTime(pub i64);
 )]
 pub struct SimDuration(pub i64);
 
-/// Day of week, ISO numbering (Monday = 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Weekday {
-    Monday,
-    Tuesday,
-    Wednesday,
-    Thursday,
-    Friday,
-    Saturday,
-    Sunday,
-}
-
 impl SimDuration {
     pub const ZERO: SimDuration = SimDuration(0);
 
@@ -236,20 +224,6 @@ impl SimTime {
         CivilDate::new(y, m, d)
     }
 
-    /// ISO day of week.
-    pub fn weekday(self) -> Weekday {
-        // 1970-01-01 was a Thursday.
-        match self.day_number().rem_euclid(7) {
-            0 => Weekday::Thursday,
-            1 => Weekday::Friday,
-            2 => Weekday::Saturday,
-            3 => Weekday::Sunday,
-            4 => Weekday::Monday,
-            5 => Weekday::Tuesday,
-            _ => Weekday::Wednesday,
-        }
-    }
-
     /// Index of the week containing this instant, relative to a window start.
     ///
     /// Week 0 begins exactly at `window_start`; each week is seven days.
@@ -396,14 +370,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn weekday_is_correct() {
-        // 1970-01-01 Thursday; 2024-01-21 is a Sunday; 2023-07-24 is a Monday.
-        assert_eq!(SimTime::EPOCH.weekday(), Weekday::Thursday);
-        assert_eq!(SimTime::from_ymd(2024, 1, 21).weekday(), Weekday::Sunday);
-        assert_eq!(SimTime::from_ymd(2023, 7, 24).weekday(), Weekday::Monday);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property tests for the simulation substrate.
 
-use gt_sim::{CivilDate, EventQueue, SimDuration, SimTime};
+use gt_sim::{CivilDate, SimDuration, SimTime};
 use proptest::prelude::*;
 
 proptest! {
@@ -38,22 +38,6 @@ proptest! {
         let next = d.succ();
         prop_assert!(next.at_midnight() - d.at_midnight() == SimDuration::days(1));
         prop_assert!(next.is_valid());
-    }
-
-    #[test]
-    fn event_queue_pops_sorted(events in proptest::collection::vec((0i64..10_000, 0u32..100), 0..200)) {
-        let mut q = EventQueue::new();
-        for &(t, tag) in &events {
-            q.schedule(SimTime(t), tag);
-        }
-        let mut last = i64::MIN;
-        let mut popped = 0;
-        while let Some((t, _)) = q.pop() {
-            prop_assert!(t.0 >= last);
-            last = t.0;
-            popped += 1;
-        }
-        prop_assert_eq!(popped, events.len());
     }
 
     #[test]

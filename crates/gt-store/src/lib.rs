@@ -24,7 +24,7 @@
 //!    to a cache miss and the stage recomputes.
 //!
 //! Key derivation lives in [`KeyBuilder`]; the executor composes stage
-//! keys as `H(base ‖ stage name ‖ stage salt ‖ dependency digests)`,
+//! keys as `H(base ‖ stage name ‖ dependency digests)`,
 //! where `base` fingerprints everything global to the run (schema
 //! version, world config, fault plan, retry policy).
 //! See DESIGN.md "Persistence & caching" for the invalidation rules.

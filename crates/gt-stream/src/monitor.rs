@@ -38,17 +38,19 @@ pub const OUTAGE_DAYS: [CivilDate; 11] = [
     CivilDate::new(2024, 1, 21),
 ];
 
-/// Monitoring parameters (defaults are the paper's cadences).
+/// Search-poll cadence (paper: 30 minutes).
+pub const SEARCH_INTERVAL: SimDuration = SimDuration::minutes(30);
+/// Stream/chat/video sampling cadence (paper: 7.5 minutes).
+pub const SAMPLE_INTERVAL: SimDuration = SimDuration::seconds(450);
+/// Video recording length per sample (paper: 2 seconds).
+pub const RECORD_LENGTH: SimDuration = SimDuration::seconds(2);
+
+/// Monitoring parameters (the paper's cadences are the constants
+/// above).
 #[derive(Debug, Clone)]
 pub struct MonitorConfig {
     pub window_start: SimTime,
     pub window_end: SimTime,
-    /// Search-poll cadence (paper: 30 minutes).
-    pub search_interval: SimDuration,
-    /// Stream/chat/video sampling cadence (paper: 7.5 minutes).
-    pub sample_interval: SimDuration,
-    /// Video recording length per sample (paper: 2 seconds).
-    pub record_seconds: i64,
     /// Days on which nothing is polled or crawled.
     pub outage_days: Vec<CivilDate>,
     /// Crawl leads daily (can be disabled for monitor-only runs).
@@ -56,8 +58,6 @@ pub struct MonitorConfig {
     pub crawler: CrawlerConfig,
     /// Fault schedule every poll consults; `None` runs clean.
     pub fault_plan: Option<FaultPlan>,
-    /// Retry/backoff policy used when the plan injects faults.
-    pub retry: RetryPolicy,
     /// Telemetry sink the window reports into (no-op by default).
     pub sink: StageSink,
 }
@@ -68,14 +68,10 @@ impl MonitorConfig {
         MonitorConfig {
             window_start,
             window_end,
-            search_interval: SimDuration::minutes(30),
-            sample_interval: SimDuration::seconds(450),
-            record_seconds: 2,
             outage_days: OUTAGE_DAYS.to_vec(),
             crawl: true,
             crawler: CrawlerConfig::default(),
             fault_plan: None,
-            retry: RetryPolicy::default(),
             sink: StageSink::noop(),
         }
     }
@@ -197,21 +193,20 @@ impl Monitor {
         let mut gate = Gated::new(
             cfg.fault_plan.as_ref(),
             &gate_label,
-            cfg.retry,
+            RetryPolicy::default(),
             cfg.sink.clone(),
         );
         let _window_span = cfg.sink.span_sim("monitor.window", cfg.window_start.0);
 
         let mut t = cfg.window_start;
-        let ticks_per_search =
-            (cfg.search_interval.as_seconds() / cfg.sample_interval.as_seconds()).max(1);
+        let ticks_per_search = SEARCH_INTERVAL.as_seconds() / SAMPLE_INTERVAL.as_seconds();
         let mut tick: i64 = 0;
 
         while t < cfg.window_end {
             if self.is_outage(t) {
                 report.outage_ticks_skipped += 1;
                 tick += 1;
-                t += cfg.sample_interval;
+                t += SAMPLE_INTERVAL;
                 continue;
             }
 
@@ -308,7 +303,7 @@ impl Monitor {
 
                 // Video recording: scan the sampled frames for QR codes.
                 let frames = youtube
-                    .record_gated(id, t, SimDuration::seconds(cfg.record_seconds), &mut gate)
+                    .record_gated(id, t, RECORD_LENGTH, &mut gate)
                     .unwrap_or_default();
                 let mut saw_qr = false;
                 for frame in &frames {
@@ -370,7 +365,7 @@ impl Monitor {
             }
 
             tick += 1;
-            t += cfg.sample_interval;
+            t += SAMPLE_INTERVAL;
         }
 
         report.streams = tracked.into_values().map(|s| s.observed).collect();

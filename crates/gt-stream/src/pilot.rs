@@ -5,8 +5,7 @@
 //! the observation that justified two-second samples every 7.5 minutes.
 //! This module computes the same statistics from a monitoring report.
 
-use crate::monitor::{MonitorReport, ObservedStream};
-use gt_sim::SimDuration;
+use crate::monitor::{MonitorReport, ObservedStream, SAMPLE_INTERVAL};
 
 /// Per-stream persistence of the QR overlay, as the pipeline saw it.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,10 +29,10 @@ pub struct QrPilotStats {
     pub intermittent: usize,
 }
 
-fn persistence(obs: &ObservedStream, sample_interval: SimDuration) -> Option<QrPersistence> {
+fn persistence(obs: &ObservedStream) -> Option<QrPersistence> {
     let first = obs.qr_first_seen?;
     let last = obs.qr_last_seen?;
-    let visible = (last - first).as_seconds() + sample_interval.as_seconds();
+    let visible = (last - first).as_seconds() + SAMPLE_INTERVAL.as_seconds();
     Some(QrPersistence {
         stream: obs.stream,
         visible_seconds: visible,
@@ -43,12 +42,8 @@ fn persistence(obs: &ObservedStream, sample_interval: SimDuration) -> Option<QrP
 
 /// Compute QR persistence for every stream in the report that showed a
 /// QR at least once.
-pub fn qr_persistence(report: &MonitorReport, sample_interval: SimDuration) -> Vec<QrPersistence> {
-    report
-        .streams
-        .iter()
-        .filter_map(|s| persistence(s, sample_interval))
-        .collect()
+pub fn qr_persistence(report: &MonitorReport) -> Vec<QrPersistence> {
+    report.streams.iter().filter_map(persistence).collect()
 }
 
 /// Aggregate the pilot statistics.
@@ -101,20 +96,20 @@ mod tests {
 
     #[test]
     fn continuous_qr_measured_over_span() {
-        let p = persistence(&obs(10, 10, 0, 4_050), SimDuration::seconds(450)).unwrap();
+        let p = persistence(&obs(10, 10, 0, 4_050)).unwrap();
         assert_eq!(p.visible_seconds, 4_500);
         assert!(p.continuous);
     }
 
     #[test]
     fn intermittent_qr_flagged() {
-        let p = persistence(&obs(10, 3, 0, 4_050), SimDuration::seconds(450)).unwrap();
+        let p = persistence(&obs(10, 3, 0, 4_050)).unwrap();
         assert!(!p.continuous);
     }
 
     #[test]
     fn no_qr_no_persistence() {
-        assert!(persistence(&obs(10, 0, 0, 0), SimDuration::seconds(450)).is_none());
+        assert!(persistence(&obs(10, 0, 0, 0)).is_none());
     }
 
     #[test]

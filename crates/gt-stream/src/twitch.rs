@@ -45,55 +45,28 @@ pub struct TwitchPilotReport {
     pub chat_urls: Vec<String>,
 }
 
-/// Run the Twitch pilot over a window at a 30-minute cadence.
+/// Run the Twitch pilot over a window at a 30-minute cadence. List
+/// polls and per-stream taps (recording, chat) consult `fault_plan`
+/// (`None` runs clean; denied polls are lost) and report per-call
+/// telemetry (Helix list polls, recording taps, chat polls) into
+/// `sink`.
 pub fn run_twitch_pilot(
     twitch: &Twitch,
     window_start: SimTime,
     window_end: SimTime,
-) -> TwitchPilotReport {
-    run_twitch_pilot_with_faults(
-        twitch,
-        window_start,
-        window_end,
-        None,
-        RetryPolicy::default(),
-    )
-}
-
-/// [`run_twitch_pilot`] under a fault plan: list polls and per-stream
-/// taps (recording, chat) consult the plan; denied polls are lost.
-pub fn run_twitch_pilot_with_faults(
-    twitch: &Twitch,
-    window_start: SimTime,
-    window_end: SimTime,
     fault_plan: Option<&FaultPlan>,
-    retry: RetryPolicy,
-) -> TwitchPilotReport {
-    run_twitch_pilot_observed(
-        twitch,
-        window_start,
-        window_end,
-        fault_plan,
-        retry,
-        StageSink::noop(),
-    )
-}
-
-/// [`run_twitch_pilot_with_faults`] reporting per-call telemetry
-/// (Helix list polls, recording taps, chat polls) into `sink`.
-pub fn run_twitch_pilot_observed(
-    twitch: &Twitch,
-    window_start: SimTime,
-    window_end: SimTime,
-    fault_plan: Option<&FaultPlan>,
-    retry: RetryPolicy,
     sink: StageSink,
 ) -> TwitchPilotReport {
     let keywords: KeywordSet = twitch_keyword_set();
     let mut report = TwitchPilotReport::default();
     let mut seen: HashSet<TwitchStreamId> = HashSet::new();
     let mut chat_cursor: HashMap<TwitchStreamId, SimTime> = HashMap::new();
-    let mut gate = Gated::new(fault_plan, "twitch.pilot", retry, sink.clone());
+    let mut gate = Gated::new(
+        fault_plan,
+        "twitch.pilot",
+        RetryPolicy::default(),
+        sink.clone(),
+    );
     let _window_span = sink.span_sim("twitch.window", window_start.0);
 
     let mut t = window_start;
@@ -171,6 +144,17 @@ mod tests {
         SimTime::from_ymd(2023, 7, 1)
     }
 
+    /// A fault-free pilot over the first `hours` of the window.
+    fn clean_pilot(tw: &Twitch, hours: i64) -> TwitchPilotReport {
+        run_twitch_pilot(
+            tw,
+            t0(),
+            t0() + SimDuration::hours(hours),
+            None,
+            StageSink::noop(),
+        )
+    }
+
     fn stream(title: &str, category: &str, video: StreamVideo) -> TwitchStream {
         TwitchStream {
             id: TwitchStreamId(0),
@@ -203,7 +187,7 @@ mod tests {
             "Just Chatting",
             StreamVideo::Benign,
         ));
-        let report = run_twitch_pilot(&tw, t0(), t0() + SimDuration::hours(1));
+        let report = clean_pilot(&tw, 1);
         assert_eq!(report.streams_listed, 3);
         assert_eq!(report.keyword_matches, 2);
         assert_eq!(report.candidates, 1, "game category dropped");
@@ -224,7 +208,7 @@ mod tests {
                 qr_scale: 2,
             },
         ));
-        let report = run_twitch_pilot(&tw, t0(), t0() + SimDuration::hours(1));
+        let report = clean_pilot(&tw, 1);
         assert_eq!(report.candidates, 1);
         assert!(report.qr_hits > 0, "QR visible after the ad roll");
     }
@@ -239,14 +223,14 @@ mod tests {
             text: "my charts: https://charts.example-site.com".into(),
         }];
         tw.add_stream(s);
-        let report = run_twitch_pilot(&tw, t0(), t0() + SimDuration::hours(2));
+        let report = clean_pilot(&tw, 2);
         assert_eq!(report.chat_urls, ["https://charts.example-site.com"]);
     }
 
     #[test]
     fn empty_platform_gives_null_report() {
         let tw = Twitch::new();
-        let report = run_twitch_pilot(&tw, t0(), t0() + SimDuration::hours(2));
+        let report = clean_pilot(&tw, 2);
         assert_eq!(report.streams_listed, 0);
         assert_eq!(report.candidates, 0);
     }

@@ -129,11 +129,6 @@ impl AhoCorasick {
         self.pattern_lens.len()
     }
 
-    /// Length (in bytes) of pattern `i`.
-    pub fn pattern_len(&self, i: usize) -> usize {
-        self.pattern_lens[i]
-    }
-
     fn step(&self, mut state: u32, raw: u8) -> u32 {
         let b = if self.case_insensitive {
             raw.to_ascii_lowercase()

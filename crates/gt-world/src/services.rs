@@ -216,13 +216,6 @@ impl ServiceDirectory {
             .chain(&self.other_scams)
     }
 
-    /// A random exchange hot-wallet address for `coin`.
-    pub fn random_exchange_address(&self, coin: Coin, rng: &mut StdRng) -> Address {
-        let svc = &self.exchanges[rng.gen_range(0..self.exchanges.len())];
-        let idx = rng.gen_range(0..1000);
-        svc.address(coin, idx)
-    }
-
     /// A random address of a given category (used by cash-out flows).
     pub fn random_of_category(
         &self,

@@ -111,8 +111,7 @@ fn parse_args() -> Args {
             }
             "--markdown" => args.markdown = it.next(),
             "--json" => args.json = it.next(),
-            // `--artifacts` predates `--out-dir`; kept as an alias.
-            "--out-dir" | "--artifacts" => args.out_dir = it.next(),
+            "--out-dir" => args.out_dir = it.next(),
             "--trace" => args.trace = it.next(),
             "--store" => args.store = it.next(),
             "--resume" => args.resume = true,

@@ -75,55 +75,14 @@ fn options_equivalents_match() {
     // Fluent `PipelineOptions` setters and direct field writes configure
     // the same run (`PipelineOptions` is `#[non_exhaustive]`, so neither
     // can be replaced by a struct literal outside `gt-core`).
-    let via_setters = run_with(
-        PipelineOptions::default()
-            .threads(2)
-            .skip_interventions(true),
-    );
+    let via_setters = run_with(PipelineOptions::default().threads(2).telemetry(false));
     let mut fields = PipelineOptions::default();
     fields.threads = 2;
-    fields.skip_interventions = true;
+    fields.telemetry = false;
     let via_fields = run_with(fields);
     assert_eq!(via_setters.report, via_fields.report);
-    assert!(via_fields.report.interventions.is_empty());
-}
-
-#[test]
-fn skip_flags_only_affect_their_sections() {
-    let full = run_with(PipelineOptions::default().threads(2));
-    let skipped = run_with(
-        PipelineOptions::default()
-            .threads(2)
-            .skip_pilot(true)
-            .skip_interventions(true),
-    );
-
-    assert!(skipped.report.qr_pilot.is_none(), "pilot skipped");
-    assert!(skipped.report.interventions.is_empty(), "sweep skipped");
-    assert!(skipped.pilot_report.streams.is_empty());
-    // Everything else is untouched.
-    assert_eq!(skipped.report.table1, full.report.table1);
-    assert_eq!(skipped.report.twitter_funnel, full.report.twitter_funnel);
-    assert_eq!(skipped.report.youtube_funnel, full.report.youtube_funnel);
-    assert_eq!(skipped.report.origins, full.report.origins);
-    assert_eq!(skipped.report.recipients, full.report.recipients);
-    assert_eq!(skipped.report.twitch, full.report.twitch);
-}
-
-#[test]
-fn custom_intervention_lags_are_honored() {
-    let lags = [
-        givetake::sim::SimDuration::ZERO,
-        givetake::sim::SimDuration::hours(2),
-    ];
-    let run = run_with(
-        PipelineOptions::default()
-            .threads(2)
-            .intervention_lags(&lags),
-    );
-    assert_eq!(run.report.interventions.len(), 2);
-    assert_eq!(run.report.interventions[0].lag_seconds, 0);
-    assert_eq!(run.report.interventions[1].lag_seconds, 7_200);
+    assert!(!via_fields.telemetry.enabled);
+    assert!(via_fields.telemetry.wall.spans.is_empty());
 }
 
 #[test]

@@ -242,10 +242,9 @@ fn chaotic_runs_record_the_same_faults_cold_warm_and_resumed() {
 }
 
 #[test]
-fn changed_tail_parameter_reuses_all_upstream_stages() {
-    let scratch = Scratch::new("warm-tail");
+fn deleted_record_recomputes_one_stage_and_dependents_stay_warm() {
+    let scratch = Scratch::new("deleted-record");
     let store = scratch.open();
-
     let cold = run_with(
         PipelineOptions::default()
             .threads(2)
@@ -253,30 +252,35 @@ fn changed_tail_parameter_reuses_all_upstream_stages() {
     );
     assert_eq!(store_metric(&cold, "cache_miss"), STAGES);
 
-    // Change only the intervention lags: a stage-local salt, invisible
-    // to every other stage. The warm run must recompute exactly one
-    // stage and replay the other 24 from the store.
-    let lags = [
-        givetake::sim::SimDuration::ZERO,
-        givetake::sim::SimDuration::hours(2),
-    ];
-    let warm = run_with(
-        PipelineOptions::default()
-            .threads(2)
-            .store(Some(store))
-            .intervention_lags(&lags),
-    );
-    assert_eq!(store_metric(&warm, "cache_hit"), STAGES - 1);
-    assert_eq!(store_metric(&warm, "cache_miss"), 1);
-    assert_eq!(warm.report.interventions.len(), 2, "new lags took effect");
+    // Remove the one `youtube_dataset` record from the stage directory.
+    let mut deleted = 0;
+    for group in std::fs::read_dir(scratch.0.join("stages")).expect("stage groups") {
+        for entry in std::fs::read_dir(group.expect("group").path()).expect("stage records") {
+            let path = entry.expect("record").path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            if name.starts_with("youtube_dataset-") {
+                std::fs::remove_file(&path).expect("record removed");
+                deleted += 1;
+            }
+        }
+    }
+    assert_eq!(deleted, 1);
 
-    // Everything upstream of the sweep is identical.
-    assert_eq!(warm.report.table1, cold.report.table1);
-    assert_eq!(warm.report.twitter_funnel, cold.report.twitter_funnel);
-    assert_eq!(warm.report.youtube_funnel, cold.report.youtube_funnel);
-    assert_eq!(warm.report.origins, cold.report.origins);
-    assert_eq!(warm.report.recipients, cold.report.recipients);
-    assert_eq!(warm.report.outgoing, cold.report.outgoing);
+    // The recomputed dataset has the digest the deleted record had, so
+    // its dependents' keys are unchanged and they all replay.
+    let warm = run_with(PipelineOptions::default().threads(2).store(Some(store)));
+    assert_eq!(store_metric(&warm, "cache_miss"), 1);
+    assert_eq!(store_metric(&warm, "cache_hit"), STAGES - 1);
+    assert_eq!(
+        warm.telemetry
+            .metrics
+            .iter()
+            .find(|m| m.substrate == "store" && m.metric == "cache_miss")
+            .map(|m| m.stage.as_str()),
+        Some("youtube_dataset")
+    );
+    assert_eq!(record(&warm), record(&cold));
+    assert_eq!(&record(&warm), baseline());
 }
 
 #[test]

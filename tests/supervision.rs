@@ -57,8 +57,8 @@ fn flaky_stage_recovers_and_the_timeline_records_it() {
     let fails = AtomicU32::new(0);
     let mut g = StageGraph::new();
     g.supervise(SupervisionPolicy::recover(3));
-    let a = g.add_stage("a", &[], &[], |_| (5u64, 0));
-    let b = g.add_stage("b", &[], &[a.index()], |r| {
+    let a = g.add_stage("a", &[], |_| (5u64, 0));
+    let b = g.add_stage("b", &[a.index()], |r| {
         if fails.fetch_add(1, Ordering::SeqCst) < 2 {
             panic!("flaky substrate");
         }
@@ -86,13 +86,11 @@ fn quarantined_diamond_stage_degrades_dependents_not_the_run() {
     // b's fallback, and d — which consumed it — must be tainted.
     let mut g = StageGraph::new();
     g.supervise(SupervisionPolicy::recover(2));
-    let a = g.add_stage("a", &[], &[], |_| (100u64, 0));
-    let b = g.add_stage::<u64, _>("b", &[], &[a.index()], |_| panic!("b is dead"));
+    let a = g.add_stage("a", &[], |_| (100u64, 0));
+    let b = g.add_stage::<u64, _>("b", &[a.index()], |_| panic!("b is dead"));
     g.fallback(b, |r| r.get(a) + 7);
-    let c = g.add_stage("c", &[], &[a.index()], |r| (r.get(a) + 1, 0));
-    let d = g.add_stage("d", &[], &[b.index(), c.index()], |r| {
-        (r.get(b) + r.get(c), 0)
-    });
+    let c = g.add_stage("c", &[a.index()], |r| (r.get(a) + 1, 0));
+    let d = g.add_stage("d", &[b.index(), c.index()], |r| (r.get(b) + r.get(c), 0));
     let mut out = g.run(2);
     assert_eq!(out.take(d), 107 + 101, "d ran over the fallback value");
     let h = &out.health;
@@ -105,8 +103,8 @@ fn quarantined_diamond_stage_degrades_dependents_not_the_run() {
 
     // The same graph in strict mode keeps the poison semantics.
     let mut g = StageGraph::new();
-    let a = g.add_stage("a", &[], &[], |_| (100u64, 0));
-    let b = g.add_stage::<u64, _>("b", &[], &[a.index()], |_| panic!("b is dead"));
+    let a = g.add_stage("a", &[], |_| (100u64, 0));
+    let b = g.add_stage::<u64, _>("b", &[a.index()], |_| panic!("b is dead"));
     g.fallback(b, |r| r.get(a) + 7);
     assert!(
         catch_unwind(AssertUnwindSafe(|| g.run(2))).is_err(),
@@ -120,11 +118,11 @@ fn quarantining_the_first_of_25_stages_taints_the_whole_chain() {
     // other stage is a transitive dependent.
     let mut g = StageGraph::new();
     g.supervise(SupervisionPolicy::recover(2));
-    let root = g.add_stage::<u64, _>("s00", &[], &[], |_| panic!("dead root"));
+    let root = g.add_stage::<u64, _>("s00", &[], |_| panic!("dead root"));
     let mut prev = root;
     for i in 1..25 {
         let dep = prev;
-        prev = g.add_stage(&format!("s{i:02}"), &[], &[dep.index()], move |r| {
+        prev = g.add_stage(&format!("s{i:02}"), &[dep.index()], move |r| {
             (r.get(dep) + 1, 0)
         });
     }
@@ -153,15 +151,15 @@ fn persist_crash_quarantines_and_a_fresh_run_resumes_from_survivors() {
         let mut g = StageGraph::new();
         g.bind_store(store, digest(b"supervision-persist"));
         g.supervise(SupervisionPolicy::recover(2));
-        let a = g.add_stage("a", &[], &[], |_| {
+        let a = g.add_stage("a", &[], |_| {
             a_runs.fetch_add(1, Ordering::SeqCst);
             (7u64, 0)
         });
-        let b = g.add_stage("b", &[], &[a.index()], |r| {
+        let b = g.add_stage("b", &[a.index()], |r| {
             b_runs.fetch_add(1, Ordering::SeqCst);
             (r.get(a) * 10, 0)
         });
-        let c = g.add_stage("c", &[], &[b.index()], |r| (r.get(b) + 1, 0));
+        let c = g.add_stage("c", &[b.index()], |r| (r.get(b) + 1, 0));
         g.fallback(c, |r| r.get(b) + 1);
         let mut out = g.run(1);
         assert_eq!(out.take(c), 1, "c consumed b's fallback, not 70");
@@ -181,15 +179,15 @@ fn persist_crash_quarantines_and_a_fresh_run_resumes_from_survivors() {
     let store = scratch.open();
     let mut g = StageGraph::new();
     g.bind_store(store, digest(b"supervision-persist"));
-    let a = g.add_stage("a", &[], &[], |_| {
+    let a = g.add_stage("a", &[], |_| {
         a_runs.fetch_add(1, Ordering::SeqCst);
         (7u64, 0)
     });
-    let b = g.add_stage("b", &[], &[a.index()], |r| {
+    let b = g.add_stage("b", &[a.index()], |r| {
         b_runs.fetch_add(1, Ordering::SeqCst);
         (r.get(a) * 10, 0)
     });
-    let c = g.add_stage("c", &[], &[b.index()], |r| (r.get(b) + 1, 0));
+    let c = g.add_stage("c", &[b.index()], |r| (r.get(b) + 1, 0));
     let mut out = g.run(1);
     assert_eq!(out.take(c), 71, "the resumed run serves the real value");
     assert!(out.health.is_clean());
