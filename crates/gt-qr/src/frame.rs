@@ -8,6 +8,11 @@
 //!
 //! Upright symbols at any integer scale and position are supported
 //! (matching how scam streams embed static overlay QR graphics).
+//!
+//! Rows are scanned word-parallel: a row's dark pixels are packed into a
+//! bit mask eight at a time, run lengths are read off it with
+//! `trailing_zeros`, and an integer ratio test rejects most run windows
+//! before the float test that decides.
 
 use crate::decode::{decode, DecodeError};
 use crate::matrix::Matrix;
@@ -87,8 +92,9 @@ struct FinderCandidate {
     module_size: f64,
 }
 
-/// Scan a row for 1:1:3:1:1 dark/light run signatures.
-fn row_candidates(frame: &Frame, y: usize) -> Vec<FinderCandidate> {
+/// Scan a row for 1:1:3:1:1 dark/light run signatures. `mask` is
+/// scratch space for the row's bit-packed dark mask.
+fn row_candidates(frame: &Frame, y: usize, mask: &mut Vec<u64>) -> Vec<FinderCandidate> {
     let mut out = Vec::new();
     let row = &frame.luma[y * frame.width..(y + 1) * frame.width];
     // An all-light row is a single light run and holds no signature.
@@ -97,17 +103,16 @@ fn row_candidates(frame: &Frame, y: usize) -> Vec<FinderCandidate> {
     if row.iter().fold(u8::MAX, |lo, &v| lo.min(v)) >= 128 {
         return out;
     }
+    dark_mask(row, mask);
     // The lengths of the last five runs. Runs alternate, so when the
     // newest run is dark the five read dark, light, dark, light, dark.
     let mut lens = [0; 5];
     let mut runs = 0;
     let mut x = 0;
     while x < row.len() {
-        let dark = row[x] < 128;
+        let dark = (mask[x / 64] >> (x % 64)) & 1 == 1;
         let start = x;
-        while x < row.len() && (row[x] < 128) == dark {
-            x += 1;
-        }
+        x = run_end(mask, x, dark, row.len());
         lens.copy_within(1.., 0);
         lens[4] = x - start;
         runs += 1;
@@ -116,6 +121,9 @@ fn row_candidates(frame: &Frame, y: usize) -> Vec<FinderCandidate> {
         }
         let [l0, l1, l2, l3, l4] = lens;
         let total = l0 + l1 + l2 + l3 + l4;
+        if !near_finder_ratio(lens, total) {
+            continue;
+        }
         let unit = total as f64 / 7.0;
         let ok = |len: usize, expect: f64| {
             let tol = (unit * 0.5).max(0.5);
@@ -130,6 +138,55 @@ fn row_candidates(frame: &Frame, y: usize) -> Vec<FinderCandidate> {
         }
     }
     out
+}
+
+/// Fill `mask` with one bit per pixel of `row`, set where the pixel is
+/// dark (bit `x % 64` of word `x / 64`; bits past the row stay clear).
+fn dark_mask(row: &[u8], mask: &mut Vec<u64>) {
+    mask.clear();
+    mask.resize(row.len().div_ceil(64), 0);
+    let mut chunks = row.chunks_exact(8);
+    for (i, chunk) in chunks.by_ref().enumerate() {
+        let pixels = u64::from_le_bytes(chunk.try_into().expect("8 bytes"));
+        // A pixel is light iff its high bit is set. The multiply gathers
+        // the eight high bits into the top byte, pixel `k` at bit 56 + k
+        // (no two partial products overlap, so nothing carries).
+        let light = (pixels & 0x8080_8080_8080_8080).wrapping_mul(0x0002_0408_1020_4081) >> 56;
+        mask[i / 8] |= (!light & 0xFF) << (8 * (i % 8));
+    }
+    let tail = row.len() - chunks.remainder().len();
+    for (x, &v) in (tail..).zip(chunks.remainder()) {
+        if v < 128 {
+            mask[x / 64] |= 1 << (x % 64);
+        }
+    }
+}
+
+/// The end of the run of `dark` pixels starting at `x`: the first pixel
+/// at or after `x` of the other colour, or `len`.
+fn run_end(mask: &[u64], mut x: usize, dark: bool, len: usize) -> usize {
+    while let Some(&word) = mask.get(x / 64) {
+        // Set bits mark pixels of the other colour.
+        let other = (if dark { !word } else { word }) >> (x % 64);
+        if other != 0 {
+            return (x + other.trailing_zeros() as usize).min(len);
+        }
+        x = (x / 64 + 1) * 64;
+    }
+    len
+}
+
+/// An integer pre-test of the 1:1:3:1:1 ratio: `false` only for windows
+/// the float test in [`row_candidates`] rejects. Scaled by 14, that test
+/// reads `|14·len − 2·e·total| ≤ e·max(total, 7)` for a run expected to
+/// be `e` modules wide; this one allows one more pixel (14) on top, far
+/// more than the float rounding it must never undercut.
+fn near_finder_ratio(lens: [usize; 5], total: usize) -> bool {
+    let total = total as i64;
+    let slack = total.max(7);
+    lens.iter()
+        .zip([1, 1, 3, 1, 1])
+        .all(|(&len, e)| (14 * len as i64 - 2 * e * total).abs() <= e * slack + 14)
 }
 
 /// Verify a horizontal candidate by checking the same signature
@@ -207,8 +264,9 @@ pub fn scan_frame(frame: &Frame) -> Vec<FrameHit> {
     // Collect horizontal candidates on every row (cheap — frames are
     // small in the pipeline), verify vertically, cluster.
     let mut cands = Vec::new();
+    let mut mask = Vec::new();
     for y in 0..frame.height {
-        for c in row_candidates(frame, y) {
+        for c in row_candidates(frame, y, &mut mask) {
             if verify_vertical(frame, &c) {
                 cands.push(c);
             }
@@ -435,7 +493,7 @@ mod tests {
     fn assert_rows_match_reference(frame: &Frame) {
         for y in 0..frame.height {
             assert_eq!(
-                row_candidates(frame, y),
+                row_candidates(frame, y, &mut Vec::new()),
                 reference_row_candidates(frame, y),
                 "row {y} of a {}x{} frame",
                 frame.width,
@@ -481,6 +539,94 @@ mod tests {
             }
         }
         assert_rows_match_reference(&frame);
+    }
+
+    /// One row of `width` pixels, either side of the threshold by
+    /// `shade`. `kind` 0 alternates 1-px runs from `phase` (1:1:1:1:1 is
+    /// a candidate); 1 paints the textured band's dots every `period`
+    /// px; 2 lays `runs` out as alternating runs, dark first when
+    /// `phase` is even; 3 lays out 1:1:3:1:1 signatures at the scales in
+    /// `runs`, each with one run up to a pixel off and a light gap after
+    /// it.
+    fn test_row(
+        kind: u8,
+        width: usize,
+        phase: usize,
+        period: usize,
+        runs: &[usize],
+        shade: u8,
+    ) -> Frame {
+        let luma = |dark: bool| {
+            let i = shade as usize % 3;
+            if dark {
+                [0, 40, 127][i]
+            } else {
+                [128, 200, 255][i]
+            }
+        };
+        let dark: Vec<bool> = match kind {
+            0 => (0..width).map(|x| (x + phase).is_multiple_of(2)).collect(),
+            1 => (0..width)
+                .map(|x| (x + phase).is_multiple_of(period))
+                .collect(),
+            2 => runs
+                .iter()
+                .enumerate()
+                .flat_map(|(i, &len)| std::iter::repeat_n((i + phase).is_multiple_of(2), len))
+                .cycle()
+                .take(width)
+                .collect(),
+            _ => runs
+                .iter()
+                .flat_map(|&scale| {
+                    let mut lens = [scale, scale, 3 * scale, scale, scale, scale + 2];
+                    lens[phase % 5] = (lens[phase % 5] + period % 3).saturating_sub(1).max(1);
+                    lens.into_iter()
+                        .enumerate()
+                        .flat_map(|(i, len)| std::iter::repeat_n(i % 2 == 0 && i < 5, len))
+                })
+                .cycle()
+                .take(width)
+                .collect(),
+        };
+        let mut frame = Frame::blank(width, 1);
+        for (x, &d) in dark.iter().enumerate() {
+            frame.set(x, 0, luma(d));
+        }
+        frame
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn word_parallel_rows_match_the_reference(
+            kind in 0u8..4,
+            width in 0usize..=200,
+            phase in 0usize..64,
+            period in 2usize..16,
+            runs in proptest::collection::vec(1usize..10, 1..24),
+            shade in proptest::prelude::any::<u8>(),
+            stale in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..8),
+        ) {
+            let frame = test_row(kind, width, phase, period, &runs, shade);
+            // A mask left over from another row must not leak in.
+            let mut mask = stale;
+            proptest::prop_assert_eq!(
+                row_candidates(&frame, 0, &mut mask),
+                reference_row_candidates(&frame, 0)
+            );
+        }
+    }
+
+    #[test]
+    fn one_pixel_alternation_is_a_candidate() {
+        let frame = test_row(0, 9, 0, 2, &[], 0);
+        let found = row_candidates(&frame, 0, &mut Vec::new());
+        assert_eq!(found, reference_row_candidates(&frame, 0));
+        assert_eq!(found.len(), 3, "windows at x = 0, 2 and 4");
+        let found = row_candidates(&test_row(3, 200, 2, 4, &[1, 2, 5], 1), 0, &mut Vec::new());
+        assert!(found.len() >= 3, "off-by-one signatures still match");
     }
 
     #[test]

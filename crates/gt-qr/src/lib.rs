@@ -30,7 +30,7 @@ pub mod tables;
 
 pub use decode::{decode, DecodeError};
 pub use encode::{encode, EncodeError};
-pub use frame::{scan_frame, Frame};
+pub use frame::{scan_frame, Frame, FrameHit};
 pub use matrix::Matrix;
 pub use tables::EcLevel;
 

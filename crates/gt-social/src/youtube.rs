@@ -323,19 +323,24 @@ impl YouTube {
         self.live_at(now)
             .into_iter()
             .map(|id| &self.streams[id.0 as usize])
-            .filter(|s| {
-                let channel_name = &self.channels[s.channel.0 as usize].name;
-                keywords.matches(&s.title)
-                    || keywords.matches(&s.description)
-                    || keywords.matches(channel_name)
-                    || s.fuzzy_topics.iter().any(|t| keywords.matches(t))
-            })
+            .filter(|s| self.search_matches(keywords, s))
             .map(|s| SearchHit {
                 stream: s.id,
                 channel: s.channel,
                 title: s.title.clone(),
             })
             .collect()
+    }
+
+    /// Whether [`YouTube::search_live`] returns `stream` for `keywords`
+    /// while it is live. Uncounted: it is the search backend's filter,
+    /// not an API call.
+    pub fn search_matches(&self, keywords: &gt_text::KeywordSet, stream: &LiveStream) -> bool {
+        let channel_name = &self.channels[stream.channel.0 as usize].name;
+        keywords.matches(&stream.title)
+            || keywords.matches(&stream.description)
+            || keywords.matches(channel_name)
+            || stream.fuzzy_topics.iter().any(|t| keywords.matches(t))
     }
 
     /// Stream metadata at `now` (concurrent and total viewers); `None`
@@ -377,20 +382,39 @@ impl YouTube {
     /// This is the Streamlink step: the monitoring pipeline records two
     /// seconds at a time.
     pub fn record(&self, id: LiveStreamId, now: SimTime, duration: SimDuration) -> Vec<Frame> {
-        self.calls.lock().record += 1;
-        let Some(s) = self.streams.get(id.0 as usize) else {
-            return Vec::new();
-        };
+        self.count_record();
         let mut frames = Vec::new();
-        let seconds = duration.as_seconds().max(1);
-        for i in 0..seconds {
-            let at = now + SimDuration::seconds(i);
-            if !s.is_live(at) {
+        for i in 0..duration.as_seconds().max(1) {
+            // An empty buffer: `render_into` allocates it at frame size.
+            let mut frame = Frame::blank(0, 0);
+            if !self.render_into(id, now + SimDuration::seconds(i), &mut frame) {
                 break;
             }
-            frames.push(render_frame(s, at, &self.qr));
+            frames.push(frame);
         }
         frames
+    }
+
+    /// Count one [`YouTube::record`] call whose frames the caller renders
+    /// itself with [`YouTube::render_into`].
+    pub fn count_record(&self) {
+        self.calls.lock().record += 1;
+    }
+
+    /// Render the stream's video frame at `at` into `frame`, reusing its
+    /// buffer; `false`, leaving `frame` as it was, if the stream does
+    /// not exist or is not live at `at`. Uncounted: it is the frame
+    /// source behind [`YouTube::record`], and renders exactly the frame
+    /// `record` returns for that second.
+    pub fn render_into(&self, id: LiveStreamId, at: SimTime, frame: &mut Frame) -> bool {
+        let Some(stream) = self.streams.get(id.0 as usize) else {
+            return false;
+        };
+        if !stream.is_live(at) {
+            return false;
+        }
+        render_frame(stream, at, &self.qr, frame);
+        true
     }
 
     // ---- gated variants of the API surface ----
@@ -444,29 +468,20 @@ impl YouTube {
             (messages, n)
         })
     }
-
-    /// [`YouTube::record`] behind a checked-call gate.
-    pub fn record_gated(
-        &self,
-        id: LiveStreamId,
-        now: SimTime,
-        duration: SimDuration,
-        gate: &mut Gated<'_>,
-    ) -> Result<Vec<Frame>, Denied> {
-        gate.checked_counted(Substrate::YoutubeRecord, now, || {
-            let frames = self.record(id, now, duration);
-            let n = frames.len() as u64;
-            (frames, n)
-        })
-    }
 }
 
 /// Frame geometry used by the simulated video track.
 const FRAME_W: usize = 320;
 const FRAME_H: usize = 240;
 
-fn render_frame(stream: &LiveStream, at: SimTime, qr: &QrMemo) -> Frame {
-    let mut frame = Frame::blank(FRAME_W, FRAME_H);
+/// Paint the frame `stream` shows at `at` over `frame`, which is
+/// resized to the frame geometry only if it has another.
+fn render_frame(stream: &LiveStream, at: SimTime, qr: &QrMemo, frame: &mut Frame) {
+    if (frame.width, frame.height) == (FRAME_W, FRAME_H) {
+        frame.luma.fill(255);
+    } else {
+        *frame = Frame::blank(FRAME_W, FRAME_H);
+    }
     // A bit of deterministic "video content" texture in the top half so
     // frames are not trivially blank: the pixels where
     // `(x + 3y + phase) % 11 == 0`, stepped to directly.
@@ -492,7 +507,6 @@ fn render_frame(stream: &LiveStream, at: SimTime, qr: &QrMemo) -> Frame {
             }
         }
     }
-    frame
 }
 
 #[cfg(test)]
@@ -698,6 +712,32 @@ mod tests {
         // Recording during the visible window sees the QR.
         let frames = yt.record(id, t(2), SimDuration::seconds(2));
         assert_eq!(scan_frame(&frames[0]).len(), 1);
+    }
+
+    #[test]
+    fn rendering_into_a_reused_buffer_matches_recording() {
+        let (mut yt, scam) = platform_with_scam_stream();
+        let benign = yt.add_stream(LiveStream {
+            video: StreamVideo::Benign,
+            ..yt.stream(scam).clone()
+        });
+        let calls = yt.api_calls();
+        let mut frame = Frame::blank(0, 0);
+        for (id, at) in [(scam, 300), (benign, 300), (scam, 301), (benign, 7000)] {
+            assert!(yt.render_into(id, t(at), &mut frame));
+            let recorded = yt.record(id, t(at), SimDuration::seconds(1));
+            assert!(frame.luma == recorded[0].luma, "{id:?} at {at}");
+        }
+        assert_eq!(
+            yt.api_calls().record,
+            calls.record + 4,
+            "only `record` counts"
+        );
+        assert!(!yt.render_into(scam, t(7200), &mut frame), "ended");
+        assert!(
+            !yt.render_into(LiveStreamId(9), t(300), &mut frame),
+            "no such stream"
+        );
     }
 
     #[test]

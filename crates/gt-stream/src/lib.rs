@@ -5,6 +5,12 @@
 //!   minutes, stream/chat/viewer sampling every 7.5 minutes, two-second
 //!   video recordings, QR and chat URL lead extraction, daily crawl
 //!   revisits, and the 11 infrastructure outage days;
+//! * [`lookahead`] — the monitor's look-ahead: one simulated day at a
+//!   time, the recordings and QR scans its loop can ask for are computed
+//!   on `MonitorConfig::threads` workers into plain values (frame count,
+//!   first hits), which the loop takes when a record call is admitted.
+//!   Every gated call stays on the loop in its order, so the report,
+//!   metrics and API call counts do not depend on the thread count;
 //! * [`twitch`] — the Twitch pilot: fetch all streams, filter by
 //!   keywords minus the 16 noisy ones, drop game categories, record 20
 //!   seconds (to outlast the ad roll), keep chat while live;
@@ -12,6 +18,7 @@
 //!   a code stays on screen once first seen).
 
 pub mod keywords;
+pub mod lookahead;
 pub mod monitor;
 pub mod pilot;
 pub mod twitch;

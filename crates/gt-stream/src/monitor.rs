@@ -11,8 +11,8 @@
 //! polling.
 
 use crate::keywords::SearchKeywords;
+use crate::lookahead::LookAhead;
 use gt_obs::StageSink;
-use gt_qr::scan_frame;
 use gt_sim::faults::{FaultPlan, Gated, RetryPolicy, Substrate};
 use gt_sim::{CivilDate, SimDuration, SimTime};
 use gt_social::{ChannelId, LiveStreamId, YouTube};
@@ -60,6 +60,9 @@ pub struct MonitorConfig {
     pub fault_plan: Option<FaultPlan>,
     /// Telemetry sink the window reports into (no-op by default).
     pub sink: StageSink,
+    /// Threads recording and scanning ahead of the sampling loop, the
+    /// loop's own included. The report does not depend on it.
+    pub threads: usize,
 }
 
 impl MonitorConfig {
@@ -73,6 +76,7 @@ impl MonitorConfig {
             crawler: CrawlerConfig::default(),
             fault_plan: None,
             sink: StageSink::noop(),
+            threads: 1,
         }
     }
 }
@@ -160,8 +164,8 @@ struct Tracked {
 
 /// The monitor itself.
 pub struct Monitor {
-    config: MonitorConfig,
-    keywords: SearchKeywords,
+    pub(crate) config: MonitorConfig,
+    pub(crate) keywords: SearchKeywords,
 }
 
 impl Monitor {
@@ -169,7 +173,7 @@ impl Monitor {
         Monitor { config, keywords }
     }
 
-    fn is_outage(&self, t: SimTime) -> bool {
+    pub(crate) fn is_outage(&self, t: SimTime) -> bool {
         let d = t.date();
         self.config.outage_days.contains(&d)
     }
@@ -187,6 +191,7 @@ impl Monitor {
         let mut revisits: Vec<RevisitState> = Vec::new();
         let mut known_urls: HashSet<String> = HashSet::new();
         let crawler = Crawler::new(cfg.crawler);
+        let mut ahead = LookAhead::new(self, youtube, cfg.threads);
         // One gate per window; the label ties this window's jitter
         // stream to its start so pilot and main draw independently.
         let gate_label = format!("monitor@{}", cfg.window_start.0);
@@ -301,37 +306,36 @@ impl Monitor {
                     }
                 }
 
-                // Video recording: scan the sampled frames for QR codes.
-                let frames = youtube
-                    .record_gated(id, t, RECORD_LENGTH, &mut gate)
+                // Video recording: the admitted call counts once and takes
+                // its scanned clip from the look-ahead.
+                let clip = gate
+                    .checked_counted(Substrate::YoutubeRecord, t, || {
+                        youtube.count_record();
+                        let clip = ahead.clip(id, t);
+                        let frames = clip.frames;
+                        (clip, frames)
+                    })
                     .unwrap_or_default();
-                let mut saw_qr = false;
-                for frame in &frames {
-                    for hit in scan_frame(frame) {
-                        saw_qr = true;
-                        if let Ok(text) = String::from_utf8(hit.payload.clone()) {
-                            for url in extract_urls(&text) {
-                                if lead_seen.insert((url.url.clone(), id, UrlSource::QrCode)) {
-                                    report.leads.push(UrlLead {
-                                        url: url.url.clone(),
-                                        source: UrlSource::QrCode,
-                                        stream: id,
-                                        first_seen: t,
-                                    });
-                                }
-                                if known_urls.insert(url.url.clone()) {
-                                    if let Some(parsed) = Url::parse(&url.url) {
-                                        revisits.push(RevisitState::new(parsed));
-                                    }
+                for hit in &clip.hits {
+                    if let Ok(text) = std::str::from_utf8(&hit.payload) {
+                        for url in extract_urls(text) {
+                            if lead_seen.insert((url.url.clone(), id, UrlSource::QrCode)) {
+                                report.leads.push(UrlLead {
+                                    url: url.url.clone(),
+                                    source: UrlSource::QrCode,
+                                    stream: id,
+                                    first_seen: t,
+                                });
+                            }
+                            if known_urls.insert(url.url.clone()) {
+                                if let Some(parsed) = Url::parse(&url.url) {
+                                    revisits.push(RevisitState::new(parsed));
                                 }
                             }
                         }
                     }
-                    if saw_qr {
-                        break; // both frames show the same overlay
-                    }
                 }
-                if saw_qr {
+                if !clip.hits.is_empty() {
                     obs.qr_samples += 1;
                     if obs.qr_first_seen.is_none() {
                         obs.qr_first_seen = Some(t);
@@ -539,13 +543,12 @@ mod tests {
         assert!(obs.last_seen < t0() + SimDuration::hours(4));
     }
 
-    #[test]
-    fn faulted_sampling_does_not_depend_on_map_order() {
-        // Four scam streams polled under transients on every details and
-        // chat call. A 17 s window outlasts some retry schedules (2-3 s,
-        // 4-6 s, 8-12 s of jittered backoff before the last attempt) and
-        // not others, so which stream loses a sample depends on the
-        // order the streams draw the gate's jitter in.
+    /// Four scam streams polled under transients on every details and
+    /// chat call. A 17 s window outlasts some retry schedules (2-3 s,
+    /// 4-6 s, 8-12 s of jittered backoff before the last attempt) and
+    /// not others, so which stream loses a sample depends on the order
+    /// the streams draw the gate's jitter in.
+    fn faulted_fixture() -> (YouTube, WebHost, MonitorConfig) {
         let mut yt = YouTube::new();
         let ch = yt.add_channel("Crypto Daily".into(), 20_000);
         for i in 0..4 {
@@ -576,7 +579,6 @@ mod tests {
                     .collect(),
             });
         }
-        let web = WebHost::new();
         let mut config = short_config(5);
         config.crawl = false;
         let ticks: Vec<FaultWindow> = (0..40)
@@ -595,6 +597,12 @@ mod tests {
             (Substrate::YoutubeChat, ticks),
         ]);
         config.fault_plan = Some(plan);
+        (yt, WebHost::new(), config)
+    }
+
+    #[test]
+    fn faulted_sampling_does_not_depend_on_map_order() {
+        let (yt, web, mut config) = faulted_fixture();
         let sink = gt_obs::MetricsRegistry::new().sink("monitor");
         config.sink = sink.clone();
         let monitor = Monitor::new(config, search_keyword_set());
@@ -611,6 +619,38 @@ mod tests {
         assert!(total("lost") > 0 && total("recovered") > 0);
         for _ in 1..8 {
             assert_eq!(monitor.run(&yt, &web), first);
+        }
+    }
+
+    #[test]
+    fn look_ahead_threads_change_no_report_metric_or_call_count() {
+        let (yt, web, config) = faulted_fixture();
+        let run = |threads: usize| {
+            let sink = gt_obs::MetricsRegistry::new().sink("monitor");
+            let mut config = config.clone();
+            config.sink = sink.clone();
+            config.threads = threads;
+            let before = yt.api_calls();
+            let report = Monitor::new(config, search_keyword_set()).run(&yt, &web);
+            let after = yt.api_calls();
+            let calls = [
+                after.search - before.search,
+                after.stream_details - before.stream_details,
+                after.channel_details - before.channel_details,
+                after.chat_history - before.chat_history,
+                after.record - before.record,
+            ];
+            let rows: Vec<_> = sink.sheet().rows("").collect();
+            (report, rows, calls)
+        };
+        let serial = run(1);
+        assert!(serial.0.streams.iter().all(|s| s.qr_samples > 0));
+        assert!(serial.2[4] > 0, "recordings were counted");
+        for threads in [2, 4] {
+            let parallel = run(threads);
+            assert_eq!(parallel.0, serial.0, "{threads}-thread report");
+            assert_eq!(parallel.1, serial.1, "{threads}-thread metric sheet");
+            assert_eq!(parallel.2, serial.2, "{threads}-thread API call counts");
         }
     }
 }

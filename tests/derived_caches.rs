@@ -68,3 +68,24 @@ fn filled_caches_leave_snapshots_and_frames_unchanged() {
         "some sampled frame shows a QR code"
     );
 }
+
+#[test]
+fn look_ahead_threads_leave_the_snapshot_unchanged() {
+    // The monitors record and scan ahead on the run's threads, but only
+    // the admitted recordings count as API calls: twin worlds run at 1
+    // and 4 threads snapshot to the same bytes, call counters included.
+    let mut config = WorldConfig::scaled(0.02);
+    config.seed = 0x0B5E_17ED;
+    let snapshot_after = |threads: usize| {
+        let world = World::generate(config.clone());
+        Pipeline::new(&world)
+            .options(PipelineOptions::default().threads(threads))
+            .run();
+        assert!(world.youtube.api_calls().record > 0);
+        world.snapshot()
+    };
+    assert!(
+        snapshot_after(1) == snapshot_after(4),
+        "the thread count changed the snapshot"
+    );
+}

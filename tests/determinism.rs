@@ -1,7 +1,8 @@
 //! Thread-count invariance: the parallel pipeline must be a pure
 //! scheduling optimization. For one seed, a single-threaded run and
-//! multi-threaded runs must produce byte-identical `PaperReport` JSON —
-//! same stage outputs, same sharded clustering, same tag resolution.
+//! multi-threaded runs must produce byte-identical `PaperReport` and
+//! metrics JSON — same stage outputs, same sharded clustering, same tag
+//! resolution, same monitor look-ahead results and call counts.
 
 use givetake::core::{PaperRun, Pipeline, PipelineOptions};
 use givetake::world::{World, WorldConfig};
@@ -20,20 +21,32 @@ fn run_with(options: PipelineOptions) -> PaperRun {
     Pipeline::new(world()).options(options).run()
 }
 
-fn report_json(threads: usize) -> String {
+/// The run's report and metric rows as JSON.
+fn run_json(run: &PaperRun) -> (String, String) {
+    (
+        serde_json::to_string(&run.report).expect("report serializes"),
+        serde_json::to_string(&run.telemetry.metrics).expect("metrics serialize"),
+    )
+}
+
+fn report_json(threads: usize) -> (String, String) {
     let run = run_with(PipelineOptions::default().threads(threads));
     assert_eq!(run.timings.threads, threads);
-    serde_json::to_string(&run.report).expect("report serializes")
+    run_json(&run)
 }
 
 #[test]
 fn report_is_byte_identical_across_thread_counts() {
-    let serial = report_json(1);
+    let (serial, serial_metrics) = report_json(1);
     for threads in [2, 4, 8] {
+        let (json, metrics) = report_json(threads);
         assert_eq!(
-            report_json(threads),
-            serial,
+            json, serial,
             "{threads}-thread report diverged from the single-threaded run"
+        );
+        assert_eq!(
+            metrics, serial_metrics,
+            "{threads}-thread metrics diverged from the single-threaded run"
         );
     }
 }
@@ -44,25 +57,26 @@ fn faulted_report_is_byte_identical_across_thread_counts() {
     // substrate, call site), never of scheduling — the chaos run must
     // be exactly as thread-invariant as the clean one.
     let profile = givetake::sim::faults::ChaosProfile::default();
-    let run_json = |threads: usize| {
+    let faulted = |threads: usize| {
         let run = run_with(
             PipelineOptions::default()
                 .threads(threads)
                 .chaos(0xFA_017, &profile),
         );
-        (
-            serde_json::to_string(&run.report).expect("report serializes"),
-            run.degradation,
-        )
+        (run_json(&run), run.degradation)
     };
-    let (serial, serial_deg) = run_json(1);
+    let ((serial, serial_metrics), serial_deg) = faulted(1);
     assert!(
         serial_deg.total.injected() > 0,
         "the plan actually injected faults"
     );
     for threads in [2, 4] {
-        let (json, deg) = run_json(threads);
+        let ((json, metrics), deg) = faulted(threads);
         assert_eq!(json, serial, "{threads}-thread faulted report diverged");
+        assert_eq!(
+            metrics, serial_metrics,
+            "{threads}-thread faulted metrics diverged"
+        );
         assert_eq!(
             deg, serial_deg,
             "{threads}-thread degradation accounting diverged"
