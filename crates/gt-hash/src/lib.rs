@@ -1,4 +1,4 @@
-//! From-scratch hash primitives for the address codecs.
+//! From-scratch hash primitives for the address codecs and the run store.
 //!
 //! The paper validates scam-page cryptocurrency addresses with
 //! `coinaddrvalidator` / `multicoin-address-validator`. Faithful validation
@@ -7,6 +7,14 @@
 //! * Base58Check (BTC legacy, XRP): double SHA-256;
 //! * P2PKH/P2SH address derivation: HASH160 = RIPEMD-160 ∘ SHA-256;
 //! * EIP-55 mixed-case checksums (ETH): Keccak-256.
+//!
+//! SHA-256 also carries the run store (`gt-store`): it seals and
+//! re-verifies every record written or read, world snapshots of tens of
+//! megabytes included, and it derives the content keys of cached stages.
+//! For that bulk work its compression function runs on the x86 SHA
+//! extensions (SHA-NI) when a runtime CPU check finds them, and on the
+//! portable implementation everywhere else; both give the same digests
+//! and are pinned against each other by the tests.
 //!
 //! No cryptographic dependency is in the approved set, so the three
 //! primitives are implemented here directly from their specifications and

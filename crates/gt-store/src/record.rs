@@ -21,7 +21,7 @@ pub const MAGIC: [u8; 4] = *b"GTS1";
 /// records carry the stage's metric sheet next to its output.
 pub const SCHEMA_VERSION: u32 = 2;
 
-const HEADER_LEN: usize = 4 + 4 + 8;
+pub(crate) const HEADER_LEN: usize = 4 + 4 + 8;
 const FOOTER_LEN: usize = 32;
 
 /// Frame a payload into a self-verifying record.

@@ -121,8 +121,7 @@ impl RunStore {
     /// Load a stage payload. Any failure — missing file, torn write,
     /// corruption, schema drift — is a `None` (cache miss).
     pub fn load_stage(&self, base: &Digest, stage: &str, key: &Digest) -> Option<Vec<u8>> {
-        let bytes = fs::read(self.stage_path(base, stage, key)).ok()?;
-        record::open(&bytes).ok().map(<[u8]>::to_vec)
+        load_record(&self.stage_path(base, stage, key))
     }
 
     /// Persist a stage payload under its content address.
@@ -141,8 +140,7 @@ impl RunStore {
 
     /// Load a world snapshot payload by config fingerprint.
     pub fn load_world(&self, fingerprint: &Digest) -> Option<Vec<u8>> {
-        let bytes = fs::read(self.world_path(fingerprint)).ok()?;
-        record::open(&bytes).ok().map(<[u8]>::to_vec)
+        load_record(&self.world_path(fingerprint))
     }
 
     /// Persist a world snapshot payload.
@@ -227,6 +225,18 @@ impl RunStore {
             StoreError::new(format!("rename into {}", path.display()), e)
         })
     }
+}
+
+/// Read and verify the record at `path`, and return its payload in the
+/// file's own buffer: the footer is truncated and the header drained in
+/// place, so a large payload is never copied into a second allocation.
+/// Any failure is a `None` (cache miss).
+fn load_record(path: &Path) -> Option<Vec<u8>> {
+    let mut bytes = fs::read(path).ok()?;
+    let payload_len = record::open(&bytes).ok()?.len();
+    bytes.truncate(record::HEADER_LEN + payload_len);
+    bytes.drain(..record::HEADER_LEN);
+    Some(bytes)
 }
 
 #[cfg(test)]
