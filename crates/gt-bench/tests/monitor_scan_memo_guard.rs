@@ -1,0 +1,88 @@
+//! Guard: the main monitoring window must cost well under rendering and
+//! QR-scanning its recorded frames one by one.
+//!
+//! A window scans each distinct frame key once and answers every other
+//! frame from its memo. Looped scam videos show the same few frames again
+//! and again, so the scans left are a small share of the window. If the
+//! memo stops hitting (say its key picks up the instant), the window pays
+//! a render and a scan per frame again, on top of its polls, and costs
+//! more than the one-by-one reference. Both are timed best-of-N,
+//! interleaved in one process, so machine speed cancels. Debug builds
+//! skip it.
+
+use gt_qr::{scan_frame, Frame};
+use gt_sim::SimDuration;
+use gt_stream::monitor::{OUTAGE_DAYS, RECORD_LENGTH, SAMPLE_INTERVAL};
+use gt_stream::{search_keyword_set, Monitor, MonitorConfig, MonitorReport};
+use gt_world::{World, WorldConfig};
+use std::hint::black_box;
+use std::time::{Duration, Instant};
+
+const ROUNDS: usize = 4;
+/// Measured 0.21-0.22x in release builds on a 2-vCPU x86-64 VM; with
+/// the memo bypassed (every frame rendered and scanned) it was 0.97x.
+const MAX_RATIO: f64 = 0.35;
+
+/// Wall time and report of one main-window run.
+fn main_window(world: &World) -> (Duration, MonitorReport) {
+    let config = &world.config;
+    let cfg = MonitorConfig::paper(config.youtube_start, config.youtube_end);
+    let monitor = Monitor::new(cfg, search_keyword_set());
+    let started = Instant::now();
+    let report = monitor.run(&world.youtube, &world.web);
+    (started.elapsed(), report)
+}
+
+/// Wall time and count of rendering and scanning, one by one, every
+/// frame the window's clean run recorded: each observed stream at each
+/// sampling tick from its first to its last sample, off the outage days.
+fn frames_one_by_one(world: &World, report: &MonitorReport) -> (Duration, u64) {
+    let mut frame = Frame::blank(0, 0);
+    let mut frames = 0;
+    let started = Instant::now();
+    for obs in &report.streams {
+        let mut t = obs.first_seen;
+        while t <= obs.last_seen {
+            if !OUTAGE_DAYS.contains(&t.date()) {
+                for i in 0..RECORD_LENGTH.as_seconds() {
+                    let at = t + SimDuration::seconds(i);
+                    if world.youtube.render_into(obs.stream, at, &mut frame) {
+                        black_box(scan_frame(&frame));
+                        frames += 1;
+                    }
+                }
+            }
+            t += SAMPLE_INTERVAL;
+        }
+    }
+    (started.elapsed(), frames)
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "timing threshold set from release builds")]
+fn main_window_costs_well_under_scanning_every_frame() {
+    let mut config = WorldConfig::scaled(0.02);
+    config.seed = 0x5CA_4EAD;
+    let world = World::generate(config);
+
+    let (mut window, report) = main_window(&world);
+    let (mut reference, frames) = frames_one_by_one(&world, &report);
+    assert!(report.samples_run > 0, "the window sampled streams");
+    assert!(
+        (report.samples_run..=2 * report.samples_run).contains(&frames),
+        "{frames} frames for {} samples",
+        report.samples_run
+    );
+    // Interleave so a slow phase of the machine hits both alike.
+    for _ in 1..ROUNDS {
+        window = window.min(main_window(&world).0);
+        reference = reference.min(frames_one_by_one(&world, &report).0);
+    }
+    let ratio = window.as_secs_f64() / reference.as_secs_f64().max(1e-9);
+    eprintln!("window {window:?} vs {frames} frames one by one {reference:?}: {ratio:.2}x");
+    assert!(
+        ratio <= MAX_RATIO,
+        "window {window:?} vs {frames} frames one by one {reference:?}: {ratio:.2}x \
+         (limit {MAX_RATIO}x)"
+    );
+}

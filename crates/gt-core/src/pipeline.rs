@@ -50,9 +50,8 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct PipelineOptions {
-    /// Worker threads for the stage executor, the sharded cluster build
-    /// and each monitor window's look-ahead. `0` means the machine's
-    /// available parallelism.
+    /// Worker threads for the stage executor and the sharded cluster
+    /// build. `0` means the machine's available parallelism.
     pub threads: usize,
     /// Fault schedule every substrate consults; `None` runs clean.
     /// The clean run is byte-identical to pre-fault-layer behavior.
@@ -311,7 +310,6 @@ impl<'w> Pipeline<'w> {
             let mut cfg = MonitorConfig::paper(config.pilot_start, config.pilot_end);
             cfg.fault_plan = pilot_plan.clone();
             cfg.sink = r.sink().clone();
-            cfg.threads = threads;
             let monitor = Monitor::new(cfg, search_keyword_set());
             let report = monitor.run(&world.youtube, &world.web);
             let streams = report.streams.len() as u64;
@@ -323,7 +321,6 @@ impl<'w> Pipeline<'w> {
             let mut cfg = MonitorConfig::paper(config.youtube_start, config.youtube_end);
             cfg.fault_plan = monitor_plan.clone();
             cfg.sink = r.sink().clone();
-            cfg.threads = threads;
             let monitor = Monitor::new(cfg, search_keyword_set());
             let report = monitor.run(&world.youtube, &world.web);
             let streams = report.streams.len() as u64;

@@ -23,8 +23,8 @@ pub mod twitch;
 pub mod twitter;
 pub mod youtube;
 
-pub use twitch::{Twitch, TwitchStream, TwitchStreamId};
+pub use twitch::{Twitch, TwitchFrameKey, TwitchStream, TwitchStreamId};
 pub use twitter::{Tweet, TweetId, TwitterAccountId, TwitterSnapshot};
 pub use youtube::{
-    ChannelId, ChatMessage, LiveStream, LiveStreamId, StreamVideo, ViewerCurve, YouTube,
+    ChannelId, ChatMessage, FrameKey, LiveStream, LiveStreamId, StreamVideo, ViewerCurve, YouTube,
 };

@@ -10,8 +10,8 @@
 //! * a ~15-second advertisement clip precedes stream content, so
 //!   recordings shorter than that may capture no content frames.
 
-use crate::youtube::{ChatMessage, StreamVideo, ViewerCurve};
-use gt_qr::{encode, EcLevel, Frame};
+use crate::youtube::{blank_into, ChatMessage, StreamVideo, ViewerCurve, FRAME_H, FRAME_W};
+use gt_qr::{Frame, Matrix};
 use gt_sim::faults::{Denied, Gated, Substrate};
 use gt_sim::{SimDuration, SimTime};
 use gt_store::{StoreDecode, StoreEncode};
@@ -57,6 +57,15 @@ impl TwitchStream {
     pub fn is_live(&self, now: SimTime) -> bool {
         self.start <= now && now < self.end
     }
+}
+
+/// What a recorded Twitch frame shows, and so all its pixels depend on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum TwitchFrameKey {
+    /// The advertisement card of a recording's first [`AD_SECONDS`].
+    Ad,
+    /// The stream's content, with its QR overlay if it shows one.
+    Content(TwitchStreamId),
 }
 
 /// Per-endpoint call counts.
@@ -110,23 +119,53 @@ impl Twitch {
     /// seconds after the recording starts show an advertisement (no
     /// stream content, no QR).
     pub fn record(&self, id: TwitchStreamId, now: SimTime, duration: SimDuration) -> Vec<Frame> {
+        self.count_record();
+        let qr = self
+            .streams
+            .get(id.0 as usize)
+            .and_then(|s| s.video.qr_matrix());
+        self.frame_keys(id, now, duration)
+            .map(|key| {
+                let mut frame = Frame::blank(0, 0);
+                self.paint_with(key, qr.as_ref(), &mut frame);
+                frame
+            })
+            .collect()
+    }
+
+    /// Count one [`Twitch::record`] call whose frames the caller paints
+    /// itself from [`Twitch::frame_keys`].
+    pub fn count_record(&self) {
         self.calls.lock().record += 1;
-        let Some(s) = self.streams.get(id.0 as usize) else {
-            return Vec::new();
-        };
-        let mut frames = Vec::new();
-        for i in 0..duration.as_seconds().max(1) {
-            let at = now + SimDuration::seconds(i);
-            if !s.is_live(at) {
-                break;
-            }
-            if i < AD_SECONDS {
-                frames.push(ad_frame());
+    }
+
+    /// The keys of the frames [`Twitch::record`] returns for the same
+    /// arguments, in order. Uncounted.
+    pub fn frame_keys(
+        &self,
+        id: TwitchStreamId,
+        now: SimTime,
+        duration: SimDuration,
+    ) -> impl Iterator<Item = TwitchFrameKey> + '_ {
+        let stream = self.streams.get(id.0 as usize);
+        (0..duration.as_seconds().max(1)).map_while(move |i| {
+            let s = stream.filter(|s| s.is_live(now + SimDuration::seconds(i)))?;
+            Some(if i < AD_SECONDS {
+                TwitchFrameKey::Ad
             } else {
-                frames.push(content_frame(s, at));
-            }
-        }
-        frames
+                TwitchFrameKey::Content(s.id)
+            })
+        })
+    }
+
+    /// Paint the frame `key` names over `frame`, reusing its buffer.
+    /// Uncounted.
+    pub fn paint(&self, key: TwitchFrameKey, frame: &mut Frame) {
+        let qr = match key {
+            TwitchFrameKey::Content(id) => self.stream(id).video.qr_matrix(),
+            TwitchFrameKey::Ad => None,
+        };
+        self.paint_with(key, qr.as_ref(), frame);
     }
 
     /// Chat messages in `(since, now]`; only available while live
@@ -146,6 +185,31 @@ impl Twitch {
             .collect()
     }
 
+    /// Paint the frame `key` names over `frame`; `qr` is the overlay of the
+    /// keyed stream's video.
+    fn paint_with(&self, key: TwitchFrameKey, qr: Option<&Matrix>, frame: &mut Frame) {
+        blank_into(frame);
+        match key {
+            TwitchFrameKey::Ad => {
+                // A mid-gray card: no QR, recognisably not content.
+                for y in 80..160 {
+                    frame.luma[y * FRAME_W + 60..y * FRAME_W + 260].fill(100);
+                }
+            }
+            TwitchFrameKey::Content(id) => {
+                if let (StreamVideo::ScamLoop { qr_scale, .. }, Some(matrix)) =
+                    (&self.stream(id).video, qr)
+                {
+                    let scale = (*qr_scale).max(1);
+                    let span = matrix.size() * scale + 8 * scale;
+                    if span + 10 <= FRAME_W.min(FRAME_H) {
+                        frame.paint_qr(matrix, FRAME_W - span - 5, FRAME_H - span - 5, scale);
+                    }
+                }
+            }
+        }
+    }
+
     // ---- gated variants (see the YouTube counterparts) ----
 
     /// [`Twitch::get_streams`] behind a checked-call gate.
@@ -158,23 +222,6 @@ impl Twitch {
             let streams = self.get_streams(now);
             let n = streams.len() as u64;
             (streams, n)
-        })
-    }
-
-    /// [`Twitch::record`] behind a checked-call gate. Recording rides
-    /// the chat/IRC substrate: both are per-stream taps, distinct from
-    /// the Helix listing quota.
-    pub fn record_gated(
-        &self,
-        id: TwitchStreamId,
-        now: SimTime,
-        duration: SimDuration,
-        gate: &mut Gated<'_>,
-    ) -> Result<Vec<Frame>, Denied> {
-        gate.checked_counted(Substrate::TwitchChat, now, || {
-            let frames = self.record(id, now, duration);
-            let n = frames.len() as u64;
-            (frames, n)
         })
     }
 
@@ -192,38 +239,6 @@ impl Twitch {
             (messages, n)
         })
     }
-}
-
-const FRAME_W: usize = 320;
-const FRAME_H: usize = 240;
-
-fn ad_frame() -> Frame {
-    // A mid-gray card: no QR, recognisably not content.
-    let mut frame = Frame::blank(FRAME_W, FRAME_H);
-    for y in 80..160 {
-        for x in 60..260 {
-            frame.set(x, y, 100);
-        }
-    }
-    frame
-}
-
-fn content_frame(stream: &TwitchStream, at: SimTime) -> Frame {
-    let mut frame = Frame::blank(FRAME_W, FRAME_H);
-    if let StreamVideo::ScamLoop {
-        qr_url, qr_scale, ..
-    } = &stream.video
-    {
-        let _ = at;
-        if let Ok(matrix) = encode(qr_url.as_bytes(), EcLevel::M) {
-            let scale = (*qr_scale).max(1);
-            let span = matrix.size() * scale + 8 * scale;
-            if span + 10 <= FRAME_W.min(FRAME_H) {
-                frame.paint_qr(&matrix, FRAME_W - span - 5, FRAME_H - span - 5, scale);
-            }
-        }
-    }
-    frame
 }
 
 #[cfg(test)]
@@ -316,5 +331,34 @@ mod tests {
             (calls.get_streams, calls.record, calls.chat_poll),
             (1, 1, 1)
         );
+    }
+
+    #[test]
+    fn painted_keys_match_recorded_frames() {
+        let mut tw = Twitch::new();
+        let benign = tw.add_stream(gaming_stream());
+        let mut s = gaming_stream();
+        s.video = StreamVideo::ScamLoop {
+            qr_url: "https://btc-2x.fund".into(),
+            qr_duty_cycle: None,
+            qr_scale: 2,
+        };
+        let scam = tw.add_stream(s);
+        let mut frame = Frame::blank(0, 0);
+        for (id, at) in [
+            (scam, 100),
+            (benign, 100),
+            (scam, 7_190),
+            (TwitchStreamId(9), 0),
+        ] {
+            let recorded = tw.record(id, t(at), SimDuration::seconds(20));
+            let keys: Vec<_> = tw.frame_keys(id, t(at), SimDuration::seconds(20)).collect();
+            assert_eq!(keys.len(), recorded.len(), "{id:?} at {at}");
+            for (key, expect) in keys.into_iter().zip(&recorded) {
+                tw.paint(key, &mut frame);
+                assert!(frame.luma == expect.luma, "{key:?}");
+            }
+        }
+        assert_eq!(tw.api_calls().record, 4, "only `record` counts");
     }
 }

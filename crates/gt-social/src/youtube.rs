@@ -87,12 +87,25 @@ pub enum StreamVideo {
 impl StreamVideo {
     /// Encode the QR overlay this video shows; `None` for benign video
     /// (or a URL too long for any supported version).
-    fn qr_matrix(&self) -> Option<Matrix> {
+    pub(crate) fn qr_matrix(&self) -> Option<Matrix> {
         match self {
             StreamVideo::ScamLoop { qr_url, .. } => encode(qr_url.as_bytes(), EcLevel::M).ok(),
             StreamVideo::Benign => None,
         }
     }
+}
+
+/// What a video frame shows, and so all its pixels depend on: the
+/// texture's phase and, while a QR overlay is visible, the stream whose
+/// overlay is painted. [`YouTube::frame_key`] names the frame a stream
+/// shows at an instant and [`YouTube::paint`] paints it; the fields are
+/// private, so every key names a frame some stream shows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct FrameKey {
+    /// Seconds since the stream started, modulo the texture's period.
+    phase: u8,
+    /// The stream whose QR overlay is painted; `None` when none is.
+    overlay: Option<LiveStreamId>,
 }
 
 /// Per-stream QR matrices, encoded on a stream's first recorded QR
@@ -215,7 +228,7 @@ pub struct YouTube {
     /// query, so it is excluded from snapshots.
     #[store(skip)]
     live_index: Mutex<Option<LiveIndex>>,
-    /// Derived per-stream QR matrices, filled by `record`.
+    /// Derived per-stream QR matrices, filled by `paint`.
     #[store(skip)]
     qr: QrMemo,
 }
@@ -401,19 +414,64 @@ impl YouTube {
         self.calls.lock().record += 1;
     }
 
+    /// The key of the frame stream `id` shows at `at`; `None` if the
+    /// stream does not exist or is not live at `at`. Uncounted.
+    pub fn frame_key(&self, id: LiveStreamId, at: SimTime) -> Option<FrameKey> {
+        let stream = self.streams.get(id.0 as usize)?;
+        if !stream.is_live(at) {
+            return None;
+        }
+        Some(FrameKey {
+            phase: (at - stream.start).as_seconds().rem_euclid(TEXTURE_PERIOD) as u8,
+            overlay: stream.qr_visible(at).then_some(id),
+        })
+    }
+
+    /// Paint the frame `key` names over `frame`, which is resized to the
+    /// frame geometry only if it has another. Reads only the key and the
+    /// keyed stream's video, so equal keys paint equal pixels.
+    /// Uncounted.
+    pub fn paint(&self, key: FrameKey, frame: &mut Frame) {
+        blank_into(frame);
+        // A bit of deterministic "video content" texture in the top half so
+        // frames are not trivially blank: the pixels where
+        // `(x + 3y + phase) % 11 == 0`, stepped to directly.
+        let period = TEXTURE_PERIOD as usize;
+        for y in 0..40 {
+            let first = (period - (y * 3 + key.phase as usize) % period) % period;
+            for x in (first..FRAME_W).step_by(period) {
+                frame.set(x, y, 40);
+            }
+        }
+        let Some(id) = key.overlay else {
+            return;
+        };
+        let stream = &self.streams[id.0 as usize];
+        if let StreamVideo::ScamLoop { qr_scale, .. } = &stream.video {
+            if let Some(matrix) = self.qr.matrix(id.0, &stream.video) {
+                let scale = (*qr_scale).max(1);
+                let span = matrix.size() * scale + 8 * scale;
+                if span + 10 <= FRAME_W && span + 50 <= FRAME_H {
+                    frame.paint_qr(&matrix, FRAME_W - span - 5, FRAME_H - span - 5, scale);
+                } else {
+                    // Fall back to scale 1 in a corner.
+                    let span1 = matrix.size() + 8;
+                    frame.paint_qr(&matrix, FRAME_W - span1 - 2, FRAME_H - span1 - 2, 1);
+                }
+            }
+        }
+    }
+
     /// Render the stream's video frame at `at` into `frame`, reusing its
     /// buffer; `false`, leaving `frame` as it was, if the stream does
     /// not exist or is not live at `at`. Uncounted: it is the frame
-    /// source behind [`YouTube::record`], and renders exactly the frame
+    /// source behind [`YouTube::record`], and paints exactly the frame
     /// `record` returns for that second.
     pub fn render_into(&self, id: LiveStreamId, at: SimTime, frame: &mut Frame) -> bool {
-        let Some(stream) = self.streams.get(id.0 as usize) else {
+        let Some(key) = self.frame_key(id, at) else {
             return false;
         };
-        if !stream.is_live(at) {
-            return false;
-        }
-        render_frame(stream, at, &self.qr, frame);
+        self.paint(key, frame);
         true
     }
 
@@ -470,42 +528,20 @@ impl YouTube {
     }
 }
 
-/// Frame geometry used by the simulated video track.
-const FRAME_W: usize = 320;
-const FRAME_H: usize = 240;
+/// Frame geometry used by the simulated video tracks.
+pub(crate) const FRAME_W: usize = 320;
+pub(crate) const FRAME_H: usize = 240;
 
-/// Paint the frame `stream` shows at `at` over `frame`, which is
-/// resized to the frame geometry only if it has another.
-fn render_frame(stream: &LiveStream, at: SimTime, qr: &QrMemo, frame: &mut Frame) {
+/// Seconds after which a stream's texture repeats.
+const TEXTURE_PERIOD: i64 = 11;
+
+/// Make `frame` a blank frame of the video geometry, reusing its buffer
+/// when it already has that geometry.
+pub(crate) fn blank_into(frame: &mut Frame) {
     if (frame.width, frame.height) == (FRAME_W, FRAME_H) {
         frame.luma.fill(255);
     } else {
         *frame = Frame::blank(FRAME_W, FRAME_H);
-    }
-    // A bit of deterministic "video content" texture in the top half so
-    // frames are not trivially blank: the pixels where
-    // `(x + 3y + phase) % 11 == 0`, stepped to directly.
-    let phase = (at - stream.start).as_seconds() as usize;
-    for y in 0..40 {
-        let first = (11 - (y * 3 + phase) % 11) % 11;
-        for x in (first..FRAME_W).step_by(11) {
-            frame.set(x, y, 40);
-        }
-    }
-    if let StreamVideo::ScamLoop { qr_scale, .. } = &stream.video {
-        if stream.qr_visible(at) {
-            if let Some(matrix) = qr.matrix(stream.id.0, &stream.video) {
-                let scale = (*qr_scale).max(1);
-                let span = matrix.size() * scale + 8 * scale;
-                if span + 10 <= FRAME_W && span + 50 <= FRAME_H {
-                    frame.paint_qr(&matrix, FRAME_W - span - 5, FRAME_H - span - 5, scale);
-                } else {
-                    // Fall back to scale 1 in a corner.
-                    let span1 = matrix.size() + 8;
-                    frame.paint_qr(&matrix, FRAME_W - span1 - 2, FRAME_H - span1 - 2, 1);
-                }
-            }
-        }
     }
 }
 
@@ -514,6 +550,8 @@ mod tests {
     use super::*;
     use gt_qr::scan_frame;
     use gt_text::KeywordSet;
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
 
     fn t(s: i64) -> SimTime {
         SimTime(1_690_156_800 + s) // 2023-07-24
@@ -868,5 +906,90 @@ mod tests {
         // Hidden and visible frames of the periodic stream both occur.
         let periodic = yt.stream(ids[2]);
         assert!(periodic.qr_visible(t(14)) && !periodic.qr_visible(t(15)));
+    }
+
+    /// Benign video on two streams that share a texture phase, a
+    /// continuous overlay, two duty-cycled overlays (one on another
+    /// phase) and an overlay too large for its corner.
+    fn keyed_platform() -> &'static YouTube {
+        static YT: OnceLock<YouTube> = OnceLock::new();
+        YT.get_or_init(|| {
+            let mut yt = YouTube::new();
+            let ch = yt.add_channel("c".into(), 10);
+            let scam = |url: &str, duty, scale| StreamVideo::ScamLoop {
+                qr_url: url.into(),
+                qr_duty_cycle: duty,
+                qr_scale: scale,
+            };
+            for (start, end, video) in [
+                (0, 3_600, StreamVideo::Benign),
+                (22, 3_000, StreamVideo::Benign),
+                (0, 3_600, scam("https://xrp-2x.live/claim", None, 2)),
+                (11, 4_000, scam("https://btc-event.net", Some((15, 25)), 3)),
+                (5, 3_600, scam("https://eth-x2.org/a", Some((30, 60)), 2)),
+                (
+                    33,
+                    3_300,
+                    scam("https://eth-x2.org/a-rather-long-claim", None, 9),
+                ),
+            ] {
+                yt.add_stream(LiveStream {
+                    id: LiveStreamId(0),
+                    channel: ch,
+                    title: "t".into(),
+                    description: String::new(),
+                    language: "en".into(),
+                    fuzzy_topics: vec![],
+                    start: t(start),
+                    end: t(end),
+                    video,
+                    viewers: ViewerCurve {
+                        peak_concurrent: 5,
+                        total_views: 10,
+                    },
+                    chat: vec![],
+                });
+            }
+            yt
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Frames with equal keys are byte-identical, across streams and
+        /// instants: each rendered frame is the one the first-written
+        /// renderer paints from the stream and the instant alone, and a
+        /// stream has a key exactly when it renders. The second instant
+        /// is a whole number of texture periods from the first, so equal
+        /// keys are common.
+        #[test]
+        fn equal_frame_keys_render_identical_frames(
+            first in 0u64..6,
+            other in 0u64..6,
+            same_stream in any::<bool>(),
+            at in -600i64..4_200,
+            periods in -300i64..300,
+        ) {
+            let yt = keyed_platform();
+            let second = if same_stream { first } else { other };
+            let samples = [
+                (LiveStreamId(first), t(at)),
+                (LiveStreamId(second), t(at + TEXTURE_PERIOD * periods)),
+            ];
+            let mut frames = [Frame::blank(0, 0), Frame::blank(0, 0)];
+            let mut keys = [None; 2];
+            for (i, &(id, at)) in samples.iter().enumerate() {
+                keys[i] = yt.frame_key(id, at);
+                prop_assert_eq!(yt.render_into(id, at, &mut frames[i]), keys[i].is_some());
+                if keys[i].is_some() {
+                    let expect = reference_frame(yt.stream(id), at);
+                    prop_assert!(frames[i].luma == expect.luma, "{:?} at {:?}", id, at);
+                }
+            }
+            if keys[0].is_some() && keys[0] == keys[1] {
+                prop_assert!(frames[0].luma == frames[1].luma, "{:?}", samples);
+            }
+        }
     }
 }

@@ -4,13 +4,9 @@
 //! * [`monitor`] — the YouTube monitoring loop: keyword search every 30
 //!   minutes, stream/chat/viewer sampling every 7.5 minutes, two-second
 //!   video recordings, QR and chat URL lead extraction, daily crawl
-//!   revisits, and the 11 infrastructure outage days;
-//! * [`lookahead`] — the monitor's look-ahead: one simulated day at a
-//!   time, the recordings and QR scans its loop can ask for are computed
-//!   on `MonitorConfig::threads` workers into plain values (frame count,
-//!   first hits), which the loop takes when a record call is admitted.
-//!   Every gated call stays on the loop in its order, so the report,
-//!   metrics and API call counts do not depend on the thread count;
+//!   revisits, and the 11 infrastructure outage days. Each window
+//!   QR-scans every distinct frame once, through a memo keyed by what
+//!   determines the frame's pixels (`scan`, private);
 //! * [`twitch`] — the Twitch pilot: fetch all streams, filter by
 //!   keywords minus the 16 noisy ones, drop game categories, record 20
 //!   seconds (to outlast the ad roll), keep chat while live;
@@ -18,9 +14,9 @@
 //!   a code stays on screen once first seen).
 
 pub mod keywords;
-pub mod lookahead;
 pub mod monitor;
 pub mod pilot;
+mod scan;
 pub mod twitch;
 
 pub use keywords::{search_keyword_set, SearchKeywords};

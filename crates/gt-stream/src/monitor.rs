@@ -11,11 +11,12 @@
 //! polling.
 
 use crate::keywords::SearchKeywords;
-use crate::lookahead::LookAhead;
+use crate::scan::ScanMemo;
 use gt_obs::StageSink;
+use gt_qr::FrameHit;
 use gt_sim::faults::{FaultPlan, Gated, RetryPolicy, Substrate};
 use gt_sim::{CivilDate, SimDuration, SimTime};
-use gt_social::{ChannelId, LiveStreamId, YouTube};
+use gt_social::{ChannelId, FrameKey, LiveStreamId, YouTube};
 use gt_store::{StoreDecode, StoreEncode};
 use gt_text::extract_urls;
 use gt_web::crawler::{Crawler, CrawlerConfig, RevisitState};
@@ -60,9 +61,6 @@ pub struct MonitorConfig {
     pub fault_plan: Option<FaultPlan>,
     /// Telemetry sink the window reports into (no-op by default).
     pub sink: StageSink,
-    /// Threads recording and scanning ahead of the sampling loop, the
-    /// loop's own included. The report does not depend on it.
-    pub threads: usize,
 }
 
 impl MonitorConfig {
@@ -76,7 +74,6 @@ impl MonitorConfig {
             crawler: CrawlerConfig::default(),
             fault_plan: None,
             sink: StageSink::noop(),
-            threads: 1,
         }
     }
 }
@@ -162,10 +159,42 @@ struct Tracked {
     live: bool,
 }
 
+/// What the monitor keeps of one recording: its frame count and the QR
+/// hits of its first frame that shows any (scanning stops there).
+#[derive(Debug, Default, PartialEq)]
+struct Clip {
+    frames: u64,
+    hits: Vec<FrameHit>,
+}
+
+/// Record [`RECORD_LENGTH`] of stream `id` from `t` and scan it through
+/// the window's memo: the frames [`YouTube::record`] returns, scanned in
+/// order up to the first with a hit. Counts no API call.
+fn record_clip(
+    youtube: &YouTube,
+    id: LiveStreamId,
+    t: SimTime,
+    scans: &mut ScanMemo<FrameKey>,
+) -> Clip {
+    let mut clip = Clip::default();
+    for i in 0..RECORD_LENGTH.as_seconds() {
+        let Some(key) = youtube.frame_key(id, t + SimDuration::seconds(i)) else {
+            break;
+        };
+        clip.frames += 1;
+        if clip.hits.is_empty() {
+            clip.hits = scans
+                .hits(key, |key, frame| youtube.paint(key, frame))
+                .to_vec();
+        }
+    }
+    clip
+}
+
 /// The monitor itself.
 pub struct Monitor {
-    pub(crate) config: MonitorConfig,
-    pub(crate) keywords: SearchKeywords,
+    config: MonitorConfig,
+    keywords: SearchKeywords,
 }
 
 impl Monitor {
@@ -173,7 +202,7 @@ impl Monitor {
         Monitor { config, keywords }
     }
 
-    pub(crate) fn is_outage(&self, t: SimTime) -> bool {
+    fn is_outage(&self, t: SimTime) -> bool {
         let d = t.date();
         self.config.outage_days.contains(&d)
     }
@@ -191,7 +220,8 @@ impl Monitor {
         let mut revisits: Vec<RevisitState> = Vec::new();
         let mut known_urls: HashSet<String> = HashSet::new();
         let crawler = Crawler::new(cfg.crawler);
-        let mut ahead = LookAhead::new(self, youtube, cfg.threads);
+        // Every distinct frame this window records is scanned once.
+        let mut scans = ScanMemo::new();
         // One gate per window; the label ties this window's jitter
         // stream to its start so pilot and main draw independently.
         let gate_label = format!("monitor@{}", cfg.window_start.0);
@@ -306,12 +336,12 @@ impl Monitor {
                     }
                 }
 
-                // Video recording: the admitted call counts once and takes
-                // its scanned clip from the look-ahead.
+                // Video recording: the admitted call counts once and scans
+                // its frames through the window's memo.
                 let clip = gate
                     .checked_counted(Substrate::YoutubeRecord, t, || {
                         youtube.count_record();
-                        let clip = ahead.clip(id, t);
+                        let clip = record_clip(youtube, id, t, &mut scans);
                         let frames = clip.frames;
                         (clip, frames)
                     })
@@ -623,34 +653,46 @@ mod tests {
     }
 
     #[test]
-    fn look_ahead_threads_change_no_report_metric_or_call_count() {
-        let (yt, web, config) = faulted_fixture();
-        let run = |threads: usize| {
-            let sink = gt_obs::MetricsRegistry::new().sink("monitor");
-            let mut config = config.clone();
-            config.sink = sink.clone();
-            config.threads = threads;
-            let before = yt.api_calls();
-            let report = Monitor::new(config, search_keyword_set()).run(&yt, &web);
-            let after = yt.api_calls();
-            let calls = [
-                after.search - before.search,
-                after.stream_details - before.stream_details,
-                after.channel_details - before.channel_details,
-                after.chat_history - before.chat_history,
-                after.record - before.record,
-            ];
-            let rows: Vec<_> = sink.sheet().rows("").collect();
-            (report, rows, calls)
-        };
-        let serial = run(1);
-        assert!(serial.0.streams.iter().all(|s| s.qr_samples > 0));
-        assert!(serial.2[4] > 0, "recordings were counted");
-        for threads in [2, 4] {
-            let parallel = run(threads);
-            assert_eq!(parallel.0, serial.0, "{threads}-thread report");
-            assert_eq!(parallel.1, serial.1, "{threads}-thread metric sheet");
-            assert_eq!(parallel.2, serial.2, "{threads}-thread API call counts");
+    fn memoised_clips_match_recorded_scans() {
+        let (mut yt, _, config) = faulted_fixture();
+        // Beside the fixture's four continuous overlays: a duty-cycled
+        // overlay on a stream that ends one second into a recording, and
+        // benign video.
+        let base = yt.stream(LiveStreamId(0)).clone();
+        for (video, end) in [
+            (
+                StreamVideo::ScamLoop {
+                    qr_url: "https://eth-x2.org/claim".into(),
+                    qr_duty_cycle: Some((15, 25)),
+                    qr_scale: 3,
+                },
+                t0() + SimDuration::seconds(7_201),
+            ),
+            (StreamVideo::Benign, base.end),
+        ] {
+            yt.add_stream(LiveStream {
+                video,
+                end,
+                ..base.clone()
+            });
+        }
+        let mut scans = ScanMemo::new();
+        let mut t = config.window_start;
+        while t < config.window_end {
+            for stream in yt.streams() {
+                let frames = yt.record(stream.id, t, RECORD_LENGTH);
+                let reference = Clip {
+                    frames: frames.len() as u64,
+                    hits: frames
+                        .iter()
+                        .map(gt_qr::scan_frame)
+                        .find(|hits| !hits.is_empty())
+                        .unwrap_or_default(),
+                };
+                let clip = record_clip(&yt, stream.id, t, &mut scans);
+                assert_eq!(clip, reference, "{:?} at {t:?}", stream.id);
+            }
+            t += SAMPLE_INTERVAL;
         }
     }
 }

@@ -9,9 +9,9 @@
 //! same null result.
 
 use crate::keywords::twitch_keyword_set;
+use crate::scan::ScanMemo;
 use gt_obs::StageSink;
-use gt_qr::scan_frame;
-use gt_sim::faults::{FaultPlan, Gated, RetryPolicy};
+use gt_sim::faults::{FaultPlan, Gated, RetryPolicy, Substrate};
 use gt_sim::{SimDuration, SimTime};
 use gt_social::{Twitch, TwitchStreamId};
 use gt_store::{StoreDecode, StoreEncode};
@@ -68,6 +68,8 @@ pub fn run_twitch_pilot(
         sink.clone(),
     );
     let _window_span = sink.span_sim("twitch.window", window_start.0);
+    // Every distinct frame this window records is scanned once.
+    let mut scans = ScanMemo::new();
 
     let mut t = window_start;
     while t < window_end {
@@ -92,16 +94,24 @@ pub fn run_twitch_pilot(
                 report.candidates += 1;
             }
 
-            // Record 20 seconds (ads occupy the first ~15).
-            let frames = twitch
-                .record_gated(stream.id, t, SimDuration::seconds(20), &mut gate)
+            // Record 20 seconds (ads occupy the first ~15). Recording
+            // rides the chat/IRC substrate: both are per-stream taps,
+            // distinct from the Helix listing quota.
+            let (frames, hits) = gate
+                .checked_counted(Substrate::TwitchChat, t, || {
+                    twitch.count_record();
+                    let (mut frames, mut hits) = (0, 0);
+                    for key in twitch.frame_keys(stream.id, t, SimDuration::seconds(20)) {
+                        frames += 1;
+                        hits += scans.hits(key, |key, frame| twitch.paint(key, frame)).len();
+                    }
+                    ((frames, hits), frames)
+                })
                 .unwrap_or_default();
-            if !frames.is_empty() {
+            if frames > 0 {
                 report.recorded += 1;
             }
-            for frame in &frames {
-                report.qr_hits += scan_frame(frame).len();
-            }
+            report.qr_hits += hits;
 
             // Chat: poll the interval since the last visit (Twitch has
             // no history endpoint).

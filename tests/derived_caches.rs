@@ -71,9 +71,10 @@ fn filled_caches_leave_snapshots_and_frames_unchanged() {
 
 #[test]
 fn look_ahead_threads_leave_the_snapshot_unchanged() {
-    // The monitors record and scan ahead on the run's threads, but only
-    // the admitted recordings count as API calls: twin worlds run at 1
-    // and 4 threads snapshot to the same bytes, call counters included.
+    // The executor runs the stages, both monitor windows among them, on
+    // the run's threads, and only admitted recordings count as API calls
+    // (a memoised scan counts nothing): twin worlds run at 1 and 4
+    // threads snapshot to the same bytes, call counters included.
     let mut config = WorldConfig::scaled(0.02);
     config.seed = 0x0B5E_17ED;
     let snapshot_after = |threads: usize| {

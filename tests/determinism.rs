@@ -2,7 +2,7 @@
 //! scheduling optimization. For one seed, a single-threaded run and
 //! multi-threaded runs must produce byte-identical `PaperReport` and
 //! metrics JSON — same stage outputs, same sharded clustering, same tag
-//! resolution, same monitor look-ahead results and call counts.
+//! resolution, same monitor results and call counts.
 
 use givetake::core::{PaperRun, Pipeline, PipelineOptions};
 use givetake::world::{World, WorldConfig};
