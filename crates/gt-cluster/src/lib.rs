@@ -6,23 +6,21 @@
 //! (exchange, mixer, token smart contract, scam, sanctioned entity, ...).
 //! Both are reproduced here from first principles:
 //!
-//! * [`clustering`] implements the multi-input heuristic (Meiklejohn et
-//!   al., IMC 2013) over the simulated BTC ledger with a CoinJoin
-//!   detector that prevents the classic false-merge;
+//! * [`view`] implements the multi-input heuristic (Meiklejohn et al.,
+//!   IMC 2013) over the simulated BTC ledger with a CoinJoin detector
+//!   that prevents the classic false-merge, frozen into the shareable
+//!   [`ClusterView`];
 //! * [`tags`] is a category-tagging service seeded with ground-truth
 //!   service entities, mimicking how the real tool learns labels by
 //!   transacting with known services.
 
-pub mod clustering;
 pub mod coinjoin;
 pub mod flows;
 pub mod tags;
-pub mod unionfind;
+mod unionfind;
 pub mod view;
 
-pub use clustering::{ClusterId, Clustering, ClusteringOptions};
 pub use coinjoin::looks_like_coinjoin;
 pub use flows::{aggregate_exposure, trace_forward, FlowExposure};
 pub use tags::{Category, TagResolver, TagService};
-pub use unionfind::UnionFind;
-pub use view::ClusterView;
+pub use view::{ClusterId, ClusterView, ClusteringOptions};

@@ -8,8 +8,7 @@
 //! the real tool's do — tagging one address of an exchange tags the whole
 //! multi-input cluster.
 
-use crate::clustering::{ClusterId, Clustering};
-use crate::view::ClusterView;
+use crate::view::{ClusterId, ClusterView};
 use gt_addr::Address;
 use gt_store::{StoreDecode, StoreEncode};
 use serde::{Deserialize, Serialize};
@@ -90,28 +89,6 @@ impl TagService {
     /// Direct lookup, no cluster propagation.
     pub fn category_direct(&self, address: Address) -> Option<Category> {
         self.direct.get(&address).copied()
-    }
-
-    /// Category of `address`, propagating through the BTC clustering:
-    /// if any address in the same cluster is tagged, the tag applies.
-    ///
-    /// For account-model chains (ETH/XRP) there is no clustering, so the
-    /// lookup is direct.
-    pub fn category(&self, address: Address, clustering: &mut Clustering) -> Option<Category> {
-        if let Some(c) = self.category_direct(address) {
-            return Some(c);
-        }
-        if let Address::Btc(btc_addr) = address {
-            let target = clustering.cluster_of(btc_addr)?;
-            for (&candidate, &category) in &self.direct {
-                if let Address::Btc(tagged_btc) = candidate {
-                    if clustering.cluster_of(tagged_btc) == Some(target) {
-                        return Some(category);
-                    }
-                }
-            }
-        }
-        None
     }
 
     /// Precompute cluster-level tags against a frozen [`ClusterView`].
@@ -216,60 +193,28 @@ mod tests {
                 t(2),
             )
             .unwrap();
-        let mut clustering = Clustering::build(&ledger);
+        let view = ClusterView::build(&ledger);
 
         let mut tags = TagService::new();
         tags.tag(Address::Btc(addr(1)), Category::Exchange);
+        tags.tag(Address::Eth(EthAddress([1; 20])), Category::Mixing);
+        let resolver = tags.resolver(&view);
 
         assert_eq!(
-            tags.category(Address::Btc(addr(2)), &mut clustering),
+            resolver.category(Address::Btc(addr(2)), &view),
             Some(Category::Exchange),
             "tag propagates through the cluster"
         );
         assert_eq!(
-            tags.category(Address::Btc(addr(9)), &mut clustering),
+            resolver.category(Address::Btc(addr(9)), &view),
             None,
             "recipient is a different cluster"
         );
-    }
-
-    #[test]
-    fn untagged_unknown_is_none() {
-        let ledger = BtcLedger::new();
-        let mut clustering = Clustering::build(&ledger);
-        let tags = TagService::new();
-        assert_eq!(tags.category(Address::Btc(addr(7)), &mut clustering), None);
-    }
-
-    #[test]
-    fn resolver_matches_mutable_lookup() {
-        let mut ledger = BtcLedger::new();
-        ledger.coinbase(addr(1), Amount(5_000), t(0)).unwrap();
-        ledger.coinbase(addr(2), Amount(5_000), t(1)).unwrap();
-        ledger
-            .pay(
-                &[addr(1), addr(2)],
-                addr(9),
-                Amount(9_000),
-                addr(1),
-                Amount(100),
-                t(2),
-            )
-            .unwrap();
-        let mut tags = TagService::new();
-        tags.tag(Address::Btc(addr(1)), Category::Exchange);
-        tags.tag(Address::Eth(EthAddress([1; 20])), Category::Mixing);
-
-        let view = crate::view::ClusterView::build(&ledger);
-        let resolver = tags.resolver(&view);
-        let mut clustering = Clustering::build(&ledger);
-        for b in [1u8, 2, 9, 42] {
-            assert_eq!(
-                resolver.category(Address::Btc(addr(b)), &view),
-                tags.category(Address::Btc(addr(b)), &mut clustering),
-                "addr {b}"
-            );
-        }
+        assert_eq!(
+            resolver.category(Address::Btc(addr(42)), &view),
+            None,
+            "address never seen on chain"
+        );
         assert_eq!(
             resolver.category(Address::Eth(EthAddress([1; 20])), &view),
             Some(Category::Mixing)
@@ -279,6 +224,13 @@ mod tests {
             None,
             "direct lookup does not propagate"
         );
+    }
+
+    #[test]
+    fn untagged_unknown_is_none() {
+        let view = ClusterView::build(&BtcLedger::new());
+        let resolver = TagService::new().resolver(&view);
+        assert_eq!(resolver.category(Address::Btc(addr(7)), &view), None);
     }
 
     #[test]
@@ -312,7 +264,7 @@ mod tests {
                 t(5),
             )
             .unwrap();
-        let view = crate::view::ClusterView::build(&ledger);
+        let view = ClusterView::build(&ledger);
         assert!(view.same_cluster(addr(1), addr(3)));
 
         let mut forwards = TagService::new();

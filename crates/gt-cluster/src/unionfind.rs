@@ -2,7 +2,7 @@
 
 /// A classic union-find over dense `usize` keys.
 #[derive(Debug, Clone)]
-pub struct UnionFind {
+pub(crate) struct UnionFind {
     parent: Vec<usize>,
     rank: Vec<u8>,
 }
@@ -19,10 +19,6 @@ impl UnionFind {
     /// Number of elements (not sets).
     pub fn len(&self) -> usize {
         self.parent.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.parent.is_empty()
     }
 
     /// Add a new singleton and return its key.
@@ -72,20 +68,6 @@ impl UnionFind {
             }
         }
     }
-
-    /// Whether `a` and `b` share a set.
-    pub fn connected(&mut self, a: usize, b: usize) -> bool {
-        self.find(a) == self.find(b)
-    }
-
-    /// Sizes of every set, keyed by representative.
-    pub fn set_sizes(&mut self) -> std::collections::HashMap<usize, usize> {
-        let mut sizes = std::collections::HashMap::new();
-        for i in 0..self.parent.len() {
-            *sizes.entry(self.find(i)).or_insert(0) += 1;
-        }
-        sizes
-    }
 }
 
 #[cfg(test)]
@@ -95,7 +77,7 @@ mod tests {
     #[test]
     fn singletons_start_separate() {
         let mut uf = UnionFind::new(5);
-        assert!(!uf.connected(0, 1));
+        assert_ne!(uf.find(0), uf.find(1));
         assert_eq!(uf.find(3), 3);
         assert_eq!(uf.len(), 5);
     }
@@ -106,23 +88,9 @@ mod tests {
         uf.union(0, 1);
         uf.union(1, 2);
         uf.union(4, 5);
-        assert!(uf.connected(0, 2));
-        assert!(uf.connected(4, 5));
-        assert!(!uf.connected(2, 4));
-    }
-
-    #[test]
-    fn set_sizes_account_for_everything() {
-        let mut uf = UnionFind::new(10);
-        uf.union(0, 1);
-        uf.union(2, 3);
-        uf.union(3, 4);
-        let sizes = uf.set_sizes();
-        let total: usize = sizes.values().sum();
-        assert_eq!(total, 10);
-        let mut counts: Vec<usize> = sizes.values().copied().collect();
-        counts.sort_unstable();
-        assert_eq!(counts, vec![1, 1, 1, 1, 1, 2, 3]);
+        assert_eq!(uf.find(0), uf.find(2));
+        assert_eq!(uf.find(4), uf.find(5));
+        assert_ne!(uf.find(2), uf.find(4));
     }
 
     #[test]
@@ -132,7 +100,7 @@ mod tests {
         let b = uf.push();
         assert_eq!((a, b), (0, 1));
         uf.union(a, b);
-        assert!(uf.connected(0, 1));
+        assert_eq!(uf.find(0), uf.find(1));
     }
 
     #[test]
@@ -141,7 +109,7 @@ mod tests {
         let r1 = uf.union(0, 1);
         let r2 = uf.union(0, 1);
         assert_eq!(r1, r2);
-        assert_eq!(uf.set_sizes().len(), 2);
+        assert_ne!(uf.find(2), r1);
     }
 
     #[test]

@@ -1,27 +1,52 @@
-//! Immutable, shareable clustering results.
+//! Multi-input clustering over the BTC ledger.
 //!
-//! [`Clustering`] answers queries through `&mut self` because union-find
-//! lookups path-compress. That shape cannot be shared across pipeline
-//! stages running on different threads, so the executor works with a
-//! [`ClusterView`]: the same partition, frozen into plain lookup tables,
-//! `Sync`, and queryable through `&self`.
+//! The heuristic (Reid & Harrigan 2013; Meiklejohn et al. 2013): all
+//! input addresses of a transaction are controlled by the same entity.
+//! Transactions with the CoinJoin shape are skipped to avoid the known
+//! false-merge. Account chains (ETH/XRP) have no multi-input structure,
+//! so each address is trivially its own cluster — the analysis only ever
+//! asks for BTC cluster sizes (Section 5.5 of the paper).
 //!
-//! The view can also be *built* in parallel: the ledger's transaction
-//! range is split into contiguous shards, each shard runs the multi-input
-//! heuristic locally (CoinJoin detection included — it is a per-
-//! transaction predicate), and the per-shard union-finds are merged in
-//! shard order. Because shards are contiguous and merged in order, the
+//! The result is a [`ClusterView`]: the partition frozen into plain
+//! lookup tables, `Sync`, and queryable through `&self`, so pipeline
+//! stages on different threads share it by reference.
+//!
+//! The build is sharded: the ledger's transaction range is split into
+//! contiguous shards, each shard runs the heuristic locally (CoinJoin
+//! detection included — it is a per-transaction predicate), and the
+//! per-shard union-finds are merged in shard order, starting from shard
+//! 0's own tables. Because shards are contiguous and merged in order, the
 //! concatenation of per-shard first-seen address orders equals the serial
 //! scan order, so cluster ids, sizes, and every lookup are byte-identical
-//! regardless of thread count.
+//! regardless of thread count. The serial build is the one-shard case.
 
-use crate::clustering::{ClusterId, Clustering, ClusteringOptions};
 use crate::coinjoin::looks_like_coinjoin;
 use crate::unionfind::UnionFind;
 use gt_addr::BtcAddress;
 use gt_chain::{BtcLedger, BtcTx};
 use gt_store::{StoreDecode, StoreEncode};
 use std::collections::HashMap;
+
+/// Opaque cluster identifier (stable within one [`ClusterView`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, StoreEncode, StoreDecode)]
+pub struct ClusterId(pub usize);
+
+/// Options controlling cluster construction.
+#[derive(Debug, Clone, Copy)]
+pub struct ClusteringOptions {
+    /// Skip CoinJoin-shaped transactions (on in production;
+    /// `tests/pipeline_ablations.rs` turns it off to measure the
+    /// false-merge impact).
+    pub coinjoin_aware: bool,
+}
+
+impl Default for ClusteringOptions {
+    fn default() -> Self {
+        ClusteringOptions {
+            coinjoin_aware: true,
+        }
+    }
+}
 
 /// Frozen multi-input clustering: immutable, `Sync`, shared by reference
 /// across analysis stages. The `Default` view covers no transactions at
@@ -44,9 +69,10 @@ impl ClusterView {
         Self::build_with(ledger, ClusteringOptions::default())
     }
 
-    /// Serial build with explicit options.
+    /// Serial build with explicit options: one shard over every
+    /// transaction.
     pub fn build_with(ledger: &BtcLedger, options: ClusteringOptions) -> Self {
-        Clustering::build_with(ledger, options).finalize()
+        merge_shards(vec![cluster_shard(ledger.txs(), options)])
     }
 
     /// Sharded parallel build; produces results identical to
@@ -59,17 +85,16 @@ impl ClusterView {
             return Self::build_with(ledger, options);
         }
         let chunk = txs.len().div_ceil(threads);
-        let shards: Vec<ShardResult> = crossbeam::thread::scope(|scope| {
+        let shards: Vec<ShardResult> = std::thread::scope(|scope| {
             let handles: Vec<_> = txs
                 .chunks(chunk)
-                .map(|slice| scope.spawn(move |_| cluster_shard(slice, options)))
+                .map(|slice| scope.spawn(move || cluster_shard(slice, options)))
                 .collect();
             handles
                 .into_iter()
                 .map(|h| h.join().expect("cluster shard panicked"))
                 .collect()
-        })
-        .expect("cluster shard pool panicked");
+        });
         merge_shards(shards)
     }
 
@@ -104,6 +129,8 @@ impl ClusterView {
 
 /// One contiguous transaction range, clustered locally.
 struct ShardResult {
+    /// Address → local index.
+    indices: HashMap<BtcAddress, usize>,
     /// Addresses in local first-appearance order; the local index of an
     /// address is its position here.
     first_seen: Vec<BtcAddress>,
@@ -112,56 +139,56 @@ struct ShardResult {
 }
 
 fn cluster_shard(txs: &[BtcTx], options: ClusteringOptions) -> ShardResult {
-    let mut local: HashMap<BtcAddress, usize> = HashMap::new();
-    let mut first_seen: Vec<BtcAddress> = Vec::new();
-    let mut uf = UnionFind::new(0);
-    let mut skipped = 0usize;
-
-    fn index_of(
-        addr: BtcAddress,
-        local: &mut HashMap<BtcAddress, usize>,
-        first_seen: &mut Vec<BtcAddress>,
-        uf: &mut UnionFind,
-    ) -> usize {
-        *local.entry(addr).or_insert_with(|| {
-            first_seen.push(addr);
-            uf.push()
-        })
-    }
-
+    let mut shard = ShardResult {
+        indices: HashMap::new(),
+        first_seen: Vec::new(),
+        uf: UnionFind::new(0),
+        skipped: 0,
+    };
     for tx in txs {
+        // Register every address we see so singletons exist too.
         for o in &tx.outputs {
-            index_of(o.address, &mut local, &mut first_seen, &mut uf);
+            shard.index_of(o.address);
         }
         let inputs = tx.input_addresses();
         if inputs.is_empty() {
             continue;
         }
         if options.coinjoin_aware && looks_like_coinjoin(tx) {
-            skipped += 1;
+            shard.skipped += 1;
             for a in inputs {
-                index_of(a, &mut local, &mut first_seen, &mut uf);
+                shard.index_of(a);
             }
             continue;
         }
-        let first = index_of(inputs[0], &mut local, &mut first_seen, &mut uf);
+        let first = shard.index_of(inputs[0]);
         for a in &inputs[1..] {
-            let idx = index_of(*a, &mut local, &mut first_seen, &mut uf);
-            uf.union(first, idx);
+            let idx = shard.index_of(*a);
+            shard.uf.union(first, idx);
         }
     }
+    shard
+}
 
-    ShardResult {
-        first_seen,
-        uf,
-        skipped,
+impl ShardResult {
+    fn index_of(&mut self, addr: BtcAddress) -> usize {
+        *self.indices.entry(addr).or_insert_with(|| {
+            self.first_seen.push(addr);
+            self.uf.push()
+        })
     }
 }
 
 fn merge_shards(shards: Vec<ShardResult>) -> ClusterView {
-    let mut indices: HashMap<BtcAddress, usize> = HashMap::new();
-    let mut uf = UnionFind::new(0);
-    let mut skipped = 0usize;
+    let mut shards = shards.into_iter();
+    // Shard 0's local indices already are the global ones, so its tables
+    // are the starting point.
+    let ShardResult {
+        mut indices,
+        mut uf,
+        mut skipped,
+        ..
+    } = shards.next().expect("at least one shard");
 
     for shard in shards {
         skipped += shard.skipped;
@@ -181,15 +208,7 @@ fn merge_shards(shards: Vec<ShardResult>) -> ClusterView {
         }
     }
 
-    freeze(indices, uf, skipped)
-}
-
-/// Assign dense cluster ids (by first member appearance) and sizes.
-pub(crate) fn freeze(
-    indices: HashMap<BtcAddress, usize>,
-    mut uf: UnionFind,
-    skipped_coinjoins: usize,
-) -> ClusterView {
+    // Freeze: dense cluster ids by first member appearance, and sizes.
     let mut by_root: HashMap<usize, ClusterId> = HashMap::new();
     let mut ids: Vec<ClusterId> = Vec::with_capacity(uf.len());
     let mut sizes: Vec<usize> = Vec::new();
@@ -207,7 +226,7 @@ pub(crate) fn freeze(
         indices,
         ids,
         sizes,
-        skipped_coinjoins,
+        skipped_coinjoins: skipped,
     }
 }
 
@@ -280,16 +299,154 @@ mod tests {
     }
 
     #[test]
-    fn view_matches_mutable_clustering() {
-        let ledger = busy_ledger();
-        let mut c = Clustering::build(&ledger);
-        let view = ClusterView::build(&ledger);
-        assert_eq!(view.cluster_count(), c.cluster_count());
-        assert_eq!(view.address_count(), c.address_count());
-        for i in 0..32u8 {
-            assert_eq!(view.cluster_of(addr(i)), c.cluster_of(addr(i)), "addr {i}");
-            assert_eq!(view.cluster_size(addr(i)), c.cluster_size(addr(i)));
+    fn multi_input_tx_merges_input_addresses() {
+        let mut ledger = BtcLedger::new();
+        ledger.coinbase(addr(1), Amount(5_000), t(0)).unwrap();
+        ledger.coinbase(addr(2), Amount(5_000), t(1)).unwrap();
+        ledger
+            .pay(
+                &[addr(1), addr(2)],
+                addr(9),
+                Amount(9_000),
+                addr(3),
+                Amount(100),
+                t(2),
+            )
+            .unwrap();
+
+        let c = ClusterView::build(&ledger);
+        assert!(c.same_cluster(addr(1), addr(2)));
+        assert!(!c.same_cluster(addr(1), addr(9)), "recipient not merged");
+        assert_eq!(c.cluster_size(addr(1)), Some(2));
+        assert_eq!(c.cluster_size(addr(9)), Some(1));
+    }
+
+    #[test]
+    fn chains_of_cospending_merge_transitively() {
+        let mut ledger = BtcLedger::new();
+        for i in 1..=3 {
+            ledger
+                .coinbase(addr(i), Amount(5_000), t(i as i64))
+                .unwrap();
         }
+        ledger
+            .pay(
+                &[addr(1), addr(2)],
+                addr(10),
+                Amount(9_000),
+                addr(1),
+                Amount(0),
+                t(4),
+            )
+            .unwrap();
+        ledger.coinbase(addr(2), Amount(5_000), t(5)).unwrap();
+        ledger
+            .pay(
+                &[addr(2), addr(3)],
+                addr(11),
+                Amount(9_000),
+                addr(2),
+                Amount(0),
+                t(6),
+            )
+            .unwrap();
+
+        let c = ClusterView::build(&ledger);
+        assert!(
+            c.same_cluster(addr(1), addr(3)),
+            "transitive merge via addr 2"
+        );
+        assert_eq!(c.cluster_size(addr(1)), Some(3));
+    }
+
+    #[test]
+    fn coinjoin_not_merged_when_aware() {
+        let mut ledger = BtcLedger::new();
+        for i in 0..4u8 {
+            ledger
+                .coinbase(addr(i), Amount(10_000), t(i as i64))
+                .unwrap();
+        }
+        let inputs: Vec<OutPoint> = (0..4)
+            .map(|i| OutPoint {
+                tx_index: i,
+                vout: 0,
+            })
+            .collect();
+        let outputs: Vec<TxOut> = (10..14)
+            .map(|b| TxOut {
+                address: addr(b),
+                value: Amount(9_900),
+            })
+            .collect();
+        ledger.submit(&inputs, &outputs, t(10)).unwrap();
+
+        let aware = ClusterView::build(&ledger);
+        assert!(!aware.same_cluster(addr(0), addr(1)));
+        assert_eq!(aware.skipped_coinjoins, 1);
+        assert_eq!(aware.cluster_size(addr(0)), Some(1));
+
+        let naive = ClusterView::build_with(
+            &ledger,
+            ClusteringOptions {
+                coinjoin_aware: false,
+            },
+        );
+        assert!(
+            naive.same_cluster(addr(0), addr(1)),
+            "naive clustering falls for the CoinJoin false merge"
+        );
+        assert_eq!(naive.cluster_size(addr(0)), Some(4));
+    }
+
+    #[test]
+    fn single_input_spends_keep_singletons() {
+        // A scammer using one fresh address per campaign, spending each
+        // with single-input transactions, stays cluster-size one — the
+        // behaviour Section 5.5 observes for 87% of scam addresses.
+        let mut ledger = BtcLedger::new();
+        for i in 1..=3u8 {
+            ledger
+                .coinbase(addr(i), Amount(10_000), t(i as i64))
+                .unwrap();
+        }
+        for i in 1..=3u8 {
+            ledger
+                .pay(
+                    &[addr(i)],
+                    addr(100 + i),
+                    Amount(9_000),
+                    addr(i),
+                    Amount(100),
+                    t(i as i64 + 10),
+                )
+                .unwrap();
+        }
+        let c = ClusterView::build(&ledger);
+        for i in 1..=3u8 {
+            assert_eq!(c.cluster_size(addr(i)), Some(1), "addr {i}");
+        }
+    }
+
+    #[test]
+    fn cluster_counts_are_consistent() {
+        let mut ledger = BtcLedger::new();
+        ledger.coinbase(addr(1), Amount(5_000), t(0)).unwrap();
+        ledger.coinbase(addr(2), Amount(5_000), t(1)).unwrap();
+        ledger
+            .pay(
+                &[addr(1), addr(2)],
+                addr(9),
+                Amount(9_500),
+                addr(1),
+                Amount(0),
+                t(2),
+            )
+            .unwrap();
+        let c = ClusterView::build(&ledger);
+        // addr1+addr2 cluster, addr9 singleton.
+        assert_eq!(c.cluster_count(), 2);
+        assert_eq!(c.address_count(), 3);
     }
 
     #[test]

@@ -367,12 +367,13 @@ impl<'env> StageGraph<'env> {
         if threads <= 1 || n <= 1 {
             run_worker(&ctx);
         } else {
-            crossbeam::thread::scope(|scope| {
+            // Stage-body panics are caught into `poison`; a worker that
+            // panics outside a body fails the scope itself.
+            std::thread::scope(|scope| {
                 for _ in 0..threads.min(n) {
-                    scope.spawn(|_| run_worker(&ctx));
+                    scope.spawn(|| run_worker(&ctx));
                 }
-            })
-            .expect("executor worker crashed outside a stage body");
+            });
         }
 
         // A panicking stage poisons the run (workers drain instead of
@@ -664,6 +665,10 @@ fn run_worker(ctx: &WorkerCtx<'_, '_>) {
         });
 
         let mut s = ctx.sched.lock().unwrap();
+        if s.remaining == 0 {
+            // Another stage poisoned the run while this one ran.
+            return;
+        }
         s.remaining -= 1;
         for &d in &ctx.dependents[next] {
             s.indegree[d] -= 1;
@@ -890,6 +895,28 @@ mod tests {
             g.add_stage::<u8, _>(&format!("ok{i}"), &[], |_| (0, 0));
         }
         g.run(4);
+    }
+
+    #[test]
+    #[should_panic(expected = "boom")]
+    fn stage_finishing_after_the_run_is_poisoned() {
+        // "slow" is popped first and is still running when "bad" poisons
+        // the run on the other worker; finishing it must not count it off
+        // a run that has no stages left.
+        let bad_started = AtomicBool::new(false);
+        let mut g = StageGraph::new();
+        g.add_stage::<u8, _>("slow", &[], |_| {
+            while !bad_started.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            std::thread::sleep(std::time::Duration::from_millis(100));
+            (0, 0)
+        });
+        g.add_stage::<u8, _>("bad", &[], |_| {
+            bad_started.store(true, Ordering::SeqCst);
+            panic!("boom")
+        });
+        g.run(2);
     }
 
     #[test]

@@ -159,6 +159,43 @@ struct Tracked {
     live: bool,
 }
 
+/// The window's lead bookkeeping: each (url, stream, source) is reported
+/// once, and each distinct URL is queued once for the daily crawl.
+#[derive(Default)]
+struct LeadBook {
+    seen: HashSet<(String, LiveStreamId, UrlSource)>,
+    known_urls: HashSet<String>,
+    revisits: Vec<RevisitState>,
+}
+
+impl LeadBook {
+    /// Note every URL in `text`, seen on `stream` at `t` through `source`.
+    fn note(
+        &mut self,
+        leads: &mut Vec<UrlLead>,
+        text: &str,
+        source: UrlSource,
+        stream: LiveStreamId,
+        t: SimTime,
+    ) {
+        for url in extract_urls(text) {
+            if self.seen.insert((url.url.clone(), stream, source)) {
+                leads.push(UrlLead {
+                    url: url.url.clone(),
+                    source,
+                    stream,
+                    first_seen: t,
+                });
+            }
+            if self.known_urls.insert(url.url.clone()) {
+                if let Some(parsed) = Url::parse(&url.url) {
+                    self.revisits.push(RevisitState::new(parsed));
+                }
+            }
+        }
+    }
+}
+
 /// What the monitor keeps of one recording: its frame count and the QR
 /// hits of its first frame that shows any (scanning stops there).
 #[derive(Debug, Default, PartialEq)]
@@ -216,9 +253,7 @@ impl Monitor {
         // the window's one gate and advances its breakers, so the order
         // streams are sampled in is part of the result under faults.
         let mut tracked: BTreeMap<LiveStreamId, Tracked> = BTreeMap::new();
-        let mut lead_seen: HashSet<(String, LiveStreamId, UrlSource)> = HashSet::new();
-        let mut revisits: Vec<RevisitState> = Vec::new();
-        let mut known_urls: HashSet<String> = HashSet::new();
+        let mut book = LeadBook::default();
         let crawler = Crawler::new(cfg.crawler);
         // Every distinct frame this window records is scanned once.
         let mut scans = ScanMemo::new();
@@ -318,21 +353,7 @@ impl Monitor {
                 {
                     if state.chat_seen.insert((msg.time, msg.text.clone())) {
                         obs.chat_messages_seen += 1;
-                        for url in extract_urls(&msg.text) {
-                            if lead_seen.insert((url.url.clone(), id, UrlSource::Chat)) {
-                                report.leads.push(UrlLead {
-                                    url: url.url.clone(),
-                                    source: UrlSource::Chat,
-                                    stream: id,
-                                    first_seen: t,
-                                });
-                            }
-                            if known_urls.insert(url.url.clone()) {
-                                if let Some(parsed) = Url::parse(&url.url) {
-                                    revisits.push(RevisitState::new(parsed));
-                                }
-                            }
-                        }
+                        book.note(&mut report.leads, &msg.text, UrlSource::Chat, id, t);
                     }
                 }
 
@@ -348,21 +369,7 @@ impl Monitor {
                     .unwrap_or_default();
                 for hit in &clip.hits {
                     if let Ok(text) = std::str::from_utf8(&hit.payload) {
-                        for url in extract_urls(text) {
-                            if lead_seen.insert((url.url.clone(), id, UrlSource::QrCode)) {
-                                report.leads.push(UrlLead {
-                                    url: url.url.clone(),
-                                    source: UrlSource::QrCode,
-                                    stream: id,
-                                    first_seen: t,
-                                });
-                            }
-                            if known_urls.insert(url.url.clone()) {
-                                if let Some(parsed) = Url::parse(&url.url) {
-                                    revisits.push(RevisitState::new(parsed));
-                                }
-                            }
-                        }
+                        book.note(&mut report.leads, text, UrlSource::QrCode, id, t);
                     }
                 }
                 if !clip.hits.is_empty() {
@@ -378,7 +385,7 @@ impl Monitor {
             // UTC day (`RevisitState::due`), starting the day it is
             // discovered ----
             if cfg.crawl {
-                for state in revisits.iter_mut() {
+                for state in book.revisits.iter_mut() {
                     if !state.due(t) {
                         continue;
                     }

@@ -3,7 +3,7 @@
 use crate::host::{FetchError, NetOrigin, Request, Response, WebHost};
 use crate::url::Url;
 use gt_sim::faults::Gated;
-use gt_sim::{SimDuration, SimTime};
+use gt_sim::SimTime;
 use serde::{Deserialize, Serialize};
 
 /// Crawler hardening configuration — each flag counters one cloaking
@@ -161,37 +161,6 @@ impl Crawler {
             };
         }
     }
-
-    /// Crawl a batch of URLs in parallel with a worker pool.
-    pub fn crawl_many(
-        &self,
-        host: &WebHost,
-        urls: &[Url],
-        now: SimTime,
-        workers: usize,
-    ) -> Vec<CrawlOutcome> {
-        assert!(workers >= 1);
-        let results: Vec<parking_lot::Mutex<Option<CrawlOutcome>>> =
-            urls.iter().map(|_| parking_lot::Mutex::new(None)).collect();
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        crossbeam::thread::scope(|scope| {
-            for _ in 0..workers.min(urls.len().max(1)) {
-                scope.spawn(|_| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= urls.len() {
-                        break;
-                    }
-                    let outcome = self.crawl(host, &urls[i], now);
-                    *results[i].lock() = Some(outcome);
-                });
-            }
-        })
-        .expect("crawler worker panicked");
-        results
-            .into_iter()
-            .map(|m| m.into_inner().expect("every url crawled"))
-            .collect()
-    }
 }
 
 /// State of one URL under the daily revisit policy: crawl every day
@@ -235,37 +204,6 @@ impl RevisitState {
             self.consecutive_errors = 0;
         }
     }
-}
-
-/// Convenience: run the daily revisit loop over a window for a set of
-/// URLs, invoking `on_page` for every successful page fetch.
-pub fn run_revisit_loop<F>(
-    crawler: &Crawler,
-    host: &WebHost,
-    urls: Vec<Url>,
-    window_start: SimTime,
-    window_end: SimTime,
-    mut on_page: F,
-) -> Vec<RevisitState>
-where
-    F: FnMut(&Url, &str, SimTime),
-{
-    let mut states: Vec<RevisitState> = urls.into_iter().map(RevisitState::new).collect();
-    let mut now = window_start;
-    while now < window_end {
-        for state in &mut states {
-            if !state.due(now) {
-                continue;
-            }
-            let outcome = crawler.crawl(host, &state.url, now);
-            if let Some(html) = outcome.html() {
-                on_page(&state.url, html, now);
-            }
-            state.record(&outcome, now);
-        }
-        now += SimDuration::days(1);
-    }
-    states
 }
 
 #[cfg(test)]
@@ -366,43 +304,27 @@ mod tests {
     }
 
     #[test]
-    fn crawl_many_parallel_matches_serial() {
-        let host = host_with(CloakingProfile::default(), None);
-        let crawler = Crawler::new(CrawlerConfig::default());
-        let urls: Vec<Url> = (0..20)
-            .map(|i| {
-                if i % 3 == 0 {
-                    Url::parse("https://btc-2x.fund/").unwrap()
-                } else {
-                    Url::parse(&format!("https://missing{i}.com/")).unwrap()
-                }
-            })
-            .collect();
-        let parallel = crawler.crawl_many(&host, &urls, t(5), 4);
-        let serial: Vec<CrawlOutcome> =
-            urls.iter().map(|u| crawler.crawl(&host, u, t(5))).collect();
-        assert_eq!(parallel, serial);
-    }
-
-    #[test]
     fn revisit_retires_after_three_error_days() {
-        // Site goes offline after day 2; states should retire on day 5.
+        // Site goes offline after day 2; the URL should retire on day 5.
         let host = host_with(CloakingProfile::default(), Some(t(2 * 86_400)));
         let crawler = Crawler::new(CrawlerConfig::default());
+        let mut state = RevisitState::new(url());
         let mut pages = 0;
-        let states = run_revisit_loop(
-            &crawler,
-            &host,
-            vec![url()],
-            t(0),
-            t(10 * 86_400),
-            |_, _, _| pages += 1,
-        );
+        for day in 0..10 {
+            let now = t(day * 86_400);
+            if !state.due(now) {
+                continue;
+            }
+            let outcome = crawler.crawl(&host, &state.url, now);
+            pages += usize::from(outcome.html().is_some());
+            state.record(&outcome, now);
+            assert!(!state.due(now), "one crawl per day");
+        }
         assert_eq!(pages, 2, "two successful daily crawls");
-        assert!(states[0].retired);
-        assert_eq!(states[0].consecutive_errors, RETIRE_AFTER_ERRORS);
+        assert!(state.retired);
+        assert_eq!(state.consecutive_errors, RETIRE_AFTER_ERRORS);
         // Retired after day 4 (errors on days 2,3,4): last visit day 4.
-        assert_eq!(states[0].last_visited_day, Some(t(4 * 86_400).day_number()));
+        assert_eq!(state.last_visited_day, Some(t(4 * 86_400).day_number()));
     }
 
     #[test]

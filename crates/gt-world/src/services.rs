@@ -239,7 +239,7 @@ impl ServiceDirectory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gt_cluster::Clustering;
+    use gt_cluster::ClusterView;
 
     fn build() -> (ServiceDirectory, ChainView, TagService) {
         let factory = RngFactory::new(11);
@@ -275,7 +275,7 @@ mod tests {
     #[test]
     fn exchange_btc_addresses_form_one_cluster() {
         let (dir, chains, _) = build();
-        let mut clustering = Clustering::build(&chains.btc);
+        let clustering = ClusterView::build(&chains.btc);
         let ex = &dir.exchanges[0];
         assert!(clustering.same_cluster(ex.btc[0], ex.btc[5]));
         assert!(clustering.same_cluster(ex.btc[0], ex.btc[23]));

@@ -9,7 +9,7 @@
 
 use givetake::addr::{Address, AddressGenerator, BtcAddress, Coin};
 use givetake::chain::{Amount, ChainView, OutPoint, TxOut};
-use givetake::cluster::{Category, Clustering, TagService};
+use givetake::cluster::{Category, ClusterView, TagService};
 use givetake::sim::{RngFactory, SimDuration, SimTime};
 use rand::SeedableRng;
 
@@ -153,12 +153,13 @@ fn main() {
         .unwrap();
 
     // ---- the forensics ----
-    let mut clustering = Clustering::build(&chains.btc);
+    let clustering = ClusterView::build(&chains.btc);
+    let tags = tags.resolver(&clustering);
     println!("== incoming payments to scam address A ==");
     for transfer in chains.btc.incoming(scam_a) {
         let sender = transfer.senders[0];
         let origin = tags
-            .category(sender, &mut clustering)
+            .category(sender, &clustering)
             .map(|c| c.to_string())
             .unwrap_or_else(|| "unlabeled".into());
         println!(
@@ -185,7 +186,7 @@ fn main() {
     println!("\n== cash-out destinations ==");
     for transfer in chains.btc.outgoing(scam_a) {
         let label = tags
-            .category(transfer.recipient, &mut clustering)
+            .category(transfer.recipient, &clustering)
             .map(|c| c.to_string())
             .unwrap_or_else(|| "unlabeled".into());
         println!(

@@ -1,6 +1,7 @@
 //! Ablation-style integration tests: the pipeline's design choices
 //! must actually matter, and the whole run must be deterministic.
 
+use givetake::cluster::{ClusterView, ClusteringOptions};
 use givetake::core::Pipeline;
 use givetake::sim::SimDuration;
 use givetake::stream::keywords::search_keyword_set;
@@ -79,7 +80,7 @@ fn co_occurrence_window_sweep_is_monotone() {
     let w = world();
     let dataset = givetake::core::datasets::build_twitter_dataset(&w.twitter, &w.scam_db);
     let known = std::collections::HashSet::new();
-    let clustering = givetake::cluster::ClusterView::build(&w.chains.btc);
+    let clustering = ClusterView::build(&w.chains.btc);
     let tags = w.tags.resolver(&clustering);
     let mut previous = 0;
     let mut counts = Vec::new();
@@ -112,15 +113,15 @@ fn co_occurrence_window_sweep_is_monotone() {
 #[test]
 fn coinjoin_unaware_clustering_merges_more() {
     let w = world();
-    let aware = givetake::cluster::clustering::Clustering::build_with(
+    let aware = ClusterView::build_with(
         &w.chains.btc,
-        givetake::cluster::clustering::ClusteringOptions {
+        ClusteringOptions {
             coinjoin_aware: true,
         },
     );
-    let naive = givetake::cluster::clustering::Clustering::build_with(
+    let naive = ClusterView::build_with(
         &w.chains.btc,
-        givetake::cluster::clustering::ClusteringOptions {
+        ClusteringOptions {
             coinjoin_aware: false,
         },
     );
