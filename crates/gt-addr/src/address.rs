@@ -6,23 +6,12 @@ use crate::eth::EthAddress;
 use crate::xrp::XrpAddress;
 use gt_store::{StoreDecode, StoreEncode};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// The cryptocurrencies whose payments the paper quantifies.
 #[derive(
-    Debug,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    PartialOrd,
-    Ord,
-    Hash,
-    Serialize,
-    Deserialize,
-    StoreEncode,
-    StoreDecode,
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, StoreEncode, StoreDecode,
 )]
 pub enum Coin {
     Btc,
@@ -77,18 +66,7 @@ impl fmt::Display for Coin {
 
 /// A Bitcoin address in one of the three deployed formats.
 #[derive(
-    Debug,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    PartialOrd,
-    Ord,
-    Hash,
-    Serialize,
-    Deserialize,
-    StoreEncode,
-    StoreDecode,
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, StoreEncode, StoreDecode,
 )]
 pub enum BtcAddress {
     /// Pay-to-pubkey-hash (`1...`).
@@ -153,18 +131,7 @@ impl fmt::Display for BtcAddress {
 
 /// A validated address of any supported coin.
 #[derive(
-    Debug,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    PartialOrd,
-    Ord,
-    Hash,
-    Serialize,
-    Deserialize,
-    StoreEncode,
-    StoreDecode,
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, StoreEncode, StoreDecode,
 )]
 pub enum Address {
     Btc(BtcAddress),

@@ -6,25 +6,14 @@
 
 use crate::base58::{decode_check, encode_check, XRP_ALPHABET};
 use gt_store::{StoreDecode, StoreEncode};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 const ACCOUNT_ID_VERSION: u8 = 0x00;
 
 /// A 20-byte XRP account id.
 #[derive(
-    Debug,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    PartialOrd,
-    Ord,
-    Hash,
-    Serialize,
-    Deserialize,
-    StoreEncode,
-    StoreDecode,
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, StoreEncode, StoreDecode,
 )]
 pub struct XrpAddress(pub [u8; 20]);
 

@@ -14,27 +14,25 @@ use crate::types::{Amount, ChainError, Transfer, TxRef};
 use gt_addr::{Address, BtcAddress, Coin};
 use gt_sim::SimTime;
 use gt_store::{StoreDecode, StoreEncode};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 
 /// Reference to an output of a previous transaction.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, StoreEncode, StoreDecode,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, StoreEncode, StoreDecode)]
 pub struct OutPoint {
     pub tx_index: u64,
     pub vout: u32,
 }
 
 /// A transaction output.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, StoreEncode, StoreDecode)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, StoreEncode, StoreDecode)]
 pub struct TxOut {
     pub address: BtcAddress,
     pub value: Amount,
 }
 
 /// A confirmed Bitcoin transaction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, StoreEncode, StoreDecode)]
+#[derive(Debug, Clone, PartialEq, Serialize, StoreEncode, StoreDecode)]
 pub struct BtcTx {
     pub index: u64,
     pub time: SimTime,

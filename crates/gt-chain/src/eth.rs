@@ -9,11 +9,11 @@ use crate::types::{Amount, ChainError, Transfer, TxRef};
 use gt_addr::{Address, Coin, EthAddress};
 use gt_sim::SimTime;
 use gt_store::{StoreDecode, StoreEncode};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 
 /// A confirmed Ethereum value transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, StoreEncode, StoreDecode)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, StoreEncode, StoreDecode)]
 pub struct EthTx {
     pub index: u64,
     pub time: SimTime,

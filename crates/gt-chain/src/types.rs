@@ -3,7 +3,7 @@
 use gt_addr::{Address, Coin};
 use gt_sim::SimTime;
 use gt_store::{StoreDecode, StoreEncode};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// An amount in a coin's base units (satoshi / gwei / drops).
@@ -18,7 +18,6 @@ use std::fmt;
     Hash,
     Default,
     Serialize,
-    Deserialize,
     StoreEncode,
     StoreDecode,
 )]
@@ -59,18 +58,7 @@ impl std::iter::Sum for Amount {
 
 /// A chain-qualified transaction reference.
 #[derive(
-    Debug,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    PartialOrd,
-    Ord,
-    Hash,
-    Serialize,
-    Deserialize,
-    StoreEncode,
-    StoreDecode,
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, StoreEncode, StoreDecode,
 )]
 pub struct TxRef {
     pub coin: Coin,
@@ -87,7 +75,7 @@ impl fmt::Display for TxRef {
 /// A money movement as the analysis layer sees it: one recipient, one or
 /// more senders (BTC multi-input transactions have several), an amount
 /// and a timestamp.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, StoreEncode, StoreDecode)]
+#[derive(Debug, Clone, PartialEq, Serialize, StoreEncode, StoreDecode)]
 pub struct Transfer {
     pub tx: TxRef,
     pub senders: Vec<Address>,

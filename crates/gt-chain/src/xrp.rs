@@ -11,14 +11,14 @@ use crate::types::{Amount, ChainError, Transfer, TxRef};
 use gt_addr::{Address, Coin, XrpAddress};
 use gt_sim::SimTime;
 use gt_store::{StoreDecode, StoreEncode};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 
 /// Flat network fee per payment, in drops.
 pub const PAYMENT_FEE_DROPS: u64 = 10;
 
 /// A confirmed XRP payment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, StoreEncode, StoreDecode)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, StoreEncode, StoreDecode)]
 pub struct XrpPayment {
     pub index: u64,
     pub time: SimTime,

@@ -11,25 +11,14 @@
 use crate::view::{ClusterId, ClusterView};
 use gt_addr::Address;
 use gt_store::{StoreDecode, StoreEncode};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 use std::fmt;
 
 /// Operator categories, matching the vocabulary of the paper's analysis
 /// (Sections 5.4–5.5).
 #[derive(
-    Debug,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    Hash,
-    PartialOrd,
-    Ord,
-    Serialize,
-    Deserialize,
-    StoreEncode,
-    StoreDecode,
+    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, StoreEncode, StoreDecode,
 )]
 pub enum Category {
     /// Centralized exchange (the dominant victim payment origin).

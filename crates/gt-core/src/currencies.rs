@@ -5,7 +5,7 @@ use gt_social::TwitterSnapshot;
 use gt_store::{StoreDecode, StoreEncode};
 use gt_stream::monitor::MonitorReport;
 use gt_text::KeywordSet;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 
 /// The coins the analysis reports on, with their match keywords.
@@ -17,7 +17,7 @@ const COIN_TAGS: [(&str, &[&str]); 3] = [
 
 /// Per-coin reference rates among lures. Rates can sum past 1.0 since a
 /// lure can reference several coins.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize, StoreEncode, StoreDecode)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, StoreEncode, StoreDecode)]
 pub struct CoinRates {
     pub lures: usize,
     /// (coin name, fraction of lures referencing it), sorted descending.

@@ -8,7 +8,7 @@ use gt_store::{StoreDecode, StoreEncode};
 use gt_stream::keywords::SearchKeywords;
 use gt_stream::monitor::MonitorReport;
 use gt_web::Url;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// One Twitter scam domain with its promoting tweets and annotated
@@ -171,7 +171,7 @@ pub fn build_youtube_dataset(report: &MonitorReport, keywords: &SearchKeywords) 
 }
 
 /// The Table 1 summary for both platforms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, StoreEncode, StoreDecode)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, StoreEncode, StoreDecode)]
 pub struct Table1 {
     pub twitter_domains: usize,
     pub twitter_accounts: usize,

@@ -5,13 +5,11 @@ use gt_social::TwitterSnapshot;
 use gt_store::{StoreDecode, StoreEncode};
 use gt_stream::keywords::SearchKeywords;
 use gt_stream::monitor::MonitorReport;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 
 /// Twitter tactics: how scam tweets reach audiences.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize, StoreEncode, StoreDecode,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, StoreEncode, StoreDecode)]
 pub struct TwitterDiscoverability {
     pub tweets: usize,
     /// Fraction carrying at least one hashtag.
@@ -56,9 +54,7 @@ pub fn twitter_discoverability(
 }
 
 /// YouTube audience statistics.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize, StoreEncode, StoreDecode,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, StoreEncode, StoreDecode)]
 pub struct YouTubeDiscoverability {
     pub streams: usize,
     /// Median subscribers across scam-hosting channels.

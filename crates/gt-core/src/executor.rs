@@ -3,8 +3,9 @@
 //! The pipeline is a DAG of *stages* (build the Twitter dataset, run the
 //! pilot monitor, cluster the BTC ledger, ...). Stages that do not
 //! depend on each other run concurrently on a pool of scoped worker
-//! threads; each stage records its wall time and an item count into
-//! [`StageTimings`].
+//! threads; each stage runs inside a wall-clock span and records an item
+//! count, from which [`StageTimings::from_snapshot`] derives the run's
+//! timings.
 //!
 //! Results never depend on the thread count: every stage is a pure
 //! function of its dependencies' outputs, and the scheduler only decides
@@ -34,7 +35,7 @@
 //! of aborting.
 
 use crate::supervisor::{degraded_tables, RunHealth, StageHealth, StageStatus, SupervisionPolicy};
-use gt_obs::{Histogram, MetricRow, MetricSheet, MetricsRegistry, StageSink};
+use gt_obs::{Histogram, MetricRow, MetricSheet, MetricsRegistry, StageSink, TelemetrySnapshot};
 use gt_store::{digest, Digest, KeyBuilder, RunStore, StoreDecode, StoreEncode};
 use serde::Serialize;
 use std::any::Any;
@@ -43,7 +44,6 @@ use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::Instant;
 
 type BoxedAny = Box<dyn Any + Send + Sync>;
 type StageFn<'env> = Box<dyn FnMut(&StageResults) -> (BoxedAny, u64) + Send + 'env>;
@@ -110,28 +110,59 @@ struct StoreBinding {
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct StageTiming {
     pub name: String,
-    /// Wall-clock milliseconds the stage body took.
+    /// Wall-clock milliseconds of the stage's `"stage"` span: every
+    /// attempt, plus the store probe and persist.
     pub wall_ms: f64,
     /// Stage-defined unit count (domains built, transactions clustered,
     /// payments isolated, ...); 0 when the stage reports none.
     pub items: u64,
 }
 
-/// Per-run execution telemetry, embedded in
+/// Per-run execution timings, embedded in
 /// [`PaperRun`](crate::pipeline::PaperRun) — deliberately *not* in
 /// [`PaperReport`](crate::report::PaperReport), which must stay
-/// byte-identical across thread counts.
+/// byte-identical across thread counts. A view of the run's telemetry
+/// ([`StageTimings::from_snapshot`]), not a second record of it.
 #[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct StageTimings {
     /// Worker threads the run used.
     pub threads: usize,
-    /// Wall-clock milliseconds for the whole graph.
+    /// Wall-clock milliseconds the run's registry lived.
     pub total_ms: f64,
-    /// One entry per stage, in registration order.
+    /// One entry per stage, sorted by stage name (the metrics block's
+    /// order).
     pub stages: Vec<StageTiming>,
 }
 
 impl StageTimings {
+    /// Derive the timings of a run on `threads` workers from its
+    /// telemetry: one entry per `(stage, "executor", "items")` counter,
+    /// which the executor records for every stage, timed by that
+    /// stage's `"stage"` span (0 if the snapshot holds none);
+    /// `total_ms` is the snapshot's `wall.total_ms`.
+    pub fn from_snapshot(threads: usize, snapshot: &TelemetrySnapshot) -> Self {
+        let stages = snapshot
+            .metrics
+            .iter()
+            .filter(|r| r.substrate == "executor" && r.metric == "items")
+            .map(|r| StageTiming {
+                name: r.stage.clone(),
+                wall_ms: snapshot
+                    .wall
+                    .spans
+                    .iter()
+                    .find(|s| s.cat == "stage" && s.name == r.stage)
+                    .map_or(0.0, |s| s.dur_us as f64 / 1_000.0),
+                items: r.value,
+            })
+            .collect();
+        StageTimings {
+            threads,
+            total_ms: snapshot.wall.total_ms,
+            stages,
+        }
+    }
+
     /// Timing entry by stage name, if present.
     pub fn stage(&self, name: &str) -> Option<&StageTiming> {
         self.stages.iter().find(|s| s.name == name)
@@ -294,15 +325,11 @@ impl<'env> StageGraph<'env> {
     }
 
     /// Execute the graph on `threads` workers (0 = available
-    /// parallelism) and return every stage output plus timings.
-    pub fn run(self, threads: usize) -> StageOutputs {
-        self.run_observed(threads, &MetricsRegistry::without_spans())
-    }
-
-    /// [`StageGraph::run`] reporting into a telemetry registry: each
-    /// stage body runs inside a wall-clock span named after the stage
-    /// and records into its own sink ([`StageResults::sink`]), whose
-    /// sheet a cache hit replays. The executor adds its own counters:
+    /// parallelism), reporting into `obs`, and return every stage
+    /// output plus the run's health. Each stage runs inside a wall-clock
+    /// span named after the stage (category `"stage"`) and records into
+    /// its own sink ([`StageResults::sink`]), whose sheet a cache hit
+    /// replays. The executor adds its own counters:
     /// the item count on `(stage, "executor", "items")` — recorded even
     /// when zero, so the metrics block covers every stage
     /// deterministically; `(stage, "store", cache_hit|cache_miss|
@@ -310,7 +337,7 @@ impl<'env> StageGraph<'env> {
     /// retry|recovered|quarantined)` — only when they fire, so a clean
     /// run's metrics block is byte-identical with or without
     /// supervision.
-    pub fn run_observed(self, threads: usize, obs: &MetricsRegistry) -> StageOutputs {
+    pub fn run(self, threads: usize, obs: &MetricsRegistry) -> StageOutputs {
         let threads = if threads == 0 {
             std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -318,7 +345,6 @@ impl<'env> StageGraph<'env> {
         } else {
             threads
         };
-        let started = Instant::now();
         let n = self.stages.len();
 
         let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -332,7 +358,6 @@ impl<'env> StageGraph<'env> {
         let ready: VecDeque<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
 
         let slots: Vec<OnceLock<BoxedAny>> = (0..n).map(|_| OnceLock::new()).collect();
-        let timings: Vec<OnceLock<StageTiming>> = (0..n).map(|_| OnceLock::new()).collect();
         // Content digests of cached stage payloads, set as each stage
         // completes (from the cached record on a hit, from the freshly
         // encoded payload on a miss) — dependents fold them into their
@@ -353,7 +378,6 @@ impl<'env> StageGraph<'env> {
             stages: &self.stages,
             dependents: &dependents,
             slots: &slots,
-            timings: &timings,
             digests: &digests,
             records: &records,
             store: self.store.as_ref(),
@@ -396,17 +420,6 @@ impl<'env> StageGraph<'env> {
 
         StageOutputs {
             slots: slots.into_iter().map(|cell| cell.into_inner()).collect(),
-            timings: StageTimings {
-                threads,
-                total_ms: started.elapsed().as_secs_f64() * 1_000.0,
-                stages: timings
-                    .into_iter()
-                    .map(|cell| {
-                        cell.into_inner()
-                            .expect("stage never ran (dependency cycle?)")
-                    })
-                    .collect(),
-            },
             health,
         }
     }
@@ -433,7 +446,6 @@ struct WorkerCtx<'a, 'env> {
     stages: &'a [Stage<'env>],
     dependents: &'a [Vec<usize>],
     slots: &'a [OnceLock<BoxedAny>],
-    timings: &'a [OnceLock<StageTiming>],
     digests: &'a [Mutex<Option<Digest>>],
     records: &'a [OnceLock<StageRecord>],
     store: Option<&'a StoreBinding>,
@@ -569,7 +581,6 @@ fn run_worker(ctx: &WorkerCtx<'_, '_>) {
             slots: ctx.slots,
             sink: &sink,
         };
-        let start = Instant::now();
         let span = ctx.obs.span(&stage.name, "stage");
         let max_attempts = ctx.policy.max_attempts();
         let write_failed = AtomicBool::new(false);
@@ -649,14 +660,8 @@ fn run_worker(ctx: &WorkerCtx<'_, '_>) {
             }
         };
         drop(span);
-        let wall_ms = start.elapsed().as_secs_f64() * 1_000.0;
         exec.counter_add("executor", "items", items);
         let _ = ctx.slots[next].set(value);
-        let _ = ctx.timings[next].set(StageTiming {
-            name: stage.name.clone(),
-            wall_ms,
-            items,
-        });
         let _ = ctx.records[next].set(StageRecord {
             attempts,
             status,
@@ -743,7 +748,6 @@ fn fold_health(
 /// Every stage's output after a completed run.
 pub struct StageOutputs {
     slots: Vec<Option<BoxedAny>>,
-    pub timings: StageTimings,
     /// Supervision outcome for the run: attempts, retries, quarantined
     /// and tainted stages, the report tables they degrade, operator
     /// warnings, and the per-stage recovery timeline. On a strict clean
@@ -780,11 +784,8 @@ mod tests {
             let d = g.add_stage("d", &[b.index(), c.index()], move |r| {
                 (r.get(b) + r.get(c), 0)
             });
-            let mut out = g.run(threads);
+            let mut out = g.run(threads, &MetricsRegistry::new());
             assert_eq!(out.take(d), 27, "{threads} threads");
-            assert_eq!(out.timings.threads, threads);
-            assert_eq!(out.timings.stages.len(), 4);
-            assert_eq!(out.timings.stages[0].name, "a");
         }
     }
 
@@ -797,19 +798,19 @@ mod tests {
                 (counter.fetch_add(1, Ordering::SeqCst), 0)
             });
         }
-        let out = g.run(4);
+        g.run(4, &MetricsRegistry::new());
         assert_eq!(counter.load(Ordering::SeqCst), 16);
-        assert_eq!(out.timings.stages.len(), 16);
     }
 
     #[test]
     fn items_are_recorded() {
         let mut g = StageGraph::new();
         g.add_stage::<Vec<u32>, _>("count", &[], |_| (vec![1, 2, 3], 3));
-        let out = g.run(1);
-        let t = out.timings.stage("count").unwrap();
-        assert_eq!(t.items, 3);
-        assert!(out.timings.stage("missing").is_none());
+        let obs = MetricsRegistry::new();
+        g.run(1, &obs);
+        let timings = StageTimings::from_snapshot(1, &obs.snapshot());
+        assert_eq!(timings.stage("count").unwrap().items, 3);
+        assert!(timings.stage("missing").is_none());
     }
 
     #[test]
@@ -817,7 +818,7 @@ mod tests {
         let mut g = StageGraph::new();
         let s = g.add_stage("string", &[], |_| ("hello".to_string(), 0));
         let v = g.add_stage("vec", &[s.index()], move |r| (vec![r.get(s).len()], 0));
-        let mut out = g.run(2);
+        let mut out = g.run(2, &MetricsRegistry::new());
         assert_eq!(out.take(v), vec![5]);
         assert_eq!(out.take(s), "hello");
     }
@@ -845,30 +846,38 @@ mod tests {
             let d = g.add_stage("d", &[b.index(), c.index()], move |r| {
                 (r.get(b) + r.get(c), 0)
             });
-            let mut out = g.run(threads);
+            let mut out = g.run(threads, &MetricsRegistry::new());
             assert_eq!(out.take(d), 12, "{threads} threads");
         }
     }
 
     #[test]
-    fn timings_collected_for_every_stage() {
+    fn timings_are_derived_for_every_stage_in_name_order() {
         for threads in [1, 4] {
             let mut g = StageGraph::new();
-            let names = ["alpha", "beta", "gamma", "delta", "epsilon"];
+            let names = ["epsilon", "beta", "gamma", "delta", "alpha"];
             let mut prev: Option<usize> = None;
             for name in names {
                 let deps: Vec<usize> = prev.into_iter().collect();
                 let id = g.add_stage::<u8, _>(name, &deps, |_| (0, 0));
                 prev = Some(id.index());
             }
-            let out = g.run(threads);
-            assert_eq!(out.timings.stages.len(), names.len());
-            for name in names {
-                let t = out
-                    .timings
-                    .stage(name)
-                    .unwrap_or_else(|| panic!("no timing for stage {name:?} at {threads} threads"));
-                assert!(t.wall_ms >= 0.0);
+            let obs = MetricsRegistry::new();
+            g.run(threads, &obs);
+            let snapshot = obs.snapshot();
+            let timings = StageTimings::from_snapshot(threads, &snapshot);
+            assert_eq!(timings.threads, threads);
+            assert_eq!(timings.total_ms, snapshot.wall.total_ms);
+            let listed: Vec<&str> = timings.stages.iter().map(|t| t.name.as_str()).collect();
+            assert_eq!(listed, ["alpha", "beta", "delta", "epsilon", "gamma"]);
+            for t in &timings.stages {
+                let span = snapshot
+                    .wall
+                    .spans
+                    .iter()
+                    .find(|s| s.cat == "stage" && s.name == t.name)
+                    .unwrap_or_else(|| panic!("no span for stage {:?}", t.name));
+                assert_eq!(t.wall_ms, span.dur_us as f64 / 1_000.0);
             }
         }
     }
@@ -878,7 +887,7 @@ mod tests {
     fn stage_panic_propagates_single_thread() {
         let mut g = StageGraph::new();
         g.add_stage::<u8, _>("bad", &[], |_| panic!("boom"));
-        g.run(1);
+        g.run(1, &MetricsRegistry::new());
     }
 
     #[test]
@@ -894,7 +903,7 @@ mod tests {
         for i in 8..16 {
             g.add_stage::<u8, _>(&format!("ok{i}"), &[], |_| (0, 0));
         }
-        g.run(4);
+        g.run(4, &MetricsRegistry::new());
     }
 
     #[test]
@@ -916,16 +925,15 @@ mod tests {
             bad_started.store(true, Ordering::SeqCst);
             panic!("boom")
         });
-        g.run(2);
+        g.run(2, &MetricsRegistry::new());
     }
 
     #[test]
     fn zero_threads_means_available_parallelism() {
         let mut g = StageGraph::new();
         let a = g.add_stage("only", &[], |_| (1u8, 0));
-        let mut out = g.run(0);
+        let mut out = g.run(0, &MetricsRegistry::new());
         assert_eq!(out.take(a), 1);
-        assert!(out.timings.threads >= 1);
     }
 
     #[test]
@@ -933,7 +941,7 @@ mod tests {
         let mut g = StageGraph::new();
         let a = g.add_stage("a", &[], |_| (1u8, 0));
         g.add_stage("b", &[a.index()], move |r| (r.get(a) + 1, 0));
-        let out = g.run(1);
+        let out = g.run(1, &MetricsRegistry::new());
         assert!(!out.health.supervised, "default policy is strict");
         assert!(out.health.is_clean());
         assert_eq!(out.health.attempts, 2);
@@ -959,7 +967,7 @@ mod tests {
             });
             let t = g.add_stage("after", &[s.index()], move |r| (r.get(s) + 1, 0));
             g.supervise(SupervisionPolicy::recover(3));
-            let mut out = g.run(threads);
+            let mut out = g.run(threads, &MetricsRegistry::new());
             assert_eq!(out.take(t), 42, "{threads} threads");
             assert!(out.health.supervised);
             let flaky = &out.health.stages[0];
@@ -985,7 +993,7 @@ mod tests {
             });
             g.fallback(b, move |r| r.get(a) + 100);
             g.supervise(SupervisionPolicy::recover(2));
-            let mut out = g.run(threads);
+            let mut out = g.run(threads, &MetricsRegistry::new());
             assert_eq!(out.take(d), 107 + 8, "{threads} threads");
             assert_eq!(out.health.quarantined, vec!["b"]);
             assert_eq!(
@@ -1016,7 +1024,7 @@ mod tests {
 
         let (mut g, doomed, after) = graph();
         g.supervise(SupervisionPolicy::recover(3));
-        let mut out = g.run(1);
+        let mut out = g.run(1, &MetricsRegistry::new());
         assert_eq!(out.take(doomed), Vec::<u64>::new(), "T::default() served");
         assert_eq!(out.take(after), 1, "the dependent read the default");
         assert_eq!(out.health.quarantined, vec!["doomed"]);
@@ -1024,7 +1032,8 @@ mod tests {
         assert_eq!(out.health.stages[0].attempts, 3);
 
         let (g, _, _) = graph();
-        let Err(payload) = catch_unwind(AssertUnwindSafe(|| g.run(1))) else {
+        let Err(payload) = catch_unwind(AssertUnwindSafe(|| g.run(1, &MetricsRegistry::new())))
+        else {
             panic!("strict mode must poison the run");
         };
         assert_eq!(panic_message(payload.as_ref()), "no override here");
@@ -1037,7 +1046,7 @@ mod tests {
         let s = g.add_stage::<u8, _>("bad", &[], |_| panic!("strict means strict"));
         g.fallback(s, |_| 0u8);
         // Default policy: no supervise() call.
-        g.run(1);
+        g.run(1, &MetricsRegistry::new());
     }
 
     #[test]
@@ -1048,7 +1057,7 @@ mod tests {
         let c = g.add_stage("c", &[b.index()], move |r| (r.get(b) + 1, 0));
         let lone = g.add_stage("lone", &[], |_| (9u8, 0));
         g.supervise(SupervisionPolicy::recover(1));
-        let mut out = g.run(2);
+        let mut out = g.run(2, &MetricsRegistry::new());
         assert_eq!(out.take(c), 2);
         assert_eq!(out.take(lone), 9);
         assert_eq!(out.health.quarantined, vec!["a"]);
@@ -1064,7 +1073,7 @@ mod tests {
         let qr = g.add_stage::<u8, _>("qr_pilot", &[], |_| panic!("boom"));
         g.add_stage("fig5_keywords", &[qr.index()], move |r| (*r.get(qr), 0));
         g.supervise(SupervisionPolicy::recover(2));
-        let out = g.run(1);
+        let out = g.run(1, &MetricsRegistry::new());
         let health = &out.health;
         assert!(!health.is_clean());
         assert_eq!(
@@ -1096,7 +1105,7 @@ mod tests {
                 (5u8, 0)
             });
             let obs = MetricsRegistry::new();
-            g.run_observed(1, &obs);
+            g.run(1, &obs);
             obs.snapshot()
         };
         let cold = run();
@@ -1133,7 +1142,7 @@ mod tests {
                 (7u64, 0)
             });
             let obs = MetricsRegistry::new();
-            let mut out = g.run_observed(1, &obs);
+            let mut out = g.run(1, &obs);
             (out.take(b), obs.snapshot())
         };
         assert_eq!(run(1).0, 10);
@@ -1169,7 +1178,7 @@ mod tests {
         let mut g = StageGraph::new();
         g.bind_store(store, digest(b"write-failure"));
         let a = g.add_stage("a", &[], |_| (3u8, 0));
-        let mut out = g.run(1);
+        let mut out = g.run(1, &MetricsRegistry::new());
         let _ = std::fs::remove_dir_all(&dir);
         assert_eq!(out.take(a), 3, "the computed output is still served");
         assert!(out.health.stages[0].cache_write_failed);

@@ -10,10 +10,10 @@
 use gt_store::{StoreDecode, StoreEncode};
 use gt_stream::keywords::SearchKeywords;
 use gt_stream::monitor::MonitorReport;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The Figure 5 data.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize, StoreEncode, StoreDecode)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, StoreEncode, StoreDecode)]
 pub struct KeywordContribution {
     /// Streams the search returned.
     pub streams: usize,

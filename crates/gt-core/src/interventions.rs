@@ -15,11 +15,11 @@ use gt_addr::Address;
 use gt_cluster::{Category, ClusterView, TagResolver};
 use gt_sim::{SimDuration, SimTime};
 use gt_store::{StoreDecode, StoreEncode};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 
 /// Outcome of one intervention configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, StoreEncode, StoreDecode)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, StoreEncode, StoreDecode)]
 pub struct InterventionOutcome {
     /// Detection lag applied (seconds after an address's first observed
     /// payment that exchanges begin blocking).

@@ -7,7 +7,7 @@ use gt_cluster::{Category, ClusterView, TagResolver};
 use gt_price::PriceOracle;
 use gt_sim::{SimDuration, SimTime};
 use gt_store::{StoreDecode, StoreEncode};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashSet;
 
 /// Co-occurrence windows from the paper.
@@ -15,7 +15,7 @@ pub const TWEET_WINDOW: SimDuration = SimDuration::days(7);
 pub const STREAM_TAIL_WINDOW: SimDuration = SimDuration::hours(8);
 
 /// An isolated payment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, StoreEncode, StoreDecode)]
+#[derive(Debug, Clone, PartialEq, Serialize, StoreEncode, StoreDecode)]
 pub struct IsolatedPayment {
     pub transfer: Transfer,
     pub domain: String,
@@ -33,9 +33,7 @@ impl IsolatedPayment {
 }
 
 /// The Section 5.2/5.3 funnel for one platform.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize, StoreEncode, StoreDecode,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, StoreEncode, StoreDecode)]
 pub struct PaymentFunnel {
     /// Domains with at least one BTC/ETH/XRP address.
     pub domains_with_coin: usize,
@@ -55,9 +53,7 @@ pub struct PaymentFunnel {
 }
 
 /// Revenue per coin plus totals (one platform's half of Table 2).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize, StoreEncode, StoreDecode,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, StoreEncode, StoreDecode)]
 pub struct RevenueRow {
     pub payments_co_occurring: usize,
     pub payments_any: usize,

@@ -12,9 +12,10 @@
 //! ```
 //!
 //! Entry point: [`Pipeline::new`], configured by [`PipelineOptions`].
-//! Results are identical for any `threads` value; the executor's
-//! [`StageTimings`] land in [`PaperRun::timings`] (never inside
-//! [`PaperReport`], which stays byte-identical across thread counts).
+//! Results are identical for any `threads` value; the run's
+//! [`StageTimings`], derived from its telemetry, land in
+//! [`PaperRun::timings`] (never inside [`PaperReport`], which stays
+//! byte-identical across thread counts).
 
 use crate::datasets::{build_twitter_dataset, build_youtube_dataset, Table1};
 use crate::executor::{StageGraph, StageTimings};
@@ -61,10 +62,6 @@ pub struct PipelineOptions {
     /// measurement span at run time. Ignored when an explicit
     /// [`PipelineOptions::fault_plan`] is set.
     pub chaos: Option<(u64, ChaosProfile)>,
-    /// Record wall-clock spans into [`PaperRun::telemetry`] (on by
-    /// default; cheap enough for every run — see the gt-bench overhead
-    /// guard). The sim-derived metrics block is collected either way.
-    pub telemetry: bool,
     /// Stage-result store: every stage probes it before computing and
     /// persists its output after. `None` (the default) computes
     /// everything in-process. The report is byte-identical either way —
@@ -88,7 +85,6 @@ impl Default for PipelineOptions {
             threads: 0,
             fault_plan: None,
             chaos: None,
-            telemetry: true,
             store: None,
             supervision: SupervisionPolicy::strict(),
         }
@@ -116,12 +112,6 @@ impl PipelineOptions {
         self
     }
 
-    /// Enable or disable span recording (metrics are always on).
-    pub fn telemetry(mut self, enabled: bool) -> Self {
-        self.telemetry = enabled;
-        self
-    }
-
     /// Attach (or clear) a stage-result store.
     pub fn store(mut self, store: Option<Arc<RunStore>>) -> Self {
         self.store = store;
@@ -138,10 +128,9 @@ impl PipelineOptions {
     /// digest over everything run-global that stage outputs can depend
     /// on — the config, the *resolved* fault plan and the gates' retry
     /// policy ([`RetryPolicy::default`], folded in so that a change to
-    /// it misses the cache). The thread count and the telemetry flag
-    /// are deliberately absent: results and metric sheets are
-    /// thread-invariant, and the flag only switches wall-clock spans,
-    /// so such runs share cache entries.
+    /// it misses the cache). The thread count is deliberately absent:
+    /// results and metric sheets are thread-invariant, so runs at any
+    /// parallelism share cache entries.
     pub fn base_fingerprint(&self, config: &WorldConfig) -> Digest {
         let plan = self.resolve_fault_plan(config);
         let mut kb = KeyBuilder::new("base");
@@ -233,15 +222,15 @@ pub struct PaperRun {
     pub pilot_report: MonitorReport,
     pub twitter_analysis: PaymentAnalysis,
     pub youtube_analysis: PaymentAnalysis,
-    /// Per-stage wall times and item counts for this run.
+    /// Per-stage wall times and item counts for this run, derived from
+    /// the stage spans and `executor/items` counters in `telemetry`.
     pub timings: StageTimings,
     /// Injected-fault accounting (all zero / disabled on clean runs),
     /// derived from the gate counters in `telemetry`.
     pub degradation: DegradationReport,
     /// Deterministic metrics — the same rows whether a stage ran or
-    /// replayed its cached sheet — plus wall-clock spans (empty when
-    /// [`PipelineOptions::telemetry`] is off). Like `timings`, this
-    /// never feeds [`PaperReport`].
+    /// replayed its cached sheet — plus wall-clock spans. Like
+    /// `timings`, this never feeds [`PaperReport`].
     pub telemetry: TelemetrySnapshot,
     /// Supervision outcome: attempts, retries, quarantined/tainted
     /// stages, the report tables they degrade, and operator warnings
@@ -283,11 +272,7 @@ impl<'w> Pipeline<'w> {
             self.options.threads
         };
         let plan = self.options.resolve_fault_plan(config);
-        let obs = if self.options.telemetry {
-            MetricsRegistry::new()
-        } else {
-            MetricsRegistry::without_spans()
-        };
+        let obs = MetricsRegistry::new();
         // RPC backfill reads start once collection has finished.
         let rpc_epoch = config.youtube_end;
 
@@ -641,7 +626,7 @@ impl<'w> Pipeline<'w> {
         });
 
         // ---- execute the DAG and assemble the report ----
-        let mut out = g.run_observed(threads, &obs);
+        let mut out = g.run(threads, &obs);
 
         let twitter_dataset = out.take(twitter_ds);
         let youtube_dataset = out.take(youtube_ds);
@@ -651,6 +636,7 @@ impl<'w> Pipeline<'w> {
         let youtube_analysis = out.take(youtube_an);
         let twitch_report = out.take(twitch);
         let telemetry = obs.snapshot();
+        let timings = StageTimings::from_snapshot(threads, &telemetry);
         let degradation = DegradationReport::from_snapshot(plan.is_some(), &telemetry);
 
         let report = PaperReport {
@@ -692,7 +678,7 @@ impl<'w> Pipeline<'w> {
             pilot_report,
             twitter_analysis,
             youtube_analysis,
-            timings: out.timings,
+            timings,
             degradation,
             telemetry,
             health: out.health,

@@ -9,11 +9,11 @@ use crate::scammers::{OutgoingStats, RecipientStats};
 use crate::timeline::WeeklySeries;
 use crate::victims::{Conversions, PaymentOrigins, WhaleDistribution};
 use gt_store::{StoreDecode, StoreEncode};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt::Write as _;
 
 /// QR pilot summary (Appendix B).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, StoreEncode, StoreDecode)]
+#[derive(Debug, Clone, PartialEq, Serialize, StoreEncode, StoreDecode)]
 pub struct QrPilotSummary {
     pub tracked: usize,
     pub mean_seconds: f64,
@@ -22,7 +22,7 @@ pub struct QrPilotSummary {
 }
 
 /// Twitch pilot summary (Appendix B.1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, StoreEncode, StoreDecode)]
+#[derive(Debug, Clone, PartialEq, Serialize, StoreEncode, StoreDecode)]
 pub struct TwitchSummary {
     pub streams_listed: usize,
     pub candidates: usize,
@@ -31,7 +31,7 @@ pub struct TwitchSummary {
 
 /// Everything the pipeline measured, aligned with the paper's tables
 /// and figures.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PaperReport {
     /// Table 1.
     pub table1: Table1,
@@ -72,7 +72,7 @@ pub struct PaperReport {
 }
 
 /// One paper-vs-measured comparison row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ComparisonRow {
     pub artifact: String,
     pub metric: String,

@@ -6,11 +6,11 @@ use gt_addr::Address;
 use gt_chain::ChainReads;
 use gt_cluster::{Category, ClusterView, TagResolver};
 use gt_store::{StoreDecode, StoreEncode};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::{BTreeMap, HashSet};
 
 /// Recipient-address statistics.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize, StoreEncode, StoreDecode)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, StoreEncode, StoreDecode)]
 pub struct RecipientStats {
     /// Distinct recipient addresses of final victim payments.
     pub recipients: usize,
@@ -55,7 +55,7 @@ pub fn distinct_recipients(analysis: &PaymentAnalysis) -> usize {
 }
 
 /// Where outgoing transfers from scam addresses go.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize, StoreEncode, StoreDecode)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, StoreEncode, StoreDecode)]
 pub struct OutgoingStats {
     /// Distinct recipients of outgoing transfers.
     pub recipients: usize,

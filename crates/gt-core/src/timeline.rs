@@ -2,10 +2,10 @@
 
 use gt_sim::SimTime;
 use gt_store::{StoreDecode, StoreEncode};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One week's activity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, StoreEncode, StoreDecode)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, StoreEncode, StoreDecode)]
 pub struct WeekBucket {
     /// Week index from the window start (week 0 starts at the window
     /// start instant).
@@ -19,9 +19,7 @@ pub struct WeekBucket {
 }
 
 /// A weekly series over a window.
-#[derive(
-    Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize, StoreEncode, StoreDecode,
-)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, StoreEncode, StoreDecode)]
 pub struct WeeklySeries {
     pub window_start: SimTime,
     pub buckets: Vec<WeekBucket>,

@@ -12,10 +12,10 @@ use gt_addr::Address;
 use gt_store::{StoreDecode, StoreEncode};
 use gt_stream::keywords::SearchKeywords;
 use gt_text::scan_address_candidates;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The validation verdict for one crawled page.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, StoreEncode, StoreDecode)]
+#[derive(Debug, Clone, PartialEq, Serialize, StoreEncode, StoreDecode)]
 pub struct ValidatedSite {
     pub domain: String,
     /// Checksum-valid BTC/ETH/XRP addresses found on the page.

@@ -5,13 +5,11 @@ use crate::payments::PaymentAnalysis;
 use gt_addr::Address;
 use gt_cluster::{Category, ClusterView, TagResolver};
 use gt_store::{StoreDecode, StoreEncode};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashSet;
 
 /// Conversion-rate figures.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize, StoreEncode, StoreDecode,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, StoreEncode, StoreDecode)]
 pub struct Conversions {
     pub unique_senders: usize,
     /// Lure denominator (tweets for Twitter, views for YouTube).
@@ -35,9 +33,7 @@ pub fn conversions(analysis: &PaymentAnalysis, denominator: u64) -> Conversions 
 }
 
 /// Payment-origin breakdown.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize, StoreEncode, StoreDecode,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, StoreEncode, StoreDecode)]
 pub struct PaymentOrigins {
     pub payments: usize,
     pub from_exchange: usize,
@@ -75,9 +71,7 @@ pub fn payment_origins(
 
 /// The whale distribution: how many top payments carry 50% / 90% of
 /// the revenue.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize, StoreEncode, StoreDecode,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, StoreEncode, StoreDecode)]
 pub struct WhaleDistribution {
     pub payments: usize,
     pub total_usd: f64,

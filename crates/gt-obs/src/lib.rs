@@ -34,11 +34,8 @@
 //! into the registry without a cycle. Sim timestamps therefore cross
 //! this API as raw `i64` seconds.
 //!
-//! Metrics are always collected; spans are optional
-//! ([`MetricsRegistry::without_spans`]). [`StageSink::noop`] records
-//! nothing, so substrate code can call sinks unconditionally. The
-//! `gt-bench` overhead guard holds spans to <5% of end-to-end wall
-//! time.
+//! A registry always records both metrics and spans. [`StageSink::noop`]
+//! records nothing, so substrate code can call sinks unconditionally.
 
 mod metrics;
 mod snapshot;

@@ -199,8 +199,7 @@ impl MetricSheet {
     }
 }
 
-/// The run's span log: wall-clock intervals, kept only when spans are
-/// on.
+/// The run's span log: wall-clock intervals.
 #[derive(Debug)]
 pub(crate) struct SpanLog {
     /// Wall-clock zero for span timestamps.
@@ -216,16 +215,14 @@ type SheetList = Arc<Mutex<Vec<(Arc<str>, SharedSheet)>>>;
 
 /// The run's metrics and spans. Cloning is cheap (`Arc`s).
 ///
-/// Metrics are always collected: every [`StageSink`] handed out by
-/// [`MetricsRegistry::sink`] records into a sheet of its own, and
-/// [`MetricsRegistry::snapshot`] folds the sheets per stage. Spans are
-/// optional ([`MetricsRegistry::without_spans`]); a span opened on a
-/// registry without them is a no-op.
+/// Every [`StageSink`] handed out by [`MetricsRegistry::sink`] records
+/// into a sheet of its own, and [`MetricsRegistry::snapshot`] folds the
+/// sheets per stage. Every span opened on the registry or its sinks
+/// lands in the one span log.
 #[derive(Debug, Clone)]
 pub struct MetricsRegistry {
-    epoch: Instant,
     sheets: SheetList,
-    spans: Option<Arc<SpanLog>>,
+    spans: Arc<SpanLog>,
 }
 
 impl Default for MetricsRegistry {
@@ -238,23 +235,12 @@ impl MetricsRegistry {
     /// A registry recording metrics and spans, its wall-clock epoch set
     /// to now.
     pub fn new() -> Self {
-        let epoch = Instant::now();
         MetricsRegistry {
-            epoch,
             sheets: Arc::default(),
-            spans: Some(Arc::new(SpanLog {
-                epoch,
+            spans: Arc::new(SpanLog {
+                epoch: Instant::now(),
                 records: Mutex::new(Vec::new()),
-            })),
-        }
-    }
-
-    /// A registry recording metrics only: spans are no-ops and the
-    /// snapshot's span list is empty.
-    pub fn without_spans() -> Self {
-        MetricsRegistry {
-            spans: None,
-            ..MetricsRegistry::new()
+            }),
         }
     }
 
@@ -268,13 +254,13 @@ impl MetricsRegistry {
         StageSink {
             stage,
             sheet: Some(sheet),
-            spans: self.spans.clone(),
+            spans: Some(self.spans.clone()),
         }
     }
 
     /// Open a wall-clock span; it records itself when dropped.
     pub fn span(&self, name: &str, cat: &'static str) -> SpanGuard {
-        SpanGuard::open(self.spans.clone(), name, cat, None)
+        SpanGuard::open(Some(self.spans.clone()), name, cat, None)
     }
 
     /// Freeze the registry contents into a serializable snapshot.
@@ -293,15 +279,18 @@ impl MetricsRegistry {
             .iter()
             .flat_map(|(stage, sheet)| sheet.rows(stage))
             .collect();
-        let mut spans: Vec<SpanSnap> = self.spans.as_ref().map_or_else(Vec::new, |log| {
-            log.records.lock().iter().map(SpanRecord::snap).collect()
-        });
+        let mut spans: Vec<SpanSnap> = self
+            .spans
+            .records
+            .lock()
+            .iter()
+            .map(SpanRecord::snap)
+            .collect();
         spans.sort_by_key(|a| (a.lane, a.start_us));
         TelemetrySnapshot {
-            enabled: self.spans.is_some(),
             metrics,
             wall: WallBlock {
-                total_ms: self.epoch.elapsed().as_secs_f64() * 1_000.0,
+                total_ms: self.spans.epoch.elapsed().as_secs_f64() * 1_000.0,
                 spans,
             },
         }
@@ -327,12 +316,6 @@ impl StageSink {
             sheet: None,
             spans: None,
         }
-    }
-
-    /// Whether metric rows are recorded (false only for
-    /// [`StageSink::noop`]).
-    pub fn enabled(&self) -> bool {
-        self.sheet.is_some()
     }
 
     pub fn stage(&self) -> &str {
@@ -382,7 +365,6 @@ mod tests {
     #[test]
     fn noop_sink_is_inert() {
         let sink = StageSink::noop();
-        assert!(!sink.enabled());
         sink.counter_add("sub", "m", 3);
         let mut sheet = MetricSheet::new();
         sheet.add("sub", "m", 1);
@@ -435,21 +417,6 @@ mod tests {
         let mut bad: Vec<MetricRow> = sheet.rows("s").collect();
         bad[0].kind = "timer".to_string();
         assert!(MetricSheet::from_rows(bad).is_none(), "unknown kind");
-    }
-
-    #[test]
-    fn sinks_without_spans_still_record_metrics() {
-        let reg = MetricsRegistry::without_spans();
-        let sink = reg.sink("stage");
-        {
-            let _span = sink.span("ghost");
-            sink.counter_add("yt", "calls", 1);
-        }
-        assert_eq!(sink.sheet().rows("stage").count(), 1);
-        let snap = reg.snapshot();
-        assert!(!snap.enabled);
-        assert_eq!(snap.counter("stage", "yt", "calls"), Some(1));
-        assert!(snap.wall.spans.is_empty());
     }
 
     #[test]

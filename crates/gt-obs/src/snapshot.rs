@@ -53,8 +53,6 @@ pub struct WallBlock {
 /// `PaperReport`.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TelemetrySnapshot {
-    /// Whether spans were recorded. Metrics always are.
-    pub enabled: bool,
     /// Sim-derived metric rows, sorted by `(stage, substrate, metric)`.
     pub metrics: Vec<MetricRow>,
     /// Wall-clock spans; excluded from determinism tests.

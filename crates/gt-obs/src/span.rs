@@ -154,9 +154,14 @@ mod tests {
     }
 
     #[test]
-    fn disabled_spans_cost_nothing_and_record_nothing() {
-        let reg = MetricsRegistry::without_spans();
-        let _span = reg.span("ghost", "stage");
-        assert!(reg.snapshot().wall.spans.is_empty());
+    fn noop_sink_spans_record_nothing() {
+        let reg = MetricsRegistry::new();
+        {
+            let _ghost = crate::StageSink::noop().span("ghost");
+            let _real = reg.span("real", "stage");
+        }
+        let spans = reg.snapshot().wall.spans;
+        assert_eq!(spans.len(), 1);
+        assert_eq!(spans[0].depth, 0, "a noop span opens no nesting level");
     }
 }

@@ -28,36 +28,25 @@
 //!   window or an RPC read cursor) and never share it across worker
 //!   threads, so retry jitter draws and breaker transitions cannot
 //!   depend on scheduling.
-//! - A gate's admissions and [`DegradationStats`] are the same whether
-//!   or not its telemetry sink is enabled; the sink only records them.
-//!   With no plan the gate admits every call and draws no RNG.
-//! - The sink's metric rows are the only record of degradation:
+//! - A gate's admissions are the same whatever sink it reports into;
+//!   the sink only records them. With no plan the gate admits every
+//!   call and draws no RNG.
+//! - The gate's metric rows are the only record of degradation:
 //!   `PaperRun::degradation` is rebuilt from them
 //!   ([`DegradationStats::from_snapshot`]), never from `PaperReport`.
 
 use crate::rng::RngFactory;
 use crate::time::{SimDuration, SimTime};
-use gt_obs::{MetricSheet, StageSink, TelemetrySnapshot, BACKOFF_BUCKET_EDGES};
+use gt_obs::{MetricRow, MetricSheet, StageSink, TelemetrySnapshot, BACKOFF_BUCKET_EDGES};
 use gt_store::{StoreDecode, StoreEncode};
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// A simulated service surface that can fail independently.
 #[derive(
-    Debug,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    PartialOrd,
-    Ord,
-    Hash,
-    Serialize,
-    Deserialize,
-    StoreEncode,
-    StoreDecode,
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, StoreEncode, StoreDecode,
 )]
 pub enum Substrate {
     /// YouTube live-search endpoint (`search.list`).
@@ -125,7 +114,7 @@ impl std::fmt::Display for Substrate {
 }
 
 /// What kind of failure a window injects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, StoreEncode, StoreDecode)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, StoreEncode, StoreDecode)]
 pub enum FaultKind {
     /// Short-lived error; a backoff retry inside the window may still
     /// land inside it, but retries eventually escape.
@@ -149,7 +138,7 @@ pub enum FaultKind {
 }
 
 /// One scheduled fault interval `[start, end)` on a substrate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, StoreEncode, StoreDecode)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, StoreEncode, StoreDecode)]
 pub struct FaultWindow {
     pub start: SimTime,
     pub end: SimTime,
@@ -164,7 +153,7 @@ impl FaultWindow {
 
 /// Fault rates used by [`FaultPlan::generate`]. All rates are expected
 /// windows per substrate per 30 simulated days.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ChaosProfile {
     pub transients_per_month: f64,
     pub transient_len: SimDuration,
@@ -240,7 +229,7 @@ impl ChaosProfile {
 }
 
 /// A seeded, deterministic schedule of faults for every substrate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, StoreEncode, StoreDecode)]
+#[derive(Debug, Clone, PartialEq, Serialize, StoreEncode, StoreDecode)]
 pub struct FaultPlan {
     pub seed: u64,
     /// Sorted, non-overlapping windows per substrate.
@@ -376,7 +365,7 @@ impl FaultPlan {
 
 /// Shared retry/backoff policy: exponential backoff with jitter, capped
 /// per attempt and bounded by a cumulative per-call budget.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, StoreEncode, StoreDecode)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, StoreEncode, StoreDecode)]
 pub struct RetryPolicy {
     /// Maximum attempts per call (1 = no retries).
     pub max_attempts: u32,
@@ -517,10 +506,10 @@ impl CircuitBreaker {
     }
 }
 
-/// Counts of injected faults and how the consumer fared against them.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize, StoreEncode, StoreDecode,
-)]
+/// Counts of injected faults and how the consumer fared against them:
+/// a view of the per-substrate counters a [`Gated`] records, read back
+/// by [`DegradationStats::from_rows`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, StoreEncode, StoreDecode)]
 pub struct DegradationStats {
     /// Transient-window hits (one per failed attempt).
     pub transients: u64,
@@ -565,36 +554,37 @@ impl DegradationStats {
         *self == DegradationStats::default()
     }
 
-    /// What the gates of `stage` recorded in `snapshot`: the sum of the
-    /// per-substrate delta counters [`Gated`] records under each field's
-    /// name. This is the only record of a
-    /// stage's degradation, so it reads the same whether the stage ran
-    /// or replayed its cached sheet.
-    pub fn from_snapshot(snapshot: &TelemetrySnapshot, stage: &str) -> DegradationStats {
-        let total = |name: &str| -> u64 {
-            snapshot
-                .metrics
-                .iter()
-                .filter(|r| {
-                    r.stage == stage
-                        && r.metric == name
-                        && r.kind == "counter"
-                        && Substrate::ALL.iter().any(|s| s.label() == r.substrate)
-                })
-                .map(|r| r.value)
-                .sum()
-        };
-        DegradationStats {
-            transients: total("transients"),
-            rate_limited: total("rate_limited"),
-            latency_spikes: total("latency_spikes"),
-            outage_hits: total("outage_hits"),
-            retries: total("retries"),
-            recovered: total("recovered"),
-            lost: total("lost"),
-            circuit_opens: total("circuit_opens"),
-            backoff_wait_secs: total("backoff_wait_secs"),
+    /// The sum of the per-substrate counters [`Gated`] records under
+    /// each field's name, over `rows`. Rows of other substrates (the
+    /// supervisor's `recovered`, say) and histogram rows are skipped.
+    pub fn from_rows<'r>(rows: impl IntoIterator<Item = &'r MetricRow>) -> DegradationStats {
+        let mut stats = DegradationStats::default();
+        for row in rows {
+            if row.kind != "counter" || !Substrate::ALL.iter().any(|s| s.label() == row.substrate) {
+                continue;
+            }
+            let field = match row.metric.as_str() {
+                "transients" => &mut stats.transients,
+                "rate_limited" => &mut stats.rate_limited,
+                "latency_spikes" => &mut stats.latency_spikes,
+                "outage_hits" => &mut stats.outage_hits,
+                "retries" => &mut stats.retries,
+                "recovered" => &mut stats.recovered,
+                "lost" => &mut stats.lost,
+                "circuit_opens" => &mut stats.circuit_opens,
+                "backoff_wait_secs" => &mut stats.backoff_wait_secs,
+                _ => continue,
+            };
+            *field += row.value;
         }
+        stats
+    }
+
+    /// What the gates of `stage` recorded in `snapshot`. This is the
+    /// only record of a stage's degradation, so it reads the same
+    /// whether the stage ran or replayed its cached sheet.
+    pub fn from_snapshot(snapshot: &TelemetrySnapshot, stage: &str) -> DegradationStats {
+        DegradationStats::from_rows(snapshot.metrics.iter().filter(|r| r.stage == stage))
     }
 }
 
@@ -605,27 +595,27 @@ pub struct Denied;
 
 /// The checked-call gate every substrate client calls through: a
 /// per-consumer view of a [`FaultPlan`] that owns the retry loop, the
-/// jitter RNG, per-substrate circuit breakers and the degradation
-/// accounting, and reports every call into a telemetry sink.
+/// jitter RNG and per-substrate circuit breakers, and reports every call
+/// into a telemetry sink.
 ///
 /// A gate must live inside one sequential loop (a monitor window, an
 /// RPC cursor, a revisit crawl) — never shared across worker threads —
 /// so its RNG draws and breaker transitions are reproducible.
 ///
-/// An enabled sink receives per-substrate call/served/denied/record
-/// counters, the full degradation breakdown and a backoff-sleep
-/// histogram. Metrics are accumulated lock-free in a local
-/// [`MetricSheet`] and flushed into the sink's sheet once, when the
-/// gate drops. All recorded values derive from sim state ([`DegradationStats`]
-/// deltas and caller-supplied record counts), so telemetry inherits the
-/// fault layer's determinism: byte-identical across thread counts.
+/// The gate records per-substrate call/served/denied/record counters,
+/// one counter per fault event under its [`DegradationStats`] field
+/// name, and a per-call backoff-sleep histogram. Metrics are
+/// accumulated lock-free in a local [`MetricSheet`] — the gate's only
+/// accounting — and flushed into the sink's sheet once, when the gate
+/// drops. All recorded values derive from sim state (fault events and
+/// caller-supplied record counts), so telemetry inherits the fault
+/// layer's determinism: byte-identical across thread counts.
 #[derive(Debug)]
 pub struct Gated<'p> {
     plan: Option<&'p FaultPlan>,
     policy: RetryPolicy,
     rng: Option<StdRng>,
     breakers: BTreeMap<Substrate, CircuitBreaker>,
-    stats: DegradationStats,
     sink: StageSink,
     sheet: MetricSheet,
 }
@@ -645,7 +635,6 @@ impl<'p> Gated<'p> {
             policy,
             rng: plan.map(|p| p.factory().rng(label)),
             breakers: BTreeMap::new(),
-            stats: DegradationStats::default(),
             sink,
             sheet: MetricSheet::new(),
         }
@@ -657,47 +646,53 @@ impl<'p> Gated<'p> {
         Gated::new(None, "", RetryPolicy::default(), StageSink::noop())
     }
 
+    /// What the gate has recorded so far, read back from its sheet.
     pub fn stats(&self) -> DegradationStats {
-        self.stats
+        let rows: Vec<MetricRow> = self.sheet.rows("").collect();
+        DegradationStats::from_rows(&rows)
     }
 
-    /// Consult the plan before a call at `now`: the retry loop. With no
-    /// plan every call is admitted untouched.
+    /// Consult the plan before a call at `now`: the retry loop. Each
+    /// fault event is counted in the sheet as it happens; the call's
+    /// summed retry waits are recorded once, when the loop ends. With
+    /// no plan every call is admitted untouched.
     fn admit(&mut self, sub: Substrate, now: SimTime) -> Result<(), Denied> {
         let Some(plan) = self.plan else {
             return Ok(());
         };
+        let label = sub.label();
         if let Some(b) = self.breakers.get_mut(&sub) {
             if !b.allows(now) {
-                self.stats.lost += 1;
+                self.sheet.add(label, "lost", 1);
                 return Err(Denied);
             }
         }
         let mut at = now;
         let mut waited = SimDuration::ZERO;
+        let mut slept_secs = 0u64;
         let mut attempt: u32 = 1;
         let mut saw_fault = false;
-        loop {
+        let admitted = loop {
             let Some(window) = plan.window_at(sub, at) else {
                 if saw_fault {
-                    self.stats.recovered += 1;
+                    self.sheet.add(label, "recovered", 1);
                 }
                 if let Some(b) = self.breakers.get_mut(&sub) {
                     b.record_success();
                 }
-                return Ok(());
+                break Ok(());
             };
             saw_fault = true;
             match window.kind {
                 FaultKind::Latency { delay: _ } => {
                     // Slow but successful; snapshot semantics mean the
                     // delay never changes what data is served.
-                    self.stats.latency_spikes += 1;
-                    self.stats.recovered += 1;
+                    self.sheet.add(label, "latency_spikes", 1);
+                    self.sheet.add(label, "recovered", 1);
                     if let Some(b) = self.breakers.get_mut(&sub) {
                         b.record_success();
                     }
-                    return Ok(());
+                    break Ok(());
                 }
                 FaultKind::StagePanic => {
                     // A consumer crash, not a service error: unwind the
@@ -711,8 +706,8 @@ impl<'p> Gated<'p> {
                     );
                 }
                 FaultKind::Outage => {
-                    self.stats.outage_hits += 1;
-                    self.stats.lost += 1;
+                    self.sheet.add(label, "outage_hits", 1);
+                    self.sheet.add(label, "lost", 1);
                     let threshold = self.policy.breaker_threshold;
                     let cooldown = self.policy.breaker_cooldown;
                     let b = self
@@ -720,55 +715,55 @@ impl<'p> Gated<'p> {
                         .entry(sub)
                         .or_insert_with(|| CircuitBreaker::new(threshold, cooldown));
                     if b.record_failure(at) {
-                        self.stats.circuit_opens += 1;
+                        self.sheet.add(label, "circuit_opens", 1);
                     }
-                    return Err(Denied);
+                    break Err(Denied);
                 }
                 FaultKind::Transient | FaultKind::RateLimit => {
                     let delay = if window.kind == FaultKind::Transient {
-                        self.stats.transients += 1;
+                        self.sheet.add(label, "transients", 1);
                         let rng = self.rng.as_mut().expect("plan implies rng");
                         self.policy.backoff(attempt, rng)
                     } else {
-                        self.stats.rate_limited += 1;
+                        self.sheet.add(label, "rate_limited", 1);
                         // Quota windows don't clear early: wait them out.
                         (window.end - at).max(SimDuration::seconds(1))
                     };
                     waited = waited + delay;
                     if attempt >= self.policy.max_attempts || waited > self.policy.budget {
-                        self.stats.lost += 1;
-                        return Err(Denied);
+                        self.sheet.add(label, "lost", 1);
+                        break Err(Denied);
                     }
-                    self.stats.retries += 1;
-                    self.stats.backoff_wait_secs += delay.as_seconds().max(0) as u64;
+                    self.sheet.add(label, "retries", 1);
+                    slept_secs += delay.as_seconds().max(0) as u64;
                     attempt += 1;
                     at += delay;
                 }
             }
+        };
+        if slept_secs > 0 {
+            self.sheet.add(label, "backoff_wait_secs", slept_secs);
+            self.sheet
+                .observe(label, "backoff_secs", slept_secs, BACKOFF_BUCKET_EDGES);
         }
+        admitted
     }
 
     /// Gate one call at `now`. On admission, run `body` and return its
     /// value — always with data as of `now` (snapshot semantics), even
     /// if retries pushed the virtual completion time later. `body` also
     /// reports how many records (hits, messages, frames, bytes — the
-    /// substrate chooses the unit) the call produced, which an enabled
-    /// sink records.
+    /// substrate chooses the unit) the call produced, which the gate
+    /// records.
     pub fn checked_counted<T>(
         &mut self,
         sub: Substrate,
         now: SimTime,
         body: impl FnOnce() -> (T, u64),
     ) -> Result<T, Denied> {
-        if !self.sink.enabled() {
-            self.admit(sub, now)?;
-            return Ok(body().0);
-        }
         let label = sub.label();
-        let before = self.stats;
         let admitted = self.admit(sub, now);
         self.sheet.add(label, "calls", 1);
-        self.record_delta(label, &before);
         match admitted {
             Ok(()) => {
                 let (value, records) = body();
@@ -800,36 +795,6 @@ impl<'p> Gated<'p> {
     /// that map fault kinds onto domain errors (e.g. the web fetcher).
     pub fn active_fault(&self, sub: Substrate, now: SimTime) -> Option<FaultKind> {
         self.plan.and_then(|p| p.fault_at(sub, now))
-    }
-
-    /// Record how the last admission changed the degradation counters,
-    /// attributing the delta to `label` (exact, because `admit` only
-    /// ever touches one substrate's accounting per call).
-    fn record_delta(&mut self, label: &'static str, before: &DegradationStats) {
-        let after = self.stats;
-        for (metric, delta) in [
-            ("retries", after.retries - before.retries),
-            ("transients", after.transients - before.transients),
-            ("rate_limited", after.rate_limited - before.rate_limited),
-            (
-                "latency_spikes",
-                after.latency_spikes - before.latency_spikes,
-            ),
-            ("outage_hits", after.outage_hits - before.outage_hits),
-            ("recovered", after.recovered - before.recovered),
-            ("lost", after.lost - before.lost),
-            ("circuit_opens", after.circuit_opens - before.circuit_opens),
-        ] {
-            if delta > 0 {
-                self.sheet.add(label, metric, delta);
-            }
-        }
-        let waited = after.backoff_wait_secs - before.backoff_wait_secs;
-        if waited > 0 {
-            self.sheet.add(label, "backoff_wait_secs", waited);
-            self.sheet
-                .observe(label, "backoff_secs", waited, BACKOFF_BUCKET_EDGES);
-        }
     }
 }
 

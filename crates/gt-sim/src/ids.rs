@@ -5,7 +5,7 @@
 //! classic measurement-pipeline bug of joining a tweet id against a stream
 //! id and silently getting garbage.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::marker::PhantomData;
 
 /// Declare a `u64`-backed identifier newtype.
@@ -13,10 +13,7 @@ use std::marker::PhantomData;
 macro_rules! define_id {
     ($(#[$doc:meta])* $name:ident, $prefix:expr) => {
         $(#[$doc])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash,
-            serde::Serialize, serde::Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize)]
         pub struct $name(pub u64);
 
         impl $name {
@@ -34,7 +31,7 @@ macro_rules! define_id {
 }
 
 /// Hands out consecutive ids for one identifier type.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug, Serialize)]
 pub struct IdMint<T> {
     next: u64,
     #[serde(skip)]

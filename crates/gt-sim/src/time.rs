@@ -5,7 +5,7 @@
 //! algorithm, which is exact over the entire `i64` day range we care about.
 
 use gt_store::{StoreDecode, StoreEncode};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
 
@@ -21,7 +21,6 @@ use std::ops::{Add, AddAssign, Sub, SubAssign};
     Hash,
     Default,
     Serialize,
-    Deserialize,
     StoreEncode,
     StoreDecode,
 )]
@@ -39,7 +38,6 @@ pub struct SimTime(pub i64);
     Hash,
     Default,
     Serialize,
-    Deserialize,
     StoreEncode,
     StoreDecode,
 )]
@@ -88,18 +86,7 @@ impl SimDuration {
 
 /// A civil (proleptic Gregorian) calendar date in UTC.
 #[derive(
-    Debug,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    PartialOrd,
-    Ord,
-    Hash,
-    Serialize,
-    Deserialize,
-    StoreEncode,
-    StoreDecode,
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, StoreEncode, StoreDecode,
 )]
 pub struct CivilDate {
     pub year: i32,

@@ -9,45 +9,23 @@
 use gt_sim::SimTime;
 use gt_store::{StoreDecode, StoreEncode};
 use gt_text::extract_urls;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 
 /// Identifier of a tweet within the snapshot.
 #[derive(
-    Debug,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    PartialOrd,
-    Ord,
-    Hash,
-    Serialize,
-    Deserialize,
-    StoreEncode,
-    StoreDecode,
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, StoreEncode, StoreDecode,
 )]
 pub struct TweetId(pub u64);
 
 /// Identifier of a Twitter account.
 #[derive(
-    Debug,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    PartialOrd,
-    Ord,
-    Hash,
-    Serialize,
-    Deserialize,
-    StoreEncode,
-    StoreDecode,
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, StoreEncode, StoreDecode,
 )]
 pub struct TwitterAccountId(pub u64);
 
 /// A public tweet as the snapshot stores it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, StoreEncode, StoreDecode)]
+#[derive(Debug, Clone, PartialEq, Serialize, StoreEncode, StoreDecode)]
 pub struct Tweet {
     pub id: TweetId,
     pub author: TwitterAccountId,

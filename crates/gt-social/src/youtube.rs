@@ -10,7 +10,7 @@ use gt_sim::faults::{Denied, Gated, Substrate};
 use gt_sim::{SimDuration, SimTime};
 use gt_store::{StoreDecode, StoreEncode};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -18,39 +18,17 @@ use std::sync::Arc;
 pub const CHAT_HISTORY_LIMIT: usize = 70;
 
 #[derive(
-    Debug,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    PartialOrd,
-    Ord,
-    Hash,
-    Serialize,
-    Deserialize,
-    StoreEncode,
-    StoreDecode,
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, StoreEncode, StoreDecode,
 )]
 pub struct ChannelId(pub u64);
 
 #[derive(
-    Debug,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    PartialOrd,
-    Ord,
-    Hash,
-    Serialize,
-    Deserialize,
-    StoreEncode,
-    StoreDecode,
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, StoreEncode, StoreDecode,
 )]
 pub struct LiveStreamId(pub u64);
 
 /// A YouTube channel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, StoreEncode, StoreDecode)]
+#[derive(Debug, Clone, PartialEq, Serialize, StoreEncode, StoreDecode)]
 pub struct Channel {
     pub id: ChannelId,
     pub name: String,
@@ -58,7 +36,7 @@ pub struct Channel {
 }
 
 /// A timestamped chat message.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, StoreEncode, StoreDecode)]
+#[derive(Debug, Clone, PartialEq, Serialize, StoreEncode, StoreDecode)]
 pub struct ChatMessage {
     pub time: SimTime,
     pub author: String,
@@ -130,7 +108,7 @@ impl QrMemo {
 }
 
 /// How many viewers a stream has over time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, StoreEncode, StoreDecode)]
+#[derive(Debug, Clone, PartialEq, Serialize, StoreEncode, StoreDecode)]
 pub struct ViewerCurve {
     /// Peak concurrent viewers.
     pub peak_concurrent: u64,
@@ -202,9 +180,7 @@ impl LiveStream {
 }
 
 /// Per-endpoint API call counters.
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, StoreEncode, StoreDecode,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, StoreEncode, StoreDecode)]
 pub struct ApiCallCounts {
     pub search: u64,
     pub stream_details: u64,

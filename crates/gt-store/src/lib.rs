@@ -52,11 +52,8 @@ pub trait StoreEncode {
     fn store_encode(&self, e: &mut Encoder);
 }
 
-/// Decoding for [`StoreEncode`]d bytes.
-///
-/// Unlike the vendored `serde` stub (whose `Deserialize` is a marker
-/// trait that never runs), this is a real decoder: cache hits
-/// reconstruct full stage payloads from disk.
+/// Decoding for [`StoreEncode`]d bytes: the workspace's only decoder.
+/// Cache hits reconstruct full stage payloads from disk.
 pub trait StoreDecode: Sized {
     fn store_decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError>;
 }

@@ -21,7 +21,7 @@ use gt_store::{StoreDecode, StoreEncode};
 use gt_text::extract_urls;
 use gt_web::crawler::{Crawler, CrawlerConfig, RevisitState};
 use gt_web::{Url, WebHost};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// The paper's 11 infrastructure outage days.
@@ -79,16 +79,14 @@ impl MonitorConfig {
 }
 
 /// Where a URL lead came from.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, StoreEncode, StoreDecode,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, StoreEncode, StoreDecode)]
 pub enum UrlSource {
     QrCode,
     Chat,
 }
 
 /// A URL extracted from a monitored stream.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, StoreEncode, StoreDecode)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, StoreEncode, StoreDecode)]
 pub struct UrlLead {
     pub url: String,
     pub source: UrlSource,
@@ -97,7 +95,7 @@ pub struct UrlLead {
 }
 
 /// Everything the monitor learned about one stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, StoreEncode, StoreDecode)]
+#[derive(Debug, Clone, PartialEq, Serialize, StoreEncode, StoreDecode)]
 pub struct ObservedStream {
     pub stream: LiveStreamId,
     pub channel: ChannelId,
@@ -121,7 +119,7 @@ pub struct ObservedStream {
 }
 
 /// The final crawled content for a lead URL.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, StoreEncode, StoreDecode)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, StoreEncode, StoreDecode)]
 pub struct CrawledPage {
     pub url: String,
     pub html: String,

@@ -7,7 +7,7 @@
 //! single spaces.
 
 use crate::ac::AhoCorasick;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A set of keywords with whole-word semantics.
 #[derive(Debug)]
@@ -17,7 +17,7 @@ pub struct KeywordSet {
 }
 
 /// A whole-word keyword match.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct KeywordMatch {
     /// Index into the keyword list.
     pub keyword: usize,

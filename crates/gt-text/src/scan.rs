@@ -5,10 +5,10 @@
 //! finds syntactic candidates (base58 runs, bech32 runs, 0x-hex runs) with
 //! their positions; `gt-addr` performs the checksum validation.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// What kind of address syntax a candidate looks like.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum CandidateKind {
     /// Base58 run starting with `1` or `3` (BTC legacy P2PKH/P2SH).
     Base58Btc,
@@ -21,7 +21,7 @@ pub enum CandidateKind {
 }
 
 /// A syntactic address candidate found in text.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct AddressCandidate {
     pub kind: CandidateKind,
     pub text: String,

@@ -4,10 +4,10 @@
 //! URLs, scheme-less `www.` URLs, and bare `host.tld/...` mentions for a
 //! conservative set of TLDs that the scam-domain corpus actually uses.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A URL found in free text.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ExtractedUrl {
     /// The normalised URL (scheme always present, host lowercased).
     pub url: String,

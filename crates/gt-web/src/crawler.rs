@@ -4,11 +4,11 @@ use crate::host::{FetchError, NetOrigin, Request, Response, WebHost};
 use crate::url::Url;
 use gt_sim::faults::Gated;
 use gt_sim::SimTime;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Crawler hardening configuration — each flag counters one cloaking
 /// behaviour from the paper's pilot study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct CrawlerConfig {
     /// Egress via VPN (residential IP) instead of the institutional
     /// network.
@@ -165,7 +165,7 @@ impl Crawler {
 
 /// State of one URL under the daily revisit policy: crawl every day
 /// until the collection window ends or three consecutive error days.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct RevisitState {
     pub url: Url,
     pub consecutive_errors: u32,

@@ -5,14 +5,12 @@ use gt_sim::faults::{FaultKind, Gated, Substrate};
 use gt_sim::SimTime;
 use gt_store::{StoreDecode, StoreEncode};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 use std::fmt;
 
 /// Where a request originates from, as servers can observe it.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, StoreEncode, StoreDecode,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, StoreEncode, StoreDecode)]
 pub enum NetOrigin {
     /// University / corporate address space (what an unprotected
     /// measurement crawler looks like).
@@ -25,9 +23,7 @@ pub enum NetOrigin {
 }
 
 /// Which cloaking behaviours a scam site deploys (Section 3.2).
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize, StoreEncode, StoreDecode,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, StoreEncode, StoreDecode)]
 pub struct CloakingProfile {
     /// 403 to institutional/datacenter IPs.
     pub ip_cloaking: bool,
@@ -136,7 +132,7 @@ impl fmt::Display for FetchError {
 impl std::error::Error for FetchError {}
 
 /// Specification of a hosted scam site.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, StoreEncode, StoreDecode)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, StoreEncode, StoreDecode)]
 pub struct ScamSiteSpec {
     pub domain: String,
     /// The landing-page HTML (contains addresses and scam keywords).

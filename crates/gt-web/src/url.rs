@@ -1,11 +1,11 @@
 //! A small, strict URL type for the crawler.
 
 use gt_store::{StoreDecode, StoreEncode};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// A parsed http(s) URL.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize, StoreEncode, StoreDecode)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, StoreEncode, StoreDecode)]
 pub struct Url {
     pub https: bool,
     /// Lowercased host.

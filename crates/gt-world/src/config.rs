@@ -3,7 +3,7 @@
 use crate::calibration::{datasets, payments, pilot};
 use gt_sim::SimTime;
 use gt_store::{StoreDecode, StoreEncode};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Everything the generator needs to build a world.
 ///
@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// tests use [`WorldConfig::scaled`], which shrinks volumes while
 /// preserving ratios (conversion rates, revenue shares, funnel
 /// fractions).
-#[derive(Debug, Clone, Serialize, Deserialize, StoreEncode, StoreDecode)]
+#[derive(Debug, Clone, Serialize, StoreEncode, StoreDecode)]
 pub struct WorldConfig {
     /// Master seed: everything derives from it.
     pub seed: u64,

@@ -7,12 +7,12 @@ use gt_store::{StoreDecode, StoreEncode};
 use gt_web::{CloakingProfile, ScamSiteSpec};
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A cryptocurrency address as displayed on a landing page: either one
 /// of the three coins the analysis tracks, or some other coin (DOGE,
 /// LTC, ...) the paper filters out.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, StoreEncode, StoreDecode)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, StoreEncode, StoreDecode)]
 pub struct DisplayAddress {
     /// Human label shown next to the address ("BTC", "DOGE", ...).
     pub label: String,
@@ -33,7 +33,7 @@ impl DisplayAddress {
 }
 
 /// A scam domain with everything needed to host and promote it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, StoreEncode, StoreDecode)]
+#[derive(Debug, Clone, PartialEq, Serialize, StoreEncode, StoreDecode)]
 pub struct ScamDomain {
     pub domain: String,
     /// Index of the operation running it.
@@ -221,7 +221,7 @@ pub fn other_coin_address(rng: &mut StdRng) -> (String, String) {
 /// One entry of the CryptoScamTracker-style corpus: a domain with the
 /// addresses annotated when it was crawled (possibly incomplete — the
 /// paper notes missing/inaccurate addresses as a limitation).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, StoreEncode, StoreDecode)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, StoreEncode, StoreDecode)]
 pub struct ScamDbEntry {
     pub domain: String,
     /// Annotated address strings with coin labels.
@@ -229,9 +229,7 @@ pub struct ScamDbEntry {
 }
 
 /// The corpus handed to the Twitter pipeline.
-#[derive(
-    Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize, StoreEncode, StoreDecode,
-)]
+#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, StoreEncode, StoreDecode)]
 pub struct ScamDomainDb {
     pub entries: Vec<ScamDbEntry>,
 }

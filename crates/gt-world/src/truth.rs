@@ -11,20 +11,18 @@ use gt_chain::TxRef;
 use gt_sim::SimTime;
 use gt_social::{LiveStreamId, TweetId, TwitchStreamId};
 use gt_store::{StoreDecode, StoreEncode};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashSet;
 
 /// Which platform a lure or payment belongs to.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, StoreEncode, StoreDecode,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, StoreEncode, StoreDecode)]
 pub enum Platform {
     Twitter,
     YouTube,
 }
 
 /// One victim payment as generated.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, StoreEncode, StoreDecode)]
+#[derive(Debug, Clone, PartialEq, Serialize, StoreEncode, StoreDecode)]
 pub struct TruthPayment {
     pub platform: Platform,
     pub tx: TxRef,
@@ -43,7 +41,7 @@ pub struct TruthPayment {
 /// A consolidation transfer between scam-controlled addresses that lands
 /// inside a co-occurrence window (what the known-scam-sender filter must
 /// remove).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, StoreEncode, StoreDecode)]
+#[derive(Debug, Clone, PartialEq, Serialize, StoreEncode, StoreDecode)]
 pub struct TruthConsolidation {
     pub platform: Platform,
     pub tx: TxRef,

@@ -60,64 +60,34 @@ fn parse_args() -> Args {
     while let Some(flag) = it.next() {
         match flag.as_str() {
             "--scale" => {
-                let raw = it.next().unwrap_or_default();
-                args.scale = match raw.parse() {
-                    Ok(v) if (0.0..=1.0).contains(&v) && v > 0.0 => v,
-                    _ => {
-                        eprintln!("error: --scale must be a number in (0, 1], got {raw:?}");
-                        std::process::exit(2);
-                    }
-                };
+                args.scale = parsed_value(&mut it, &flag, "a number in (0, 1]", |v: &f64| {
+                    *v > 0.0 && *v <= 1.0
+                })
             }
-            "--seed" => {
-                let raw = it.next().unwrap_or_default();
-                args.seed = match raw.parse() {
-                    Ok(v) => Some(v),
-                    Err(_) => {
-                        eprintln!("error: --seed must be an integer, got {raw:?}");
-                        std::process::exit(2);
-                    }
-                };
-            }
+            "--seed" => args.seed = Some(parsed_value(&mut it, &flag, "an integer", |_| true)),
             "--threads" => {
-                let raw = it.next().unwrap_or_default();
-                args.threads = match raw.parse() {
-                    Ok(v) => v,
-                    Err(_) => {
-                        eprintln!("error: --threads must be an integer (0 = auto), got {raw:?}");
-                        std::process::exit(2);
-                    }
-                };
+                args.threads = parsed_value(&mut it, &flag, "an integer (0 = auto)", |_| true)
             }
             "--chaos" => {
-                let raw = it.next().unwrap_or_default();
-                args.chaos = match raw.parse() {
-                    Ok(v) => Some(v),
-                    Err(_) => {
-                        eprintln!("error: --chaos must be an integer fault seed, got {raw:?}");
-                        std::process::exit(2);
-                    }
-                };
+                args.chaos = Some(parsed_value(
+                    &mut it,
+                    &flag,
+                    "an integer fault seed",
+                    |_| true,
+                ))
             }
             "--soak" => {
-                let raw = it.next().unwrap_or_default();
-                args.soak = match raw.parse() {
-                    Ok(v) if v > 0 => v,
-                    _ => {
-                        eprintln!("error: --soak must be a positive run count, got {raw:?}");
-                        std::process::exit(2);
-                    }
-                };
+                args.soak = parsed_value(&mut it, &flag, "a positive run count", |v| *v > 0)
             }
-            "--markdown" => args.markdown = it.next(),
-            "--json" => args.json = it.next(),
-            "--out-dir" => args.out_dir = it.next(),
-            "--trace" => args.trace = it.next(),
-            "--store" => args.store = it.next(),
+            "--markdown" => args.markdown = Some(flag_value(&mut it, &flag)),
+            "--json" => args.json = Some(flag_value(&mut it, &flag)),
+            "--out-dir" => args.out_dir = Some(flag_value(&mut it, &flag)),
+            "--trace" => args.trace = Some(flag_value(&mut it, &flag)),
+            "--store" => args.store = Some(flag_value(&mut it, &flag)),
             "--resume" => args.resume = true,
             "--evict" => args.evict = true,
             other => {
-                eprintln!("unknown flag {other}");
+                eprintln!("error: unknown flag {other}");
                 eprintln!("{USAGE}");
                 std::process::exit(2);
             }
@@ -132,6 +102,34 @@ fn parse_args() -> Args {
         std::process::exit(2);
     }
     args
+}
+
+/// The value after `flag`. A missing one is a usage error: exit 2
+/// rather than run without the output the caller asked for.
+fn flag_value(it: &mut impl Iterator<Item = String>, flag: &str) -> String {
+    it.next().unwrap_or_else(|| {
+        eprintln!("error: {flag} needs a value");
+        eprintln!("{USAGE}");
+        std::process::exit(2);
+    })
+}
+
+/// The value after `flag`, parsed and accepted by `valid`; anything
+/// else exits 2 saying the value must be `what`.
+fn parsed_value<T: std::str::FromStr>(
+    it: &mut impl Iterator<Item = String>,
+    flag: &str,
+    what: &str,
+    valid: impl Fn(&T) -> bool,
+) -> T {
+    let raw = flag_value(it, flag);
+    match raw.parse() {
+        Ok(v) if valid(&v) => v,
+        _ => {
+            eprintln!("error: {flag} must be {what}, got {raw:?}");
+            std::process::exit(2);
+        }
+    }
 }
 
 /// Report a fatal IO problem and exit nonzero (the harness never
@@ -407,14 +405,12 @@ fn main() {
             d.lost
         );
     }
-    if run.telemetry.enabled {
-        eprintln!(
-            "      telemetry: {} metric rows, {} spans ({:.1}s wall)",
-            run.telemetry.metrics.len(),
-            run.telemetry.wall.spans.len(),
-            run.telemetry.wall.total_ms / 1_000.0
-        );
-    }
+    eprintln!(
+        "      telemetry: {} metric rows, {} spans ({:.1}s wall)",
+        run.telemetry.metrics.len(),
+        run.telemetry.wall.spans.len(),
+        run.telemetry.wall.total_ms / 1_000.0
+    );
     if !run.health.is_clean() {
         let h = &run.health;
         eprintln!(

@@ -4,9 +4,11 @@
 //! metrics JSON — same stage outputs, same sharded clustering, same tag
 //! resolution, same monitor results and call counts.
 
-use givetake::core::{PaperRun, Pipeline, PipelineOptions};
+use givetake::core::{PaperRun, Pipeline, PipelineOptions, SupervisionPolicy};
+use givetake::store::RunStore;
 use givetake::world::{World, WorldConfig};
-use std::sync::OnceLock;
+use std::collections::BTreeSet;
+use std::sync::{Arc, OnceLock};
 
 fn world() -> &'static World {
     static W: OnceLock<World> = OnceLock::new();
@@ -89,38 +91,99 @@ fn options_equivalents_match() {
     // Fluent `PipelineOptions` setters and direct field writes configure
     // the same run (`PipelineOptions` is `#[non_exhaustive]`, so neither
     // can be replaced by a struct literal outside `gt-core`).
-    let via_setters = run_with(PipelineOptions::default().threads(2).telemetry(false));
+    let profile = givetake::sim::faults::ChaosProfile::default();
+    let policy = SupervisionPolicy::recover(2);
+    let via_setters = run_with(
+        PipelineOptions::default()
+            .threads(2)
+            .chaos(0xFA_017, &profile)
+            .supervise(policy),
+    );
     let mut fields = PipelineOptions::default();
     fields.threads = 2;
-    fields.telemetry = false;
+    fields.chaos = Some((0xFA_017, profile));
+    fields.supervision = policy;
     let via_fields = run_with(fields);
-    assert_eq!(via_setters.report, via_fields.report);
-    assert!(!via_fields.telemetry.enabled);
-    assert!(via_fields.telemetry.wall.spans.is_empty());
+    assert_eq!(run_json(&via_setters), run_json(&via_fields));
+    assert_eq!(via_setters.degradation, via_fields.degradation);
+    assert!(
+        via_fields.degradation.enabled,
+        "the chaos field took effect"
+    );
+    assert!(
+        via_fields.health.supervised,
+        "the supervision field took effect"
+    );
+}
+
+/// The timings are a view of the run's telemetry: one entry per stage
+/// name in the metrics block, in its (name) order, carrying that stage's
+/// `executor/items` counter and the duration of its `"stage"` span.
+fn assert_timings_derive_from_telemetry(run: &PaperRun, what: &str) {
+    let t = &run.timings;
+    let metric_stages: BTreeSet<&str> = run
+        .telemetry
+        .metrics
+        .iter()
+        .map(|r| r.stage.as_str())
+        .collect();
+    let timed: Vec<&str> = t.stages.iter().map(|s| s.name.as_str()).collect();
+    assert_eq!(timed.len(), 25, "{what}: one entry per pipeline stage");
+    assert_eq!(
+        timed,
+        metric_stages.into_iter().collect::<Vec<_>>(),
+        "{what}: one entry per metrics-block stage, in its order"
+    );
+    assert_eq!(t.total_ms, run.telemetry.wall.total_ms, "{what}");
+    for stage in &t.stages {
+        let name = stage.name.as_str();
+        assert_eq!(
+            Some(stage.items),
+            run.telemetry.counter(name, "executor", "items"),
+            "{what}: items of {name}"
+        );
+        let spans: Vec<_> = run
+            .telemetry
+            .wall
+            .spans
+            .iter()
+            .filter(|s| s.cat == "stage" && s.name == name)
+            .collect();
+        assert_eq!(spans.len(), 1, "{what}: one stage span for {name}");
+        assert_eq!(
+            stage.wall_ms,
+            spans[0].dur_us as f64 / 1_000.0,
+            "{what}: wall time of {name}"
+        );
+    }
 }
 
 #[test]
 fn timings_cover_every_stage() {
-    let run = run_with(PipelineOptions::default().threads(2));
-    let t = &run.timings;
-    assert!(t.total_ms > 0.0);
-    for name in [
-        "twitter_dataset",
-        "pilot_monitor",
-        "main_monitor",
-        "chain_analysis",
-        "youtube_dataset",
-        "twitter_payments",
-        "youtube_payments",
-        "interventions",
-    ] {
-        let stage = t
-            .stage(name)
-            .unwrap_or_else(|| panic!("stage {name} timed"));
-        assert!(stage.wall_ms >= 0.0);
+    for threads in [1, 4] {
+        let run = run_with(PipelineOptions::default().threads(threads));
+        assert_eq!(run.timings.threads, threads);
+        assert_timings_derive_from_telemetry(&run, &format!("{threads} threads"));
+        let t = &run.timings;
+        assert!(t.total_ms > 0.0);
+        assert!(
+            t.stage("chain_analysis").unwrap().items > 0,
+            "clustering counted its transactions"
+        );
     }
-    assert!(
-        t.stage("chain_analysis").unwrap().items > 0,
-        "clustering counted its transactions"
-    );
+
+    // A fully warm run times the cache hits the same way.
+    let dir = std::env::temp_dir().join(format!("gt-determinism-timings-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = Arc::new(RunStore::open(&dir).expect("store opens"));
+    let stored = || {
+        PipelineOptions::default()
+            .threads(2)
+            .store(Some(store.clone()))
+    };
+    run_with(stored());
+    let warm = run_with(stored());
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(warm.telemetry.substrate_total("store", "cache_hit"), 25);
+    assert_timings_derive_from_telemetry(&warm, "warm store");
 }

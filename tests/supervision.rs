@@ -9,6 +9,7 @@ use givetake::core::supervisor::degraded_tables;
 use givetake::core::{
     PaperRun, Pipeline, PipelineOptions, StageGraph, StageStatus, SupervisionPolicy,
 };
+use givetake::obs::MetricsRegistry;
 use givetake::sim::faults::{FaultKind, FaultPlan, FaultWindow, Substrate};
 use givetake::store::{digest, RunStore};
 use givetake::world::{World, WorldConfig};
@@ -64,7 +65,7 @@ fn flaky_stage_recovers_and_the_timeline_records_it() {
         }
         (r.get(a) + 1, 0)
     });
-    let mut out = g.run(4);
+    let mut out = g.run(4, &MetricsRegistry::new());
     assert_eq!(out.take(b), 6, "the third attempt's real output is served");
     let h = &out.health;
     assert!(h.supervised);
@@ -91,7 +92,7 @@ fn quarantined_diamond_stage_degrades_dependents_not_the_run() {
     g.fallback(b, |r| r.get(a) + 7);
     let c = g.add_stage("c", &[a.index()], |r| (r.get(a) + 1, 0));
     let d = g.add_stage("d", &[b.index(), c.index()], |r| (r.get(b) + r.get(c), 0));
-    let mut out = g.run(2);
+    let mut out = g.run(2, &MetricsRegistry::new());
     assert_eq!(out.take(d), 107 + 101, "d ran over the fallback value");
     let h = &out.health;
     assert_eq!(h.quarantined, vec!["b"]);
@@ -107,7 +108,7 @@ fn quarantined_diamond_stage_degrades_dependents_not_the_run() {
     let b = g.add_stage::<u64, _>("b", &[a.index()], |_| panic!("b is dead"));
     g.fallback(b, |r| r.get(a) + 7);
     assert!(
-        catch_unwind(AssertUnwindSafe(|| g.run(2))).is_err(),
+        catch_unwind(AssertUnwindSafe(|| g.run(2, &MetricsRegistry::new()))).is_err(),
         "strict mode must re-raise the panic, fallback or not"
     );
 }
@@ -126,7 +127,7 @@ fn quarantining_the_first_of_25_stages_taints_the_whole_chain() {
             (r.get(dep) + 1, 0)
         });
     }
-    let mut out = g.run(4);
+    let mut out = g.run(4, &MetricsRegistry::new());
     assert_eq!(out.take(prev), 24, "the chain ran over the fallback root");
     let h = &out.health;
     assert_eq!(h.quarantined, vec!["s00"]);
@@ -161,7 +162,7 @@ fn persist_crash_quarantines_and_a_fresh_run_resumes_from_survivors() {
         });
         let c = g.add_stage("c", &[b.index()], |r| (r.get(b) + 1, 0));
         g.fallback(c, |r| r.get(b) + 1);
-        let mut out = g.run(1);
+        let mut out = g.run(1, &MetricsRegistry::new());
         assert_eq!(out.take(c), 1, "c consumed b's fallback, not 70");
         let h = &out.health;
         assert_eq!(h.quarantined, vec!["b", "c"]);
@@ -188,7 +189,7 @@ fn persist_crash_quarantines_and_a_fresh_run_resumes_from_survivors() {
         (r.get(a) * 10, 0)
     });
     let c = g.add_stage("c", &[b.index()], |r| (r.get(b) + 1, 0));
-    let mut out = g.run(1);
+    let mut out = g.run(1, &MetricsRegistry::new());
     assert_eq!(out.take(c), 71, "the resumed run serves the real value");
     assert!(out.health.is_clean());
     assert_eq!(
