@@ -2,5 +2,5 @@
 //!
 //! The crate holds no library code: its `tests/` directory holds the
 //! guards (warm-store speedup, scam/benign recording cost ratio,
-//! monitor scan memo). The end-to-end and per-layer timings live in the
-//! `givebench` benchmark.
+//! monitor scan memo, URL extractor against its reference). The
+//! end-to-end and per-layer timings live in the `givebench` benchmark.

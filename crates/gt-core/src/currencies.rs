@@ -6,7 +6,7 @@ use gt_store::{StoreDecode, StoreEncode};
 use gt_stream::monitor::MonitorReport;
 use gt_text::KeywordSet;
 use serde::Serialize;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// The coins the analysis reports on, with their match keywords.
 const COIN_TAGS: [(&str, &[&str]); 3] = [
@@ -34,22 +34,18 @@ impl CoinRates {
     }
 }
 
-fn tag_sets() -> Vec<(String, KeywordSet)> {
-    COIN_TAGS
-        .iter()
-        .map(|(name, kws)| (name.to_string(), KeywordSet::new(kws.iter().copied())))
-        .collect()
+/// One whole-word matcher per [`COIN_TAGS`] coin, in its order.
+fn tag_sets() -> [KeywordSet; 3] {
+    COIN_TAGS.map(|(_, kws)| KeywordSet::new(kws.iter().copied()))
 }
 
-fn finish(mut counts: HashMap<String, usize>, lures: usize) -> CoinRates {
+/// Per-coin lure counts (in [`COIN_TAGS`] order) as rates, sorted
+/// descending; ties keep that order.
+fn finish(counts: [usize; 3], lures: usize) -> CoinRates {
     let mut rates: Vec<(String, f64)> = COIN_TAGS
         .iter()
-        .map(|(name, _)| {
-            (
-                name.to_string(),
-                counts.remove(*name).unwrap_or(0) as f64 / lures.max(1) as f64,
-            )
-        })
+        .zip(counts)
+        .map(|((name, _), n)| (name.to_string(), n as f64 / lures.max(1) as f64))
         .collect();
     rates.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
     CoinRates { lures, rates }
@@ -59,17 +55,20 @@ fn finish(mut counts: HashMap<String, usize>, lures: usize) -> CoinRates {
 /// paper does).
 pub fn twitter_coin_rates(dataset: &TwitterDataset, snapshot: &TwitterSnapshot) -> CoinRates {
     let sets = tag_sets();
-    let mut counts: HashMap<String, usize> = HashMap::new();
+    // Scam tweets repeat a few dozen hashtag lists: match each list once.
+    let mut memo: BTreeMap<&[String], [bool; 3]> = BTreeMap::new();
+    let mut counts = [0usize; 3];
     let mut lures = 0usize;
     for domain in &dataset.domains {
         for &id in &domain.tweets {
             let tweet = snapshot.tweet(id).expect("dataset tweet exists");
             lures += 1;
-            let haystack = tweet.hashtags.join(" ");
-            for (name, set) in &sets {
-                if set.matches(&haystack) {
-                    *counts.entry(name.clone()).or_insert(0) += 1;
-                }
+            let hits = memo.entry(&tweet.hashtags).or_insert_with(|| {
+                let haystack = tweet.hashtags.join(" ");
+                std::array::from_fn(|k| sets[k].matches(&haystack))
+            });
+            for (count, &hit) in counts.iter_mut().zip(hits.iter()) {
+                *count += usize::from(hit);
             }
         }
     }
@@ -81,19 +80,19 @@ pub fn twitter_coin_rates(dataset: &TwitterDataset, snapshot: &TwitterSnapshot) 
 pub fn youtube_coin_rates(dataset: &YouTubeDataset, report: &MonitorReport) -> CoinRates {
     let sets = tag_sets();
     let observed: HashMap<_, _> = report.streams.iter().map(|s| (s.stream, s)).collect();
-    let mut counts: HashMap<String, usize> = HashMap::new();
+    let mut counts = [0usize; 3];
     let mut lures = 0usize;
     for &sid in &dataset.scam_streams {
         let Some(obs) = observed.get(&sid) else {
             continue;
         };
         lures += 1;
-        for (name, set) in &sets {
+        for (count, set) in counts.iter_mut().zip(&sets) {
             if set.matches(&obs.title)
                 || set.matches(&obs.description)
                 || set.matches(&obs.channel_name)
             {
-                *counts.entry(name.clone()).or_insert(0) += 1;
+                *count += 1;
             }
         }
     }

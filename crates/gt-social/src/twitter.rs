@@ -63,10 +63,12 @@ impl TwitterSnapshot {
     ) -> TweetId {
         let id = TweetId(self.tweets.len() as u64);
         for url in extract_urls(&text) {
-            self.by_domain
-                .entry(url.host().to_string())
-                .or_default()
-                .push(id);
+            // Few hosts, many tweets: allocate a host only when it is new.
+            if let Some(ids) = self.by_domain.get_mut(url.host()) {
+                ids.push(id);
+            } else {
+                self.by_domain.insert(url.host().to_string(), vec![id]);
+            }
         }
         self.tweets.push(Tweet {
             id,
@@ -78,6 +80,11 @@ impl TwitterSnapshot {
             reply_to,
         });
         id
+    }
+
+    /// Make room for `additional` more tweets.
+    pub fn reserve(&mut self, additional: usize) {
+        self.tweets.reserve(additional);
     }
 
     pub fn len(&self) -> usize {

@@ -351,18 +351,18 @@ impl YouTube {
     }
 
     /// The last [`CHAT_HISTORY_LIMIT`] chat messages posted at or before
-    /// `now`. Empty if the stream is not live.
-    pub fn chat_history(&self, id: LiveStreamId, now: SimTime) -> Vec<ChatMessage> {
+    /// `now`, borrowed from the stream. Empty if the stream is not live.
+    pub fn chat_history(&self, id: LiveStreamId, now: SimTime) -> &[ChatMessage] {
         self.calls.lock().chat_history += 1;
         let Some(s) = self.streams.get(id.0 as usize) else {
-            return Vec::new();
+            return &[];
         };
         if !s.is_live(now) {
-            return Vec::new();
+            return &[];
         }
-        // `chat` is time-ordered: clone only the tail that is returned.
+        // `chat` is time-ordered: the answer is the tail ending at `now`.
         let visible = s.chat.partition_point(|m| m.time <= now);
-        s.chat[visible.saturating_sub(CHAT_HISTORY_LIMIT)..visible].to_vec()
+        &s.chat[visible.saturating_sub(CHAT_HISTORY_LIMIT)..visible]
     }
 
     /// Record `duration` of the stream's video starting at `now`,
@@ -495,7 +495,7 @@ impl YouTube {
         id: LiveStreamId,
         now: SimTime,
         gate: &mut Gated<'_>,
-    ) -> Result<Vec<ChatMessage>, Denied> {
+    ) -> Result<&[ChatMessage], Denied> {
         gate.checked_counted(Substrate::YoutubeChat, now, || {
             let messages = self.chat_history(id, now);
             let n = messages.len() as u64;

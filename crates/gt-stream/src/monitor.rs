@@ -151,18 +151,59 @@ impl MonitorReport {
     }
 }
 
-struct Tracked {
+struct Tracked<'a> {
     observed: ObservedStream,
-    chat_seen: HashSet<(SimTime, String)>,
+    chat: ChatCursor<'a>,
     live: bool,
+}
+
+/// Which of a stream's chat messages the window has counted, as a
+/// cursor into its time-ordered chat: the newest counted timestamp and
+/// the texts counted at it, borrowed from the platform.
+///
+/// A stream counts each distinct `(time, text)` once. The cursor decides
+/// that exactly as a set of every pair seen would: chat is time-ordered,
+/// every served poll is a suffix ending at the poll time whose start
+/// never moves back, and a denied poll serves nothing. So a polled
+/// message older than the cursor was in an earlier served poll, and one
+/// at the cursor's time was counted iff its text is in the cursor's
+/// list. The list also catches repeats within one poll.
+#[derive(Default)]
+struct ChatCursor<'a> {
+    time: Option<SimTime>,
+    texts: Vec<&'a str>,
+}
+
+impl<'a> ChatCursor<'a> {
+    /// Whether the message `(time, text)`, met in poll order, is new;
+    /// a new message moves the cursor to it.
+    fn is_new(&mut self, time: SimTime, text: &'a str) -> bool {
+        match self.time {
+            Some(at) if time < at => false,
+            Some(at) if time == at => {
+                let new = !self.texts.contains(&text);
+                if new {
+                    self.texts.push(text);
+                }
+                new
+            }
+            _ => {
+                self.time = Some(time);
+                self.texts.clear();
+                self.texts.push(text);
+                true
+            }
+        }
+    }
 }
 
 /// The window's lead bookkeeping: each (url, stream, source) is reported
 /// once, and each distinct URL is queued once for the daily crawl.
 #[derive(Default)]
 struct LeadBook {
-    seen: HashSet<(String, LiveStreamId, UrlSource)>,
-    known_urls: HashSet<String>,
+    /// Every URL seen, with the (stream, source) pairs it was reported
+    /// for. A URL's first sighting queues its crawl.
+    urls: BTreeMap<String, Vec<(LiveStreamId, UrlSource)>>,
     revisits: Vec<RevisitState>,
 }
 
@@ -176,20 +217,27 @@ impl LeadBook {
         stream: LiveStreamId,
         t: SimTime,
     ) {
-        for url in extract_urls(text) {
-            if self.seen.insert((url.url.clone(), stream, source)) {
-                leads.push(UrlLead {
-                    url: url.url.clone(),
-                    source,
-                    stream,
-                    first_seen: t,
-                });
-            }
-            if self.known_urls.insert(url.url.clone()) {
-                if let Some(parsed) = Url::parse(&url.url) {
-                    self.revisits.push(RevisitState::new(parsed));
+        let reported = (stream, source);
+        let lead = |url| UrlLead {
+            url,
+            source,
+            stream,
+            first_seen: t,
+        };
+        for url in extract_urls(text).into_iter().map(|u| u.url) {
+            // A repeat costs a lookup; a URL is copied only when it is new.
+            if let Some(pairs) = self.urls.get_mut(url.as_str()) {
+                if !pairs.contains(&reported) {
+                    pairs.push(reported);
+                    leads.push(lead(url));
                 }
+                continue;
             }
+            if let Some(parsed) = Url::parse(&url) {
+                self.revisits.push(RevisitState::new(parsed));
+            }
+            leads.push(lead(url.clone()));
+            self.urls.insert(url, vec![reported]);
         }
     }
 }
@@ -317,7 +365,7 @@ impl Monitor {
                                 qr_first_seen: None,
                                 qr_last_seen: None,
                             },
-                            chat_seen: HashSet::new(),
+                            chat: ChatCursor::default(),
                             live: true,
                         }
                     });
@@ -349,7 +397,7 @@ impl Monitor {
                     .chat_history_gated(id, t, &mut gate)
                     .unwrap_or_default()
                 {
-                    if state.chat_seen.insert((msg.time, msg.text.clone())) {
+                    if state.chat.is_new(msg.time, &msg.text) {
                         obs.chat_messages_seen += 1;
                         book.note(&mut report.leads, &msg.text, UrlSource::Chat, id, t);
                     }
@@ -698,6 +746,87 @@ mod tests {
                 assert_eq!(clip, reference, "{:?} at {t:?}", stream.id);
             }
             t += SAMPLE_INTERVAL;
+        }
+    }
+
+    /// A one-stream platform whose chat is `messages` from `t0()`: each
+    /// `(gap, text)` posts text `m{text}` `gap` seconds after the one
+    /// before, and `burst` more messages at the time of message
+    /// `burst.0` cycle through seven texts.
+    fn chat_platform(messages: &[(i64, usize)], burst: (usize, usize)) -> (YouTube, LiveStreamId) {
+        let mut at = t0();
+        let mut chat = Vec::new();
+        for (k, &(gap, text)) in messages.iter().enumerate() {
+            at += SimDuration::seconds(gap);
+            let mut post = |text: String| {
+                chat.push(ChatMessage {
+                    time: at,
+                    author: "u".into(),
+                    text,
+                })
+            };
+            post(format!("m{text}"));
+            if k == burst.0 {
+                (0..burst.1).for_each(|b| post(format!("m{}", b % 7)));
+            }
+        }
+        let mut yt = YouTube::new();
+        let ch = yt.add_channel("c".into(), 1);
+        let id = yt.add_stream(LiveStream {
+            id: LiveStreamId(0),
+            channel: ch,
+            title: "chat".into(),
+            description: String::new(),
+            language: "en".into(),
+            fuzzy_topics: vec![],
+            start: t0(),
+            end: t0() + SimDuration::days(1),
+            video: StreamVideo::Benign,
+            viewers: ViewerCurve {
+                peak_concurrent: 1,
+                total_views: 1,
+            },
+            chat,
+        });
+        (yt, id)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The chat cursor counts the same messages, in the same order,
+        /// as a set of every `(time, text)` seen, over time-ordered chats
+        /// with repeated pairs (a burst can put more than the 70-message
+        /// limit at one timestamp), increasing poll times and denied
+        /// polls, which serve nothing.
+        #[test]
+        fn chat_cursor_matches_a_set_of_every_message_seen(
+            messages in proptest::collection::vec((0i64..3, 0usize..5), 0..250),
+            burst in (0usize..250, 0usize..160),
+            polls in proptest::collection::vec((1i64..120, 0u8..4), 1..40),
+        ) {
+            let (yt, id) = chat_platform(&messages, burst);
+            let mut cursor = ChatCursor::default();
+            let mut seen: HashSet<(SimTime, String)> = HashSet::new();
+            let mut at = t0();
+            for (poll, &(step, fate)) in polls.iter().enumerate() {
+                at += SimDuration::seconds(step);
+                if fate == 0 {
+                    continue; // denied
+                }
+                let served = yt.chat_history(id, at);
+                let by_set: Vec<(SimTime, &str)> = served
+                    .iter()
+                    .filter(|m| seen.insert((m.time, m.text.clone())))
+                    .map(|m| (m.time, m.text.as_str()))
+                    .collect();
+                let by_cursor: Vec<(SimTime, &str)> = served
+                    .iter()
+                    .filter(|m| cursor.is_new(m.time, &m.text))
+                    .map(|m| (m.time, m.text.as_str()))
+                    .collect();
+                proptest::prop_assert_eq!(by_cursor, by_set, "poll {} at {:?}", poll, at);
+            }
         }
     }
 }

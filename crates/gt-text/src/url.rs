@@ -63,66 +63,71 @@ fn trim_trailing_punct(s: &str) -> &str {
     s.trim_end_matches(['.', ',', ';', ':', '!', '?', ')', ']', '}', '\'', '"'])
 }
 
+/// Whether `host` (borrowed from the text, any case) is a plausible
+/// host name: at least one dot, no empty label, no label starting or
+/// ending with `-`, and an alphabetic TLD of two or more letters.
 fn valid_host(host: &str) -> bool {
     if host.len() < 4 || !host.contains('.') {
         return false;
     }
-    let labels: Vec<&str> = host.split('.').collect();
-    if labels.len() < 2 {
-        return false;
+    let labels_ok = host
+        .split('.')
+        .all(|label| !label.is_empty() && !label.starts_with('-') && !label.ends_with('-'));
+    let tld = host.rsplit('.').next().unwrap_or("");
+    labels_ok && tld.len() >= 2 && tld.bytes().all(|b| b.is_ascii_alphabetic())
+}
+
+/// Length of the `http://` or `https://` scheme (any case) starting at
+/// `i`, or 0 if none does. Most bytes are not an `h`, so that is tested
+/// before any scheme is compared.
+fn scheme_len(bytes: &[u8], i: usize) -> usize {
+    let rest = &bytes[i..];
+    if !rest[0].eq_ignore_ascii_case(&b'h') {
+        return 0;
     }
-    for label in &labels {
-        if label.is_empty() || label.starts_with('-') || label.ends_with('-') {
-            return false;
-        }
+    let starts_with_ci = |prefix: &[u8]| {
+        rest.len() >= prefix.len() && rest[..prefix.len()].eq_ignore_ascii_case(prefix)
+    };
+    if starts_with_ci(b"https://") {
+        8
+    } else if starts_with_ci(b"http://") {
+        7
+    } else {
+        0
     }
-    // The TLD must be alphabetic and at least 2 chars.
-    let tld = labels.last().unwrap();
-    tld.len() >= 2 && tld.bytes().all(|b| b.is_ascii_alphabetic())
 }
 
 /// Extract all URLs from `text`.
+///
+/// The scan borrows the text until it accepts a URL: hosts are
+/// validated case-insensitively in place, and the one allocation per
+/// accepted URL is its exactly-sized normalised string.
 pub fn extract_urls(text: &str) -> Vec<ExtractedUrl> {
     let bytes = text.as_bytes();
     let mut out = Vec::new();
     let mut i = 0;
     while i < bytes.len() {
-        // Only start parsing at character boundaries (the scan index
-        // walks bytes; multi-byte text is skipped over safely).
-        if !text.is_char_boundary(i) {
+        // Every start below is an ASCII byte, hence a character
+        // boundary: multi-byte text is stepped over a byte at a time.
+        let scheme = scheme_len(bytes, i);
+        let had_scheme = scheme > 0;
+        if !had_scheme && !candidate_start(bytes, i) {
             i += 1;
             continue;
         }
-        // Absolute URLs (byte-wise, ASCII case-insensitive).
-        let starts_with_ci = |prefix: &[u8]| {
-            bytes.len() >= i + prefix.len()
-                && bytes[i..i + prefix.len()].eq_ignore_ascii_case(prefix)
-        };
-        let (scheme_len, had_scheme) = if starts_with_ci(b"https://") {
-            (8, true)
-        } else if starts_with_ci(b"http://") {
-            (7, true)
-        } else if candidate_start(bytes, i) {
-            (0, false)
-        } else {
-            i += 1;
-            continue;
-        };
 
-        let body_start = i + scheme_len;
+        let body_start = i + scheme;
         // Host part.
         let mut j = body_start;
         while j < bytes.len() && is_host_byte(bytes[j]) {
             j += 1;
         }
-        let host_raw = &text[body_start..j];
-        let host_trimmed = host_raw.trim_end_matches('.');
-        let host = host_trimmed.to_ascii_lowercase();
-        if !valid_host(&host) || (!had_scheme && !bare_mention_allowed(&host)) {
+        let host = text[body_start..j].trim_end_matches('.');
+        if !valid_host(host) || (!had_scheme && !bare_mention_allowed(host)) {
             i = j.max(i + 1);
             continue;
         }
-        let mut end = body_start + host_trimmed.len();
+        let mut end = body_start + host.len();
         // Optional port.
         if end < bytes.len() && bytes[end] == b':' {
             let mut k = end + 1;
@@ -143,18 +148,14 @@ pub fn extract_urls(text: &str) -> Vec<ExtractedUrl> {
         }
         let raw = trim_trailing_punct(&text[body_start..end]);
         let end = body_start + raw.len();
-        // Rebuild with lowercased host.
-        let after_host = &raw[host_trimmed.len().min(raw.len())..];
-        let url = format!("https://{}{}", host, after_host);
-        // Keep http scheme if it was explicit.
-        let url = if had_scheme
-            && bytes[i..].len() >= 7
-            && bytes[i..i + 7].eq_ignore_ascii_case(b"http://")
-        {
-            format!("http://{}{}", host, after_host)
-        } else {
-            url
-        };
+        // An explicit `http://` stays; everything else becomes `https://`.
+        let prefix = if scheme == 7 { "http://" } else { "https://" };
+        let after_host = &raw[host.len().min(raw.len())..];
+        let mut url = String::with_capacity(prefix.len() + host.len() + after_host.len());
+        url.push_str(prefix);
+        url.push_str(host);
+        url[prefix.len()..].make_ascii_lowercase();
+        url.push_str(after_host);
         out.push(ExtractedUrl {
             url,
             start: i,
@@ -173,12 +174,14 @@ fn candidate_start(bytes: &[u8], i: usize) -> bool {
     bytes[i].is_ascii_alphanumeric()
 }
 
+/// Whether a scheme-less mention of `host` (any case) counts: a `www.`
+/// host, or one under a [`BARE_TLDS`] TLD.
 fn bare_mention_allowed(host: &str) -> bool {
-    if host.starts_with("www.") {
+    if host.len() >= 4 && host.as_bytes()[..4].eq_ignore_ascii_case(b"www.") {
         return true;
     }
     let tld = host.rsplit('.').next().unwrap_or("");
-    BARE_TLDS.contains(&tld)
+    BARE_TLDS.iter().any(|t| t.eq_ignore_ascii_case(tld))
 }
 
 #[cfg(test)]
@@ -253,11 +256,43 @@ mod tests {
 
     #[test]
     fn no_match_inside_words() {
-        assert!(
-            urls("notwww.example.comtext").is_empty()
-                || !urls("notwww.example.comtext")
-                    .iter()
-                    .any(|u| u.contains("notwww"))
+        // The word is one host run with an unlisted TLD (`comtext`): it
+        // is rejected whole and the scan resumes after it, so neither
+        // `www.example.comtext` nor `example.comtext` is tried.
+        assert_eq!(urls("notwww.example.comtext"), Vec::<String>::new());
+        // With a listed TLD the whole word is the host.
+        assert_eq!(
+            urls("a notwww.example.com b"),
+            ["https://notwww.example.com"]
+        );
+    }
+
+    #[test]
+    fn scheme_after_a_word_start() {
+        // `xhttps` is a rejected word start that swallows the scheme, so
+        // the host is picked up as a bare mention after `//`.
+        let found = extract_urls("xhttps://Drop.COM/a");
+        assert_eq!(found.len(), 1);
+        assert_eq!(found[0].url, "https://drop.com/a");
+        assert_eq!((found[0].start, found[0].had_scheme), (9, false));
+        // After a byte that is neither a host byte nor alphanumeric the
+        // scheme itself starts the match.
+        let found = extract_urls("_HTTP://Drop.io/a");
+        assert_eq!(found.len(), 1);
+        assert_eq!(found[0].url, "http://drop.io/a");
+        assert_eq!((found[0].start, found[0].had_scheme), (1, true));
+    }
+
+    #[test]
+    fn bare_mixed_case_hosts_are_accepted_and_lowercased() {
+        assert_eq!(urls("claim at Elon-Drop.LIVE!"), ["https://elon-drop.live"]);
+        assert_eq!(
+            urls("visit WWW.Ripple2x.NET/Go today"),
+            ["https://www.ripple2x.net/Go"]
+        );
+        assert_eq!(
+            urls("see Example.INVALIDTLD for more"),
+            Vec::<String>::new()
         );
     }
 

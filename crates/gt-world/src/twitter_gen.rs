@@ -215,6 +215,42 @@ pub fn generate_domains(
     (domains, ScamDomainDb { entries })
 }
 
+/// A coin's name as a lure shouts it (`Coin::name`, uppercased).
+fn shouted_name(coin: Coin) -> &'static str {
+    match coin {
+        Coin::Btc => "BITCOIN",
+        Coin::Eth => "ETHEREUM",
+        Coin::Xrp => "RIPPLE",
+    }
+}
+
+/// A scam tweet's text, `{persona} is giving away 5000 {blurb}! Send
+/// now, get DOUBLE back https://{domain} ` followed by the `#`-prefixed
+/// tags joined by spaces, written into one exactly-sized `String`.
+fn lure_text(persona: &str, blurb: &str, domain: &str, tags: &[&str]) -> String {
+    const GIVING: &str = " is giving away 5000 ";
+    const BACK: &str = "! Send now, get DOUBLE back https://";
+    let tags_len: usize = tags
+        .iter()
+        .map(|t| t.len() + 2)
+        .sum::<usize>()
+        .saturating_sub(1);
+    let len = persona.len() + GIVING.len() + blurb.len() + BACK.len() + domain.len() + 1 + tags_len;
+    let mut text = String::with_capacity(len);
+    for part in [persona, GIVING, blurb, BACK, domain, " "] {
+        text.push_str(part);
+    }
+    for (k, tag) in tags.iter().enumerate() {
+        if k > 0 {
+            text.push(' ');
+        }
+        text.push('#');
+        text.push_str(tag);
+    }
+    debug_assert_eq!(text.len(), len);
+    text
+}
+
 /// Generate the scam tweet campaign into `snapshot`.
 pub fn generate_tweets(
     config: &WorldConfig,
@@ -242,6 +278,14 @@ pub fn generate_tweets(
     // Fix rounding drift on the largest bucket.
     let drift = config.scam_tweets as isize - per_week.iter().sum::<usize>() as isize;
     per_week[9] = (per_week[9] as isize + drift).max(0) as usize;
+
+    // One tweet's hashtags (bare, as the snapshot stores them), reused
+    // across tweets: at most two coins, a ticker and maybe a name each,
+    // plus `crypto`.
+    let mut tags: Vec<&'static str> = Vec::with_capacity(5);
+
+    // Every scam tweet plus the benign reply target.
+    snapshot.reserve(config.scam_tweets + 1);
 
     // A couple of benign tweets so reply targets exist.
     let benign_target = snapshot.insert(
@@ -273,16 +317,16 @@ pub fn generate_tweets(
             let domain = &domains[domain_idx];
 
             let author = TwitterAccountId(account_zipf.sample(&mut rng) as u64 - 1);
-            let mut hashtags = Vec::new();
+            tags.clear();
             if rng.gen_bool(0.96) {
                 for &coin in coins {
-                    hashtags.push(format!("#{}", coin.ticker()));
+                    tags.push(coin.ticker());
                     if rng.gen_bool(0.5) {
-                        hashtags.push(format!("#{}", coin.name()));
+                        tags.push(coin.name());
                     }
                 }
-                if hashtags.is_empty() || rng.gen_bool(0.3) {
-                    hashtags.push("#crypto".into());
+                if tags.is_empty() || rng.gen_bool(0.3) {
+                    tags.push("crypto");
                 }
             }
             let mentions = if rng.gen_bool(0.001) {
@@ -294,23 +338,10 @@ pub fn generate_tweets(
             };
             let reply_to = rng.gen_bool(0.003).then_some(benign_target);
 
-            let coin_blurb = coins
-                .first()
-                .map(|c| c.name().to_uppercase())
-                .unwrap_or_else(|| "CRYPTO".into());
-            let text = format!(
-                "{persona} is giving away 5000 {coin_blurb}! Send now, get DOUBLE back \
-                 https://{domain} {tags}",
-                persona = domain.persona,
-                coin_blurb = coin_blurb,
-                domain = domain.domain,
-                tags = hashtags.join(" "),
-            );
-            let hashtags_clean: Vec<String> = hashtags
-                .iter()
-                .map(|h| h.trim_start_matches('#').to_string())
-                .collect();
-            let id = snapshot.insert(author, time, text, hashtags_clean, mentions, reply_to);
+            let coin_blurb = coins.first().map_or("CRYPTO", |&c| shouted_name(c));
+            let text = lure_text(&domain.persona, coin_blurb, &domain.domain, &tags);
+            let hashtags = tags.iter().map(|t| t.to_string()).collect();
+            let id = snapshot.insert(author, time, text, hashtags, mentions, reply_to);
             scam_tweets.push(id);
             lure_times[domain_idx].push(time);
         }
@@ -364,6 +395,24 @@ mod tests {
             .fold(0.0f64, f64::max);
         assert!((peak - 0.199).abs() < 1e-9);
         assert_eq!(TWITTER_WEEKLY_PROFILE[9], peak, "peak in March (week 10)");
+    }
+
+    #[test]
+    fn lure_text_is_the_formatted_lure() {
+        for coin in Coin::ALL {
+            assert_eq!(shouted_name(coin), coin.name().to_uppercase());
+        }
+        for tags in [&[][..], &["xrp"], &["xrp", "ripple", "crypto"]] {
+            let hashed: Vec<String> = tags.iter().map(|t| format!("#{t}")).collect();
+            assert_eq!(
+                lure_text("Elon Musk", "RIPPLE", "xrp-2x.com", tags),
+                format!(
+                    "Elon Musk is giving away 5000 RIPPLE! Send now, get DOUBLE back \
+                     https://xrp-2x.com {}",
+                    hashed.join(" ")
+                )
+            );
+        }
     }
 
     #[test]

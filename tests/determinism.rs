@@ -5,7 +5,7 @@
 //! resolution, same monitor results and call counts.
 
 use givetake::core::{PaperRun, Pipeline, PipelineOptions, SupervisionPolicy};
-use givetake::store::RunStore;
+use givetake::store::{digest, digest_hex, RunStore};
 use givetake::world::{World, WorldConfig};
 use std::collections::BTreeSet;
 use std::sync::{Arc, OnceLock};
@@ -71,6 +71,11 @@ fn faulted_report_is_byte_identical_across_thread_counts() {
     assert!(
         serial_deg.total.injected() > 0,
         "the plan actually injected faults"
+    );
+    assert_eq!(
+        digest_hex(&digest(serial.as_bytes())),
+        "5d4179be6a09ad187b6e7d4474fdb1db9f7859c91ed96ab1b0969631202d8c70",
+        "faulted report JSON digest moved"
     );
     for threads in [2, 4] {
         let ((json, metrics), deg) = faulted(threads);

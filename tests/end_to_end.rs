@@ -205,3 +205,13 @@ fn pilot_tracks_qr_persistence() {
     assert!(qr.mean_seconds > 0.0);
     assert!(qr.median_seconds <= qr.mean_seconds * 2.0);
 }
+
+#[test]
+fn report_bytes_are_pinned() {
+    let json = serde_json::to_string(&shared_run().report).unwrap();
+    let sha = givetake::store::digest_hex(&givetake::store::digest(json.as_bytes()));
+    assert_eq!(
+        sha, "916be9c051423ac905abb3b8d65829a35db1bde87ea7ff4d84561be1260892a3",
+        "report JSON digest moved"
+    );
+}
