@@ -6,7 +6,7 @@ use gt_store::{StoreDecode, StoreEncode};
 use gt_stream::monitor::MonitorReport;
 use gt_text::KeywordSet;
 use serde::Serialize;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// The coins the analysis reports on, with their match keywords.
 const COIN_TAGS: [(&str, &[&str]); 3] = [
@@ -79,11 +79,10 @@ pub fn twitter_coin_rates(dataset: &TwitterDataset, snapshot: &TwitterSnapshot) 
 /// description, as the paper does).
 pub fn youtube_coin_rates(dataset: &YouTubeDataset, report: &MonitorReport) -> CoinRates {
     let sets = tag_sets();
-    let observed: HashMap<_, _> = report.streams.iter().map(|s| (s.stream, s)).collect();
     let mut counts = [0usize; 3];
     let mut lures = 0usize;
     for &sid in &dataset.scam_streams {
-        let Some(obs) = observed.get(&sid) else {
+        let Some(obs) = report.observed(sid) else {
             continue;
         };
         lures += 1;

@@ -9,7 +9,7 @@ use gt_stream::keywords::SearchKeywords;
 use gt_stream::monitor::MonitorReport;
 use gt_web::Url;
 use serde::Serialize;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One Twitter scam domain with its promoting tweets and annotated
 /// addresses.
@@ -133,8 +133,6 @@ pub fn build_youtube_dataset(report: &MonitorReport, keywords: &SearchKeywords) 
     }
 
     // Map lead URLs to domains, then to the streams that carried them.
-    let observed: HashMap<LiveStreamId, &gt_stream::monitor::ObservedStream> =
-        report.streams.iter().map(|s| (s.stream, s)).collect();
     let mut dataset = YouTubeDataset::default();
     let mut per_domain_streams: BTreeMap<String, BTreeSet<LiveStreamId>> = BTreeMap::new();
     for lead in &report.leads {
@@ -153,7 +151,7 @@ pub fn build_youtube_dataset(report: &MonitorReport, keywords: &SearchKeywords) 
         let validation = validated[&domain].clone();
         let mut spans = Vec::new();
         for &sid in &streams {
-            if let Some(obs) = observed.get(&sid) {
+            if let Some(obs) = report.observed(sid) {
                 spans.push((obs.first_seen, obs.last_seen));
                 dataset.scam_streams.insert(sid);
                 dataset.channels.insert(obs.channel);

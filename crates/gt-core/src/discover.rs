@@ -72,12 +72,11 @@ pub fn youtube_discoverability(
     report: &MonitorReport,
     keywords: &SearchKeywords,
 ) -> YouTubeDiscoverability {
-    let observed: HashMap<_, _> = report.streams.iter().map(|s| (s.stream, s)).collect();
     let mut subs_by_channel: HashMap<gt_social::ChannelId, u64> = HashMap::new();
     let mut with_keyword = 0usize;
     let mut streams = 0usize;
     for &sid in &dataset.scam_streams {
-        let Some(obs) = observed.get(&sid) else {
+        let Some(obs) = report.observed(sid) else {
             continue;
         };
         streams += 1;

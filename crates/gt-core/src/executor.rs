@@ -1,7 +1,7 @@
 //! A small dependency-graph stage executor.
 //!
-//! The pipeline is a DAG of *stages* (build the Twitter dataset, run the
-//! pilot monitor, cluster the BTC ledger, ...). Stages that do not
+//! A computation is a DAG of named *stages*, each a function of its
+//! dependencies' outputs. Stages that do not
 //! depend on each other run concurrently on a pool of scoped worker
 //! threads; each stage runs inside a wall-clock span and records an item
 //! count, from which [`StageTimings::from_snapshot`] derives the run's
@@ -32,9 +32,10 @@
 //! and, once attempts are exhausted, *quarantines* it: the stage's
 //! fallback output is substituted, every transitive dependent is marked
 //! tainted, and the run completes with a [`RunHealth`] timeline instead
-//! of aborting.
+//! of aborting. The caller names what each output feeds as it takes it
+//! ([`StageOutputs::take_feeding`]); the executor knows no table.
 
-use crate::supervisor::{degraded_tables, RunHealth, StageHealth, StageStatus, SupervisionPolicy};
+use crate::supervisor::{RunHealth, StageHealth, StageStatus, SupervisionPolicy};
 use gt_obs::{Histogram, MetricRow, MetricSheet, MetricsRegistry, StageSink, TelemetrySnapshot};
 use gt_store::{digest, Digest, KeyBuilder, RunStore, StoreDecode, StoreEncode};
 use serde::Serialize;
@@ -113,8 +114,7 @@ pub struct StageTiming {
     /// Wall-clock milliseconds of the stage's `"stage"` span: every
     /// attempt, plus the store probe and persist.
     pub wall_ms: f64,
-    /// Stage-defined unit count (domains built, transactions clustered,
-    /// payments isolated, ...); 0 when the stage reports none.
+    /// Stage-defined unit count; 0 when the stage reports none.
     pub items: u64,
 }
 
@@ -689,8 +689,8 @@ fn run_worker(ctx: &WorkerCtx<'_, '_>) {
 /// Fold per-stage records into the run's [`RunHealth`], computing the
 /// taint closure: a stage is tainted when any dependency is quarantined
 /// or itself tainted. One forward pass suffices because dependencies
-/// always have lower indices than their dependents. The degraded report
-/// tables and the operator warnings follow from the same records.
+/// always have lower indices than their dependents. The operator
+/// warnings follow from the same records.
 fn fold_health(
     stages: &[Stage<'_>],
     records: Vec<StageRecord>,
@@ -735,23 +735,20 @@ fn fold_health(
             cache_write_failed: record.cache_write_failed,
         });
     }
-    health.degraded_tables = degraded_tables(
-        health
-            .quarantined
-            .iter()
-            .chain(&health.tainted)
-            .map(String::as_str),
-    );
     health
 }
 
-/// Every stage's output after a completed run.
+/// Every stage's output after a completed run, each moved out once:
+/// with [`StageOutputs::take_feeding`] when it feeds named tables (so a
+/// degraded stage names them in the run's health), with
+/// [`StageOutputs::take`] otherwise.
 pub struct StageOutputs {
     slots: Vec<Option<BoxedAny>>,
     /// Supervision outcome for the run: attempts, retries, quarantined
-    /// and tainted stages, the report tables they degrade, operator
-    /// warnings, and the per-stage recovery timeline. On a strict clean
-    /// run this is all-Completed with zero retries.
+    /// and tainted stages, operator warnings, and the per-stage recovery
+    /// timeline. On a strict clean run this is all-Completed with zero
+    /// retries. Its `degraded_tables` fill as
+    /// [`StageOutputs::take_feeding`] takes degraded outputs.
     pub health: RunHealth,
 }
 
@@ -766,6 +763,24 @@ impl StageOutputs {
             .expect("stage output already taken")
             .downcast::<T>()
             .expect("stage output type mismatch")
+    }
+
+    /// Move out the output of a stage that feeds the tables `tables`.
+    /// When the stage was quarantined or tainted, the names join
+    /// [`RunHealth::degraded_tables`], which stays sorted and
+    /// deduplicated.
+    ///
+    /// # Panics
+    /// If called twice for the same stage.
+    pub fn take_feeding<T: Send + Sync + 'static>(&mut self, id: StageId<T>, tables: &[&str]) -> T {
+        let stage = &self.health.stages[id.index()];
+        if stage.tainted || stage.status == StageStatus::Quarantined {
+            let degraded = &mut self.health.degraded_tables;
+            degraded.extend(tables.iter().map(|t| t.to_string()));
+            degraded.sort();
+            degraded.dedup();
+        }
+        self.take(id)
     }
 }
 
@@ -1067,24 +1082,27 @@ mod tests {
 
     #[test]
     fn health_names_degraded_tables_and_warns_per_quarantine() {
-        // Stage names from the pipeline's table map: the quarantined QR
-        // pilot and its tainted Figure 5 dependent each degrade a table.
+        // The quarantined root and its tainted dependent name their
+        // tables as they are taken, overlapping names once and sorted;
+        // the clean stage's tables never count.
         let mut g = StageGraph::new();
-        let qr = g.add_stage::<u8, _>("qr_pilot", &[], |_| panic!("boom"));
-        g.add_stage("fig5_keywords", &[qr.index()], move |r| (*r.get(qr), 0));
+        let root = g.add_stage::<u8, _>("root", &[], |_| panic!("boom"));
+        let child = g.add_stage("child", &[root.index()], move |r| (*r.get(root), 0));
+        let clean = g.add_stage("clean", &[], |_| (1u8, 0));
         g.supervise(SupervisionPolicy::recover(2));
-        let out = g.run(1, &MetricsRegistry::new());
+        let mut out = g.run(1, &MetricsRegistry::new());
+        out.take_feeding(child, &["table.z", "table.b"]);
+        out.take_feeding(clean, &["table.clean"]);
+        out.take_feeding(root, &["table.b", "table.a", "table.a"]);
         let health = &out.health;
         assert!(!health.is_clean());
         assert_eq!(
             health.degraded_tables,
-            vec!["appendix_b.qr_pilot", "fig5.keywords"]
+            vec!["table.a", "table.b", "table.z"]
         );
         assert_eq!(
             health.warnings,
-            vec![
-                "stage qr_pilot: quarantined after 2 attempts (boom); fallback output substituted"
-            ]
+            vec!["stage root: quarantined after 2 attempts (boom); fallback output substituted"]
         );
     }
 

@@ -37,7 +37,8 @@ pub mod victims;
 
 pub use executor::{StageGraph, StageId, StageOutputs, StageResults, StageTiming, StageTimings};
 pub use pipeline::{
-    ChainAnalysis, DegradationReport, PaperRun, Pipeline, PipelineOptions, StageDegradation,
+    ChainAnalysis, DegradationReport, FaultSource, PaperRun, Pipeline, PipelineOptions,
+    StageDegradation,
 };
 pub use report::PaperReport;
 pub use supervisor::{RunHealth, StageHealth, StageStatus, SupervisionPolicy};

@@ -32,12 +32,12 @@ use gt_sim::faults::{ChaosProfile, DegradationStats, FaultPlan, RetryPolicy};
 use gt_sim::{SimDuration, SimTime};
 use gt_store::{Digest, KeyBuilder, RunStore, StoreDecode, StoreEncode};
 use gt_stream::keywords::search_keyword_set;
-use gt_stream::monitor::{Monitor, MonitorConfig, MonitorReport};
+use gt_stream::monitor::{Monitor, MonitorConfig};
 use gt_stream::pilot::{qr_persistence, qr_stats};
 use gt_stream::twitch::run_twitch_pilot;
 use gt_world::{World, WorldConfig};
 use serde::Serialize;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Tuning knobs for a pipeline run. The paper's own measurement
@@ -54,14 +54,11 @@ pub struct PipelineOptions {
     /// Worker threads for the stage executor and the sharded cluster
     /// build. `0` means the machine's available parallelism.
     pub threads: usize,
-    /// Fault schedule every substrate consults; `None` runs clean.
-    /// The clean run is byte-identical to pre-fault-layer behavior.
-    /// Takes precedence over [`PipelineOptions::chaos`].
-    pub fault_plan: Option<FaultPlan>,
-    /// Generate a fault plan from `(seed, profile)` over the world's
-    /// measurement span at run time. Ignored when an explicit
-    /// [`PipelineOptions::fault_plan`] is set.
-    pub chaos: Option<(u64, ChaosProfile)>,
+    /// Where the fault schedule every substrate consults comes from;
+    /// `None` runs clean. The clean run is byte-identical to
+    /// pre-fault-layer behavior. Set by [`PipelineOptions::fault_plan`]
+    /// and [`PipelineOptions::chaos`]; the last one called wins.
+    pub faults: Option<FaultSource>,
     /// Stage-result store: every stage probes it before computing and
     /// persists its output after. `None` (the default) computes
     /// everything in-process. The report is byte-identical either way —
@@ -83,8 +80,7 @@ impl Default for PipelineOptions {
     fn default() -> Self {
         PipelineOptions {
             threads: 0,
-            fault_plan: None,
-            chaos: None,
+            faults: None,
             store: None,
             supervision: SupervisionPolicy::strict(),
         }
@@ -100,7 +96,7 @@ impl PipelineOptions {
 
     /// Attach (or clear) an explicit fault plan.
     pub fn fault_plan(mut self, plan: Option<FaultPlan>) -> Self {
-        self.fault_plan = plan;
+        self.faults = plan.map(FaultSource::Plan);
         self
     }
 
@@ -108,7 +104,7 @@ impl PipelineOptions {
     /// from `profile`, spanning the world's measurement window (the
     /// span itself is only known at [`Pipeline::run`] time).
     pub fn chaos(mut self, seed: u64, profile: &ChaosProfile) -> Self {
-        self.chaos = Some((seed, *profile));
+        self.faults = Some(FaultSource::Chaos(seed, *profile));
         self
     }
 
@@ -132,28 +128,43 @@ impl PipelineOptions {
     /// results and metric sheets are thread-invariant, so runs at any
     /// parallelism share cache entries.
     pub fn base_fingerprint(&self, config: &WorldConfig) -> Digest {
-        let plan = self.resolve_fault_plan(config);
-        let mut kb = KeyBuilder::new("base");
-        kb.push_encoded(config);
-        kb.push_encoded(&plan);
-        kb.push_encoded(&RetryPolicy::default());
-        kb.finish()
+        base_key(config, self.resolve_fault_plan(config).as_ref())
     }
 
-    /// The fault plan the run will actually use: an explicit plan wins;
-    /// otherwise a chaos request generates one over the measurement
-    /// span, extended past the end of collection so the RPC backfill
-    /// reads (whose virtual cursor starts at `youtube_end`) have a
-    /// fault surface too.
+    /// The fault plan the run will actually use: an explicit plan as
+    /// given; a chaos request generates one over the measurement span,
+    /// extended past the end of collection so the RPC backfill reads
+    /// (whose virtual cursor starts at `youtube_end`) have a fault
+    /// surface too.
     fn resolve_fault_plan(&self, config: &WorldConfig) -> Option<FaultPlan> {
-        self.fault_plan.clone().or_else(|| {
-            self.chaos.as_ref().map(|(seed, profile)| {
+        Some(match self.faults.as_ref()? {
+            FaultSource::Plan(plan) => plan.clone(),
+            FaultSource::Chaos(seed, profile) => {
                 let span_start = config.twitter_start.min(config.pilot_start);
                 let span_end = config.twitter_end.max(config.youtube_end) + SimDuration::days(14);
                 FaultPlan::generate(*seed, span_start, span_end, profile)
-            })
+            }
         })
     }
+}
+
+/// [`PipelineOptions::base_fingerprint`] over an already resolved plan.
+fn base_key(config: &WorldConfig, plan: Option<&FaultPlan>) -> Digest {
+    let mut kb = KeyBuilder::new("base");
+    kb.push_encoded(config);
+    kb.push_encoded(&plan);
+    kb.push_encoded(&RetryPolicy::default());
+    kb.finish()
+}
+
+/// Where a run's fault plan comes from ([`PipelineOptions::faults`]).
+#[derive(Debug, Clone)]
+pub enum FaultSource {
+    /// An explicit plan.
+    Plan(FaultPlan),
+    /// A plan generated from `(seed, profile)` over the world's
+    /// measurement span at run time.
+    Chaos(u64, ChaosProfile),
 }
 
 /// One stage's injected-fault accounting.
@@ -212,14 +223,14 @@ pub struct ChainAnalysis {
     pub resolver: TagResolver,
 }
 
-/// Everything the pipeline produced (intermediates kept for deeper
-/// inspection; the summary lives in [`PaperReport`]).
+/// What the pipeline produced: the paper's tables in [`PaperReport`],
+/// the stage outputs later analyses build on (the flow-tracing
+/// extension reads the payment analyses and the chain analysis), and
+/// the run's record.
 pub struct PaperRun {
     pub report: PaperReport,
-    pub twitter_dataset: crate::datasets::TwitterDataset,
-    pub youtube_dataset: crate::datasets::YouTubeDataset,
-    pub monitor_report: MonitorReport,
-    pub pilot_report: MonitorReport,
+    /// The `chain_analysis` stage's BTC cluster view and tag resolver.
+    pub chain_analysis: ChainAnalysis,
     pub twitter_analysis: PaymentAnalysis,
     pub youtube_analysis: PaymentAnalysis,
     /// Per-stage wall times and item counts for this run, derived from
@@ -271,15 +282,15 @@ impl<'w> Pipeline<'w> {
         } else {
             self.options.threads
         };
-        let plan = self.options.resolve_fault_plan(config);
+        let resolved = self.options.resolve_fault_plan(config);
+        let plan = resolved.as_ref();
         let obs = MetricsRegistry::new();
         // RPC backfill reads start once collection has finished.
         let rpc_epoch = config.youtube_end;
 
         let mut g = StageGraph::new();
         if let Some(store) = self.options.store.clone() {
-            let base = self.options.base_fingerprint(config);
-            g.bind_store(store, base);
+            g.bind_store(store, base_key(config, plan));
         }
         g.supervise(self.options.supervision);
 
@@ -290,10 +301,9 @@ impl<'w> Pipeline<'w> {
             (ds, domains)
         });
 
-        let pilot_plan = plan.clone();
         let pilot = g.add_stage("pilot_monitor", &[], move |r| {
             let mut cfg = MonitorConfig::paper(config.pilot_start, config.pilot_end);
-            cfg.fault_plan = pilot_plan.clone();
+            cfg.fault_plan = plan.cloned();
             cfg.sink = r.sink().clone();
             let monitor = Monitor::new(cfg, search_keyword_set());
             let report = monitor.run(&world.youtube, &world.web);
@@ -301,10 +311,9 @@ impl<'w> Pipeline<'w> {
             (report, streams)
         });
 
-        let monitor_plan = plan.clone();
         let main_monitor = g.add_stage("main_monitor", &[], move |r| {
             let mut cfg = MonitorConfig::paper(config.youtube_start, config.youtube_end);
-            cfg.fault_plan = monitor_plan.clone();
+            cfg.fault_plan = plan.cloned();
             cfg.sink = r.sink().clone();
             let monitor = Monitor::new(cfg, search_keyword_set());
             let report = monitor.run(&world.youtube, &world.web);
@@ -328,13 +337,12 @@ impl<'w> Pipeline<'w> {
             (ChainAnalysis { view, resolver }, txs)
         });
 
-        let twitch_plan = plan.clone();
         let twitch = g.add_stage("twitch_pilot", &[], move |r| {
             let report = run_twitch_pilot(
                 &world.twitch,
                 config.pilot_start,
                 config.pilot_end,
-                twitch_plan.as_ref(),
+                plan,
                 r.sink().clone(),
             );
             (report, 0)
@@ -363,7 +371,6 @@ impl<'w> Pipeline<'w> {
         );
 
         // ---- per-platform payment isolation (Sections 5.1–5.3) ----
-        let twitter_plan = plan.clone();
         let twitter_an = g.add_stage(
             "twitter_payments",
             &[twitter_ds.index(), chain.index(), known_scam.index()],
@@ -373,7 +380,7 @@ impl<'w> Pipeline<'w> {
                 // the RPC facade serves exactly the chain's data.
                 let rpc = RpcView::new(
                     &world.chains,
-                    twitter_plan.as_ref(),
+                    plan,
                     "rpc.twitter",
                     rpc_epoch,
                     r.sink().clone(),
@@ -391,7 +398,6 @@ impl<'w> Pipeline<'w> {
             },
         );
 
-        let youtube_plan = plan.clone();
         let youtube_an = g.add_stage(
             "youtube_payments",
             &[youtube_ds.index(), chain.index(), known_scam.index()],
@@ -399,7 +405,7 @@ impl<'w> Pipeline<'w> {
                 let ca = r.get(chain);
                 let rpc = RpcView::new(
                     &world.chains,
-                    youtube_plan.as_ref(),
+                    plan,
                     "rpc.youtube",
                     rpc_epoch,
                     r.sink().clone(),
@@ -434,18 +440,13 @@ impl<'w> Pipeline<'w> {
             "youtube_weekly",
             &[youtube_ds.index(), main_monitor.index()],
             move |r| {
-                let observed: HashMap<_, _> = r
-                    .get(main_monitor)
-                    .streams
-                    .iter()
-                    .map(|s| (s.stream, s))
-                    .collect();
+                let monitor = r.get(main_monitor);
                 let series = WeeklySeries::build(
                     config.youtube_start,
                     config.youtube_end,
-                    r.get(youtube_ds).scam_streams.iter().filter_map(|sid| {
-                        observed
-                            .get(sid)
+                    r.get(youtube_ds).scam_streams.iter().filter_map(|&sid| {
+                        monitor
+                            .observed(sid)
                             .map(|obs| (obs.first_seen, obs.max_total_views))
                     }),
                 );
@@ -499,17 +500,12 @@ impl<'w> Pipeline<'w> {
             "youtube_conversions",
             &[youtube_an.index(), youtube_ds.index(), main_monitor.index()],
             move |r| {
-                let observed: HashMap<_, _> = r
-                    .get(main_monitor)
-                    .streams
-                    .iter()
-                    .map(|s| (s.stream, s))
-                    .collect();
+                let monitor = r.get(main_monitor);
                 let total_views: u64 = r
                     .get(youtube_ds)
                     .scam_streams
                     .iter()
-                    .filter_map(|sid| observed.get(sid).map(|o| o.max_total_views))
+                    .filter_map(|&sid| monitor.observed(sid).map(|o| o.max_total_views))
                     .sum();
                 (victims::conversions(r.get(youtube_an), total_views), 0)
             },
@@ -546,7 +542,6 @@ impl<'w> Pipeline<'w> {
                 (stats, 0)
             },
         );
-        let outgoing_plan = plan.clone();
         let outgoing = g.add_stage(
             "outgoing_stats",
             &[twitter_an.index(), youtube_an.index(), chain.index()],
@@ -555,7 +550,7 @@ impl<'w> Pipeline<'w> {
                 let analyses = [r.get(twitter_an), r.get(youtube_an)];
                 let rpc = RpcView::new(
                     &world.chains,
-                    outgoing_plan.as_ref(),
+                    plan,
                     "rpc.outgoing",
                     rpc_epoch,
                     r.sink().clone(),
@@ -626,56 +621,70 @@ impl<'w> Pipeline<'w> {
         });
 
         // ---- execute the DAG and assemble the report ----
+        //
+        // Each output is taken with the report tables it feeds, so a
+        // quarantined or tainted stage names exactly those tables in
+        // `RunHealth::degraded_tables`.
         let mut out = g.run(threads, &obs);
 
-        let twitter_dataset = out.take(twitter_ds);
-        let youtube_dataset = out.take(youtube_ds);
-        let monitor_report = out.take(main_monitor);
-        let pilot_report = out.take(pilot);
-        let twitter_analysis = out.take(twitter_an);
-        let youtube_analysis = out.take(youtube_an);
-        let twitch_report = out.take(twitch);
+        let twitter_analysis = out.take_feeding(
+            twitter_an,
+            &[
+                "table2.twitter_revenue",
+                "funnel.twitter",
+                "recipients.twitter",
+            ],
+        );
+        let youtube_analysis = out.take_feeding(
+            youtube_an,
+            &[
+                "table2.youtube_revenue",
+                "funnel.youtube",
+                "recipients.youtube",
+            ],
+        );
+        let twitch_report = out.take_feeding(twitch, &["appendix_b.twitch"]);
         let telemetry = obs.snapshot();
         let timings = StageTimings::from_snapshot(threads, &telemetry);
         let degradation = DegradationReport::from_snapshot(plan.is_some(), &telemetry);
 
         let report = PaperReport {
-            table1: Table1::new(&twitter_dataset, &youtube_dataset),
+            table1: Table1::new(
+                &out.take_feeding(twitter_ds, &["table1.twitter"]),
+                &out.take_feeding(youtube_ds, &["table1.youtube"]),
+            ),
             twitter_revenue: twitter_analysis.revenue,
             youtube_revenue: youtube_analysis.revenue,
             twitter_funnel: twitter_analysis.funnel,
             youtube_funnel: youtube_analysis.funnel,
-            twitter_weekly: out.take(twitter_weekly),
-            youtube_weekly: out.take(youtube_weekly),
-            twitter_discover: out.take(twitter_discover),
-            youtube_discover: out.take(youtube_discover),
-            twitter_coins: out.take(twitter_coins),
-            youtube_coins: out.take(youtube_coins),
-            twitter_conversions: out.take(twitter_conversions),
-            youtube_conversions: out.take(youtube_conversions),
-            origins: out.take(origins),
-            twitter_whales: out.take(twitter_whales),
-            youtube_whales: out.take(youtube_whales),
-            recipients: out.take(recipients),
+            twitter_weekly: out.take_feeding(twitter_weekly, &["fig3.weekly_tweets"]),
+            youtube_weekly: out.take_feeding(youtube_weekly, &["fig4.weekly_streams"]),
+            twitter_discover: out.take_feeding(twitter_discover, &["discoverability.twitter"]),
+            youtube_discover: out.take_feeding(youtube_discover, &["discoverability.youtube"]),
+            twitter_coins: out.take_feeding(twitter_coins, &["coin_rates.twitter"]),
+            youtube_coins: out.take_feeding(youtube_coins, &["coin_rates.youtube"]),
+            twitter_conversions: out.take_feeding(twitter_conversions, &["conversions.twitter"]),
+            youtube_conversions: out.take_feeding(youtube_conversions, &["conversions.youtube"]),
+            origins: out.take_feeding(origins, &["payment_origins"]),
+            twitter_whales: out.take_feeding(twitter_whales, &["whales.twitter"]),
+            youtube_whales: out.take_feeding(youtube_whales, &["whales.youtube"]),
+            recipients: out.take_feeding(recipients, &["recipients"]),
             twitter_recipients: scammers::distinct_recipients(&twitter_analysis),
             youtube_recipients: scammers::distinct_recipients(&youtube_analysis),
-            outgoing: out.take(outgoing),
-            qr_pilot: out.take(qr_pilot),
+            outgoing: out.take_feeding(outgoing, &["cashout_categories"]),
+            qr_pilot: out.take_feeding(qr_pilot, &["appendix_b.qr_pilot"]),
             twitch: TwitchSummary {
                 streams_listed: twitch_report.streams_listed,
                 candidates: twitch_report.candidates,
                 scams_found: twitch_report.qr_hits,
             },
-            fig5: out.take(fig5),
-            interventions: out.take(interventions),
+            fig5: out.take_feeding(fig5, &["fig5.keywords"]),
+            interventions: out.take_feeding(interventions, &["interventions"]),
         };
 
         PaperRun {
             report,
-            twitter_dataset,
-            youtube_dataset,
-            monitor_report,
-            pilot_report,
+            chain_analysis: out.take(chain),
             twitter_analysis,
             youtube_analysis,
             timings,

@@ -35,8 +35,12 @@
 //! output), which is *wrong data served knowingly*: every
 //! transitive dependent is marked **tainted**, and every report table a
 //! quarantined or tainted stage feeds is listed in
-//! [`RunHealth::degraded_tables`]. Tables stay filled — they just come
-//! with a completeness annotation instead of an aborted run.
+//! [`RunHealth::degraded_tables`]. The report assembly names the tables
+//! each stage output feeds where it takes that output
+//! ([`StageOutputs::take_feeding`](crate::executor::StageOutputs::take_feeding)),
+//! so no stage → table map is kept beside the graph. Tables stay
+//! filled — they just come with a completeness annotation instead of an
+//! aborted run.
 //!
 //! # Determinism contract
 //!
@@ -120,65 +124,9 @@ pub struct StageHealth {
     pub cache_write_failed: bool,
 }
 
-/// Which `PaperReport` artifacts each pipeline stage *directly*
-/// produces. Transitive damage is carried by the taint set, so the map
-/// only needs direct production; stages feeding no table (monitors,
-/// the chain analysis, the known-scam set) simply have no entry.
-const TABLE_FEEDS: &[(&str, &[&str])] = &[
-    ("twitter_dataset", &["table1.twitter"]),
-    ("youtube_dataset", &["table1.youtube"]),
-    (
-        "twitter_payments",
-        &[
-            "table2.twitter_revenue",
-            "funnel.twitter",
-            "recipients.twitter",
-        ],
-    ),
-    (
-        "youtube_payments",
-        &[
-            "table2.youtube_revenue",
-            "funnel.youtube",
-            "recipients.youtube",
-        ],
-    ),
-    ("twitter_weekly", &["fig3.weekly_tweets"]),
-    ("youtube_weekly", &["fig4.weekly_streams"]),
-    ("twitter_discover", &["discoverability.twitter"]),
-    ("youtube_discover", &["discoverability.youtube"]),
-    ("twitter_coins", &["coin_rates.twitter"]),
-    ("youtube_coins", &["coin_rates.youtube"]),
-    ("twitter_conversions", &["conversions.twitter"]),
-    ("youtube_conversions", &["conversions.youtube"]),
-    ("payment_origins", &["payment_origins"]),
-    ("twitter_whales", &["whales.twitter"]),
-    ("youtube_whales", &["whales.youtube"]),
-    ("recipient_stats", &["recipients"]),
-    ("outgoing_stats", &["cashout_categories"]),
-    ("qr_pilot", &["appendix_b.qr_pilot"]),
-    ("twitch_pilot", &["appendix_b.twitch"]),
-    ("fig5_keywords", &["fig5.keywords"]),
-    ("interventions", &["interventions"]),
-];
-
-/// The report tables degraded when `stages` (quarantined plus tainted)
-/// produced fallback or fallback-derived output. Sorted, deduplicated.
-pub fn degraded_tables<'a>(stages: impl IntoIterator<Item = &'a str>) -> Vec<String> {
-    let mut tables: Vec<String> = Vec::new();
-    for stage in stages {
-        if let Some((_, feeds)) = TABLE_FEEDS.iter().find(|(name, _)| *name == stage) {
-            tables.extend(feeds.iter().map(|t| (*t).to_string()));
-        }
-    }
-    tables.sort();
-    tables.dedup();
-    tables
-}
-
-/// Run-level health, built by the executor: the per-stage recovery
-/// timeline plus the report tables it degrades and operator-facing
-/// warnings. Lives in [`PaperRun`](crate::pipeline::PaperRun) and the
+/// Run-level health: the per-stage recovery timeline and operator-facing
+/// warnings, built by the executor, plus the report tables it degrades,
+/// named as the report assembly takes each stage output. Lives in [`PaperRun`](crate::pipeline::PaperRun) and the
 /// experiments JSON — never in [`PaperReport`](crate::report::PaperReport),
 /// which must stay byte-identical across thread counts.
 #[derive(Debug, Clone, Default, PartialEq, Serialize)]
@@ -193,7 +141,9 @@ pub struct RunHealth {
     pub quarantined: Vec<String>,
     /// Tainted stage names, registration order.
     pub tainted: Vec<String>,
-    /// `PaperReport` artifacts fed by a quarantined or tainted stage.
+    /// `PaperReport` artifacts fed by a quarantined or tainted stage,
+    /// sorted and deduplicated (see
+    /// [`StageOutputs::take_feeding`](crate::executor::StageOutputs::take_feeding)).
     pub degraded_tables: Vec<String>,
     /// One-line operator warnings (failed cache writes, quarantines).
     pub warnings: Vec<String>,
@@ -226,34 +176,5 @@ mod tests {
             1,
             "zero attempts clamps to one"
         );
-    }
-
-    #[test]
-    fn degraded_tables_union_is_sorted_and_deduped() {
-        let tables = degraded_tables(["recipient_stats", "twitter_payments", "recipient_stats"]);
-        assert_eq!(
-            tables,
-            vec![
-                "funnel.twitter",
-                "recipients",
-                "recipients.twitter",
-                "table2.twitter_revenue",
-            ]
-        );
-        assert!(degraded_tables(["main_monitor"]).is_empty());
-        assert!(degraded_tables([]).is_empty());
-    }
-
-    #[test]
-    fn table_feeds_has_21_unique_entries() {
-        // `tests/supervision.rs` checks that these are exactly the real
-        // pipeline stages feeding a table; this pins that the map holds
-        // nothing else.
-        let mut seen = std::collections::HashSet::new();
-        for (stage, feeds) in TABLE_FEEDS {
-            assert!(seen.insert(*stage), "duplicate map entry for {stage}");
-            assert!(!feeds.is_empty());
-        }
-        assert_eq!(TABLE_FEEDS.len(), 21);
     }
 }

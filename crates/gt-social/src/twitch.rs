@@ -81,6 +81,10 @@ impl Twitch {
         let id = TwitchStreamId(self.streams.len() as u64);
         stream.id = id;
         assert!(stream.start < stream.end);
+        assert!(
+            stream.chat.is_sorted_by_key(|m| m.time),
+            "chat must be time-ordered"
+        );
         self.streams.push(stream);
         id
     }
@@ -157,21 +161,20 @@ impl Twitch {
         self.paint_with(key, qr.as_ref(), frame);
     }
 
-    /// Chat messages in `(since, now]`; only available while live
-    /// (Twitch has no chat history API).
-    pub fn chat_since(&self, id: TwitchStreamId, since: SimTime, now: SimTime) -> Vec<ChatMessage> {
+    /// Chat messages in `(since, now]`, borrowed from the stream; only
+    /// available while live (Twitch has no chat history API).
+    pub fn chat_since(&self, id: TwitchStreamId, since: SimTime, now: SimTime) -> &[ChatMessage] {
         self.calls.lock().chat_poll += 1;
         let Some(s) = self.streams.get(id.0 as usize) else {
-            return Vec::new();
+            return &[];
         };
         if !s.is_live(now) {
-            return Vec::new();
+            return &[];
         }
-        s.chat
-            .iter()
-            .filter(|m| m.time > since && m.time <= now)
-            .cloned()
-            .collect()
+        // `chat` is time-ordered: the answer is the run between the bounds.
+        let end = s.chat.partition_point(|m| m.time <= now);
+        let start = s.chat.partition_point(|m| m.time <= since).min(end);
+        &s.chat[start..end]
     }
 
     /// Paint the frame `key` names over `frame`; `qr` is the overlay of the
@@ -221,7 +224,7 @@ impl Twitch {
         since: SimTime,
         now: SimTime,
         gate: &mut Gated<'_>,
-    ) -> Result<Vec<ChatMessage>, Denied> {
+    ) -> Result<&[ChatMessage], Denied> {
         gate.checked_counted(Substrate::TwitchChat, now, || {
             let messages = self.chat_since(id, since, now);
             let n = messages.len() as u64;
@@ -234,6 +237,7 @@ impl Twitch {
 mod tests {
     use super::*;
     use gt_qr::scan_frame;
+    use proptest::prelude::*;
 
     fn t(s: i64) -> SimTime {
         SimTime(1_688_169_600 + s) // 2023-07-01 (the pilot window)
@@ -304,8 +308,63 @@ mod tests {
         assert_eq!(tw.chat_since(id, t(0), t(100)).len(), 1);
         // After the stream ends, nothing is retrievable.
         assert!(tw.chat_since(id, t(0), t(8000)).is_empty());
-        // Interval filtering.
+        // Interval filtering; an inverted interval is empty.
         assert!(tw.chat_since(id, t(60), t(100)).is_empty());
+        assert!(tw.chat_since(id, t(100), t(60)).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "chat must be time-ordered")]
+    fn add_stream_rejects_unordered_chat() {
+        let mut s = gaming_stream();
+        s.chat = [5, 3]
+            .map(|at| ChatMessage {
+                time: t(at),
+                author: "u".into(),
+                text: "m".into(),
+            })
+            .to_vec();
+        Twitch::new().add_stream(s);
+    }
+
+    proptest! {
+        /// The borrowed window is exactly what filtering the whole chat
+        /// for `(since, now]` returns, live or not.
+        #[test]
+        fn chat_since_matches_a_filter_over_the_whole_chat(
+            mut times in proptest::collection::vec(0i64..60, 0..40),
+            since in 0i64..80,
+            ahead in 0i64..80,
+            end in 1i64..120,
+        ) {
+            times.sort_unstable();
+            let now = since + ahead;
+            let mut s = gaming_stream();
+            s.end = t(end);
+            s.chat = times
+                .iter()
+                .enumerate()
+                .map(|(i, &at)| ChatMessage {
+                    time: t(at),
+                    author: format!("u{i}"),
+                    text: format!("m{i}"),
+                })
+                .collect();
+            let mut tw = Twitch::new();
+            let id = tw.add_stream(s);
+            let stream = tw.stream(id);
+            let expected: Vec<ChatMessage> = if stream.is_live(t(now)) {
+                stream
+                    .chat
+                    .iter()
+                    .filter(|m| m.time > t(since) && m.time <= t(now))
+                    .cloned()
+                    .collect()
+            } else {
+                Vec::new()
+            };
+            prop_assert_eq!(tw.chat_since(id, t(since), t(now)), expected.as_slice());
+        }
     }
 
     #[test]

@@ -129,6 +129,8 @@ pub struct CrawledPage {
 /// The monitoring run's full output.
 #[derive(Debug, Default, PartialEq, StoreEncode, StoreDecode)]
 pub struct MonitorReport {
+    /// One entry per tracked stream, strictly ascending by id
+    /// ([`MonitorReport::observed`] relies on it).
     pub streams: Vec<ObservedStream>,
     pub leads: Vec<UrlLead>,
     /// Latest successfully crawled page per URL.
@@ -142,6 +144,12 @@ pub struct MonitorReport {
 }
 
 impl MonitorReport {
+    /// What the window observed of stream `id`, if it tracked it.
+    pub fn observed(&self, id: LiveStreamId) -> Option<&ObservedStream> {
+        let i = self.streams.binary_search_by_key(&id, |s| s.stream).ok()?;
+        Some(&self.streams[i])
+    }
+
     /// Distinct lead hosts.
     pub fn lead_domains(&self) -> HashSet<String> {
         self.leads
@@ -703,6 +711,19 @@ mod tests {
         for _ in 1..8 {
             assert_eq!(monitor.run(&yt, &web), first);
         }
+    }
+
+    #[test]
+    fn streams_ascend_by_id_and_observed_finds_each() {
+        let (yt, web, mut config) = faulted_fixture();
+        config.fault_plan = None;
+        let report = Monitor::new(config, search_keyword_set()).run(&yt, &web);
+        assert_eq!(report.streams.len(), 4);
+        assert!(report.streams.windows(2).all(|w| w[0].stream < w[1].stream));
+        for obs in &report.streams {
+            assert_eq!(report.observed(obs.stream), Some(obs));
+        }
+        assert_eq!(report.observed(LiveStreamId(99)), None);
     }
 
     #[test]

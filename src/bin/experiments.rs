@@ -572,9 +572,8 @@ fn render_markdown(args: &Args, world: &World, run: &givetake::core::PaperRun) -
     let _ = writeln!(md, "| (unlabeled) | {} |", run.report.outgoing.unlabeled);
 
     // Multi-hop flow tracing (the Phillips & Wilder analysis the
-    // paper cites as future work).
-    let clustering = givetake::cluster::ClusterView::build(&world.chains.btc);
-    let tags = world.tags.resolver(&clustering);
+    // paper cites as future work), over the run's own chain analysis.
+    let chain = &run.chain_analysis;
     let sources: Vec<givetake::addr::Address> = run
         .twitter_analysis
         .victim_payments()
@@ -599,8 +598,8 @@ fn render_markdown(args: &Args, world: &World, run: &givetake::core::PaperRun) -
         let exposure = givetake::cluster::aggregate_exposure(
             &sources,
             &world.chains,
-            &tags,
-            &clustering,
+            &chain.resolver,
+            &chain.view,
             depth,
         );
         let _ = writeln!(

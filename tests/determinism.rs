@@ -4,7 +4,7 @@
 //! metrics JSON — same stage outputs, same sharded clustering, same tag
 //! resolution, same monitor results and call counts.
 
-use givetake::core::{PaperRun, Pipeline, PipelineOptions, SupervisionPolicy};
+use givetake::core::{FaultSource, PaperRun, Pipeline, PipelineOptions, SupervisionPolicy};
 use givetake::store::{digest, digest_hex, RunStore};
 use givetake::world::{World, WorldConfig};
 use std::collections::BTreeSet;
@@ -106,7 +106,7 @@ fn options_equivalents_match() {
     );
     let mut fields = PipelineOptions::default();
     fields.threads = 2;
-    fields.chaos = Some((0xFA_017, profile));
+    fields.faults = Some(FaultSource::Chaos(0xFA_017, profile));
     fields.supervision = policy;
     let via_fields = run_with(fields);
     assert_eq!(run_json(&via_setters), run_json(&via_fields));

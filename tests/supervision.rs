@@ -5,7 +5,6 @@
 //! runs: under a quiet fault plan a supervised pipeline is byte-identical
 //! to an unsupervised one at any thread count.
 
-use givetake::core::supervisor::degraded_tables;
 use givetake::core::{
     PaperRun, Pipeline, PipelineOptions, StageGraph, StageStatus, SupervisionPolicy,
 };
@@ -240,10 +239,31 @@ fn injected_stage_panic_quarantines_the_monitor_and_names_the_damage() {
         h.tainted.contains(&"youtube_dataset".to_string()),
         "the YouTube dataset is built from the quarantined monitor"
     );
-    assert!(
-        h.degraded_tables.contains(&"table1.youtube".to_string()),
-        "degraded tables: {:?}",
-        h.degraded_tables
+    // Everything downstream of the monitor, plus the Twitter tables fed
+    // through the shared known-scam address set; never Table 1's
+    // Twitter column or the tables fed only by the pilot windows.
+    assert_eq!(
+        h.degraded_tables,
+        [
+            "cashout_categories",
+            "coin_rates.youtube",
+            "conversions.twitter",
+            "conversions.youtube",
+            "discoverability.youtube",
+            "fig4.weekly_streams",
+            "funnel.twitter",
+            "funnel.youtube",
+            "interventions",
+            "payment_origins",
+            "recipients",
+            "recipients.twitter",
+            "recipients.youtube",
+            "table1.youtube",
+            "table2.twitter_revenue",
+            "table2.youtube_revenue",
+            "whales.twitter",
+            "whales.youtube",
+        ]
     );
     assert!(h
         .warnings
@@ -258,25 +278,18 @@ fn injected_stage_panic_quarantines_the_monitor_and_names_the_damage() {
     assert_eq!(run.report.youtube_revenue.usd_any, 0.0);
 
     // The Twitter dataset is a root stage (archived corpus, no live
-    // collection): its Table 1 column must never be marked degraded.
+    // collection): its Table 1 column is not in the list above, and it
+    // matches the clean run.
     let clean = run_with(PipelineOptions::default().threads(2));
     assert_eq!(
         run.report.table1.twitter_domains,
         clean.report.table1.twitter_domains
-    );
-    assert!(
-        !h.degraded_tables.contains(&"table1.twitter".to_string()),
-        "degraded tables: {:?}",
-        h.degraded_tables
     );
     // Taint is conservative: twitter_payments consumes the known-scam
     // address set, which includes addresses from the (quarantined)
     // YouTube monitor — so Twitter revenue is flagged even though this
     // world's numbers happen to come out identical.
     assert!(h.tainted.contains(&"twitter_payments".to_string()));
-    assert!(h
-        .degraded_tables
-        .contains(&"table2.twitter_revenue".to_string()));
     assert_eq!(run.report.twitter_revenue, clean.report.twitter_revenue);
 
     // The same plan under the default (strict) policy aborts the run.
@@ -317,24 +330,5 @@ fn supervision_is_byte_identical_on_healthy_runs() {
         assert!(supervised.health.is_clean());
         assert_eq!(supervised.health.attempts, 25);
         assert_eq!(supervised.health.retries, 0);
-
-        // The stage → table map tracks the real stage names: 21 of the
-        // 25 stages feed a report table, and only these four do not.
-        let (feeding, silent): (Vec<&str>, Vec<&str>) = supervised
-            .health
-            .stages
-            .iter()
-            .map(|s| s.name.as_str())
-            .partition(|name| !degraded_tables([*name]).is_empty());
-        assert_eq!(feeding.len(), 21, "stages feeding a table: {feeding:?}");
-        assert_eq!(
-            silent,
-            [
-                "pilot_monitor",
-                "main_monitor",
-                "chain_analysis",
-                "known_scam_addresses"
-            ]
-        );
     }
 }
