@@ -303,7 +303,7 @@ impl<'w> Pipeline<'w> {
 
         let pilot = g.add_stage("pilot_monitor", &[], move |r| {
             let mut cfg = MonitorConfig::paper(config.pilot_start, config.pilot_end);
-            cfg.fault_plan = plan.cloned();
+            cfg.fault_plan = plan;
             cfg.sink = r.sink().clone();
             let monitor = Monitor::new(cfg, search_keyword_set());
             let report = monitor.run(&world.youtube, &world.web);
@@ -313,7 +313,7 @@ impl<'w> Pipeline<'w> {
 
         let main_monitor = g.add_stage("main_monitor", &[], move |r| {
             let mut cfg = MonitorConfig::paper(config.youtube_start, config.youtube_end);
-            cfg.fault_plan = plan.cloned();
+            cfg.fault_plan = plan;
             cfg.sink = r.sink().clone();
             let monitor = Monitor::new(cfg, search_keyword_set());
             let report = monitor.run(&world.youtube, &world.web);

@@ -19,10 +19,12 @@
 //! deterministic. API call counts are tracked so the pipeline's quota
 //! behaviour (poll cadences from the paper) can be audited in tests.
 
+mod overlay;
 pub mod twitch;
 pub mod twitter;
 pub mod youtube;
 
+pub use overlay::OverlayId;
 pub use twitch::{Twitch, TwitchFrameKey, TwitchStream, TwitchStreamId};
 pub use twitter::{Tweet, TweetId, TwitterAccountId, TwitterSnapshot};
 pub use youtube::{

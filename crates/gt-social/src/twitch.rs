@@ -10,13 +10,15 @@
 //! * a ~15-second advertisement clip precedes stream content, so
 //!   recordings shorter than that may capture no content frames.
 
+use crate::overlay::{OverlayId, OverlayTable};
 use crate::youtube::{blank_into, ChatMessage, StreamVideo, ViewerCurve, FRAME_H, FRAME_W};
-use gt_qr::{Frame, Matrix};
+use gt_qr::Frame;
 use gt_sim::faults::{Denied, Gated, Substrate};
 use gt_sim::{SimDuration, SimTime};
 use gt_store::{StoreDecode, StoreEncode};
 use parking_lot::Mutex;
 use serde::Serialize;
+use std::sync::OnceLock;
 
 /// Seconds of advertisement inserted before stream content.
 pub const AD_SECONDS: i64 = 15;
@@ -53,8 +55,9 @@ impl TwitchStream {
 pub enum TwitchFrameKey {
     /// The advertisement card of a recording's first [`AD_SECONDS`].
     Ad,
-    /// The stream's content, with its QR overlay if it shows one.
-    Content(TwitchStreamId),
+    /// Stream content with the QR overlay its video shows, if any:
+    /// streams that show the same `(qr_url, qr_scale)` share the key.
+    Content(Option<OverlayId>),
 }
 
 /// Per-endpoint call counts.
@@ -70,6 +73,10 @@ pub struct TwitchApiCalls {
 pub struct Twitch {
     streams: Vec<TwitchStream>,
     calls: Mutex<TwitchApiCalls>,
+    /// Derived overlay table, built lazily on the first frame key or
+    /// paint; excluded from snapshots.
+    #[store(skip)]
+    overlays: OnceLock<OverlayTable>,
 }
 
 impl Twitch {
@@ -86,7 +93,14 @@ impl Twitch {
             "chat must be time-ordered"
         );
         self.streams.push(stream);
+        self.overlays = OnceLock::new();
         id
+    }
+
+    /// The overlay table of the current streams.
+    fn overlays(&self) -> &OverlayTable {
+        self.overlays
+            .get_or_init(|| OverlayTable::build(self.streams.iter().map(|s| &s.video)))
     }
 
     pub fn stream(&self, id: TwitchStreamId) -> &TwitchStream {
@@ -113,14 +127,10 @@ impl Twitch {
     /// stream content, no QR).
     pub fn record(&self, id: TwitchStreamId, now: SimTime, duration: SimDuration) -> Vec<Frame> {
         self.count_record();
-        let qr = self
-            .streams
-            .get(id.0 as usize)
-            .and_then(|s| s.video.qr_matrix());
         self.frame_keys(id, now, duration)
             .map(|key| {
                 let mut frame = Frame::blank(0, 0);
-                self.paint_with(key, qr.as_ref(), &mut frame);
+                self.paint(key, &mut frame);
                 frame
             })
             .collect()
@@ -141,24 +151,40 @@ impl Twitch {
         duration: SimDuration,
     ) -> impl Iterator<Item = TwitchFrameKey> + '_ {
         let stream = self.streams.get(id.0 as usize);
+        let content =
+            stream.map(|s| TwitchFrameKey::Content(self.overlays().of_stream(s.id.0 as usize)));
         (0..duration.as_seconds().max(1)).map_while(move |i| {
-            let s = stream.filter(|s| s.is_live(now + SimDuration::seconds(i)))?;
-            Some(if i < AD_SECONDS {
-                TwitchFrameKey::Ad
+            stream.filter(|s| s.is_live(now + SimDuration::seconds(i)))?;
+            if i < AD_SECONDS {
+                Some(TwitchFrameKey::Ad)
             } else {
-                TwitchFrameKey::Content(s.id)
-            })
+                content
+            }
         })
     }
 
     /// Paint the frame `key` names over `frame`, reusing its buffer.
-    /// Uncounted.
+    /// Reads only the key and the keyed overlay, so equal keys paint
+    /// equal pixels. Uncounted.
     pub fn paint(&self, key: TwitchFrameKey, frame: &mut Frame) {
-        let qr = match key {
-            TwitchFrameKey::Content(id) => self.stream(id).video.qr_matrix(),
-            TwitchFrameKey::Ad => None,
-        };
-        self.paint_with(key, qr.as_ref(), frame);
+        blank_into(frame);
+        match key {
+            TwitchFrameKey::Ad => {
+                // A mid-gray card: no QR, recognisably not content.
+                for y in 80..160 {
+                    frame.luma[y * FRAME_W + 60..y * FRAME_W + 260].fill(100);
+                }
+            }
+            TwitchFrameKey::Content(overlay) => {
+                if let Some((matrix, scale)) = overlay.and_then(|id| self.overlays().matrix(id)) {
+                    let scale = scale.max(1);
+                    let span = matrix.size() * scale + 8 * scale;
+                    if span + 10 <= FRAME_W.min(FRAME_H) {
+                        frame.paint_qr(matrix, FRAME_W - span - 5, FRAME_H - span - 5, scale);
+                    }
+                }
+            }
+        }
     }
 
     /// Chat messages in `(since, now]`, borrowed from the stream; only
@@ -175,31 +201,6 @@ impl Twitch {
         let end = s.chat.partition_point(|m| m.time <= now);
         let start = s.chat.partition_point(|m| m.time <= since).min(end);
         &s.chat[start..end]
-    }
-
-    /// Paint the frame `key` names over `frame`; `qr` is the overlay of the
-    /// keyed stream's video.
-    fn paint_with(&self, key: TwitchFrameKey, qr: Option<&Matrix>, frame: &mut Frame) {
-        blank_into(frame);
-        match key {
-            TwitchFrameKey::Ad => {
-                // A mid-gray card: no QR, recognisably not content.
-                for y in 80..160 {
-                    frame.luma[y * FRAME_W + 60..y * FRAME_W + 260].fill(100);
-                }
-            }
-            TwitchFrameKey::Content(id) => {
-                if let (StreamVideo::ScamLoop { qr_scale, .. }, Some(matrix)) =
-                    (&self.stream(id).video, qr)
-                {
-                    let scale = (*qr_scale).max(1);
-                    let span = matrix.size() * scale + 8 * scale;
-                    if span + 10 <= FRAME_W.min(FRAME_H) {
-                        frame.paint_qr(matrix, FRAME_W - span - 5, FRAME_H - span - 5, scale);
-                    }
-                }
-            }
-        }
     }
 
     // ---- gated variants (see the YouTube counterparts) ----
@@ -385,17 +386,27 @@ mod tests {
     fn painted_keys_match_recorded_frames() {
         let mut tw = Twitch::new();
         let benign = tw.add_stream(gaming_stream());
-        let mut s = gaming_stream();
-        s.video = StreamVideo::ScamLoop {
-            qr_url: "https://btc-2x.fund".into(),
-            qr_duty_cycle: None,
-            qr_scale: 2,
-        };
-        let scam = tw.add_stream(s);
+        // Two streams that show one overlay, and one that shows its URL
+        // at another scale.
+        let [scam, shared, rescaled] = [2, 2, 3].map(|qr_scale| {
+            let mut s = gaming_stream();
+            s.video = StreamVideo::ScamLoop {
+                qr_url: "https://btc-2x.fund".into(),
+                qr_duty_cycle: None,
+                qr_scale,
+            };
+            tw.add_stream(s)
+        });
+        let content = |id| tw.frame_keys(id, t(100), SimDuration::seconds(20)).last();
+        assert_eq!(content(scam), content(shared));
+        assert_ne!(content(scam), content(rescaled));
+        assert_ne!(content(scam), content(benign));
         let mut frame = Frame::blank(0, 0);
         for (id, at) in [
             (scam, 100),
             (benign, 100),
+            (shared, 100),
+            (rescaled, 100),
             (scam, 7_190),
             (TwitchStreamId(9), 0),
         ] {
@@ -407,6 +418,6 @@ mod tests {
                 assert!(frame.luma == expect.luma, "{key:?}");
             }
         }
-        assert_eq!(tw.api_calls().record, 4, "only `record` counts");
+        assert_eq!(tw.api_calls().record, 6, "only `record` counts");
     }
 }

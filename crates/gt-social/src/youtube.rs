@@ -5,14 +5,14 @@
 //! the platform at any virtual instant. Call counts per endpoint are
 //! recorded for quota audits.
 
-use gt_qr::{encode, EcLevel, Frame, Matrix};
+use crate::overlay::{OverlayId, OverlayTable};
+use gt_qr::Frame;
 use gt_sim::faults::{Denied, Gated, Substrate};
 use gt_sim::{SimDuration, SimTime};
 use gt_store::{StoreDecode, StoreEncode};
 use parking_lot::Mutex;
 use serde::Serialize;
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::OnceLock;
 
 /// Maximum chat messages returned per history call (YouTube's cap).
 pub const CHAT_HISTORY_LIMIT: usize = 70;
@@ -62,49 +62,18 @@ pub enum StreamVideo {
     },
 }
 
-impl StreamVideo {
-    /// Encode the QR overlay this video shows; `None` for benign video
-    /// (or a URL too long for any supported version).
-    pub(crate) fn qr_matrix(&self) -> Option<Matrix> {
-        match self {
-            StreamVideo::ScamLoop { qr_url, .. } => encode(qr_url.as_bytes(), EcLevel::M).ok(),
-            StreamVideo::Benign => None,
-        }
-    }
-}
-
 /// What a video frame shows, and so all its pixels depend on: the
-/// texture's phase and, while a QR overlay is visible, the stream whose
-/// overlay is painted. [`YouTube::frame_key`] names the frame a stream
-/// shows at an instant and [`YouTube::paint`] paints it; the fields are
-/// private, so every key names a frame some stream shows.
+/// texture's phase and, while a QR overlay is visible, which overlay is
+/// painted. Streams that show the same `(qr_url, qr_scale)` share the
+/// overlay, so their frames share keys. [`YouTube::frame_key`] names the
+/// frame a stream shows at an instant and [`YouTube::paint`] paints it;
+/// the fields are private, so every key names a frame some stream shows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct FrameKey {
     /// Seconds since the stream started, modulo the texture's period.
     phase: u8,
-    /// The stream whose QR overlay is painted; `None` when none is.
-    overlay: Option<LiveStreamId>,
-}
-
-/// Per-stream QR matrices, encoded on a stream's first recorded QR
-/// frame instead of on every frame: the matrix depends only on the
-/// stream's `qr_url`. A derived cache keyed by stream id, so `YouTube`
-/// marks it `#[store(skip)]` and resets it whenever a stream is added. It
-/// holds one matrix per scam stream recorded.
-#[derive(Debug, Default)]
-struct QrMemo(Mutex<BTreeMap<u64, Option<Arc<Matrix>>>>);
-
-impl QrMemo {
-    /// The QR matrix `video` shows, for the stream with id `id`.
-    fn matrix(&self, id: u64, video: &StreamVideo) -> Option<Arc<Matrix>> {
-        if let Some(cached) = self.0.lock().get(&id) {
-            return cached.clone();
-        }
-        // Encode outside the lock: a concurrent monitor recording another
-        // stream need not wait, and a racing encode yields the same matrix.
-        let matrix = video.qr_matrix().map(Arc::new);
-        self.0.lock().entry(id).or_insert(matrix).clone()
-    }
+    /// The QR overlay painted; `None` when none is.
+    overlay: Option<OverlayId>,
 }
 
 /// How many viewers a stream has over time.
@@ -204,9 +173,10 @@ pub struct YouTube {
     /// query, so it is excluded from snapshots.
     #[store(skip)]
     live_index: Mutex<Option<LiveIndex>>,
-    /// Derived per-stream QR matrices, filled by `paint`.
+    /// Derived overlay table, built lazily on the first frame key or
+    /// paint, so it is excluded from snapshots too.
     #[store(skip)]
-    qr: QrMemo,
+    overlays: OnceLock<OverlayTable>,
 }
 
 /// A search result row (what the search endpoint exposes).
@@ -251,8 +221,14 @@ impl YouTube {
         );
         self.streams.push(stream);
         *self.live_index.lock() = None;
-        self.qr = QrMemo::default();
+        self.overlays = OnceLock::new();
         id
+    }
+
+    /// The overlay table of the current streams.
+    fn overlays(&self) -> &OverlayTable {
+        self.overlays
+            .get_or_init(|| OverlayTable::build(self.streams.iter().map(|s| &s.video)))
     }
 
     /// Ids of streams live at `now` (index-accelerated).
@@ -399,14 +375,16 @@ impl YouTube {
         }
         Some(FrameKey {
             phase: (at - stream.start).as_seconds().rem_euclid(TEXTURE_PERIOD) as u8,
-            overlay: stream.qr_visible(at).then_some(id),
+            overlay: self
+                .overlays()
+                .of_stream(id.0 as usize)
+                .filter(|_| stream.qr_visible(at)),
         })
     }
 
     /// Paint the frame `key` names over `frame`, which is resized to the
     /// frame geometry only if it has another. Reads only the key and the
-    /// keyed stream's video, so equal keys paint equal pixels.
-    /// Uncounted.
+    /// keyed overlay, so equal keys paint equal pixels. Uncounted.
     pub fn paint(&self, key: FrameKey, frame: &mut Frame) {
         blank_into(frame);
         // A bit of deterministic "video content" texture in the top half so
@@ -419,22 +397,17 @@ impl YouTube {
                 frame.set(x, y, 40);
             }
         }
-        let Some(id) = key.overlay else {
+        let Some((matrix, scale)) = key.overlay.and_then(|id| self.overlays().matrix(id)) else {
             return;
         };
-        let stream = &self.streams[id.0 as usize];
-        if let StreamVideo::ScamLoop { qr_scale, .. } = &stream.video {
-            if let Some(matrix) = self.qr.matrix(id.0, &stream.video) {
-                let scale = (*qr_scale).max(1);
-                let span = matrix.size() * scale + 8 * scale;
-                if span + 10 <= FRAME_W && span + 50 <= FRAME_H {
-                    frame.paint_qr(&matrix, FRAME_W - span - 5, FRAME_H - span - 5, scale);
-                } else {
-                    // Fall back to scale 1 in a corner.
-                    let span1 = matrix.size() + 8;
-                    frame.paint_qr(&matrix, FRAME_W - span1 - 2, FRAME_H - span1 - 2, 1);
-                }
-            }
+        let scale = scale.max(1);
+        let span = matrix.size() * scale + 8 * scale;
+        if span + 10 <= FRAME_W && span + 50 <= FRAME_H {
+            frame.paint_qr(matrix, FRAME_W - span - 5, FRAME_H - span - 5, scale);
+        } else {
+            // Fall back to scale 1 in a corner.
+            let span1 = matrix.size() + 8;
+            frame.paint_qr(matrix, FRAME_W - span1 - 2, FRAME_H - span1 - 2, 1);
         }
     }
 
@@ -524,7 +497,7 @@ pub(crate) fn blank_into(frame: &mut Frame) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gt_qr::scan_frame;
+    use gt_qr::{encode, scan_frame, EcLevel};
     use gt_text::KeywordSet;
     use proptest::prelude::*;
     use std::sync::OnceLock;
@@ -860,7 +833,8 @@ mod tests {
                 chat: vec![],
             }));
         }
-        let fallback = yt.stream(ids[1]).video.qr_matrix().unwrap().size() + 8;
+        let long_url = b"https://eth-x2.org/a-rather-long-claim-path";
+        let fallback = encode(long_url, EcLevel::M).unwrap().size() + 8;
         assert!(
             fallback * 9 + 10 > FRAME_W,
             "stream 1 exercises the fallback"
@@ -965,6 +939,85 @@ mod tests {
             }
             if keys[0].is_some() && keys[0] == keys[1] {
                 prop_assert!(frames[0].luma == frames[1].luma, "{:?}", samples);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Streams drawn from a small pool of overlays share frame keys
+        /// exactly when they share an overlay: at equal phase and
+        /// visibility, two streams' keys are equal iff no overlay is
+        /// visible or their `(qr_url, qr_scale)` are equal. Each keyed
+        /// frame is the one the first-written renderer paints with a fresh
+        /// encode. The pool holds a URL too long for any QR version and a
+        /// scale (9) that needs the scale-1 corner fallback; URL index 3 is
+        /// benign video.
+        #[test]
+        fn streams_share_frame_keys_exactly_when_they_share_an_overlay(
+            streams in proptest::collection::vec(
+                ((0usize..4, 0usize..3, 0usize..3), (0i64..3, 0i64..4)),
+                1..7,
+            ),
+            at in 0i64..200,
+        ) {
+            let long = format!("https://eth-x2.org/{}", "a".repeat(300));
+            let urls = ["https://xrp-2x.live/claim", "https://btc-event.net", &long];
+            let scales = [2, 3, 9];
+            let duties = [None, Some((15, 25)), Some((30, 60))];
+            let mut yt = YouTube::new();
+            let ch = yt.add_channel("c".into(), 10);
+            for &((url, scale, duty), (offset, periods)) in &streams {
+                let video = match urls.get(url) {
+                    Some(url) => StreamVideo::ScamLoop {
+                        qr_url: url.to_string(),
+                        qr_duty_cycle: duties[duty],
+                        qr_scale: scales[scale],
+                    },
+                    None => StreamVideo::Benign,
+                };
+                yt.add_stream(LiveStream {
+                    id: LiveStreamId(0),
+                    channel: ch,
+                    title: "t".into(),
+                    description: String::new(),
+                    language: "en".into(),
+                    fuzzy_topics: vec![],
+                    start: t(offset + TEXTURE_PERIOD * periods),
+                    end: t(3_600),
+                    video,
+                    viewers: ViewerCurve {
+                        peak_concurrent: 5,
+                        total_views: 10,
+                    },
+                    chat: vec![],
+                });
+            }
+            let at = t(at);
+            let overlay = |s: &LiveStream| match &s.video {
+                StreamVideo::ScamLoop { qr_url, qr_scale, .. } => Some((qr_url.clone(), *qr_scale)),
+                StreamVideo::Benign => None,
+            };
+            let keyed: Vec<(&LiveStream, FrameKey)> = yt
+                .streams()
+                .iter()
+                .filter_map(|s| Some((s, yt.frame_key(s.id, at)?)))
+                .collect();
+            let mut frame = Frame::blank(0, 0);
+            for &(s, key) in &keyed {
+                yt.paint(key, &mut frame);
+                prop_assert!(frame.luma == reference_frame(s, at).luma, "{:?}", s.id);
+            }
+            for &(a, a_key) in &keyed {
+                for &(b, b_key) in &keyed {
+                    let visible = a.qr_visible(at);
+                    if a_key.phase != b_key.phase || visible != b.qr_visible(at) {
+                        continue;
+                    }
+                    let shared = !visible || overlay(a) == overlay(b);
+                    prop_assert_eq!(a_key == b_key, shared, "{:?} and {:?}", a.id, b.id);
+                }
             }
         }
     }

@@ -49,7 +49,7 @@ pub const RECORD_LENGTH: SimDuration = SimDuration::seconds(2);
 /// Monitoring parameters (the paper's cadences are the constants
 /// above).
 #[derive(Debug, Clone)]
-pub struct MonitorConfig {
+pub struct MonitorConfig<'a> {
     pub window_start: SimTime,
     pub window_end: SimTime,
     /// Days on which nothing is polled or crawled.
@@ -57,13 +57,14 @@ pub struct MonitorConfig {
     /// Crawl leads daily (can be disabled for monitor-only runs).
     pub crawl: bool,
     pub crawler: CrawlerConfig,
-    /// Fault schedule every poll consults; `None` runs clean.
-    pub fault_plan: Option<FaultPlan>,
+    /// Fault schedule every poll consults, borrowed from the run; `None`
+    /// runs clean.
+    pub fault_plan: Option<&'a FaultPlan>,
     /// Telemetry sink the window reports into (no-op by default).
     pub sink: StageSink,
 }
 
-impl MonitorConfig {
+impl MonitorConfig<'_> {
     /// The paper's configuration over a given window.
     pub fn paper(window_start: SimTime, window_end: SimTime) -> Self {
         MonitorConfig {
@@ -176,8 +177,11 @@ struct Tracked<'a> {
 /// message older than the cursor was in an earlier served poll, and one
 /// at the cursor's time was counted iff its text is in the cursor's
 /// list. The list also catches repeats within one poll.
+///
+/// Public so that `gt-bench` can time the chat path against a
+/// copy-and-set reference.
 #[derive(Default)]
-struct ChatCursor<'a> {
+pub struct ChatCursor<'a> {
     time: Option<SimTime>,
     texts: Vec<&'a str>,
 }
@@ -185,7 +189,7 @@ struct ChatCursor<'a> {
 impl<'a> ChatCursor<'a> {
     /// Whether the message `(time, text)`, met in poll order, is new;
     /// a new message moves the cursor to it.
-    fn is_new(&mut self, time: SimTime, text: &'a str) -> bool {
+    pub fn is_new(&mut self, time: SimTime, text: &'a str) -> bool {
         match self.time {
             Some(at) if time < at => false,
             Some(at) if time == at => {
@@ -283,13 +287,13 @@ fn record_clip(
 }
 
 /// The monitor itself.
-pub struct Monitor {
-    config: MonitorConfig,
+pub struct Monitor<'a> {
+    config: MonitorConfig<'a>,
     keywords: SearchKeywords,
 }
 
-impl Monitor {
-    pub fn new(config: MonitorConfig, keywords: SearchKeywords) -> Self {
+impl<'a> Monitor<'a> {
+    pub fn new(config: MonitorConfig<'a>, keywords: SearchKeywords) -> Self {
         Monitor { config, keywords }
     }
 
@@ -315,7 +319,7 @@ impl Monitor {
         // stream to its start so pilot and main draw independently.
         let gate_label = format!("monitor@{}", cfg.window_start.0);
         let mut gate = Gated::new(
-            cfg.fault_plan.as_ref(),
+            cfg.fault_plan,
             &gate_label,
             RetryPolicy::default(),
             cfg.sink.clone(),
@@ -486,6 +490,7 @@ mod tests {
     use crate::keywords::search_keyword_set;
     use gt_sim::faults::{FaultKind, FaultWindow};
     use gt_social::{ChatMessage, LiveStream, StreamVideo, ViewerCurve};
+    use std::collections::BTreeSet;
 
     fn t0() -> SimTime {
         SimTime::from_ymd(2023, 7, 24)
@@ -532,7 +537,7 @@ mod tests {
         (yt, web)
     }
 
-    fn short_config(hours: i64) -> MonitorConfig {
+    fn short_config(hours: i64) -> MonitorConfig<'static> {
         let mut c = MonitorConfig::paper(t0(), t0() + SimDuration::hours(hours));
         c.outage_days = vec![];
         c
@@ -639,7 +644,7 @@ mod tests {
     /// 4-6 s, 8-12 s of jittered backoff before the last attempt) and
     /// not others, so which stream loses a sample depends on the order
     /// the streams draw the gate's jitter in.
-    fn faulted_fixture() -> (YouTube, WebHost, MonitorConfig) {
+    fn faulted_fixture() -> (YouTube, FaultPlan) {
         let mut yt = YouTube::new();
         let ch = yt.add_channel("Crypto Daily".into(), 20_000);
         for i in 0..4 {
@@ -670,8 +675,6 @@ mod tests {
                     .collect(),
             });
         }
-        let mut config = short_config(5);
-        config.crawl = false;
         let ticks: Vec<FaultWindow> = (0..40)
             .map(|k| {
                 let start = t0() + SimDuration::seconds(450 * k);
@@ -687,13 +690,22 @@ mod tests {
             (Substrate::YoutubeDetails, ticks.clone()),
             (Substrate::YoutubeChat, ticks),
         ]);
-        config.fault_plan = Some(plan);
-        (yt, WebHost::new(), config)
+        (yt, plan)
+    }
+
+    /// The fixture's five-hour window, uncrawled, under `plan`.
+    fn faulted_config(plan: Option<&FaultPlan>) -> MonitorConfig<'_> {
+        let mut config = short_config(5);
+        config.crawl = false;
+        config.fault_plan = plan;
+        config
     }
 
     #[test]
     fn faulted_sampling_does_not_depend_on_map_order() {
-        let (yt, web, mut config) = faulted_fixture();
+        let (yt, plan) = faulted_fixture();
+        let web = WebHost::new();
+        let mut config = faulted_config(Some(&plan));
         let sink = gt_obs::MetricsRegistry::new().sink("monitor");
         config.sink = sink.clone();
         let monitor = Monitor::new(config, search_keyword_set());
@@ -715,9 +727,9 @@ mod tests {
 
     #[test]
     fn streams_ascend_by_id_and_observed_finds_each() {
-        let (yt, web, mut config) = faulted_fixture();
-        config.fault_plan = None;
-        let report = Monitor::new(config, search_keyword_set()).run(&yt, &web);
+        let (yt, _) = faulted_fixture();
+        let report =
+            Monitor::new(faulted_config(None), search_keyword_set()).run(&yt, &WebHost::new());
         assert_eq!(report.streams.len(), 4);
         assert!(report.streams.windows(2).all(|w| w[0].stream < w[1].stream));
         for obs in &report.streams {
@@ -728,46 +740,85 @@ mod tests {
 
     #[test]
     fn memoised_clips_match_recorded_scans() {
-        let (mut yt, _, config) = faulted_fixture();
+        let (mut yt, _) = faulted_fixture();
+        let config = faulted_config(None);
         // Beside the fixture's four continuous overlays: a duty-cycled
-        // overlay on a stream that ends one second into a recording, and
-        // benign video.
+        // overlay on a stream that ends one second into a recording,
+        // benign video, and two streams that show stream 0's overlay from
+        // other starts, one of them duty-cycled.
         let base = yt.stream(LiveStreamId(0)).clone();
-        for (video, end) in [
+        let shared = |duty| StreamVideo::ScamLoop {
+            qr_url: "https://btc-x0.fund/claim".into(),
+            qr_duty_cycle: duty,
+            qr_scale: 2,
+        };
+        assert_eq!(base.video, shared(None));
+        for (video, start, end) in [
             (
                 StreamVideo::ScamLoop {
                     qr_url: "https://eth-x2.org/claim".into(),
                     qr_duty_cycle: Some((15, 25)),
                     qr_scale: 3,
                 },
+                base.start,
                 t0() + SimDuration::seconds(7_201),
             ),
-            (StreamVideo::Benign, base.end),
+            (StreamVideo::Benign, base.start, base.end),
+            (shared(None), t0() + SimDuration::seconds(7), base.end),
+            (
+                shared(Some((15, 25))),
+                t0() + SimDuration::seconds(4),
+                base.end,
+            ),
         ] {
             yt.add_stream(LiveStream {
                 video,
+                start,
                 end,
                 ..base.clone()
             });
         }
+        // What each scanned frame shows, described without `FrameKey`: the
+        // texture phase (the texture repeats every 11 s) and the visible
+        // overlay's `(qr_url, qr_scale)`; and the same with the stream in
+        // place of the overlay, as a per-stream key would have it.
+        let mut by_overlay = BTreeSet::new();
+        let mut by_stream = BTreeSet::new();
         let mut scans = ScanMemo::new();
         let mut t = config.window_start;
         while t < config.window_end {
             for stream in yt.streams() {
                 let frames = yt.record(stream.id, t, RECORD_LENGTH);
-                let reference = Clip {
+                let mut reference = Clip {
                     frames: frames.len() as u64,
-                    hits: frames
-                        .iter()
-                        .map(gt_qr::scan_frame)
-                        .find(|hits| !hits.is_empty())
-                        .unwrap_or_default(),
+                    hits: Vec::new(),
                 };
+                for (at, frame) in (0..).map(|i| t + SimDuration::seconds(i)).zip(&frames) {
+                    let phase = (at - stream.start).as_seconds().rem_euclid(11);
+                    let overlay = match &stream.video {
+                        StreamVideo::ScamLoop {
+                            qr_url, qr_scale, ..
+                        } if stream.qr_visible(at) => Some((qr_url.clone(), *qr_scale)),
+                        _ => None,
+                    };
+                    by_stream.insert((phase, overlay.as_ref().map(|_| stream.id)));
+                    by_overlay.insert((phase, overlay));
+                    reference.hits = gt_qr::scan_frame(frame);
+                    if !reference.hits.is_empty() {
+                        break;
+                    }
+                }
                 let clip = record_clip(&yt, stream.id, t, &mut scans);
                 assert_eq!(clip, reference, "{:?} at {t:?}", stream.id);
             }
             t += SAMPLE_INTERVAL;
         }
+        assert_eq!(
+            scans.len(),
+            by_overlay.len(),
+            "one entry per (phase, overlay)"
+        );
+        assert!(by_overlay.len() < by_stream.len(), "streams share overlays");
     }
 
     /// A one-stream platform whose chat is `messages` from `t0()`: each

@@ -579,7 +579,7 @@ fn render_markdown(args: &Args, world: &World, run: &givetake::core::PaperRun) -
         .victim_payments()
         .chain(run.youtube_analysis.victim_payments())
         .map(|p| p.transfer.recipient)
-        .collect::<std::collections::HashSet<_>>()
+        .collect::<std::collections::BTreeSet<_>>()
         .into_iter()
         .collect();
     let _ = writeln!(md, "\n## Multi-hop flow tracing (future-work extension)\n");

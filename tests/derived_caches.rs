@@ -1,7 +1,8 @@
 //! Derived platform caches never show in any output. A world whose
-//! caches are filled (the YouTube live index and per-stream QR matrices)
-//! snapshots to the same bytes as its twin whose caches are empty, and a
-//! world restored from a snapshot, caches empty, renders the same frames.
+//! caches are filled (the YouTube live index and both platforms' overlay
+//! tables, every overlay encoded) snapshots to the same bytes as its twin
+//! whose caches are empty, and a world restored from a snapshot, caches
+//! empty, renders the same frames.
 //!
 //! Snapshots do carry the platforms' API call counters, so the twin
 //! makes the same number of calls against a stream id that does not
@@ -10,7 +11,8 @@
 use givetake::core::{Pipeline, PipelineOptions};
 use givetake::qr::{scan_frame, Frame};
 use givetake::sim::SimDuration;
-use givetake::social::LiveStreamId;
+use givetake::social::twitch::AD_SECONDS;
+use givetake::social::{LiveStreamId, TwitchStreamId};
 use givetake::world::{World, WorldConfig};
 
 /// Record every scam stream at three points of its life.
@@ -42,6 +44,21 @@ fn filled_caches_leave_snapshots_and_frames_unchanged() {
     let warm = sample_frames(&world);
     let first = world.youtube.streams()[0].start;
     world.youtube.live_at(first);
+    // Paint every stream's first content frame on both platforms: this
+    // builds both overlay tables and encodes every overlay, uncounted.
+    let mut frame = Frame::blank(0, 0);
+    for s in world.youtube.streams() {
+        if let Some(key) = world.youtube.frame_key(s.id, s.start) {
+            world.youtube.paint(key, &mut frame);
+        }
+    }
+    let content = SimDuration::seconds(AD_SECONDS + 1);
+    for id in (0..world.twitch.stream_count() as u64).map(TwitchStreamId) {
+        let start = world.twitch.stream(id).start;
+        if let Some(key) = world.twitch.frame_keys(id, start, content).last() {
+            world.twitch.paint(key, &mut frame);
+        }
+    }
     let nowhere = LiveStreamId(u64::MAX);
     for _ in 0..world.truth.scam_streams.len() * 3 {
         assert!(twin
