@@ -3,5 +3,6 @@
 //! The crate holds no library code: its `tests/` directory holds the
 //! guards (warm-store speedup, scam/benign recording cost ratio,
 //! monitor scan memo, URL extractor against its reference, chat path
-//! against copying into a set). The end-to-end and per-layer timings
+//! against copying into a set, monitor cost per sample against ended
+//! streams). The end-to-end and per-layer timings
 //! live in the `givebench` benchmark.

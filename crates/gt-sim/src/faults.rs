@@ -602,14 +602,18 @@ pub struct Denied;
 /// RPC cursor, a revisit crawl) — never shared across worker threads —
 /// so its RNG draws and breaker transitions are reproducible.
 ///
-/// The gate records per-substrate call/served/denied/record counters,
+/// The gate records per-substrate call/served/records/denied counters,
 /// one counter per fault event under its [`DegradationStats`] field
-/// name, and a per-call backoff-sleep histogram. Metrics are
-/// accumulated lock-free in a local [`MetricSheet`] — the gate's only
-/// accounting — and flushed into the sink's sheet once, when the gate
-/// drops. All recorded values derive from sim state (fault events and
-/// caller-supplied record counts), so telemetry inherits the fault
-/// layer's determinism: byte-identical across thread counts.
+/// name, and a per-call backoff-sleep histogram. Every call touches the
+/// four call counters, so they sit in a fixed table indexed by
+/// substrate; fault events and histograms, which only faults cause, go
+/// to a local [`MetricSheet`]. Both are filled lock-free and flushed
+/// into the sink's sheet once, when the gate drops: the table's
+/// nonzero cells become counter rows, exactly the rows adding each
+/// count to the sheet would have made. All recorded values derive from
+/// sim state (fault events and caller-supplied record counts), so
+/// telemetry inherits the fault layer's determinism: byte-identical
+/// across thread counts.
 #[derive(Debug)]
 pub struct Gated<'p> {
     plan: Option<&'p FaultPlan>,
@@ -618,6 +622,38 @@ pub struct Gated<'p> {
     breakers: BTreeMap<Substrate, CircuitBreaker>,
     sink: StageSink,
     sheet: MetricSheet,
+    calls: CallTable,
+}
+
+/// The counters every gated call adds to, by substrate, in the order of
+/// [`CALL_METRICS`].
+type CallTable = [[u64; CALL_METRICS.len()]; Substrate::ALL.len()];
+
+/// The metric names of a [`CallTable`] row.
+const CALL_METRICS: [&str; 4] = ["calls", "served", "records", "denied"];
+const CALLS: usize = 0;
+const SERVED: usize = 1;
+const RECORDS: usize = 2;
+const DENIED: usize = 3;
+
+// A substrate's row in a `CallTable` is its place in `Substrate::ALL`.
+const _: () = {
+    let mut i = 0;
+    while i < Substrate::ALL.len() {
+        assert!(Substrate::ALL[i] as usize == i);
+        i += 1;
+    }
+};
+
+/// Fold the nonzero cells of `calls` into `sheet` as counters.
+fn fold_calls(calls: &CallTable, sheet: &mut MetricSheet) {
+    for (sub, row) in Substrate::ALL.iter().zip(calls) {
+        for (metric, &value) in CALL_METRICS.iter().zip(row) {
+            if value > 0 {
+                sheet.add(sub.label(), metric, value);
+            }
+        }
+    }
 }
 
 impl<'p> Gated<'p> {
@@ -637,6 +673,7 @@ impl<'p> Gated<'p> {
             breakers: BTreeMap::new(),
             sink,
             sheet: MetricSheet::new(),
+            calls: [[0; CALL_METRICS.len()]; Substrate::ALL.len()],
         }
     }
 
@@ -646,7 +683,8 @@ impl<'p> Gated<'p> {
         Gated::new(None, "", RetryPolicy::default(), StageSink::noop())
     }
 
-    /// What the gate has recorded so far, read back from its sheet.
+    /// What the gate has recorded so far, read back from its sheet (the
+    /// call table holds no [`DegradationStats`] field).
     pub fn stats(&self) -> DegradationStats {
         let rows: Vec<MetricRow> = self.sheet.rows("").collect();
         DegradationStats::from_rows(&rows)
@@ -761,20 +799,18 @@ impl<'p> Gated<'p> {
         now: SimTime,
         body: impl FnOnce() -> (T, u64),
     ) -> Result<T, Denied> {
-        let label = sub.label();
         let admitted = self.admit(sub, now);
-        self.sheet.add(label, "calls", 1);
+        let counts = &mut self.calls[sub as usize];
+        counts[CALLS] += 1;
         match admitted {
             Ok(()) => {
                 let (value, records) = body();
-                self.sheet.add(label, "served", 1);
-                if records > 0 {
-                    self.sheet.add(label, "records", records);
-                }
+                counts[SERVED] += 1;
+                counts[RECORDS] += records;
                 Ok(value)
             }
             Err(denied) => {
-                self.sheet.add(label, "denied", 1);
+                counts[DENIED] += 1;
                 Err(denied)
             }
         }
@@ -800,6 +836,7 @@ impl<'p> Gated<'p> {
 
 impl Drop for Gated<'_> {
     fn drop(&mut self) {
+        fold_calls(&self.calls, &mut self.sheet);
         self.sink.flush(&mut self.sheet);
     }
 }
@@ -1255,6 +1292,61 @@ mod tests {
         if let Some(windows) = plan.schedules.get(&Substrate::StreamMonitor) {
             for w in windows {
                 assert_eq!(w.kind, FaultKind::Outage);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// One gate under a severe plan, called on random substrates at
+        /// increasing times with random record counts (0 among them),
+        /// flushes the same rows and reports the same stats as a twin
+        /// that adds every call's counts to its sheet one by one, and
+        /// makes a `records` row only for a substrate whose served calls
+        /// produced records.
+        #[test]
+        fn call_table_flushes_the_rows_per_call_adds_made(
+            seed in proptest::prelude::any::<u64>(),
+            calls in proptest::collection::vec((0usize..11, 0i64..21_600, 0u64..3), 1..400),
+        ) {
+            let (a, b) = span();
+            let plan = FaultPlan::generate(seed, a, b, &ChaosProfile::severe());
+            let (tabled, added) = (gt_obs::MetricsRegistry::new(), gt_obs::MetricsRegistry::new());
+            let mut gate = Gated::new(Some(&plan), "table", RetryPolicy::default(), tabled.sink("s"));
+            let mut twin = Gated::new(Some(&plan), "table", RetryPolicy::default(), added.sink("s"));
+            let mut records = [0u64; Substrate::ALL.len()];
+            let mut now = a;
+            for &(sub, gap, count) in &calls {
+                now += SimDuration::seconds(gap);
+                let sub = Substrate::ALL[sub];
+                let served = gate.checked_counted(sub, now, || ((), count)).is_ok();
+                // What `checked_counted` did before the call table.
+                let label = sub.label();
+                let admitted = twin.admit(sub, now);
+                twin.sheet.add(label, "calls", 1);
+                match admitted {
+                    Ok(()) => {
+                        twin.sheet.add(label, "served", 1);
+                        if count > 0 {
+                            twin.sheet.add(label, "records", count);
+                        }
+                    }
+                    Err(Denied) => twin.sheet.add(label, "denied", 1),
+                }
+                proptest::prop_assert_eq!(served, admitted.is_ok(), "seed {:#x}, {} calls", seed, calls.len());
+                if served {
+                    records[sub as usize] += count;
+                }
+            }
+            let case = format!("seed {seed:#x}, {} calls, {} s", calls.len(), (now - a).as_seconds());
+            proptest::prop_assert_eq!(gate.stats(), twin.stats(), "stats: {}", case);
+            drop((gate, twin));
+            let (rows, reference) = (tabled.snapshot().metrics, added.snapshot().metrics);
+            proptest::prop_assert_eq!(&rows, &reference, "rows: {}", case);
+            for (sub, &count) in Substrate::ALL.iter().zip(&records) {
+                let row = rows.iter().find(|r| r.substrate == sub.label() && r.metric == "records");
+                proptest::prop_assert_eq!(row.map(|r| r.value), (count > 0).then_some(count), "{} records: {}", sub, case);
             }
         }
     }

@@ -22,7 +22,7 @@ use gt_text::extract_urls;
 use gt_web::crawler::{Crawler, CrawlerConfig, RevisitState};
 use gt_web::{Url, WebHost};
 use serde::Serialize;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 /// The paper's 11 infrastructure outage days.
 pub const OUTAGE_DAYS: [CivilDate; 11] = [
@@ -80,7 +80,9 @@ impl MonitorConfig<'_> {
 }
 
 /// Where a URL lead came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, StoreEncode, StoreDecode)]
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, StoreEncode, StoreDecode,
+)]
 pub enum UrlSource {
     QrCode,
     Chat,
@@ -163,7 +165,55 @@ impl MonitorReport {
 struct Tracked<'a> {
     observed: ObservedStream,
     chat: ChatCursor<'a>,
-    live: bool,
+}
+
+/// Which tracked streams a window samples on a tick, and which leads its
+/// daily crawl visits. The window runs [`LiveWalk`]; tests run the walk
+/// over every tracked stream and lead beside it as the reference.
+trait Walk {
+    /// A search poll started tracking `id`.
+    fn track(&mut self, id: LiveStreamId);
+    /// Call `sample` on every live stream in ascending id order;
+    /// `sample` returns `false` once the stream has ended.
+    fn sample(&mut self, sample: impl FnMut(LiveStreamId) -> bool);
+    /// The first of `revisits` lead states a crawl pass at `t` must
+    /// check; those before it are known not to be due.
+    fn crawl_from(&mut self, t: SimTime, revisits: usize) -> usize;
+}
+
+/// The window's walk, costing a tick its live work only: the ids of
+/// the live streams, ascending, and a cursor into the crawl list.
+#[derive(Default)]
+struct LiveWalk {
+    live: Vec<LiveStreamId>,
+    /// Day of the last crawl pass, and the lead count it saw.
+    crawled: Option<(i64, usize)>,
+}
+
+impl Walk for LiveWalk {
+    fn track(&mut self, id: LiveStreamId) {
+        // A stream is tracked once, and an ended one is never revived.
+        if let Err(i) = self.live.binary_search(&id) {
+            self.live.insert(i, id);
+        }
+    }
+
+    fn sample(&mut self, mut sample: impl FnMut(LiveStreamId) -> bool) {
+        self.live.retain(|&id| sample(id));
+    }
+
+    /// A pass crawls every due lead and records the day on it, and a
+    /// retired lead is never due again. So after a day's first pass,
+    /// only the leads noted since the previous pass can be due.
+    fn crawl_from(&mut self, t: SimTime, revisits: usize) -> usize {
+        let day = t.day_number();
+        let from = match self.crawled {
+            Some((last, seen)) if last == day => seen,
+            _ => 0,
+        };
+        self.crawled = Some((day, revisits));
+        from
+    }
 }
 
 /// Which of a stream's chat messages the window has counted, as a
@@ -215,7 +265,7 @@ impl<'a> ChatCursor<'a> {
 struct LeadBook {
     /// Every URL seen, with the (stream, source) pairs it was reported
     /// for. A URL's first sighting queues its crawl.
-    urls: BTreeMap<String, Vec<(LiveStreamId, UrlSource)>>,
+    urls: BTreeMap<String, BTreeSet<(LiveStreamId, UrlSource)>>,
     revisits: Vec<RevisitState>,
 }
 
@@ -239,8 +289,7 @@ impl LeadBook {
         for url in extract_urls(text).into_iter().map(|u| u.url) {
             // A repeat costs a lookup; a URL is copied only when it is new.
             if let Some(pairs) = self.urls.get_mut(url.as_str()) {
-                if !pairs.contains(&reported) {
-                    pairs.push(reported);
+                if pairs.insert(reported) {
                     leads.push(lead(url));
                 }
                 continue;
@@ -249,7 +298,7 @@ impl LeadBook {
                 self.revisits.push(RevisitState::new(parsed));
             }
             leads.push(lead(url.clone()));
-            self.urls.insert(url, vec![reported]);
+            self.urls.insert(url, BTreeSet::from([reported]));
         }
     }
 }
@@ -305,11 +354,17 @@ impl<'a> Monitor<'a> {
     /// Run the monitoring loop against the platform and (optionally)
     /// crawl leads against the web host.
     pub fn run(&self, youtube: &YouTube, web: &WebHost) -> MonitorReport {
+        self.run_with(youtube, web, &mut LiveWalk::default())
+    }
+
+    /// [`Monitor::run`], sampling and crawling what `walk` picks.
+    fn run_with(&self, youtube: &YouTube, web: &WebHost, walk: &mut impl Walk) -> MonitorReport {
         let cfg = &self.config;
         let mut report = MonitorReport::default();
-        // Ordered by stream id: every poll below draws retry jitter from
-        // the window's one gate and advances its breakers, so the order
-        // streams are sampled in is part of the result under faults.
+        // Every stream ever tracked, live or ended. The walk samples the
+        // live ones by ascending id: every poll below draws retry jitter
+        // from the window's one gate and advances its breakers, so the
+        // order streams are sampled in is part of the result under faults.
         let mut tracked: BTreeMap<LiveStreamId, Tracked> = BTreeMap::new();
         let mut book = LeadBook::default();
         let crawler = Crawler::new(cfg.crawler);
@@ -355,6 +410,7 @@ impl<'a> Monitor<'a> {
                 };
                 for hit in hits {
                     tracked.entry(hit.stream).or_insert_with(|| {
+                        walk.track(hit.stream);
                         let s = youtube.stream(hit.stream);
                         let channel = youtube
                             .channel_details(s.channel)
@@ -378,23 +434,21 @@ impl<'a> Monitor<'a> {
                                 qr_last_seen: None,
                             },
                             chat: ChatCursor::default(),
-                            live: true,
                         }
                     });
                 }
             }
 
             // ---- per-stream sampling ----
-            for state in tracked.values_mut().filter(|s| s.live) {
-                let id = state.observed.stream;
+            walk.sample(|id| {
+                let state = tracked.get_mut(&id).expect("a live stream is tracked");
                 // A denied details poll loses this sample but leaves the
                 // stream tracked; only a served "not live" retires it.
                 let Ok(details) = youtube.stream_details_gated(id, t, &mut gate) else {
-                    continue;
+                    return true;
                 };
                 let Some((concurrent, total)) = details else {
-                    state.live = false;
-                    continue;
+                    return false;
                 };
                 report.samples_run += 1;
                 let obs = &mut state.observed;
@@ -437,13 +491,15 @@ impl<'a> Monitor<'a> {
                     }
                     obs.qr_last_seen = Some(t);
                 }
-            }
+                true
+            });
 
             // ---- daily crawl: each lead is visited at most once per
             // UTC day (`RevisitState::due`), starting the day it is
-            // discovered ----
+            // discovered, in the order leads were noted ----
             if cfg.crawl {
-                for state in book.revisits.iter_mut() {
+                let from = walk.crawl_from(t, book.revisits.len());
+                for state in &mut book.revisits[from..] {
                     if !state.due(t) {
                         continue;
                     }
@@ -863,6 +919,126 @@ mod tests {
         (yt, id)
     }
 
+    /// The window's loop as it was before [`LiveWalk`], kept as the
+    /// reference it must match: a live flag per tracked stream, every
+    /// flag visited on every tick, and every lead checked on every crawl
+    /// pass.
+    #[derive(Default)]
+    struct FilterWalk {
+        live: BTreeMap<LiveStreamId, bool>,
+    }
+
+    impl Walk for FilterWalk {
+        fn track(&mut self, id: LiveStreamId) {
+            self.live.insert(id, true);
+        }
+
+        fn sample(&mut self, mut sample: impl FnMut(LiveStreamId) -> bool) {
+            for (&id, live) in self.live.iter_mut().filter(|(_, live)| **live) {
+                *live = sample(id);
+            }
+        }
+
+        fn crawl_from(&mut self, _: SimTime, _: usize) -> usize {
+            0
+        }
+    }
+
+    /// Landing domains of the walk fixture: the first three are hosted
+    /// (each may go offline), the last never answers.
+    const DOMAINS: [&str; 4] = ["btc-a.fund", "eth-b.org", "x2-c.live", "gone-d.net"];
+
+    /// One stream of the walk fixture: start and length in minutes (the
+    /// start from `t0()`), its video (0 benign, 1 a continuous QR, 2 a
+    /// duty-cycled QR, 3 benign and off-keyword, so no search finds it),
+    /// the index of the domain it shows and posts, and its chat posts in
+    /// minutes after its start.
+    type StreamSpec = ((i64, i64), u8, usize, Vec<i64>);
+
+    /// A platform of `specs` and a web host whose hosted domain `i` goes
+    /// offline `offline[i]` hours after `t0()`, if set.
+    fn walk_platform(specs: &[StreamSpec], offline: &[Option<i64>]) -> (YouTube, WebHost) {
+        let mut yt = YouTube::new();
+        let ch = yt.add_channel("Crypto Daily".into(), 20_000);
+        for (k, ((start, length), video, domain, posts)) in specs.iter().enumerate() {
+            let domain = DOMAINS[*domain];
+            let start = t0() + SimDuration::minutes(*start);
+            let qr_url = format!("https://{domain}/claim");
+            let (title, video) = match video {
+                0 => ("Elon Musk BTC giveaway LIVE", StreamVideo::Benign),
+                1 | 2 => (
+                    "Elon Musk 5000 BTC giveaway LIVE",
+                    StreamVideo::ScamLoop {
+                        qr_url,
+                        qr_duty_cycle: (*video == 2).then_some((15, 25)),
+                        qr_scale: 2,
+                    },
+                ),
+                _ => ("pasta night live", StreamVideo::Benign),
+            };
+            let mut posts = posts.clone();
+            posts.sort_unstable();
+            let chat = posts
+                .iter()
+                .enumerate()
+                .map(|(m, &after)| ChatMessage {
+                    time: start + SimDuration::minutes(after),
+                    author: format!("viewer{m}"),
+                    // Every other post carries a lead of its own.
+                    text: if m % 2 == 0 {
+                        format!("claim at https://{domain}/s{k}/{m}")
+                    } else {
+                        format!("sent {m}")
+                    },
+                })
+                .collect();
+            yt.add_stream(LiveStream {
+                id: LiveStreamId(0),
+                channel: ch,
+                title: title.into(),
+                description: String::new(),
+                language: "en".into(),
+                fuzzy_topics: vec![],
+                start,
+                end: start + SimDuration::minutes(*length),
+                video,
+                viewers: ViewerCurve {
+                    peak_concurrent: 500,
+                    total_views: 9_000,
+                },
+                chat,
+            });
+        }
+        let mut web = WebHost::new();
+        for (domain, offline) in DOMAINS.iter().zip(offline) {
+            web.add_scam_site(gt_web::ScamSiteSpec {
+                domain: domain.to_string(),
+                landing_html: "<html>Send BTC to 1A1zP1eP5QGefi2DMPTfTL5SLmv7DivfNa now</html>"
+                    .into(),
+                front_html: String::new(),
+                cloaking: Default::default(),
+                online_from: t0(),
+                offline_from: offline.map(|h| t0() + SimDuration::hours(h)),
+            });
+        }
+        (yt, web)
+    }
+
+    /// The report and the flushed metric rows of one window under `walk`.
+    fn walked(
+        config: &MonitorConfig,
+        yt: &YouTube,
+        web: &WebHost,
+        mut walk: impl Walk,
+    ) -> (MonitorReport, Vec<gt_obs::MetricRow>) {
+        let sink = gt_obs::MetricsRegistry::new().sink("monitor");
+        let mut config = config.clone();
+        config.sink = sink.clone();
+        let report = Monitor::new(config, search_keyword_set()).run_with(yt, web, &mut walk);
+        let rows = sink.sheet().rows("monitor").collect();
+        (report, rows)
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
 
@@ -899,6 +1075,97 @@ mod tests {
                     .collect();
                 proptest::prop_assert_eq!(by_cursor, by_set, "poll {} at {:?}", poll, at);
             }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The live list and the crawl cursor sample, poll and crawl
+        /// exactly what the reference walk does: streams start and end at
+        /// random times (some before the window, some after it), chats
+        /// post leads at any minute of a day, sites go offline so leads
+        /// retire, windows start mid-day and skip outage days, and runs go
+        /// clean, under a severe plan, under one whose monitor host dies
+        /// mid-window, or under one that faults every details and chat
+        /// poll. Searches keep running after streams end, but
+        /// liveness is one interval, so a search never returns an ended
+        /// stream again.
+        #[test]
+        fn live_walk_matches_the_filter_walk(
+            specs in proptest::collection::vec(
+                (
+                    (-600i64..4 * 1440, 1i64..720),
+                    0u8..4,
+                    0usize..4,
+                    proptest::collection::vec(0i64..720, 0..6),
+                ),
+                0..14,
+            ),
+            offline in proptest::collection::vec(
+                (proptest::prelude::any::<bool>(), 0i64..96),
+                3,
+            ),
+            (start, hours) in (0i64..1440, 1i64..96),
+            outages in proptest::collection::vec(0i64..5, 0..3),
+            (plan_kind, fault_seed, cut) in (0u8..4, proptest::prelude::any::<u64>(), 0i64..5760),
+        ) {
+            let offline: Vec<Option<i64>> = offline.iter().map(|&(on, h)| on.then_some(h)).collect();
+            let (yt, web) = walk_platform(&specs, &offline);
+            let window_start = t0() + SimDuration::minutes(start);
+            let mut config = short_config(0);
+            config.window_start = window_start;
+            config.window_end = window_start + SimDuration::hours(hours);
+            config.outage_days = outages
+                .iter()
+                .map(|&d| (t0() + SimDuration::days(d)).date())
+                .collect();
+            let plan = (plan_kind > 0).then(|| {
+                let mut plan = FaultPlan::generate(
+                    fault_seed,
+                    config.window_start,
+                    config.window_end,
+                    &gt_sim::faults::ChaosProfile::severe(),
+                );
+                match plan_kind {
+                    2 => {
+                        let start = t0() + SimDuration::minutes(cut);
+                        let end = start.max(config.window_end) + SimDuration::hours(1);
+                        let kind = FaultKind::Outage;
+                        let dies = vec![FaultWindow { start, end, kind }];
+                        plan.schedules.insert(Substrate::StreamMonitor, dies);
+                    }
+                    3 => {
+                        // As in `faulted_fixture`: a 17 s transient at
+                        // every tick, so who loses a sample depends on the
+                        // order streams draw jitter in.
+                        let ticks: Vec<FaultWindow> = (0..hours * 8)
+                            .map(|k| {
+                                let start = window_start + SimDuration::seconds(450 * k);
+                                let end = start + SimDuration::seconds(17);
+                                FaultWindow { start, end, kind: FaultKind::Transient }
+                            })
+                            .collect();
+                        plan.schedules.remove(&Substrate::StreamMonitor);
+                        plan.schedules.insert(Substrate::YoutubeDetails, ticks.clone());
+                        plan.schedules.insert(Substrate::YoutubeChat, ticks);
+                    }
+                    _ => {}
+                }
+                plan
+            });
+            config.fault_plan = plan.as_ref();
+            let live = walked(&config, &yt, &web, LiveWalk::default());
+            let reference = walked(&config, &yt, &web, FilterWalk::default());
+            let case = format!(
+                "fault seed {fault_seed:#x}, plan kind {plan_kind}, {} streams, {hours} h from \
+                 minute {start}, outage days {outages:?}, {} samples, {} crawls",
+                specs.len(),
+                reference.0.samples_run,
+                reference.0.crawl_attempts,
+            );
+            proptest::prop_assert_eq!(&live.0, &reference.0, "report: {}", case);
+            proptest::prop_assert_eq!(&live.1, &reference.1, "metric rows: {}", case);
         }
     }
 }
