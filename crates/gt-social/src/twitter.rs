@@ -3,14 +3,19 @@
 //! Mirrors the dataset the paper used: "Google's Internet-wide crawl of
 //! public URLs … tens of billions of tweets". The analysis only ever
 //! queries it one way — *all tweets containing at least one known scam
-//! domain* — so the snapshot maintains a domain inverted index built
-//! with the same URL extractor the chat scanner uses.
+//! domain* — so the snapshot keeps a domain inverted index built with
+//! the same URL extractor the chat scanner uses. Generation only pushes
+//! tweets: the index is built in one pass over them on the first query,
+//! so a run builds it inside the stage that asks, not on the serial
+//! path of world generation. Snapshots still carry it (encoding builds
+//! it first), and a decoded snapshot starts with it filled.
 
 use gt_sim::SimTime;
-use gt_store::{StoreDecode, StoreEncode};
+use gt_store::{DecodeError, Decoder, Encoder, StoreDecode, StoreEncode};
 use gt_text::extract_urls;
 use serde::Serialize;
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Identifier of a tweet within the snapshot.
 #[derive(
@@ -39,11 +44,15 @@ pub struct Tweet {
     pub reply_to: Option<TweetId>,
 }
 
+/// Host → ids of the tweets whose text mentions it, in id order.
+type DomainIndex = HashMap<String, Vec<TweetId>>;
+
 /// The static tweet corpus with a domain inverted index.
-#[derive(Debug, Default, StoreEncode, StoreDecode)]
+#[derive(Debug, Default)]
 pub struct TwitterSnapshot {
     tweets: Vec<Tweet>,
-    by_domain: HashMap<String, Vec<TweetId>>,
+    /// Built from `tweets` on first use; see the module docs.
+    by_domain: OnceLock<DomainIndex>,
 }
 
 impl TwitterSnapshot {
@@ -51,7 +60,7 @@ impl TwitterSnapshot {
         TwitterSnapshot::default()
     }
 
-    /// Insert a tweet, indexing any URLs in its text by host.
+    /// Insert a tweet. Its URLs are indexed by host on the next query.
     pub fn insert(
         &mut self,
         author: TwitterAccountId,
@@ -62,14 +71,7 @@ impl TwitterSnapshot {
         reply_to: Option<TweetId>,
     ) -> TweetId {
         let id = TweetId(self.tweets.len() as u64);
-        for url in extract_urls(&text) {
-            // Few hosts, many tweets: allocate a host only when it is new.
-            if let Some(ids) = self.by_domain.get_mut(url.host()) {
-                ids.push(id);
-            } else {
-                self.by_domain.insert(url.host().to_string(), vec![id]);
-            }
-        }
+        self.by_domain.take();
         self.tweets.push(Tweet {
             id,
             author,
@@ -80,6 +82,25 @@ impl TwitterSnapshot {
             reply_to,
         });
         id
+    }
+
+    /// The domain index, built on first use.
+    fn index(&self) -> &DomainIndex {
+        self.by_domain.get_or_init(|| {
+            let mut index = DomainIndex::new();
+            for tweet in &self.tweets {
+                for url in extract_urls(&tweet.text) {
+                    // Few hosts, many tweets: allocate a host only when
+                    // it is new.
+                    if let Some(ids) = index.get_mut(url.host()) {
+                        ids.push(tweet.id);
+                    } else {
+                        index.insert(url.host().to_string(), vec![tweet.id]);
+                    }
+                }
+            }
+            index
+        })
     }
 
     /// Make room for `additional` more tweets.
@@ -105,7 +126,7 @@ impl TwitterSnapshot {
 
     /// All tweets whose text contains a URL on `domain`.
     pub fn tweets_with_domain(&self, domain: &str) -> Vec<&Tweet> {
-        self.by_domain
+        self.index()
             .get(domain)
             .map(|ids| ids.iter().map(|&id| &self.tweets[id.0 as usize]).collect())
             .unwrap_or_default()
@@ -113,13 +134,38 @@ impl TwitterSnapshot {
 
     /// The distinct domains appearing in the snapshot.
     pub fn indexed_domains(&self) -> impl Iterator<Item = &str> {
-        self.by_domain.keys().map(String::as_str)
+        self.index().keys().map(String::as_str)
+    }
+}
+
+// Written by hand so the index can be lazy: the bytes are the derive's
+// for `{ tweets, by_domain }`, with the index built before it is
+// encoded and stored filled on decode.
+impl StoreEncode for TwitterSnapshot {
+    fn store_encode(&self, e: &mut Encoder) {
+        e.begin_struct(2);
+        e.field("tweets");
+        self.tweets.store_encode(e);
+        e.field("by_domain");
+        self.index().store_encode(e);
+    }
+}
+
+impl StoreDecode for TwitterSnapshot {
+    fn store_decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        d.begin_struct(2)?;
+        d.field("tweets")?;
+        let tweets = StoreDecode::store_decode(d)?;
+        d.field("by_domain")?;
+        let by_domain = OnceLock::from(DomainIndex::store_decode(d)?);
+        Ok(TwitterSnapshot { tweets, by_domain })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn t(s: i64) -> SimTime {
         SimTime(1_640_995_200 + s) // 2022-01-01
@@ -192,5 +238,147 @@ mod tests {
     fn www_and_path_variants_index_by_host() {
         let snap = snapshot_with(&["see www.give.fund/claim now"]);
         assert_eq!(snap.tweets_with_domain("www.give.fund").len(), 1);
+    }
+
+    #[test]
+    fn inserts_leave_the_index_unbuilt() {
+        let mut snap = snapshot_with(&["https://one.com", "www.two.io/x", "plain"]);
+        assert!(snap.by_domain.get().is_none(), "generation builds no index");
+        assert_eq!(snap.tweets_with_domain("one.com").len(), 1);
+        assert!(snap.by_domain.get().is_some());
+        snap.insert(
+            TwitterAccountId(7),
+            t(0),
+            "https://one.com/b".into(),
+            vec![],
+            vec![],
+            None,
+        );
+        assert!(
+            snap.by_domain.get().is_none(),
+            "an insert drops a built index"
+        );
+        assert_eq!(snap.tweets_with_domain("one.com").len(), 2);
+    }
+
+    #[test]
+    fn decode_then_encode_is_byte_identical() {
+        let snap = snapshot_with(&["a https://one.com b", "x www.two.io/p", "none", "one.com"]);
+        let bytes = gt_store::encode_to_vec(&snap);
+        let decoded: TwitterSnapshot = gt_store::decode_from_slice(&bytes).unwrap();
+        assert!(
+            decoded.by_domain.get().is_some(),
+            "a decoded index is filled"
+        );
+        assert_eq!(gt_store::encode_to_vec(&decoded), bytes);
+        assert_eq!(decoded.tweets(), snap.tweets());
+    }
+
+    /// The snapshot as it was when `insert` indexed each tweet's URLs
+    /// eagerly, with the derived codec: the reference the lazy index
+    /// must match in answers and in encoded bytes.
+    #[derive(Default, StoreEncode)]
+    struct EagerSnapshot {
+        tweets: Vec<Tweet>,
+        by_domain: HashMap<String, Vec<TweetId>>,
+    }
+
+    impl EagerSnapshot {
+        fn insert(&mut self, author: TwitterAccountId, time: SimTime, text: String) {
+            let id = TweetId(self.tweets.len() as u64);
+            for url in extract_urls(&text) {
+                self.by_domain
+                    .entry(url.host().to_string())
+                    .or_default()
+                    .push(id);
+            }
+            self.tweets.push(Tweet {
+                id,
+                author,
+                time,
+                text,
+                hashtags: vec![],
+                mentions: vec![],
+                reply_to: None,
+            });
+        }
+
+        fn tweets_with_domain(&self, domain: &str) -> Vec<&Tweet> {
+            self.by_domain
+                .get(domain)
+                .map(|ids| ids.iter().map(|&id| &self.tweets[id.0 as usize]).collect())
+                .unwrap_or_default()
+        }
+    }
+
+    const HOSTS: &[&str] = &["one.com", "two.io", "www.three.net", "Four.LIVE", "five.zz"];
+
+    /// A tweet text: filler words around URL mentions of a few hosts,
+    /// with and without schemes and paths.
+    fn tweet_text() -> impl Strategy<Value = String> {
+        proptest::collection::vec(
+            (0..HOSTS.len() + 2, 0usize..3, "[a-z ]{0,6}", any::<bool>()),
+            0..5,
+        )
+        .prop_map(|parts| {
+            let mut text = String::new();
+            for (host, scheme, word, path) in parts {
+                text.push_str(&word);
+                if let Some(host) = HOSTS.get(host) {
+                    text.push_str(["", "https://", "http://"][scheme]);
+                    text.push_str(host);
+                    if path {
+                        text.push_str("/claim?x=1");
+                    }
+                }
+                text.push(' ');
+            }
+            text
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Whenever it is queried or encoded — after every insert, or
+        /// with inserts between queries — the lazy snapshot answers and
+        /// encodes exactly as the eager one does.
+        #[test]
+        fn lazy_index_matches_the_eager_reference(
+            texts in proptest::collection::vec(tweet_text(), 0..12),
+            query_after in proptest::collection::vec(any::<bool>(), 12),
+        ) {
+            let mut lazy = TwitterSnapshot::new();
+            let mut eager = EagerSnapshot::default();
+            let check = |lazy: &TwitterSnapshot, eager: &EagerSnapshot| {
+                let mut domains: Vec<&str> = lazy.indexed_domains().collect();
+                let mut want: Vec<&str> = eager.by_domain.keys().map(String::as_str).collect();
+                domains.sort();
+                want.sort();
+                prop_assert_eq!(&domains, &want);
+                for domain in HOSTS.iter().map(|h| h.to_ascii_lowercase()) {
+                    let ids = |found: Vec<&Tweet>| found.iter().map(|t| t.id).collect::<Vec<_>>();
+                    prop_assert_eq!(
+                        ids(lazy.tweets_with_domain(&domain)),
+                        ids(eager.tweets_with_domain(&domain)),
+                        "domain {}", domain
+                    );
+                }
+                prop_assert_eq!(gt_store::encode_to_vec(lazy), gt_store::encode_to_vec(eager));
+                Ok(())
+            };
+            let inserted = texts.len();
+            for (i, text) in texts.into_iter().enumerate() {
+                let (author, time) = (TwitterAccountId(i as u64), t(i as i64));
+                lazy.insert(author, time, text.clone(), vec![], vec![], None);
+                eager.insert(author, time, text);
+                if query_after[i] {
+                    check(&lazy, &eager)?;
+                }
+            }
+            let queried_last = inserted > 0 && query_after[inserted - 1];
+            prop_assert_eq!(lazy.by_domain.get().is_some(), queried_last);
+            check(&lazy, &eager)?;
+        }
     }
 }

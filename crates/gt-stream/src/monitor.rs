@@ -384,9 +384,15 @@ impl<'a> Monitor<'a> {
         let mut t = cfg.window_start;
         let ticks_per_search = SEARCH_INTERVAL.as_seconds() / SAMPLE_INTERVAL.as_seconds();
         let mut tick: i64 = 0;
+        // Outage status changes only at a UTC day boundary.
+        let (mut day, mut outage) = (i64::MIN, false);
 
         while t < cfg.window_end {
-            if self.is_outage(t) {
+            if t.day_number() != day {
+                day = t.day_number();
+                outage = self.is_outage(t);
+            }
+            if outage {
                 report.outage_ticks_skipped += 1;
                 tick += 1;
                 t += SAMPLE_INTERVAL;

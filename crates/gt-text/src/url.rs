@@ -102,11 +102,40 @@ fn scheme_len(bytes: &[u8], i: usize) -> usize {
 /// The scan borrows the text until it accepts a URL: hosts are
 /// validated case-insensitively in place, and the one allocation per
 /// accepted URL is its exactly-sized normalised string.
+///
+/// Text that cannot hold a URL is skipped whole. At the start of each
+/// run of path bytes the scan jumps to the start of the run that holds
+/// the next `.`, and it stops when no `.` is left. The jump is exact,
+/// for two reasons:
+/// - every accepted host contains a dot, and a match's scheme and host
+///   are path bytes, so a match starts in the same run as a dot at or
+///   after its start: no match starts in a dot-free run;
+/// - an attempt that fails never moves the scan past the next non-path
+///   byte, so the byte-by-byte scan over the skipped runs would have
+///   arrived at the same run start, having found nothing.
 pub fn extract_urls(text: &str) -> Vec<ExtractedUrl> {
     let bytes = text.as_bytes();
     let mut out = Vec::new();
+    let Some(mut dot) = find_dot(bytes, 0) else {
+        return out;
+    };
     let mut i = 0;
     while i < bytes.len() {
+        if i == 0 || !is_path_byte(bytes[i - 1]) {
+            if dot < i {
+                match find_dot(bytes, i) {
+                    Some(next) => dot = next,
+                    None => break,
+                }
+            }
+            // The start of the run holding `dot`: `i` itself when this
+            // run holds it, a run start (an ASCII byte) otherwise.
+            let mut run = dot;
+            while run > i && is_path_byte(bytes[run - 1]) {
+                run -= 1;
+            }
+            i = run;
+        }
         // Every start below is an ASCII byte, hence a character
         // boundary: multi-byte text is stepped over a byte at a time.
         let scheme = scheme_len(bytes, i);
@@ -164,6 +193,14 @@ pub fn extract_urls(text: &str) -> Vec<ExtractedUrl> {
         i = end.max(i + 1);
     }
     out
+}
+
+/// Position of the first `.` at or after `from`.
+fn find_dot(bytes: &[u8], from: usize) -> Option<usize> {
+    bytes[from..]
+        .iter()
+        .position(|&b| b == b'.')
+        .map(|at| from + at)
 }
 
 /// Is `i` a plausible start of a scheme-less URL mention?
