@@ -12,6 +12,14 @@
 //! *when* a stage runs, not *what* it sees. The end-to-end determinism
 //! test (`tests/determinism.rs`) pins this down.
 //!
+//! The *when* comes from the DAG alone. A stage's *level* is 0 when
+//! nothing depends on it, otherwise one more than its deepest
+//! dependent's; a free worker takes the ready stage with the highest
+//! level, the lowest index on a tie. So the root of the longest chain
+//! starts first, and a graph whose stages share a level runs in
+//! declaration order. Stage indices, and with them every output and
+//! the health timeline, never follow the run order.
+//!
 //! There is one way to declare a stage, [`StageGraph::add_stage`]: every
 //! output is store-encodable (so any stage can be cached once a store is
 //! bound) and has a `Default`, which is the stage's quarantine fallback
@@ -40,7 +48,8 @@ use gt_obs::{Histogram, MetricRow, MetricSheet, MetricsRegistry, StageSink, Tele
 use gt_store::{digest, Digest, KeyBuilder, RunStore, StoreDecode, StoreEncode};
 use serde::Serialize;
 use std::any::Any;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -355,7 +364,20 @@ impl<'env> StageGraph<'env> {
                 dependents[d].push(i);
             }
         }
-        let ready: VecDeque<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
+        // Dependents have higher indices, so one reverse pass sees every
+        // dependent's level before its dependencies'.
+        let mut level: Vec<usize> = vec![0; n];
+        for i in (0..n).rev() {
+            level[i] = dependents[i]
+                .iter()
+                .map(|&d| level[d] + 1)
+                .max()
+                .unwrap_or(0);
+        }
+        let ready: BinaryHeap<(usize, Reverse<usize>)> = (0..n)
+            .filter(|&i| indegree[i] == 0)
+            .map(|i| (level[i], Reverse(i)))
+            .collect();
 
         let slots: Vec<OnceLock<BoxedAny>> = (0..n).map(|_| OnceLock::new()).collect();
         // Content digests of cached stage payloads, set as each stage
@@ -377,6 +399,7 @@ impl<'env> StageGraph<'env> {
         let ctx = WorkerCtx {
             stages: &self.stages,
             dependents: &dependents,
+            level: &level,
             slots: &slots,
             digests: &digests,
             records: &records,
@@ -427,7 +450,8 @@ impl<'env> StageGraph<'env> {
 
 struct Sched {
     indegree: Vec<usize>,
-    ready: VecDeque<usize>,
+    /// Ready stages as `(level, Reverse(index))`: the max is the pick.
+    ready: BinaryHeap<(usize, Reverse<usize>)>,
     remaining: usize,
 }
 
@@ -445,6 +469,7 @@ struct StageRecord {
 struct WorkerCtx<'a, 'env> {
     stages: &'a [Stage<'env>],
     dependents: &'a [Vec<usize>],
+    level: &'a [usize],
     slots: &'a [OnceLock<BoxedAny>],
     digests: &'a [Mutex<Option<Digest>>],
     records: &'a [OnceLock<StageRecord>],
@@ -561,7 +586,7 @@ fn run_worker(ctx: &WorkerCtx<'_, '_>) {
                 if s.remaining == 0 {
                     return;
                 }
-                if let Some(i) = s.ready.pop_front() {
+                if let Some((_, Reverse(i))) = s.ready.pop() {
                     break i;
                 }
                 s = ctx.wake.wait(s).unwrap();
@@ -678,7 +703,7 @@ fn run_worker(ctx: &WorkerCtx<'_, '_>) {
         for &d in &ctx.dependents[next] {
             s.indegree[d] -= 1;
             if s.indegree[d] == 0 {
-                s.ready.push_back(d);
+                s.ready.push((ctx.level[d], Reverse(d)));
             }
         }
         drop(s);
@@ -801,6 +826,73 @@ mod tests {
             });
             let mut out = g.run(threads, &MetricsRegistry::new());
             assert_eq!(out.take(d), 27, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn the_deepest_root_runs_first_and_ties_keep_declaration_order() {
+        // (name, deps). Levels: deep 2; shallow_a, mid and deep_1 1; the
+        // rest 0. The deepest root is the last root declared.
+        const GRAPH: [(&str, &[usize]); 7] = [
+            ("shallow_a", &[]),
+            ("shallow_b", &[]),
+            ("mid", &[]),
+            ("deep", &[]),
+            ("mid_child", &[2]),
+            ("deep_1", &[3]),
+            ("deep_2", &[5, 0]),
+        ];
+        let order = Mutex::new(Vec::new());
+        let run = |threads: usize| {
+            let mut g = StageGraph::new();
+            let ids: Vec<StageId<String>> = GRAPH
+                .iter()
+                .map(|&(name, deps)| {
+                    let order = &order;
+                    g.add_stage(name, deps, move |r| {
+                        order.lock().unwrap().push(name);
+                        let mut out = name.to_string();
+                        for &index in deps {
+                            let dep = StageId::<String> {
+                                index,
+                                _marker: PhantomData,
+                            };
+                            out = format!("{out}({})", r.get(dep));
+                        }
+                        (out, 0)
+                    })
+                })
+                .collect();
+            let mut out = g.run(threads, &MetricsRegistry::new());
+            let timeline: Vec<&str> = out.health.stages.iter().map(|s| s.name.as_str()).collect();
+            let declared: Vec<&str> = GRAPH.iter().map(|&(name, _)| name).collect();
+            assert_eq!(
+                timeline, declared,
+                "the health timeline keeps declaration order"
+            );
+            ids.into_iter().map(|id| out.take(id)).collect::<Vec<_>>()
+        };
+
+        let serial = run(1);
+        assert_eq!(
+            *order.lock().unwrap(),
+            [
+                "deep",
+                "shallow_a",
+                "mid",
+                "deep_1",
+                "shallow_b",
+                "mid_child",
+                "deep_2"
+            ],
+            "highest level first; on a tie (the level-1 stages, then the \
+             level-0 ones) the lowest index"
+        );
+        assert_eq!(serial[6], "deep_2(deep_1(deep))(shallow_a)");
+        for threads in [2, 4] {
+            order.lock().unwrap().clear();
+            assert_eq!(run(threads), serial, "{threads} threads");
+            assert_eq!(order.lock().unwrap().len(), 7, "{threads} threads");
         }
     }
 

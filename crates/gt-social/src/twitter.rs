@@ -4,15 +4,17 @@
 //! public URLs … tens of billions of tweets". The analysis only ever
 //! queries it one way — *all tweets containing at least one known scam
 //! domain* — so the snapshot keeps a domain inverted index built with
-//! the same URL extractor the chat scanner uses. Generation only pushes
-//! tweets: the index is built in one pass over them on the first query,
-//! so a run builds it inside the stage that asks, not on the serial
-//! path of world generation. Snapshots still carry it (encoding builds
-//! it first), and a decoded snapshot starts with it filled.
+//! the same URL scan the chat scanner uses, read through
+//! `extract_url_hosts`, which yields each host without building its
+//! URL. Generation only pushes tweets: the index is built in one pass
+//! over them on the first query, so a run builds it inside the stage
+//! that asks, not on the serial path of world generation. Snapshots
+//! still carry it (encoding builds it first), and a decoded snapshot
+//! starts with it filled.
 
 use gt_sim::SimTime;
 use gt_store::{DecodeError, Decoder, Encoder, StoreDecode, StoreEncode};
-use gt_text::extract_urls;
+use gt_text::extract_url_hosts;
 use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -89,13 +91,13 @@ impl TwitterSnapshot {
         self.by_domain.get_or_init(|| {
             let mut index = DomainIndex::new();
             for tweet in &self.tweets {
-                for url in extract_urls(&tweet.text) {
+                for host in extract_url_hosts(&tweet.text) {
                     // Few hosts, many tweets: allocate a host only when
                     // it is new.
-                    if let Some(ids) = index.get_mut(url.host()) {
+                    if let Some(ids) = index.get_mut(host.as_ref()) {
                         ids.push(tweet.id);
                     } else {
-                        index.insert(url.host().to_string(), vec![tweet.id]);
+                        index.insert(host.into_owned(), vec![tweet.id]);
                     }
                 }
             }
@@ -165,6 +167,7 @@ impl StoreDecode for TwitterSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gt_text::extract_urls;
     use proptest::prelude::*;
 
     fn t(s: i64) -> SimTime {

@@ -22,4 +22,4 @@ pub mod url;
 pub use ac::AhoCorasick;
 pub use keywords::KeywordSet;
 pub use scan::{scan_address_candidates, AddressCandidate, CandidateKind};
-pub use url::{extract_urls, ExtractedUrl};
+pub use url::{extract_url_hosts, extract_urls, ExtractedUrl};

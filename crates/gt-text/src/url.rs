@@ -5,6 +5,7 @@
 //! conservative set of TLDs that the scam-domain corpus actually uses.
 
 use serde::Serialize;
+use std::borrow::Cow;
 
 /// A URL found in free text.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
@@ -114,87 +115,151 @@ fn scheme_len(bytes: &[u8], i: usize) -> usize {
 ///   byte, so the byte-by-byte scan over the skipped runs would have
 ///   arrived at the same run start, having found nothing.
 pub fn extract_urls(text: &str) -> Vec<ExtractedUrl> {
-    let bytes = text.as_bytes();
-    let mut out = Vec::new();
-    let Some(mut dot) = find_dot(bytes, 0) else {
-        return out;
-    };
-    let mut i = 0;
-    while i < bytes.len() {
-        if i == 0 || !is_path_byte(bytes[i - 1]) {
-            if dot < i {
-                match find_dot(bytes, i) {
-                    Some(next) => dot = next,
-                    None => break,
-                }
+    Mentions::new(text)
+        .map(|m| {
+            // An explicit `http://` stays; everything else becomes `https://`.
+            let prefix = if m.scheme == 7 { "http://" } else { "https://" };
+            let mut url = String::with_capacity(prefix.len() + m.host.len() + m.after_host.len());
+            url.push_str(prefix);
+            url.push_str(m.host);
+            url[prefix.len()..].make_ascii_lowercase();
+            url.push_str(m.after_host);
+            ExtractedUrl {
+                url,
+                start: m.start,
+                had_scheme: m.scheme > 0,
             }
-            // The start of the run holding `dot`: `i` itself when this
-            // run holds it, a run start (an ASCII byte) otherwise.
-            let mut run = dot;
-            while run > i && is_path_byte(bytes[run - 1]) {
-                run -= 1;
-            }
-            i = run;
-        }
-        // Every start below is an ASCII byte, hence a character
-        // boundary: multi-byte text is stepped over a byte at a time.
-        let scheme = scheme_len(bytes, i);
-        let had_scheme = scheme > 0;
-        if !had_scheme && !candidate_start(bytes, i) {
-            i += 1;
-            continue;
-        }
-
-        let body_start = i + scheme;
-        // Host part.
-        let mut j = body_start;
-        while j < bytes.len() && is_host_byte(bytes[j]) {
-            j += 1;
-        }
-        let host = text[body_start..j].trim_end_matches('.');
-        if !valid_host(host) || (!had_scheme && !bare_mention_allowed(host)) {
-            i = j.max(i + 1);
-            continue;
-        }
-        let mut end = body_start + host.len();
-        // Optional port.
-        if end < bytes.len() && bytes[end] == b':' {
-            let mut k = end + 1;
-            while k < bytes.len() && bytes[k].is_ascii_digit() {
-                k += 1;
-            }
-            if k > end + 1 {
-                end = k;
-            }
-        }
-        // Optional path/query/fragment.
-        if end < bytes.len() && (bytes[end] == b'/' || bytes[end] == b'?' || bytes[end] == b'#') {
-            let mut k = end;
-            while k < bytes.len() && is_path_byte(bytes[k]) {
-                k += 1;
-            }
-            end = k;
-        }
-        let raw = trim_trailing_punct(&text[body_start..end]);
-        let end = body_start + raw.len();
-        // An explicit `http://` stays; everything else becomes `https://`.
-        let prefix = if scheme == 7 { "http://" } else { "https://" };
-        let after_host = &raw[host.len().min(raw.len())..];
-        let mut url = String::with_capacity(prefix.len() + host.len() + after_host.len());
-        url.push_str(prefix);
-        url.push_str(host);
-        url[prefix.len()..].make_ascii_lowercase();
-        url.push_str(after_host);
-        out.push(ExtractedUrl {
-            url,
-            start: i,
-            had_scheme,
-        });
-        i = end.max(i + 1);
-    }
-    out
+        })
+        .collect()
 }
 
+/// The host of each URL [`extract_urls`] finds in `text`, in the same
+/// order and as [`ExtractedUrl::host`] reads it: lowercased, without
+/// port or path. The scan is the same one, so both accept exactly the
+/// same URLs; this one builds no URL string and no `Vec`, and borrows
+/// each host from `text` unless it has an uppercase letter.
+pub fn extract_url_hosts(text: &str) -> impl Iterator<Item = Cow<'_, str>> {
+    Mentions::new(text).map(|m| {
+        if m.host.bytes().any(|b| b.is_ascii_uppercase()) {
+            Cow::Owned(m.host.to_ascii_lowercase())
+        } else {
+            Cow::Borrowed(m.host)
+        }
+    })
+}
+
+/// One accepted URL mention, borrowed from the text.
+struct Mention<'a> {
+    /// Byte offset where the raw mention starts.
+    start: usize,
+    /// Length of the scheme: 0, 7 (`http://`) or 8 (`https://`).
+    scheme: usize,
+    /// The host as written, in any case.
+    host: &'a str,
+    /// What follows the host: port, path, query and fragment, with
+    /// trailing sentence punctuation trimmed.
+    after_host: &'a str,
+}
+
+/// The scan behind [`extract_urls`] and [`extract_url_hosts`]: yields
+/// each accepted mention in text order. `i` is where the scan resumes
+/// and `dot` the position of a `.` at or after the last run start it
+/// jumped from; `i == text.len()` once no `.` is left.
+struct Mentions<'a> {
+    text: &'a str,
+    i: usize,
+    dot: usize,
+}
+
+impl<'a> Mentions<'a> {
+    fn new(text: &'a str) -> Self {
+        match find_dot(text.as_bytes(), 0) {
+            Some(dot) => Mentions { text, i: 0, dot },
+            None => Mentions {
+                text,
+                i: text.len(),
+                dot: 0,
+            },
+        }
+    }
+}
+
+impl<'a> Iterator for Mentions<'a> {
+    type Item = Mention<'a>;
+
+    fn next(&mut self) -> Option<Mention<'a>> {
+        let text = self.text;
+        let bytes = text.as_bytes();
+        let (mut i, mut dot) = (self.i, self.dot);
+        while i < bytes.len() {
+            if i == 0 || !is_path_byte(bytes[i - 1]) {
+                if dot < i {
+                    match find_dot(bytes, i) {
+                        Some(next) => dot = next,
+                        None => break,
+                    }
+                }
+                // The start of the run holding `dot`: `i` itself when this
+                // run holds it, a run start (an ASCII byte) otherwise.
+                let mut run = dot;
+                while run > i && is_path_byte(bytes[run - 1]) {
+                    run -= 1;
+                }
+                i = run;
+            }
+            // Every start below is an ASCII byte, hence a character
+            // boundary: multi-byte text is stepped over a byte at a time.
+            let scheme = scheme_len(bytes, i);
+            let had_scheme = scheme > 0;
+            if !had_scheme && !candidate_start(bytes, i) {
+                i += 1;
+                continue;
+            }
+
+            let body_start = i + scheme;
+            // Host part.
+            let mut j = body_start;
+            while j < bytes.len() && is_host_byte(bytes[j]) {
+                j += 1;
+            }
+            let host = text[body_start..j].trim_end_matches('.');
+            if !valid_host(host) || (!had_scheme && !bare_mention_allowed(host)) {
+                i = j.max(i + 1);
+                continue;
+            }
+            let mut end = body_start + host.len();
+            // Optional port.
+            if end < bytes.len() && bytes[end] == b':' {
+                let mut k = end + 1;
+                while k < bytes.len() && bytes[k].is_ascii_digit() {
+                    k += 1;
+                }
+                if k > end + 1 {
+                    end = k;
+                }
+            }
+            // Optional path/query/fragment.
+            if end < bytes.len() && (bytes[end] == b'/' || bytes[end] == b'?' || bytes[end] == b'#')
+            {
+                let mut k = end;
+                while k < bytes.len() && is_path_byte(bytes[k]) {
+                    k += 1;
+                }
+                end = k;
+            }
+            let raw = trim_trailing_punct(&text[body_start..end]);
+            (self.i, self.dot) = ((body_start + raw.len()).max(i + 1), dot);
+            return Some(Mention {
+                start: i,
+                scheme,
+                host,
+                after_host: &raw[host.len().min(raw.len())..],
+            });
+        }
+        self.i = bytes.len();
+        None
+    }
+}
 /// Position of the first `.` at or after `from`.
 fn find_dot(bytes: &[u8], from: usize) -> Option<usize> {
     bytes[from..]

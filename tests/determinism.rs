@@ -1,8 +1,9 @@
 //! Thread-count invariance: the parallel pipeline must be a pure
 //! scheduling optimization. For one seed, a single-threaded run and
-//! multi-threaded runs must produce byte-identical `PaperReport` and
-//! metrics JSON — same stage outputs, same sharded clustering, same tag
-//! resolution, same monitor results and call counts.
+//! multi-threaded runs must produce byte-identical `PaperReport`,
+//! metrics and health JSON — same stage outputs, same sharded
+//! clustering, same tag resolution, same monitor results and call
+//! counts, same per-stage timeline in declaration order.
 
 use givetake::core::{FaultSource, PaperRun, Pipeline, PipelineOptions, SupervisionPolicy};
 use givetake::store::{digest, digest_hex, RunStore};
@@ -23,15 +24,16 @@ fn run_with(options: PipelineOptions) -> PaperRun {
     Pipeline::new(world()).options(options).run()
 }
 
-/// The run's report and metric rows as JSON.
-fn run_json(run: &PaperRun) -> (String, String) {
+/// The run's report, metric rows and health as JSON.
+fn run_json(run: &PaperRun) -> (String, String, String) {
     (
         serde_json::to_string(&run.report).expect("report serializes"),
         serde_json::to_string(&run.telemetry.metrics).expect("metrics serialize"),
+        serde_json::to_string(&run.health).expect("health serializes"),
     )
 }
 
-fn report_json(threads: usize) -> (String, String) {
+fn report_json(threads: usize) -> (String, String, String) {
     let run = run_with(PipelineOptions::default().threads(threads));
     assert_eq!(run.timings.threads, threads);
     run_json(&run)
@@ -39,9 +41,9 @@ fn report_json(threads: usize) -> (String, String) {
 
 #[test]
 fn report_is_byte_identical_across_thread_counts() {
-    let (serial, serial_metrics) = report_json(1);
+    let (serial, serial_metrics, serial_health) = report_json(1);
     for threads in [2, 4, 8] {
-        let (json, metrics) = report_json(threads);
+        let (json, metrics, health) = report_json(threads);
         assert_eq!(
             json, serial,
             "{threads}-thread report diverged from the single-threaded run"
@@ -49,6 +51,10 @@ fn report_is_byte_identical_across_thread_counts() {
         assert_eq!(
             metrics, serial_metrics,
             "{threads}-thread metrics diverged from the single-threaded run"
+        );
+        assert_eq!(
+            health, serial_health,
+            "{threads}-thread health diverged from the single-threaded run"
         );
     }
 }
@@ -67,7 +73,7 @@ fn faulted_report_is_byte_identical_across_thread_counts() {
         );
         (run_json(&run), run.degradation)
     };
-    let ((serial, serial_metrics), serial_deg) = faulted(1);
+    let ((serial, serial_metrics, serial_health), serial_deg) = faulted(1);
     assert!(
         serial_deg.total.injected() > 0,
         "the plan actually injected faults"
@@ -78,17 +84,38 @@ fn faulted_report_is_byte_identical_across_thread_counts() {
         "faulted report JSON digest moved"
     );
     for threads in [2, 4] {
-        let ((json, metrics), deg) = faulted(threads);
+        let ((json, metrics, health), deg) = faulted(threads);
         assert_eq!(json, serial, "{threads}-thread faulted report diverged");
         assert_eq!(
             metrics, serial_metrics,
             "{threads}-thread faulted metrics diverged"
         );
         assert_eq!(
+            health, serial_health,
+            "{threads}-thread faulted health diverged"
+        );
+        assert_eq!(
             deg, serial_deg,
             "{threads}-thread degradation accounting diverged"
         );
     }
+}
+
+#[test]
+fn the_main_monitor_starts_first() {
+    // `main_monitor` heads the longest chain of the stage graph, so the
+    // executor starts it before every other stage; on one worker the
+    // order is deterministic.
+    let run = run_with(PipelineOptions::default().threads(1));
+    let first = run
+        .telemetry
+        .wall
+        .spans
+        .iter()
+        .filter(|s| s.cat == "stage")
+        .min_by_key(|s| s.start_us)
+        .expect("stage spans");
+    assert_eq!(first.name, "main_monitor");
 }
 
 #[test]
