@@ -56,17 +56,17 @@ fn finish(counts: [usize; 3], lures: usize) -> CoinRates {
 pub fn twitter_coin_rates(dataset: &TwitterDataset, snapshot: &TwitterSnapshot) -> CoinRates {
     let sets = tag_sets();
     // Scam tweets repeat a few dozen hashtag lists: match each list once.
-    let mut memo: BTreeMap<&[String], [bool; 3]> = BTreeMap::new();
+    let mut memo: BTreeMap<&str, [bool; 3]> = BTreeMap::new();
     let mut counts = [0usize; 3];
     let mut lures = 0usize;
     for domain in &dataset.domains {
         for &id in &domain.tweets {
             let tweet = snapshot.tweet(id).expect("dataset tweet exists");
             lures += 1;
-            let hits = memo.entry(&tweet.hashtags).or_insert_with(|| {
-                let haystack = tweet.hashtags.join(" ");
-                std::array::from_fn(|k| sets[k].matches(&haystack))
-            });
+            let haystack = tweet.hashtags.joined();
+            let hits = memo
+                .entry(haystack)
+                .or_insert_with(|| std::array::from_fn(|k| sets[k].matches(haystack)));
             for (count, &hit) in counts.iter_mut().zip(hits.iter()) {
                 *count += usize::from(hit);
             }

@@ -26,7 +26,7 @@ pub mod youtube;
 
 pub use overlay::OverlayId;
 pub use twitch::{Twitch, TwitchFrameKey, TwitchStream, TwitchStreamId};
-pub use twitter::{Tweet, TweetId, TwitterAccountId, TwitterSnapshot};
+pub use twitter::{Hashtags, Tweet, TweetId, TwitterAccountId, TwitterSnapshot};
 pub use youtube::{
     ChannelId, ChatMessage, FrameKey, LiveStream, LiveStreamId, StreamVideo, ViewerCurve, YouTube,
 };

@@ -11,11 +11,16 @@
 //! that asks, not on the serial path of world generation. Snapshots
 //! still carry it (encoding builds it first), and a decoded snapshot
 //! starts with it filled.
+//!
+//! A tweet's hashtags are a [`Hashtags`]: every tag in one `Box<str>`,
+//! each followed by a space, so decoding a tweet makes one allocation
+//! for its tags however many it has. It encodes, and serialises to
+//! JSON, exactly as the `Vec<String>` it stands for.
 
 use gt_sim::SimTime;
 use gt_store::{DecodeError, Decoder, Encoder, StoreDecode, StoreEncode};
 use gt_text::extract_url_hosts;
-use serde::Serialize;
+use serde::{Content, Serialize};
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
@@ -39,11 +44,87 @@ pub struct Tweet {
     pub time: SimTime,
     pub text: String,
     /// Hashtags without the leading '#', lowercased.
-    pub hashtags: Vec<String>,
+    pub hashtags: Hashtags,
     /// Accounts @-mentioned.
     pub mentions: Vec<TwitterAccountId>,
     /// Tweet this one replies to, if any.
     pub reply_to: Option<TweetId>,
+}
+
+/// A tweet's hashtags in one allocation: every tag followed by a
+/// space, so no tags (`""`) and one empty tag (`" "`) stay distinct. A
+/// tag holds no space.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Hashtags(Box<str>);
+
+impl Hashtags {
+    /// Panics if a tag contains a space.
+    pub fn new(tags: &[&str]) -> Self {
+        let mut all = String::with_capacity(tags.iter().map(|tag| tag.len() + 1).sum());
+        for tag in tags {
+            assert!(!tag.contains(' '), "hashtag {tag:?} contains a space");
+            all.push_str(tag);
+            all.push(' ');
+        }
+        Hashtags(all.into_boxed_str())
+    }
+
+    /// The tags, in order.
+    pub fn iter(&self) -> impl Iterator<Item = &str> {
+        self.0.split_terminator(' ')
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The tags joined by single spaces, as `join(" ")` joins them.
+    pub fn joined(&self) -> &str {
+        self.0.strip_suffix(' ').unwrap_or_default()
+    }
+}
+
+/// A sequence of strings, as `Vec<String>` encodes.
+impl StoreEncode for Hashtags {
+    fn store_encode(&self, e: &mut Encoder) {
+        e.begin_seq(self.iter().count());
+        for tag in self.iter() {
+            e.string(tag);
+        }
+    }
+}
+
+impl StoreDecode for Hashtags {
+    fn store_decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        let count = d.begin_seq()?;
+        // A first pass over the borrowed tags sizes the one allocation.
+        let mut scan = d.clone();
+        let mut len = 0;
+        for _ in 0..count {
+            let at = scan.position();
+            let tag = scan.str()?;
+            if tag.contains(' ') {
+                return Err(DecodeError::Invalid {
+                    what: "hashtag contains a space",
+                    at,
+                });
+            }
+            len += tag.len() + 1;
+        }
+        let mut all = String::with_capacity(len);
+        for _ in 0..count {
+            all.push_str(d.str()?);
+            all.push(' ');
+        }
+        Ok(Hashtags(all.into_boxed_str()))
+    }
+}
+
+/// A list of strings, as `Vec<String>` serialises.
+impl Serialize for Hashtags {
+    fn to_content(&self) -> Content {
+        Content::Seq(self.iter().map(Serialize::to_content).collect())
+    }
 }
 
 /// Host → ids of the tweets whose text mentions it, in id order.
@@ -68,7 +149,7 @@ impl TwitterSnapshot {
         author: TwitterAccountId,
         time: SimTime,
         text: String,
-        hashtags: Vec<String>,
+        hashtags: &[&str],
         mentions: Vec<TwitterAccountId>,
         reply_to: Option<TweetId>,
     ) -> TweetId {
@@ -79,7 +160,7 @@ impl TwitterSnapshot {
             author,
             time,
             text,
-            hashtags,
+            hashtags: Hashtags::new(hashtags),
             mentions,
             reply_to,
         });
@@ -181,7 +262,7 @@ mod tests {
                 TwitterAccountId(i as u64),
                 t(i as i64 * 60),
                 text.to_string(),
-                vec![],
+                &[],
                 vec![],
                 None,
             );
@@ -211,12 +292,12 @@ mod tests {
             TwitterAccountId(9),
             t(0),
             "reply text https://scam.site".into(),
-            vec!["xrp".into(), "crypto".into()],
+            &["xrp", "crypto"],
             vec![TwitterAccountId(5)],
             Some(TweetId(123)),
         );
         let tw = snap.tweet(id).unwrap();
-        assert_eq!(tw.hashtags, ["xrp", "crypto"]);
+        assert!(tw.hashtags.iter().eq(["xrp", "crypto"]));
         assert_eq!(tw.mentions, [TwitterAccountId(5)]);
         assert_eq!(tw.reply_to, Some(TweetId(123)));
         assert_eq!(tw.author, TwitterAccountId(9));
@@ -253,7 +334,7 @@ mod tests {
             TwitterAccountId(7),
             t(0),
             "https://one.com/b".into(),
-            vec![],
+            &[],
             vec![],
             None,
         );
@@ -300,7 +381,7 @@ mod tests {
                 author,
                 time,
                 text,
-                hashtags: vec![],
+                hashtags: Hashtags::default(),
                 mentions: vec![],
                 reply_to: None,
             });
@@ -340,8 +421,79 @@ mod tests {
         })
     }
 
+    /// `Tweet` as it was with `Vec<String>` hashtags: the JSON
+    /// reference for the one-allocation [`Hashtags`].
+    #[derive(Serialize)]
+    struct TweetWithVec {
+        id: TweetId,
+        author: TwitterAccountId,
+        time: SimTime,
+        text: String,
+        hashtags: Vec<String>,
+        mentions: Vec<TwitterAccountId>,
+        reply_to: Option<TweetId>,
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Any space-free tag list, `[]` and `[""]` included, encodes,
+        /// decodes, joins and serialises as the `Vec<String>` it
+        /// replaced.
+        #[test]
+        fn hashtags_match_a_vec_of_strings(
+            tags in prop_oneof![
+                Just(vec![]),
+                Just(vec![String::new()]),
+                proptest::collection::vec("[a-z0-9#_é]{0,6}", 0..6),
+            ],
+            text in "[a-z ]{0,12}",
+        ) {
+            let refs: Vec<&str> = tags.iter().map(String::as_str).collect();
+            let hashtags = Hashtags::new(&refs);
+            prop_assert!(hashtags.iter().eq(refs.iter().copied()));
+            prop_assert_eq!(hashtags.is_empty(), tags.is_empty());
+            prop_assert_eq!(hashtags.joined(), tags.join(" "));
+            let bytes = gt_store::encode_to_vec(&tags);
+            prop_assert_eq!(gt_store::encode_to_vec(&hashtags), bytes.clone());
+            prop_assert_eq!(gt_store::decode_from_slice::<Hashtags>(&bytes), Ok(hashtags.clone()));
+            let tweet = Tweet {
+                id: TweetId(3),
+                author: TwitterAccountId(4),
+                time: t(5),
+                text: text.clone(),
+                hashtags,
+                mentions: vec![TwitterAccountId(6)],
+                reply_to: Some(TweetId(1)),
+            };
+            let reference = TweetWithVec {
+                id: tweet.id,
+                author: tweet.author,
+                time: tweet.time,
+                text,
+                hashtags: tags,
+                mentions: tweet.mentions.clone(),
+                reply_to: tweet.reply_to,
+            };
+            prop_assert_eq!(
+                serde_json::to_string(&tweet).unwrap(),
+                serde_json::to_string(&reference).unwrap()
+            );
+        }
+
+        /// A space in any decoded tag is a typed error, never a panic.
+        #[test]
+        fn a_space_in_any_decoded_tag_is_an_error(
+            tags in proptest::collection::vec("[a-z ]{0,6}", 1..6),
+        ) {
+            let decoded = gt_store::decode_from_slice::<Hashtags>(&gt_store::encode_to_vec(&tags));
+            if tags.iter().any(|tag| tag.contains(' ')) {
+                let is_invalid = matches!(decoded, Err(DecodeError::Invalid { .. }));
+                prop_assert!(is_invalid);
+            } else {
+                prop_assert!(decoded.unwrap().iter().eq(tags.iter().map(String::as_str)));
+            }
+        }
 
         /// Whenever it is queried or encoded — after every insert, or
         /// with inserts between queries — the lazy snapshot answers and
@@ -373,7 +525,7 @@ mod tests {
             let inserted = texts.len();
             for (i, text) in texts.into_iter().enumerate() {
                 let (author, time) = (TwitterAccountId(i as u64), t(i as i64));
-                lazy.insert(author, time, text.clone(), vec![], vec![], None);
+                lazy.insert(author, time, text.clone(), &[], vec![], None);
                 eager.insert(author, time, text);
                 if query_after[i] {
                     check(&lazy, &eager)?;

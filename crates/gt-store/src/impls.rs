@@ -236,7 +236,10 @@ impl<T: StoreDecode> StoreDecode for Vec<T> {
         // Guard the pre-allocation against corrupt counts: never reserve
         // more than the remaining input could possibly hold (one byte
         // per element is the format's minimum).
-        let mut out = Vec::with_capacity(usize::try_from(len).unwrap_or(0).min(1 << 20));
+        let cap = usize::try_from(len)
+            .unwrap_or(usize::MAX)
+            .min(d.remaining());
+        let mut out = Vec::with_capacity(cap);
         for _ in 0..len {
             out.push(T::store_decode(d)?);
         }

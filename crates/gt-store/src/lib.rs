@@ -99,6 +99,9 @@ pub enum DecodeError {
     IntOutOfRange { at: usize },
     /// A string was not valid UTF-8.
     BadUtf8 { at: usize },
+    /// A well-formed value broke its type's invariant (`what` says
+    /// which).
+    Invalid { what: &'static str, at: usize },
     /// Input bytes remained after a full decode.
     TrailingBytes { remaining: usize },
     /// Record framing: wrong magic.
@@ -136,6 +139,7 @@ impl fmt::Display for DecodeError {
             }
             DecodeError::IntOutOfRange { at } => write!(f, "integer out of range at {at}"),
             DecodeError::BadUtf8 { at } => write!(f, "invalid UTF-8 at {at}"),
+            DecodeError::Invalid { what, at } => write!(f, "invalid value at {at}: {what}"),
             DecodeError::TrailingBytes { remaining } => {
                 write!(f, "{remaining} trailing bytes after decode")
             }

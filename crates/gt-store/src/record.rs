@@ -8,9 +8,13 @@
 //! [`open`] verifies all four before handing back the payload, so a
 //! torn write (kill -9 mid-`write(2)`), a flipped bit, or an entry from
 //! an older schema all surface as a typed error — which the store turns
-//! into a cache miss.
+//! into a cache miss. The store reads a record from disk in pieces, so
+//! the checks are split the same way: [`payload_len`] checks a header
+//! against the record's total length before anything else is read, and
+//! [`check_footer`] checks the digest over header and payload.
 
 use crate::DecodeError;
+use gt_hash::sha256::Sha256;
 
 /// File magic for gt-store records.
 pub const MAGIC: [u8; 4] = *b"GTS1";
@@ -22,7 +26,7 @@ pub const MAGIC: [u8; 4] = *b"GTS1";
 pub const SCHEMA_VERSION: u32 = 2;
 
 pub(crate) const HEADER_LEN: usize = 4 + 4 + 8;
-const FOOTER_LEN: usize = 32;
+pub(crate) const FOOTER_LEN: usize = 32;
 
 /// Frame a payload into a self-verifying record.
 pub fn seal(payload: &[u8]) -> Vec<u8> {
@@ -36,34 +40,58 @@ pub fn seal(payload: &[u8]) -> Vec<u8> {
     out
 }
 
+/// Check a record's magic and version, and that the payload length its
+/// header declares leaves exactly `record_len` bytes with header and
+/// footer; return that payload length.
+pub(crate) fn payload_len(
+    header: &[u8; HEADER_LEN],
+    record_len: u64,
+) -> Result<usize, DecodeError> {
+    if header[..4] != MAGIC {
+        return Err(DecodeError::BadMagic);
+    }
+    let version = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
+    if version != SCHEMA_VERSION {
+        return Err(DecodeError::BadVersion { found: version });
+    }
+    let mut len_bytes = [0u8; 8];
+    len_bytes.copy_from_slice(&header[8..]);
+    let payload_len = u64::from_le_bytes(len_bytes);
+    if payload_len.checked_add((HEADER_LEN + FOOTER_LEN) as u64) != Some(record_len) {
+        return Err(DecodeError::Truncated);
+    }
+    usize::try_from(payload_len).map_err(|_| DecodeError::Truncated)
+}
+
+/// Check a record's integrity footer against its header and payload,
+/// hashed in place.
+pub(crate) fn check_footer(
+    header: &[u8],
+    payload: &[u8],
+    footer: &[u8],
+) -> Result<(), DecodeError> {
+    let mut digest = Sha256::new();
+    digest.update(header);
+    digest.update(payload);
+    if digest.finalize() == footer {
+        Ok(())
+    } else {
+        Err(DecodeError::HashMismatch)
+    }
+}
+
 /// Verify a record's magic, version, length, and integrity footer, and
 /// return its payload.
 pub fn open(record: &[u8]) -> Result<&[u8], DecodeError> {
     if record.len() < HEADER_LEN + FOOTER_LEN {
         return Err(DecodeError::Truncated);
     }
-    if record[..4] != MAGIC {
-        return Err(DecodeError::BadMagic);
-    }
-    let version = u32::from_le_bytes([record[4], record[5], record[6], record[7]]);
-    if version != SCHEMA_VERSION {
-        return Err(DecodeError::BadVersion { found: version });
-    }
-    let mut len_bytes = [0u8; 8];
-    len_bytes.copy_from_slice(&record[8..16]);
-    let payload_len = u64::from_le_bytes(len_bytes);
-    let body_end = (payload_len as usize)
-        .checked_add(HEADER_LEN)
-        .ok_or(DecodeError::Truncated)?;
-    if record.len() != body_end + FOOTER_LEN {
-        return Err(DecodeError::Truncated);
-    }
-    let expected = &record[body_end..];
-    let actual = gt_hash::sha256(&record[..body_end]);
-    if actual != expected {
-        return Err(DecodeError::HashMismatch);
-    }
-    Ok(&record[HEADER_LEN..body_end])
+    let (header, rest) = record.split_at(HEADER_LEN);
+    let header = header.try_into().expect("split at HEADER_LEN");
+    let len = payload_len(header, record.len() as u64)?;
+    let (payload, footer) = rest.split_at(len);
+    check_footer(header, payload, footer)?;
+    Ok(payload)
 }
 
 #[cfg(test)]

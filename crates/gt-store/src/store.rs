@@ -20,7 +20,7 @@ use crate::key::{digest_hex, Digest};
 use crate::record;
 use std::fmt;
 use std::fs;
-use std::io;
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -227,16 +227,25 @@ impl RunStore {
     }
 }
 
-/// Read and verify the record at `path`, and return its payload in the
-/// file's own buffer: the footer is truncated and the header drained in
-/// place, so a large payload is never copied into a second allocation.
-/// Any failure is a `None` (cache miss).
+/// Read and verify the record at `path`, and return its payload. The
+/// header is read and checked against the file's size first, so the
+/// payload is read once, straight into a buffer of its exact size, and
+/// hashed in place after the header. Any failure is a `None` (cache
+/// miss).
 fn load_record(path: &Path) -> Option<Vec<u8>> {
-    let mut bytes = fs::read(path).ok()?;
-    let payload_len = record::open(&bytes).ok()?.len();
-    bytes.truncate(record::HEADER_LEN + payload_len);
-    bytes.drain(..record::HEADER_LEN);
-    Some(bytes)
+    let mut file = fs::File::open(path).ok()?;
+    let file_len = file.metadata().ok()?.len();
+    let mut header = [0u8; record::HEADER_LEN];
+    file.read_exact(&mut header).ok()?;
+    let mut payload = vec![0u8; record::payload_len(&header, file_len).ok()?];
+    file.read_exact(&mut payload).ok()?;
+    let mut footer = [0u8; record::FOOTER_LEN];
+    file.read_exact(&mut footer).ok()?;
+    if file.read(&mut [0u8; 1]).ok()? != 0 {
+        return None;
+    }
+    record::check_footer(&header, &payload, &footer).ok()?;
+    Some(payload)
 }
 
 #[cfg(test)]
@@ -276,6 +285,69 @@ mod tests {
         bytes[mid] ^= 0xFF;
         fs::write(&path, &bytes).unwrap();
         assert!(store.load_stage(&base, "s", &key).is_none());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A record with `header` and `payload` and a footer that matches
+    /// them, so only the header checks can reject it.
+    fn resealed(header: &[u8], payload: &[u8]) -> Vec<u8> {
+        let mut bytes = [header, payload].concat();
+        bytes.extend_from_slice(&gt_hash::sha256(&bytes));
+        bytes
+    }
+
+    #[test]
+    fn malformed_records_read_as_miss() {
+        let dir = scratch("malformed");
+        let store = RunStore::open(&dir).unwrap();
+        let fingerprint = [9u8; 32];
+        let payload = b"world payload";
+        store.store_world(&fingerprint, payload).unwrap();
+        let path = store.world_path(&fingerprint);
+        let good = fs::read(&path).unwrap();
+        let header = &good[..record::HEADER_LEN];
+        let with = |at: usize, field: &[u8]| {
+            let mut header = header.to_vec();
+            header[at..at + field.len()].copy_from_slice(field);
+            resealed(&header, payload)
+        };
+        let declared = payload.len() as u64;
+        let cases = [
+            ("one trailing byte", [&good[..], &[0]].concat()),
+            (
+                "a longer declared length",
+                with(8, &(declared + 1).to_le_bytes()),
+            ),
+            (
+                "a shorter declared length",
+                with(8, &(declared - 1).to_le_bytes()),
+            ),
+            ("a truncated footer", good[..good.len() - 1].to_vec()),
+            ("a bad magic", with(0, b"GTS0")),
+            (
+                "a bad version",
+                with(4, &(record::SCHEMA_VERSION + 1).to_le_bytes()),
+            ),
+        ];
+        for (what, bytes) in cases {
+            fs::write(&path, &bytes).unwrap();
+            assert!(store.load_world(&fingerprint).is_none(), "{what}");
+            assert!(record::open(&bytes).is_err(), "{what}");
+        }
+        fs::write(&path, &good).unwrap();
+        assert_eq!(store.load_world(&fingerprint).unwrap(), payload);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_multi_mib_record_round_trips() {
+        let dir = scratch("large");
+        let store = RunStore::open(&dir).unwrap();
+        let payload: Vec<u8> = (0u32..3 << 20)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        store.store_world(&[3u8; 32], &payload).unwrap();
+        assert!(store.load_world(&[3u8; 32]).unwrap() == payload);
         let _ = fs::remove_dir_all(&dir);
     }
 

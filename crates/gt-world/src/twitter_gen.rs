@@ -292,7 +292,7 @@ pub fn generate_tweets(
         TwitterAccountId(u64::MAX),
         config.twitter_start,
         "gm crypto fam, market looking interesting today".into(),
-        vec!["crypto".into()],
+        &["crypto"],
         vec![],
         None,
     );
@@ -340,8 +340,7 @@ pub fn generate_tweets(
 
             let coin_blurb = coins.first().map_or("CRYPTO", |&c| shouted_name(c));
             let text = lure_text(&domain.persona, coin_blurb, &domain.domain, &tags);
-            let hashtags = tags.iter().map(|t| t.to_string()).collect();
-            let id = snapshot.insert(author, time, text, hashtags, mentions, reply_to);
+            let id = snapshot.insert(author, time, text, &tags, mentions, reply_to);
             scam_tweets.push(id);
             lure_times[domain_idx].push(time);
         }
