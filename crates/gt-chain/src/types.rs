@@ -37,11 +37,6 @@ impl Amount {
     pub fn saturating_sub(self, other: Amount) -> Amount {
         Amount(self.0.saturating_sub(other.0))
     }
-
-    /// Whole-coin value given the coin's base-unit scale.
-    pub fn in_coins(self, coin: Coin) -> f64 {
-        self.0 as f64 / coin.base_units_per_coin() as f64
-    }
 }
 
 impl fmt::Display for Amount {
@@ -134,12 +129,6 @@ mod tests {
         assert_eq!(Amount(3).saturating_sub(Amount(9)), Amount::ZERO);
         let total: Amount = [Amount(1), Amount(2), Amount(3)].into_iter().sum();
         assert_eq!(total, Amount(6));
-    }
-
-    #[test]
-    fn amount_in_coins() {
-        assert!((Amount(150_000_000).in_coins(Coin::Btc) - 1.5).abs() < 1e-12);
-        assert!((Amount(2_000_000).in_coins(Coin::Xrp) - 2.0).abs() < 1e-12);
     }
 
     #[test]

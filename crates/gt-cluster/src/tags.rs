@@ -70,11 +70,6 @@ impl TagService {
         self.direct.insert(address, category);
     }
 
-    /// Number of directly tagged addresses.
-    pub fn tagged_count(&self) -> usize {
-        self.direct.len()
-    }
-
     /// Direct lookup, no cluster propagation.
     pub fn category_direct(&self, address: Address) -> Option<Category> {
         self.direct.get(&address).copied()
@@ -158,7 +153,6 @@ mod tests {
         let a = Address::Eth(EthAddress([1; 20]));
         tags.tag(a, Category::Exchange);
         assert_eq!(tags.category_direct(a), Some(Category::Exchange));
-        assert_eq!(tags.tagged_count(), 1);
         assert_eq!(
             tags.category_direct(Address::Eth(EthAddress([2; 20]))),
             None

@@ -2,7 +2,7 @@
 //! analysis pipeline over a generated world.
 //!
 //! The pipeline is expressed as a dependency DAG of stages executed by
-//! [`StageGraph`](crate::executor::StageGraph) on a scoped worker pool:
+//! [`StageGraph`] on a scoped worker pool:
 //!
 //! ```text
 //! twitter_dataset ─┬────────────────────────────┬─▶ twitter_payments ─┬─▶ victims/scammers

@@ -45,10 +45,11 @@
 //! # Determinism contract
 //!
 //! Supervision never changes *what* a healthy stage computes, only what
-//! happens when one panics. Injected panics ([`FaultKind::StagePanic`]
-//! (gt_sim::faults::FaultKind)) are scheduled in sim time, so attempt
-//! counts, quarantine sets, taint sets, and degraded-table lists are all
-//! byte-identical across thread counts and runs. A supervised run with
+//! happens when one panics. Injected panics
+//! ([`FaultKind::StagePanic`](gt_sim::faults::FaultKind::StagePanic))
+//! are scheduled in sim time, so attempt counts, quarantine sets, taint
+//! sets, and degraded-table lists are all byte-identical across thread
+//! counts and runs. A supervised run with
 //! a quiet fault plan produces a byte-identical `PaperReport` to an
 //! unsupervised (strict) run. Wall-clock never enters [`RunHealth`].
 //!

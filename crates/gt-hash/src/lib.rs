@@ -5,7 +5,6 @@
 //! needs the real checksum constructions:
 //!
 //! * Base58Check (BTC legacy, XRP): double SHA-256;
-//! * P2PKH/P2SH address derivation: HASH160 = RIPEMD-160 ∘ SHA-256;
 //! * EIP-55 mixed-case checksums (ETH): Keccak-256.
 //!
 //! SHA-256 also carries the run store (`gt-store`): it seals and
@@ -16,27 +15,20 @@
 //! portable implementation everywhere else; both give the same digests
 //! and are pinned against each other by the tests.
 //!
-//! No cryptographic dependency is in the approved set, so the three
+//! No cryptographic dependency is in the approved set, so the two
 //! primitives are implemented here directly from their specifications and
 //! pinned to published test vectors.
 
 pub mod hex;
 pub mod keccak;
-pub mod ripemd160;
 pub mod sha256;
 
 pub use keccak::keccak256;
-pub use ripemd160::ripemd160;
 pub use sha256::sha256;
 
 /// Double SHA-256, the Base58Check checksum function.
 pub fn sha256d(data: &[u8]) -> [u8; 32] {
     sha256(&sha256(data))
-}
-
-/// RIPEMD-160 of SHA-256, the Bitcoin public-key-hash function.
-pub fn hash160(data: &[u8]) -> [u8; 20] {
-    ripemd160(&sha256(data))
 }
 
 #[cfg(test)]
@@ -58,11 +50,5 @@ mod tests {
             to_hex(&sha256d(b"hello")),
             "9595c9df90075148eb06860365df33584b75bff782a510c6cd4883a419833d50"
         );
-    }
-
-    #[test]
-    fn hash160_is_composition() {
-        let data = b"some pubkey bytes";
-        assert_eq!(hash160(data), ripemd160(&sha256(data)));
     }
 }

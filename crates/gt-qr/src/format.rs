@@ -55,21 +55,6 @@ pub fn encode_version(version: u8) -> u32 {
     (data << 12) | rem
 }
 
-/// Decode a (possibly corrupted) 18-bit version word; accepts up to 3 bit
-/// errors.
-pub fn decode_version(raw: u32) -> Option<u8> {
-    let mut best: Option<(u32, u8)> = None;
-    for version in 7..=40u8 {
-        let valid = encode_version(version);
-        let distance = (valid ^ (raw & 0x3ffff)).count_ones();
-        if best.is_none_or(|(d, _)| distance < d) {
-            best = Some((distance, version));
-        }
-    }
-    let (distance, version) = best?;
-    (distance <= 3).then_some(version)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,15 +129,5 @@ mod tests {
         assert_eq!(encode_version(7), 0x07c94);
         // Version 8 → 0x085BC.
         assert_eq!(encode_version(8), 0x085bc);
-    }
-
-    #[test]
-    fn version_round_trips_with_errors() {
-        for v in 7..=10u8 {
-            let word = encode_version(v);
-            assert_eq!(decode_version(word), Some(v));
-            assert_eq!(decode_version(word ^ 0b101), Some(v), "2-bit errors");
-            assert_eq!(decode_version(word ^ (1 << 17)), Some(v), "MSB error");
-        }
     }
 }

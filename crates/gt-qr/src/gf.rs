@@ -63,11 +63,6 @@ impl Gf {
         }
     }
 
-    /// Multiplicative inverse.
-    pub fn inv(&self, a: u8) -> u8 {
-        self.div(1, a)
-    }
-
     /// Evaluate polynomial `p` (highest-degree coefficient first) at `x`.
     pub fn poly_eval(&self, p: &[u8], x: u8) -> u8 {
         let mut y = 0u8;
@@ -150,14 +145,6 @@ mod tests {
             for b in [1u8, 2, 3, 29, 128, 255] {
                 assert_eq!(gf.div(gf.mul(a, b), b), a);
             }
-        }
-    }
-
-    #[test]
-    fn inv_is_self_consistent() {
-        let gf = Gf::new();
-        for a in 1..=255u8 {
-            assert_eq!(gf.mul(a, gf.inv(a)), 1);
         }
     }
 

@@ -26,16 +26,6 @@ impl EcLevel {
         }
     }
 
-    pub fn from_format_bits(bits: u8) -> Option<EcLevel> {
-        match bits {
-            0b01 => Some(EcLevel::L),
-            0b00 => Some(EcLevel::M),
-            0b11 => Some(EcLevel::Q),
-            0b10 => Some(EcLevel::H),
-            _ => None,
-        }
-    }
-
     fn index(self) -> usize {
         match self {
             EcLevel::L => 0,
@@ -329,14 +319,6 @@ mod tests {
         // A typical scam URL (~40 chars) fits v3-M.
         let v = smallest_version(40, EcLevel::M).unwrap();
         assert!(v <= 4, "40-byte URL should fit a small symbol, got v{v}");
-    }
-
-    #[test]
-    fn ec_format_bits_round_trip() {
-        for level in EcLevel::ALL {
-            assert_eq!(EcLevel::from_format_bits(level.format_bits()), Some(level));
-        }
-        assert_eq!(EcLevel::from_format_bits(0b100), None);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The paper's central empirical finding about victim behaviour is the
 //! "whale" structure of payments: the top ~24 of 671 Twitter payments carry
 //! half the revenue. Reproducing that requires log-normal / Pareto payment
-//! amounts, Zipf-distributed audience sizes, and Poisson arrival counts.
+//! amounts and Zipf-distributed audience sizes.
 //! `rand` itself only ships uniform primitives, so these live here.
 
 use rand::Rng;
@@ -20,16 +20,6 @@ impl LogNormal {
     pub fn new(mu: f64, sigma: f64) -> Self {
         assert!(sigma >= 0.0, "sigma must be non-negative");
         LogNormal { mu, sigma }
-    }
-
-    /// Construct from a target median and a multiplicative spread factor
-    /// (the ratio between the 84th percentile and the median).
-    pub fn from_median_spread(median: f64, spread: f64) -> Self {
-        assert!(median > 0.0 && spread >= 1.0);
-        LogNormal {
-            mu: median.ln(),
-            sigma: spread.ln(),
-        }
     }
 
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
@@ -89,48 +79,11 @@ impl Zipf {
     }
 }
 
-/// Poisson sampler.
-///
-/// Uses Knuth's product-of-uniforms for small means and a normal
-/// approximation (rounded, clamped at zero) for large means, which is more
-/// than accurate enough for arrival counts in the hundreds.
-pub fn sample_poisson<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> u64 {
-    assert!(mean >= 0.0, "Poisson mean must be non-negative");
-    if mean == 0.0 {
-        return 0;
-    }
-    if mean < 30.0 {
-        let limit = (-mean).exp();
-        let mut product: f64 = rng.gen();
-        let mut count = 0u64;
-        while product > limit {
-            product *= rng.gen::<f64>();
-            count += 1;
-        }
-        count
-    } else {
-        let z = sample_standard_normal(rng);
-        let v = mean + mean.sqrt() * z;
-        if v <= 0.0 {
-            0
-        } else {
-            v.round() as u64
-        }
-    }
-}
-
 /// Standard normal via Box–Muller (the cheap half).
 pub fn sample_standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
     let u2: f64 = rng.gen();
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-}
-
-/// Exponential inter-arrival sampler with the given rate (events per unit).
-pub fn sample_exponential<R: Rng + ?Sized>(rng: &mut R, rate: f64) -> f64 {
-    assert!(rate > 0.0, "rate must be positive");
-    let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-    -u.ln() / rate
 }
 
 /// Pick an index according to a (not necessarily normalised) weight slice.
@@ -169,13 +122,6 @@ mod tests {
     }
 
     #[test]
-    fn lognormal_from_median_spread() {
-        let d = LogNormal::from_median_spread(100.0, 3.0);
-        assert!((d.mu - 100.0f64.ln()).abs() < 1e-12);
-        assert!((d.sigma - 3.0f64.ln()).abs() < 1e-12);
-    }
-
-    #[test]
     fn pareto_respects_minimum_and_tail() {
         let d = Pareto::new(10.0, 1.5);
         let mut r = rng();
@@ -206,39 +152,6 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(d.sample(&mut r), 1);
         }
-    }
-
-    #[test]
-    fn poisson_mean_matches_small() {
-        let mut r = rng();
-        let n = 20_000;
-        let total: u64 = (0..n).map(|_| sample_poisson(&mut r, 3.5)).sum();
-        let mean = total as f64 / n as f64;
-        assert!((mean - 3.5).abs() < 0.1, "mean {mean}");
-    }
-
-    #[test]
-    fn poisson_mean_matches_large() {
-        let mut r = rng();
-        let n = 5_000;
-        let total: u64 = (0..n).map(|_| sample_poisson(&mut r, 400.0)).sum();
-        let mean = total as f64 / n as f64;
-        assert!((mean - 400.0).abs() < 2.0, "mean {mean}");
-    }
-
-    #[test]
-    fn poisson_zero_mean_is_zero() {
-        let mut r = rng();
-        assert_eq!(sample_poisson(&mut r, 0.0), 0);
-    }
-
-    #[test]
-    fn exponential_mean_is_inverse_rate() {
-        let mut r = rng();
-        let n = 20_000;
-        let total: f64 = (0..n).map(|_| sample_exponential(&mut r, 0.25)).sum();
-        let mean = total / n as f64;
-        assert!((mean - 4.0).abs() < 0.15, "mean {mean}");
     }
 
     #[test]

@@ -16,12 +16,6 @@ macro_rules! define_id {
         #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize)]
         pub struct $name(pub u64);
 
-        impl $name {
-            pub const fn as_u64(self) -> u64 {
-                self.0
-            }
-        }
-
         impl std::fmt::Display for $name {
             fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
                 write!(f, concat!($prefix, "{}"), self.0)
@@ -88,7 +82,6 @@ mod tests {
     #[test]
     fn display_uses_prefix() {
         assert_eq!(TestId(17).to_string(), "test-17");
-        assert_eq!(TestId(17).as_u64(), 17);
     }
 
     #[test]

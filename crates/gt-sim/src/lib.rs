@@ -12,8 +12,8 @@
 //! * [`SimTime`] / [`SimDuration`] — seconds-since-epoch timestamps with
 //!   civil-calendar conversions (no `std::time` wall-clock involvement);
 //! * [`RngFactory`] — a labelled fan-out of deterministic RNG streams;
-//! * [`dist`] — the heavy-tailed samplers (log-normal, Pareto, Zipf,
-//!   Poisson) the world generator needs and that `rand` alone lacks;
+//! * [`dist`] — the heavy-tailed samplers (log-normal, Pareto, Zipf)
+//!   the world generator needs and that `rand` alone lacks;
 //! * [`faults`] — seeded fault plans and the [`Gated`] call gate every
 //!   simulated substrate consults.
 

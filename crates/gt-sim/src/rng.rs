@@ -50,12 +50,6 @@ impl RngFactory {
         splitmix64(self.master ^ fnv1a(label.as_bytes()))
     }
 
-    /// Derive the child seed for a label plus an index (e.g. one stream per
-    /// campaign).
-    pub fn child_seed_indexed(&self, label: &str, index: u64) -> u64 {
-        splitmix64(self.child_seed(label) ^ splitmix64(index))
-    }
-
     /// A deterministic RNG for a label.
     pub fn rng(&self, label: &str) -> StdRng {
         StdRng::seed_from_u64(self.child_seed(label))
@@ -108,16 +102,6 @@ mod tests {
     }
 
     #[test]
-    fn indexed_children_differ() {
-        let f = RngFactory::new(7);
-        let s0 = f.child_seed_indexed("campaign", 0);
-        let s1 = f.child_seed_indexed("campaign", 1);
-        assert_ne!(s0, s1);
-        // index 0 must not degenerate to the unindexed stream
-        assert_ne!(s0, f.child_seed("campaign"));
-    }
-
-    #[test]
     fn scoped_factory_is_stable() {
         let f = RngFactory::new(9).scoped("world").scoped("twitter");
         let g = RngFactory::new(9).scoped("world").scoped("twitter");
@@ -126,12 +110,12 @@ mod tests {
 
     #[test]
     fn seeds_are_well_spread() {
-        // A crude avalanche check: child seeds across 1000 indices should
+        // A crude avalanche check: child seeds across 1000 labels should
         // be unique (collision here would mean correlated campaigns).
         let f = RngFactory::new(123);
         let mut seen = std::collections::HashSet::new();
         for i in 0..1000 {
-            assert!(seen.insert(f.child_seed_indexed("c", i)));
+            assert!(seen.insert(f.child_seed(&format!("c{i}"))));
         }
     }
 }

@@ -65,18 +65,8 @@ impl SimDuration {
     pub const fn as_seconds(self) -> i64 {
         self.0
     }
-    pub const fn as_minutes(self) -> i64 {
-        self.0 / 60
-    }
-    pub const fn as_hours(self) -> i64 {
-        self.0 / 3600
-    }
     pub const fn as_days(self) -> i64 {
         self.0 / 86_400
-    }
-
-    pub const fn is_negative(self) -> bool {
-        self.0 < 0
     }
 
     pub fn abs(self) -> Self {
@@ -313,20 +303,6 @@ impl fmt::Display for SimDuration {
     }
 }
 
-/// Iterate over the civil dates in `[start, end)`.
-pub fn date_range(start: CivilDate, end: CivilDate) -> impl Iterator<Item = CivilDate> {
-    let mut cur = start;
-    std::iter::from_fn(move || {
-        if cur.at_midnight() >= end.at_midnight() {
-            None
-        } else {
-            let out = cur;
-            cur = cur.succ();
-            Some(out)
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -423,14 +399,6 @@ mod tests {
             CivilDate::new(2022, 2, 28)
         );
         assert_eq!(t + SimDuration::days(2) - t, SimDuration::days(2));
-    }
-
-    #[test]
-    fn date_range_iterates_half_open() {
-        let days: Vec<_> = date_range(CivilDate::new(2023, 12, 30), CivilDate::new(2024, 1, 2))
-            .map(|d| d.to_string())
-            .collect();
-        assert_eq!(days, ["2023-12-30", "2023-12-31", "2024-01-01"]);
     }
 
     #[test]

@@ -116,10 +116,20 @@ impl Twitch {
     }
 
     /// All streams live at `now` (the Helix "get streams" endpoint; no
-    /// keyword filtering server-side).
-    pub fn get_streams(&self, now: SimTime) -> Vec<&TwitchStream> {
-        self.calls.lock().get_streams += 1;
-        self.streams.iter().filter(|s| s.is_live(now)).collect()
+    /// keyword filtering server-side), behind `gate`: `Err(Denied)`
+    /// means the poll was shed before it reached the platform, so only
+    /// admitted calls are counted. A served call answers as of `now`.
+    pub fn get_streams(
+        &self,
+        now: SimTime,
+        gate: &mut Gated<'_>,
+    ) -> Result<Vec<&TwitchStream>, Denied> {
+        gate.checked_counted(Substrate::TwitchList, now, || {
+            self.calls.lock().get_streams += 1;
+            let streams: Vec<_> = self.streams.iter().filter(|s| s.is_live(now)).collect();
+            let n = streams.len() as u64;
+            (streams, n)
+        })
     }
 
     /// Record `duration` starting at `now`. The first [`AD_SECONDS`]
@@ -187,39 +197,10 @@ impl Twitch {
         }
     }
 
-    /// Chat messages in `(since, now]`, borrowed from the stream; only
-    /// available while live (Twitch has no chat history API).
-    pub fn chat_since(&self, id: TwitchStreamId, since: SimTime, now: SimTime) -> &[ChatMessage] {
-        self.calls.lock().chat_poll += 1;
-        let Some(s) = self.streams.get(id.0 as usize) else {
-            return &[];
-        };
-        if !s.is_live(now) {
-            return &[];
-        }
-        // `chat` is time-ordered: the answer is the run between the bounds.
-        let end = s.chat.partition_point(|m| m.time <= now);
-        let start = s.chat.partition_point(|m| m.time <= since).min(end);
-        &s.chat[start..end]
-    }
-
-    // ---- gated variants (see the YouTube counterparts) ----
-
-    /// [`Twitch::get_streams`] behind a checked-call gate.
-    pub fn get_streams_gated(
-        &self,
-        now: SimTime,
-        gate: &mut Gated<'_>,
-    ) -> Result<Vec<&TwitchStream>, Denied> {
-        gate.checked_counted(Substrate::TwitchList, now, || {
-            let streams = self.get_streams(now);
-            let n = streams.len() as u64;
-            (streams, n)
-        })
-    }
-
-    /// [`Twitch::chat_since`] behind a checked-call gate.
-    pub fn chat_since_gated(
+    /// Chat messages in `(since, now]`, borrowed from the stream, behind
+    /// `gate` (as for [`Twitch::get_streams`]); only available while
+    /// live (Twitch has no chat history API).
+    pub fn chat_since(
         &self,
         id: TwitchStreamId,
         since: SimTime,
@@ -227,9 +208,18 @@ impl Twitch {
         gate: &mut Gated<'_>,
     ) -> Result<&[ChatMessage], Denied> {
         gate.checked_counted(Substrate::TwitchChat, now, || {
-            let messages = self.chat_since(id, since, now);
-            let n = messages.len() as u64;
-            (messages, n)
+            self.calls.lock().chat_poll += 1;
+            let messages = match self.streams.get(id.0 as usize) {
+                Some(s) if s.is_live(now) => {
+                    // `chat` is time-ordered: the answer is the run
+                    // between the bounds.
+                    let end = s.chat.partition_point(|m| m.time <= now);
+                    let start = s.chat.partition_point(|m| m.time <= since).min(end);
+                    &s.chat[start..end]
+                }
+                _ => &[][..],
+            };
+            (messages, messages.len() as u64)
         })
     }
 }
@@ -270,9 +260,10 @@ mod tests {
         other.start = t(10_000);
         other.end = t(20_000);
         tw.add_stream(other);
-        assert_eq!(tw.get_streams(t(100)).len(), 1);
-        assert_eq!(tw.get_streams(t(12_000)).len(), 1);
-        assert_eq!(tw.get_streams(t(8_000)).len(), 0);
+        let gate = &mut Gated::disabled();
+        assert_eq!(tw.get_streams(t(100), gate).unwrap().len(), 1);
+        assert_eq!(tw.get_streams(t(12_000), gate).unwrap().len(), 1);
+        assert_eq!(tw.get_streams(t(8_000), gate).unwrap().len(), 0);
     }
 
     #[test]
@@ -306,12 +297,13 @@ mod tests {
             text: "hello".into(),
         }];
         let id = tw.add_stream(s);
-        assert_eq!(tw.chat_since(id, t(0), t(100)).len(), 1);
+        let gate = &mut Gated::disabled();
+        assert_eq!(tw.chat_since(id, t(0), t(100), gate).unwrap().len(), 1);
         // After the stream ends, nothing is retrievable.
-        assert!(tw.chat_since(id, t(0), t(8000)).is_empty());
+        assert!(tw.chat_since(id, t(0), t(8000), gate).unwrap().is_empty());
         // Interval filtering; an inverted interval is empty.
-        assert!(tw.chat_since(id, t(60), t(100)).is_empty());
-        assert!(tw.chat_since(id, t(100), t(60)).is_empty());
+        assert!(tw.chat_since(id, t(60), t(100), gate).unwrap().is_empty());
+        assert!(tw.chat_since(id, t(100), t(60), gate).unwrap().is_empty());
     }
 
     #[test]
@@ -364,7 +356,8 @@ mod tests {
             } else {
                 Vec::new()
             };
-            prop_assert_eq!(tw.chat_since(id, t(since), t(now)), expected.as_slice());
+            let gate = &mut Gated::disabled();
+            prop_assert_eq!(tw.chat_since(id, t(since), t(now), gate).unwrap(), expected.as_slice());
         }
     }
 
@@ -372,9 +365,10 @@ mod tests {
     fn call_counters() {
         let mut tw = Twitch::new();
         let id = tw.add_stream(gaming_stream());
-        tw.get_streams(t(0));
+        let gate = &mut Gated::disabled();
+        tw.get_streams(t(0), gate).unwrap();
         tw.record(id, t(0), SimDuration::seconds(2));
-        tw.chat_since(id, t(0), t(10));
+        tw.chat_since(id, t(0), t(10), gate).unwrap();
         let calls = tw.api_calls();
         assert_eq!(
             (calls.get_streams, calls.record, calls.chat_poll),

@@ -51,10 +51,6 @@ impl KeyBuilder {
         self.push_bytes(s.as_bytes());
     }
 
-    pub fn push_u64(&mut self, v: u64) {
-        self.push_bytes(&v.to_le_bytes());
-    }
-
     pub fn push_digest(&mut self, d: &Digest) {
         self.push_bytes(d);
     }
@@ -100,7 +96,6 @@ mod tests {
             let mut kb = KeyBuilder::new("stage");
             kb.push_digest(&[7u8; 32]);
             kb.push_str("chain_analysis");
-            kb.push_u64(42);
             kb.finish()
         };
         assert_eq!(build(), build());

@@ -8,9 +8,10 @@
 //! [`open`] verifies all four before handing back the payload, so a
 //! torn write (kill -9 mid-`write(2)`), a flipped bit, or an entry from
 //! an older schema all surface as a typed error — which the store turns
-//! into a cache miss. The store reads a record from disk in pieces, so
-//! the checks are split the same way: [`payload_len`] checks a header
-//! against the record's total length before anything else is read, and
+//! into a cache miss. The store writes and reads a record in pieces, so
+//! framing and checks are split the same way: [`header`] and [`footer`]
+//! frame a payload in place, [`payload_len`] checks a header against the
+//! record's total length before anything else is read, and
 //! [`check_footer`] checks the digest over header and payload.
 
 use crate::DecodeError;
@@ -30,14 +31,26 @@ pub(crate) const FOOTER_LEN: usize = 32;
 
 /// Frame a payload into a self-verifying record.
 pub fn seal(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + FOOTER_LEN);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&SCHEMA_VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-    let footer = gt_hash::sha256(&out);
-    out.extend_from_slice(&footer);
-    out
+    let header = header(payload.len());
+    [&header, payload, &footer(&header, payload)].concat()
+}
+
+/// The header of a record whose payload is `payload_len` bytes long.
+pub(crate) fn header(payload_len: usize) -> [u8; HEADER_LEN] {
+    let mut header = [0u8; HEADER_LEN];
+    header[..4].copy_from_slice(&MAGIC);
+    header[4..8].copy_from_slice(&SCHEMA_VERSION.to_le_bytes());
+    header[8..].copy_from_slice(&(payload_len as u64).to_le_bytes());
+    header
+}
+
+/// The integrity footer of a record: the digest of its header and
+/// payload, hashed in place.
+pub(crate) fn footer(header: &[u8], payload: &[u8]) -> [u8; FOOTER_LEN] {
+    let mut digest = Sha256::new();
+    digest.update(header);
+    digest.update(payload);
+    digest.finalize()
 }
 
 /// Check a record's magic and version, and that the payload length its
@@ -68,12 +81,9 @@ pub(crate) fn payload_len(
 pub(crate) fn check_footer(
     header: &[u8],
     payload: &[u8],
-    footer: &[u8],
+    footer_bytes: &[u8],
 ) -> Result<(), DecodeError> {
-    let mut digest = Sha256::new();
-    digest.update(header);
-    digest.update(payload);
-    if digest.finalize() == footer {
+    if footer(header, payload) == footer_bytes {
         Ok(())
     } else {
         Err(DecodeError::HashMismatch)

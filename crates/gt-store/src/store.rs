@@ -20,7 +20,7 @@ use crate::key::{digest_hex, Digest};
 use crate::record;
 use std::fmt;
 use std::fs;
-use std::io::{self, Read};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -135,7 +135,7 @@ impl RunStore {
         let dir = self.stage_dir(base);
         fs::create_dir_all(&dir)
             .map_err(|e| StoreError::new(format!("create {}", dir.display()), e))?;
-        self.write_atomic(&self.stage_path(base, stage, key), &record::seal(payload))
+        self.write_atomic(&self.stage_path(base, stage, key), payload)
     }
 
     /// Load a world snapshot payload by config fingerprint.
@@ -145,7 +145,7 @@ impl RunStore {
 
     /// Persist a world snapshot payload.
     pub fn store_world(&self, fingerprint: &Digest, payload: &[u8]) -> Result<(), StoreError> {
-        self.write_atomic(&self.world_path(fingerprint), &record::seal(payload))
+        self.write_atomic(&self.world_path(fingerprint), payload)
     }
 
     /// Number of stage entries currently stored under `base`.
@@ -201,30 +201,41 @@ impl RunStore {
         *self.write_limit.lock().unwrap() = Some(n);
     }
 
-    fn write_atomic(&self, path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
+    /// Write `payload` as a sealed record at `path`: header, payload and
+    /// footer go straight to a unique temp file, which is then renamed
+    /// into place, so the payload is never copied into a record buffer.
+    fn write_atomic(&self, path: &Path, payload: &[u8]) -> Result<(), StoreError> {
         let tmp = self.root.join("tmp").join(format!(
             "{}-{}.tmp",
             std::process::id(),
             self.tmp_counter.fetch_add(1, Ordering::Relaxed)
         ));
+        let header = record::header(payload.len());
         {
             let mut limit = self.write_limit.lock().unwrap();
             if let Some(remaining) = limit.as_mut() {
                 if *remaining == 0 {
                     // Simulated kill -9: leave a torn write behind.
-                    let _ = fs::write(&tmp, &bytes[..bytes.len() / 2]);
+                    let _ = write_parts(&tmp, &[&header, &payload[..payload.len() / 2]]);
                     panic!("gt-store: simulated crash (write limit reached)");
                 }
                 *remaining -= 1;
             }
         }
-        fs::write(&tmp, bytes)
+        let footer = record::footer(&header, payload);
+        write_parts(&tmp, &[&header, payload, &footer])
             .map_err(|e| StoreError::new(format!("write {}", tmp.display()), e))?;
         fs::rename(&tmp, path).map_err(|e| {
             let _ = fs::remove_file(&tmp);
             StoreError::new(format!("rename into {}", path.display()), e)
         })
     }
+}
+
+/// Create the file at `path` holding `parts`, one after another.
+fn write_parts(path: &Path, parts: &[&[u8]]) -> io::Result<()> {
+    let mut file = fs::File::create(path)?;
+    parts.iter().try_for_each(|part| file.write_all(part))
 }
 
 /// Read and verify the record at `path`, and return its payload. The
@@ -368,6 +379,43 @@ mod tests {
         assert!(store.load_stage(&drop_, "s", &[0u8; 32]).is_none());
         assert!(store.load_world(&keep).is_some());
         assert!(store.load_world(&drop_).is_none());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn written_records_are_sealed_bytes_and_torn_writes_miss() {
+        let dir = scratch("sealed");
+        let store = RunStore::open(&dir).unwrap();
+        let (base, key, world) = ([9u8; 32], [10u8; 32], [11u8; 32]);
+        let payload: Vec<u8> = (0u32..70_000).map(|i| (i * 7 + i / 251) as u8).collect();
+        store.store_stage(&base, "s", &key, &payload).unwrap();
+        store.store_world(&world, &payload).unwrap();
+        // `seal` is the documented layout, built here independently.
+        let header = [
+            &b"GTS1"[..],
+            &record::SCHEMA_VERSION.to_le_bytes(),
+            &70_000u64.to_le_bytes(),
+        ];
+        assert!(record::seal(&payload) == resealed(&header.concat(), &payload));
+        for path in [store.stage_path(&base, "s", &key), store.world_path(&world)] {
+            assert!(
+                fs::read(&path).unwrap() == record::seal(&payload),
+                "{path:?}"
+            );
+        }
+        // A crash mid-write leaves a torn temp file and no record.
+        store.fail_writes_after(0);
+        let torn = [12u8; 32];
+        let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            store.store_world(&torn, &payload)
+        }));
+        assert!(crashed.is_err());
+        assert!(store.load_world(&torn).is_none());
+        let temps: Vec<_> = fs::read_dir(dir.join("tmp")).unwrap().flatten().collect();
+        assert_eq!(temps.len(), 1);
+        let bytes = fs::read(temps[0].path()).unwrap();
+        assert!(!bytes.is_empty() && bytes.len() < record::seal(&payload).len());
+        assert!(record::open(&bytes).is_err());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -22,7 +22,7 @@ use gt_text::extract_urls;
 use gt_web::crawler::{Crawler, CrawlerConfig, RevisitState};
 use gt_web::{Url, WebHost};
 use serde::Serialize;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// The paper's 11 infrastructure outage days.
 pub const OUTAGE_DAYS: [CivilDate; 11] = [
@@ -151,14 +151,6 @@ impl MonitorReport {
     pub fn observed(&self, id: LiveStreamId) -> Option<&ObservedStream> {
         let i = self.streams.binary_search_by_key(&id, |s| s.stream).ok()?;
         Some(&self.streams[i])
-    }
-
-    /// Distinct lead hosts.
-    pub fn lead_domains(&self) -> HashSet<String> {
-        self.leads
-            .iter()
-            .filter_map(|l| Url::parse(&l.url).map(|u| u.host))
-            .collect()
     }
 }
 
@@ -552,7 +544,7 @@ mod tests {
     use crate::keywords::search_keyword_set;
     use gt_sim::faults::{FaultKind, FaultWindow};
     use gt_social::{ChatMessage, LiveStream, StreamVideo, ViewerCurve};
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeSet, HashSet};
 
     fn t0() -> SimTime {
         SimTime::from_ymd(2023, 7, 24)
@@ -622,7 +614,10 @@ mod tests {
         let sources: HashSet<UrlSource> = report.leads.iter().map(|l| l.source).collect();
         assert!(sources.contains(&UrlSource::QrCode), "QR lead found");
         assert!(sources.contains(&UrlSource::Chat), "chat lead found");
-        assert!(report.lead_domains().contains("btc-x2.fund"));
+        assert!(report
+            .leads
+            .iter()
+            .any(|l| Url::parse(&l.url).is_some_and(|u| u.host == "btc-x2.fund")));
     }
 
     #[test]

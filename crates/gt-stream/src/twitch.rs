@@ -73,7 +73,7 @@ pub fn run_twitch_pilot(
 
     let mut t = window_start;
     while t < window_end {
-        let listed = twitch.get_streams_gated(t, &mut gate).unwrap_or_default();
+        let listed = twitch.get_streams(t, &mut gate).unwrap_or_default();
         for stream in listed {
             let is_new = seen.insert(stream.id);
             if is_new {
@@ -119,7 +119,7 @@ pub fn run_twitch_pilot(
             // On a denied chat poll the cursor stays put, so the next
             // successful poll recovers the missed interval while the
             // stream is still live.
-            if let Ok(messages) = twitch.chat_since_gated(stream.id, since, t, &mut gate) {
+            if let Ok(messages) = twitch.chat_since(stream.id, since, t, &mut gate) {
                 for msg in messages {
                     for url in extract_urls(&msg.text) {
                         report.chat_urls.push(url.url);

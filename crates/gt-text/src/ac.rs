@@ -124,11 +124,6 @@ impl AhoCorasick {
         }
     }
 
-    /// Number of patterns in the automaton.
-    pub fn pattern_count(&self) -> usize {
-        self.pattern_lens.len()
-    }
-
     fn step(&self, mut state: u32, raw: u8) -> u32 {
         let b = if self.case_insensitive {
             raw.to_ascii_lowercase()
@@ -162,35 +157,19 @@ impl AhoCorasick {
         }
         out
     }
-
-    /// Whether any pattern occurs in `haystack`. Short-circuits.
-    pub fn is_match(&self, haystack: &[u8]) -> bool {
-        let mut state = 0u32;
-        for &b in haystack {
-            state = self.step(state, b);
-            if !self.nodes[state as usize].outputs.is_empty() {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// The set of distinct pattern indices that occur in `haystack`.
-    pub fn matching_patterns(&self, haystack: &[u8]) -> Vec<usize> {
-        let mut seen = vec![false; self.pattern_lens.len()];
-        for m in self.find_all(haystack) {
-            seen[m.pattern] = true;
-        }
-        seen.iter()
-            .enumerate()
-            .filter_map(|(i, &s)| s.then_some(i))
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The distinct pattern indices that occur in `haystack`, ascending.
+    fn matched(ac: &AhoCorasick, haystack: &[u8]) -> Vec<usize> {
+        let mut found: Vec<usize> = ac.find_all(haystack).iter().map(|m| m.pattern).collect();
+        found.sort_unstable();
+        found.dedup();
+        found
+    }
 
     #[test]
     fn classic_he_she_his_hers() {
@@ -217,25 +196,24 @@ mod tests {
     #[test]
     fn case_insensitive_matches_any_case() {
         let ac = AhoCorasick::new_case_insensitive(["Bitcoin", "ETH"]);
-        assert!(ac.is_match(b"BITCOIN giveaway"));
-        assert!(ac.is_match(b"send eth now"));
-        assert!(!ac.is_match(b"dogecoin"));
-        let pats = ac.matching_patterns(b"bitcoin and eth and BiTcOiN");
-        assert_eq!(pats, vec![0, 1]);
+        assert_eq!(matched(&ac, b"BITCOIN giveaway"), [0]);
+        assert_eq!(matched(&ac, b"send eth now"), [1]);
+        assert!(matched(&ac, b"dogecoin").is_empty());
+        assert_eq!(matched(&ac, b"bitcoin and eth and BiTcOiN"), [0, 1]);
     }
 
     #[test]
     fn case_sensitive_does_not_fold() {
         let ac = AhoCorasick::new(["BTC"]);
-        assert!(!ac.is_match(b"btc"));
-        assert!(ac.is_match(b"BTC"));
+        assert!(ac.find_all(b"btc").is_empty());
+        assert_eq!(matched(&ac, b"BTC"), [0]);
     }
 
     #[test]
     fn no_patterns_in_haystack() {
         let ac = AhoCorasick::new(["xyz"]);
         assert!(ac.find_all(b"aaabbbccc").is_empty());
-        assert!(!ac.is_match(b""));
+        assert!(ac.find_all(b"").is_empty());
     }
 
     #[test]
@@ -264,16 +242,14 @@ mod tests {
     #[test]
     fn utf8_patterns_work_at_byte_level() {
         let ac = AhoCorasick::new(["héllo"]);
-        assert!(ac.is_match("say héllo".as_bytes()));
+        assert_eq!(matched(&ac, "say héllo".as_bytes()), [0]);
     }
 
     #[test]
     fn large_pattern_set() {
         let patterns: Vec<String> = (0..500).map(|i| format!("kw{i:03}x")).collect();
         let ac = AhoCorasick::new(&patterns);
-        assert_eq!(ac.pattern_count(), 500);
         let hay = "prefix kw042x middle kw499x suffix".as_bytes();
-        let pats = ac.matching_patterns(hay);
-        assert_eq!(pats, vec![42, 499]);
+        assert_eq!(matched(&ac, hay), [42, 499]);
     }
 }

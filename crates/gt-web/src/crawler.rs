@@ -137,11 +137,10 @@ impl Crawler {
         let mut interacted = false;
         let mut interactions = 0u32;
         loop {
-            let response: Response =
-                match host.fetch_gated(&self.request(url, interacted), now, gate) {
-                    Ok(r) => r,
-                    Err(e) => return CrawlOutcome::Error(e),
-                };
+            let response: Response = match host.fetch(&self.request(url, interacted), now, gate) {
+                Ok(r) => r,
+                Err(e) => return CrawlOutcome::Error(e),
+            };
             if response.status == 403 {
                 return CrawlOutcome::Forbidden;
             }

@@ -231,8 +231,53 @@ impl WebHost {
         *self.stats.lock()
     }
 
-    /// Serve a request at virtual time `now`.
-    pub fn fetch(&self, req: &Request, now: SimTime) -> Result<Response, FetchError> {
+    /// Serve a request at virtual time `now`, consulting `gate`'s fault
+    /// plan first.
+    ///
+    /// Network-layer faults surface as the extended [`FetchError`]
+    /// variants: DNS and TLS windows fail the whole fetch, while
+    /// fetch-layer windows are retried inside the gate's budget and
+    /// only surface once the budget or schedule says so. A served
+    /// response always carries data as of `now` (snapshot semantics).
+    /// A gate with an enabled sink also records per-substrate call
+    /// counts and served body bytes.
+    pub fn fetch(
+        &self,
+        req: &Request,
+        now: SimTime,
+        gate: &mut Gated<'_>,
+    ) -> Result<Response, FetchError> {
+        for (sub, err) in [
+            (Substrate::WebDns, FetchError::DnsFailure),
+            (Substrate::WebTls, FetchError::TlsHandshake),
+        ] {
+            if gate.checked(sub, now, || ()).is_err() {
+                self.stats.lock().errors += 1;
+                return Err(err);
+            }
+        }
+        let fetched = gate.checked_counted(Substrate::WebFetch, now, || {
+            let result = self.serve(req, now);
+            let bytes = result.as_ref().map(|r| r.body.len() as u64).unwrap_or(0);
+            (result, bytes)
+        });
+        match fetched {
+            Ok(result) => result,
+            Err(_denied) => {
+                let err = match gate.active_fault(Substrate::WebFetch, now) {
+                    Some(FaultKind::RateLimit) => FetchError::RateLimited,
+                    Some(FaultKind::Outage) => FetchError::ConnectionFailed,
+                    _ => FetchError::Timeout,
+                };
+                self.stats.lock().errors += 1;
+                Err(err)
+            }
+        }
+    }
+
+    /// The admitted body of [`WebHost::fetch`]: serve `req` as the site
+    /// behaves at `now`.
+    fn serve(&self, req: &Request, now: SimTime) -> Result<Response, FetchError> {
         let mut stats = self.stats.lock();
         stats.fetches += 1;
         let site = self.sites.get(&req.url.host).ok_or_else(|| {
@@ -256,49 +301,6 @@ impl WebHost {
             stats.challenges += 1;
         }
         Ok(response)
-    }
-
-    /// Serve a request at `now`, consulting `gate`'s fault plan first.
-    ///
-    /// Network-layer faults surface as the extended [`FetchError`]
-    /// variants: DNS and TLS windows fail the whole fetch, while
-    /// fetch-layer windows are retried inside the gate's budget and
-    /// only surface once the budget or schedule says so. A served
-    /// response always carries data as of `now` (snapshot semantics).
-    /// A gate with an enabled sink also records per-substrate call
-    /// counts and served body bytes.
-    pub fn fetch_gated(
-        &self,
-        req: &Request,
-        now: SimTime,
-        gate: &mut Gated<'_>,
-    ) -> Result<Response, FetchError> {
-        for (sub, err) in [
-            (Substrate::WebDns, FetchError::DnsFailure),
-            (Substrate::WebTls, FetchError::TlsHandshake),
-        ] {
-            if gate.checked(sub, now, || ()).is_err() {
-                self.stats.lock().errors += 1;
-                return Err(err);
-            }
-        }
-        let fetched = gate.checked_counted(Substrate::WebFetch, now, || {
-            let result = self.fetch(req, now);
-            let bytes = result.as_ref().map(|r| r.body.len() as u64).unwrap_or(0);
-            (result, bytes)
-        });
-        match fetched {
-            Ok(result) => result,
-            Err(_denied) => {
-                let err = match gate.active_fault(Substrate::WebFetch, now) {
-                    Some(FaultKind::RateLimit) => FetchError::RateLimited,
-                    Some(FaultKind::Outage) => FetchError::ConnectionFailed,
-                    _ => FetchError::Timeout,
-                };
-                self.stats.lock().errors += 1;
-                Err(err)
-            }
-        }
     }
 }
 
@@ -325,6 +327,11 @@ mod tests {
         }
     }
 
+    /// [`WebHost::fetch`] through a gate with no fault plan.
+    fn fetch(host: &WebHost, req: &Request, now: SimTime) -> Result<Response, FetchError> {
+        host.fetch(req, now, &mut Gated::disabled())
+    }
+
     fn residential_browser(url: &str) -> Request {
         Request {
             url: Url::parse(url).unwrap(),
@@ -339,9 +346,7 @@ mod tests {
     fn plain_site_serves_landing_page() {
         let mut host = WebHost::new();
         host.add_scam_site(scam_spec(CloakingProfile::default()));
-        let resp = host
-            .fetch(&residential_browser("https://xrp-2x.live/"), t(100))
-            .unwrap();
+        let resp = fetch(&host, &residential_browser("https://xrp-2x.live/"), t(100)).unwrap();
         assert_eq!(resp.status, 200);
         assert!(resp.body.contains("rHb9CJAWyB4rj91VRWn96DkukG4bwdtyTh"));
     }
@@ -355,9 +360,9 @@ mod tests {
         }));
         let mut req = residential_browser("https://xrp-2x.live/");
         req.origin = NetOrigin::Institutional;
-        assert_eq!(host.fetch(&req, t(1)).unwrap().status, 403);
+        assert_eq!(fetch(&host, &req, t(1)).unwrap().status, 403);
         req.origin = NetOrigin::Residential;
-        assert_eq!(host.fetch(&req, t(1)).unwrap().status, 200);
+        assert_eq!(fetch(&host, &req, t(1)).unwrap().status, 200);
     }
 
     #[test]
@@ -369,9 +374,9 @@ mod tests {
         }));
         let mut req = residential_browser("https://xrp-2x.live/");
         req.user_agent = "python-requests/2.31 (Linux x86_64)".into();
-        assert_eq!(host.fetch(&req, t(1)).unwrap().status, 403);
+        assert_eq!(fetch(&host, &req, t(1)).unwrap().status, 403);
         req.user_agent = "Mozilla/5.0 (Macintosh; Intel Mac OS X) Safari".into();
-        assert_eq!(host.fetch(&req, t(1)).unwrap().status, 200);
+        assert_eq!(fetch(&host, &req, t(1)).unwrap().status, 200);
     }
 
     #[test]
@@ -382,11 +387,11 @@ mod tests {
             ..Default::default()
         }));
         let mut req = residential_browser("https://xrp-2x.live/");
-        let resp = host.fetch(&req, t(1)).unwrap();
+        let resp = fetch(&host, &req, t(1)).unwrap();
         assert!(resp.is_front_page());
         assert!(!resp.body.contains("rHb9CJAW"), "address not on front page");
         req.interacted = true;
-        let resp = host.fetch(&req, t(1)).unwrap();
+        let resp = fetch(&host, &req, t(1)).unwrap();
         assert!(!resp.is_front_page());
         assert!(resp.body.contains("rHb9CJAW"));
     }
@@ -399,9 +404,9 @@ mod tests {
             ..Default::default()
         }));
         let mut req = residential_browser("https://xrp-2x.live/");
-        assert!(host.fetch(&req, t(1)).unwrap().is_challenge());
+        assert!(fetch(&host, &req, t(1)).unwrap().is_challenge());
         req.solves_challenge = true;
-        assert!(!host.fetch(&req, t(1)).unwrap().is_challenge());
+        assert!(!fetch(&host, &req, t(1)).unwrap().is_challenge());
     }
 
     #[test]
@@ -416,7 +421,7 @@ mod tests {
         let mut req = residential_browser("https://xrp-2x.live/");
         req.interacted = true;
         req.solves_challenge = true;
-        let resp = host.fetch(&req, t(1)).unwrap();
+        let resp = fetch(&host, &req, t(1)).unwrap();
         assert_eq!(resp.status, 200);
         assert!(resp.body.contains("rHb9CJAW"));
     }
@@ -428,17 +433,23 @@ mod tests {
         spec.offline_from = Some(t(1000));
         host.add_scam_site(spec);
         let req = residential_browser("https://xrp-2x.live/");
-        assert!(host.fetch(&req, t(100)).is_ok());
-        assert_eq!(host.fetch(&req, t(1000)), Err(FetchError::ConnectionFailed));
+        assert!(fetch(&host, &req, t(100)).is_ok());
+        assert_eq!(
+            fetch(&host, &req, t(1000)),
+            Err(FetchError::ConnectionFailed)
+        );
         // Before the site came online it also fails.
-        assert_eq!(host.fetch(&req, t(-10)), Err(FetchError::ConnectionFailed));
+        assert_eq!(
+            fetch(&host, &req, t(-10)),
+            Err(FetchError::ConnectionFailed)
+        );
     }
 
     #[test]
     fn unknown_domain() {
         let host = WebHost::new();
         let req = residential_browser("https://nosuch.site/");
-        assert_eq!(host.fetch(&req, t(0)), Err(FetchError::UnknownDomain));
+        assert_eq!(fetch(&host, &req, t(0)), Err(FetchError::UnknownDomain));
     }
 
     #[test]
@@ -450,8 +461,8 @@ mod tests {
         }));
         let mut req = residential_browser("https://xrp-2x.live/");
         req.origin = NetOrigin::Institutional;
-        let _ = host.fetch(&req, t(1));
-        let _ = host.fetch(&residential_browser("https://gone.com/"), t(1));
+        let _ = fetch(&host, &req, t(1));
+        let _ = fetch(&host, &residential_browser("https://gone.com/"), t(1));
         let stats = host.stats();
         assert_eq!(stats.fetches, 2);
         assert_eq!(stats.forbidden, 1);

@@ -62,24 +62,6 @@ impl Url {
             query,
         })
     }
-
-    /// This URL with a different query string.
-    pub fn with_query(&self, query: &str) -> Url {
-        let mut u = self.clone();
-        u.query = Some(query.to_string());
-        u
-    }
-
-    /// This URL with a different path.
-    pub fn with_path(&self, path: &str) -> Url {
-        let mut u = self.clone();
-        u.path = if path.starts_with('/') {
-            path.to_string()
-        } else {
-            format!("/{path}")
-        };
-        u
-    }
 }
 
 fn strip_prefix_ci<'a>(s: &'a str, prefix: &str) -> Option<&'a str> {
@@ -154,16 +136,6 @@ mod tests {
         let u = Url::parse("https://a.io?x=1").unwrap();
         assert_eq!(u.path, "/");
         assert_eq!(u.query.as_deref(), Some("x=1"));
-    }
-
-    #[test]
-    fn builders() {
-        let u = Url::parse("https://a.io/start").unwrap();
-        assert_eq!(
-            u.with_query("step=claim").to_string(),
-            "https://a.io/start?step=claim"
-        );
-        assert_eq!(u.with_path("btc").to_string(), "https://a.io/btc");
     }
 
     #[test]
