@@ -24,9 +24,8 @@ pub mod twitch;
 pub mod twitter;
 pub mod youtube;
 
-pub use overlay::OverlayId;
-pub use twitch::{Twitch, TwitchFrameKey, TwitchStream, TwitchStreamId};
+pub use twitch::{Twitch, TwitchStream, TwitchStreamId};
 pub use twitter::{Hashtags, Tweet, TweetId, TwitterAccountId, TwitterSnapshot};
 pub use youtube::{
-    ChannelId, ChatMessage, FrameKey, LiveStream, LiveStreamId, StreamVideo, ViewerCurve, YouTube,
+    ChannelId, ChatMessage, LiveStream, LiveStreamId, StreamVideo, ViewerCurve, YouTube,
 };

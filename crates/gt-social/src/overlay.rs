@@ -1,28 +1,32 @@
-//! The QR overlays a platform's scam videos paint.
+//! The QR overlays a platform's scam videos paint, and what a scan of
+//! each finds.
 //!
 //! Generated worlds reuse landing URLs across scam streams, so a
 //! platform shows far fewer distinct overlays than scam streams. An
 //! overlay's pixels depend only on its URL and module scale, so frames
-//! are keyed by overlay, not by stream, and each overlay is encoded at
-//! most once.
+//! are keyed by overlay, not by stream: each overlay is encoded at most
+//! once, and a frame showing it is QR-scanned at most once.
 
 use crate::youtube::StreamVideo;
-use gt_qr::{encode, EcLevel, Matrix};
+use gt_qr::{encode, scan_frame, EcLevel, Frame, FrameHit, Matrix};
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 /// A distinct QR overlay `(qr_url, qr_scale)` of one platform: a dense
 /// index into its overlay table, assigned in stream-id order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct OverlayId(u32);
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct OverlayId(u32);
 
-/// One distinct overlay and its matrix, encoded on first paint.
+/// One distinct overlay, its matrix and its scan, each made on first
+/// use.
 #[derive(Debug)]
 struct Overlay {
     url: String,
     scale: usize,
     /// `None` inside when the URL is too long for any supported version.
     matrix: OnceLock<Option<Matrix>>,
+    /// What `scan_frame` finds in the platform's frame showing it.
+    hits: OnceLock<Vec<FrameHit>>,
 }
 
 /// A platform's overlays and which one each stream shows. A derived
@@ -50,6 +54,7 @@ impl OverlayTable {
                         url: qr_url.clone(),
                         scale: *qr_scale,
                         matrix: OnceLock::new(),
+                        hits: OnceLock::new(),
                     });
                     OverlayId(overlays.len() as u32 - 1)
                 })),
@@ -74,5 +79,17 @@ impl OverlayTable {
             .matrix
             .get_or_init(|| encode(overlay.url.as_bytes(), EcLevel::M).ok());
         Some((matrix.as_ref()?, overlay.scale))
+    }
+
+    /// What `scan_frame` finds in a frame showing the overlay: on the
+    /// first call `paint` paints that frame and it is scanned, later
+    /// calls read the answer. The table belongs to one platform, so
+    /// `paint` is always that platform's painter.
+    pub(crate) fn hits(&self, id: OverlayId, paint: impl FnOnce(&mut Frame)) -> &[FrameHit] {
+        self.overlays[id.0 as usize].hits.get_or_init(|| {
+            let mut frame = Frame::blank(0, 0);
+            paint(&mut frame);
+            scan_frame(&frame)
+        })
     }
 }

@@ -12,7 +12,7 @@
 
 use crate::overlay::{OverlayId, OverlayTable};
 use crate::youtube::{blank_into, ChatMessage, StreamVideo, ViewerCurve, FRAME_H, FRAME_W};
-use gt_qr::Frame;
+use gt_qr::{Frame, FrameHit};
 use gt_sim::faults::{Denied, Gated, Substrate};
 use gt_sim::{SimDuration, SimTime};
 use gt_store::{StoreDecode, StoreEncode};
@@ -51,8 +51,8 @@ impl TwitchStream {
 }
 
 /// What a recorded Twitch frame shows, and so all its pixels depend on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum TwitchFrameKey {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FrameKey {
     /// The advertisement card of a recording's first [`AD_SECONDS`].
     Ad,
     /// Stream content with the QR overlay its video shows, if any:
@@ -73,8 +73,9 @@ pub struct TwitchApiCalls {
 pub struct Twitch {
     streams: Vec<TwitchStream>,
     calls: Mutex<TwitchApiCalls>,
-    /// Derived overlay table, built lazily on the first frame key or
-    /// paint; excluded from snapshots.
+    /// Derived overlay table with each overlay's matrix and scan, built
+    /// lazily on the first frame recorded or scanned; excluded from
+    /// snapshots.
     #[store(skip)]
     overlays: OnceLock<OverlayTable>,
 }
@@ -136,7 +137,7 @@ impl Twitch {
     /// seconds after the recording starts show an advertisement (no
     /// stream content, no QR).
     pub fn record(&self, id: TwitchStreamId, now: SimTime, duration: SimDuration) -> Vec<Frame> {
-        self.count_record();
+        self.calls.lock().record += 1;
         self.frame_keys(id, now, duration)
             .map(|key| {
                 let mut frame = Frame::blank(0, 0);
@@ -146,27 +147,41 @@ impl Twitch {
             .collect()
     }
 
-    /// Count one [`Twitch::record`] call whose frames the caller paints
-    /// itself from [`Twitch::frame_keys`].
-    pub fn count_record(&self) {
-        self.calls.lock().record += 1;
-    }
-
-    /// The keys of the frames [`Twitch::record`] returns for the same
-    /// arguments, in order. Uncounted.
-    pub fn frame_keys(
+    /// The QR hits of each frame [`Twitch::record`] returns for the same
+    /// arguments, in order: what `scan_frame` finds in that frame. Counts
+    /// one record call, as `record` does. The advertisement card and
+    /// content without an overlay have none; content with one has that
+    /// overlay's hits, painted and scanned the first time any stream
+    /// shows it.
+    pub fn record_hits(
         &self,
         id: TwitchStreamId,
         now: SimTime,
         duration: SimDuration,
-    ) -> impl Iterator<Item = TwitchFrameKey> + '_ {
+    ) -> impl Iterator<Item = &[FrameHit]> + '_ {
+        self.calls.lock().record += 1;
+        self.frame_keys(id, now, duration).map(|key| match key {
+            FrameKey::Ad | FrameKey::Content(None) => &[][..],
+            FrameKey::Content(Some(overlay)) => self
+                .overlays()
+                .hits(overlay, |frame| self.paint(key, frame)),
+        })
+    }
+
+    /// The keys of the frames [`Twitch::record`] returns for the same
+    /// arguments, in order.
+    fn frame_keys(
+        &self,
+        id: TwitchStreamId,
+        now: SimTime,
+        duration: SimDuration,
+    ) -> impl Iterator<Item = FrameKey> + '_ {
         let stream = self.streams.get(id.0 as usize);
-        let content =
-            stream.map(|s| TwitchFrameKey::Content(self.overlays().of_stream(s.id.0 as usize)));
+        let content = stream.map(|s| FrameKey::Content(self.overlays().of_stream(s.id.0 as usize)));
         (0..duration.as_seconds().max(1)).map_while(move |i| {
             stream.filter(|s| s.is_live(now + SimDuration::seconds(i)))?;
             if i < AD_SECONDS {
-                Some(TwitchFrameKey::Ad)
+                Some(FrameKey::Ad)
             } else {
                 content
             }
@@ -175,17 +190,17 @@ impl Twitch {
 
     /// Paint the frame `key` names over `frame`, reusing its buffer.
     /// Reads only the key and the keyed overlay, so equal keys paint
-    /// equal pixels. Uncounted.
-    pub fn paint(&self, key: TwitchFrameKey, frame: &mut Frame) {
+    /// equal pixels.
+    fn paint(&self, key: FrameKey, frame: &mut Frame) {
         blank_into(frame);
         match key {
-            TwitchFrameKey::Ad => {
+            FrameKey::Ad => {
                 // A mid-gray card: no QR, recognisably not content.
                 for y in 80..160 {
                     frame.luma[y * FRAME_W + 60..y * FRAME_W + 260].fill(100);
                 }
             }
-            TwitchFrameKey::Content(overlay) => {
+            FrameKey::Content(overlay) => {
                 if let Some((matrix, scale)) = overlay.and_then(|id| self.overlays().matrix(id)) {
                     let scale = scale.max(1);
                     let span = matrix.size() * scale + 8 * scale;
@@ -368,11 +383,12 @@ mod tests {
         let gate = &mut Gated::disabled();
         tw.get_streams(t(0), gate).unwrap();
         tw.record(id, t(0), SimDuration::seconds(2));
+        assert_eq!(tw.record_hits(id, t(0), SimDuration::seconds(2)).count(), 2);
         tw.chat_since(id, t(0), t(10), gate).unwrap();
         let calls = tw.api_calls();
         assert_eq!(
             (calls.get_streams, calls.record, calls.chat_poll),
-            (1, 1, 1)
+            (1, 2, 1)
         );
     }
 
@@ -411,7 +427,16 @@ mod tests {
                 tw.paint(key, &mut frame);
                 assert!(frame.luma == expect.luma, "{key:?}");
             }
+            let scanned: Vec<_> = recorded.iter().map(scan_frame).collect();
+            let hits: Vec<_> = tw
+                .record_hits(id, t(at), SimDuration::seconds(20))
+                .collect();
+            assert_eq!(hits, scanned, "{id:?} at {at}");
         }
-        assert_eq!(tw.api_calls().record, 6, "only `record` counts");
+        assert_eq!(
+            tw.api_calls().record,
+            12,
+            "only `record` and `record_hits` count"
+        );
     }
 }

@@ -6,7 +6,7 @@
 //! recorded for quota audits.
 
 use crate::overlay::{OverlayId, OverlayTable};
-use gt_qr::Frame;
+use gt_qr::{Frame, FrameHit};
 use gt_sim::faults::{Denied, Gated, Substrate};
 use gt_sim::{SimDuration, SimTime};
 use gt_store::{StoreDecode, StoreEncode};
@@ -65,11 +65,9 @@ pub enum StreamVideo {
 /// What a video frame shows, and so all its pixels depend on: the
 /// texture's phase and, while a QR overlay is visible, which overlay is
 /// painted. Streams that show the same `(qr_url, qr_scale)` share the
-/// overlay, so their frames share keys. [`YouTube::frame_key`] names the
-/// frame a stream shows at an instant and [`YouTube::paint`] paints it;
-/// the fields are private, so every key names a frame some stream shows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct FrameKey {
+/// overlay, so their frames share keys.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct FrameKey {
     /// Seconds since the stream started, modulo the texture's period.
     phase: u8,
     /// The QR overlay painted; `None` when none is.
@@ -173,8 +171,9 @@ pub struct YouTube {
     /// query, so it is excluded from snapshots.
     #[store(skip)]
     live_index: OnceLock<LiveIndex>,
-    /// Derived overlay table, built lazily on the first frame key or
-    /// paint, so it is excluded from snapshots too.
+    /// Derived overlay table with each overlay's matrix and scan, built
+    /// lazily on the first frame rendered or scanned, so it is excluded
+    /// from snapshots too.
     #[store(skip)]
     overlays: OnceLock<OverlayTable>,
 }
@@ -346,7 +345,7 @@ impl YouTube {
     /// This is the Streamlink step: the monitoring pipeline records two
     /// seconds at a time.
     pub fn record(&self, id: LiveStreamId, now: SimTime, duration: SimDuration) -> Vec<Frame> {
-        self.count_record();
+        self.calls.lock().record += 1;
         let mut frames = Vec::new();
         for i in 0..duration.as_seconds().max(1) {
             // An empty buffer: `render_into` allocates it at frame size.
@@ -359,15 +358,37 @@ impl YouTube {
         frames
     }
 
-    /// Count one [`YouTube::record`] call whose frames the caller renders
-    /// itself with [`YouTube::render_into`].
-    pub fn count_record(&self) {
+    /// The QR hits of each frame [`YouTube::record`] returns for the same
+    /// arguments, in order: what `scan_frame` finds in that frame. Counts
+    /// one record call, as `record` does.
+    ///
+    /// A frame that shows no overlay (benign video, or a duty cycle's
+    /// hidden span) has none. A frame that shows one has that overlay's
+    /// hits, painted at texture phase 0 and scanned the first time any
+    /// stream shows the overlay. The phase cannot change them: the
+    /// texture lies in rows above every overlay's quiet zone, and the
+    /// overlay, quiet zone included, is painted over what lies under it.
+    pub fn record_hits(
+        &self,
+        id: LiveStreamId,
+        now: SimTime,
+        duration: SimDuration,
+    ) -> impl Iterator<Item = &[FrameHit]> + '_ {
         self.calls.lock().record += 1;
+        (0..duration.as_seconds().max(1)).map_while(move |i| {
+            let key = self.frame_key(id, now + SimDuration::seconds(i))?;
+            Some(match key.overlay {
+                None => &[][..],
+                Some(overlay) => self.overlays().hits(overlay, |frame| {
+                    self.paint(FrameKey { phase: 0, ..key }, frame)
+                }),
+            })
+        })
     }
 
     /// The key of the frame stream `id` shows at `at`; `None` if the
-    /// stream does not exist or is not live at `at`. Uncounted.
-    pub fn frame_key(&self, id: LiveStreamId, at: SimTime) -> Option<FrameKey> {
+    /// stream does not exist or is not live at `at`.
+    fn frame_key(&self, id: LiveStreamId, at: SimTime) -> Option<FrameKey> {
         let stream = self.streams.get(id.0 as usize)?;
         if !stream.is_live(at) {
             return None;
@@ -383,14 +404,14 @@ impl YouTube {
 
     /// Paint the frame `key` names over `frame`, which is resized to the
     /// frame geometry only if it has another. Reads only the key and the
-    /// keyed overlay, so equal keys paint equal pixels. Uncounted.
-    pub fn paint(&self, key: FrameKey, frame: &mut Frame) {
+    /// keyed overlay, so equal keys paint equal pixels.
+    fn paint(&self, key: FrameKey, frame: &mut Frame) {
         blank_into(frame);
-        // A bit of deterministic "video content" texture in the top half so
+        // A bit of deterministic "video content" texture at the top so
         // frames are not trivially blank: the pixels where
         // `(x + 3y + phase) % 11 == 0`, stepped to directly.
         let period = TEXTURE_PERIOD as usize;
-        for y in 0..40 {
+        for y in 0..TEXTURE_ROWS {
             let first = (period - (y * 3 + key.phase as usize) % period) % period;
             for x in (first..FRAME_W).step_by(period) {
                 frame.set(x, y, 40);
@@ -401,13 +422,16 @@ impl YouTube {
         };
         let scale = scale.max(1);
         let span = matrix.size() * scale + 8 * scale;
-        if span + 10 <= FRAME_W && span + 50 <= FRAME_H {
-            frame.paint_qr(matrix, FRAME_W - span - 5, FRAME_H - span - 5, scale);
+        let (span, margin, scale) = if span + 10 <= FRAME_W && span + 50 <= FRAME_H {
+            (span, 5, scale)
         } else {
             // Fall back to scale 1 in a corner.
-            let span1 = matrix.size() + 8;
-            frame.paint_qr(matrix, FRAME_W - span1 - 2, FRAME_H - span1 - 2, 1);
-        }
+            (matrix.size() + 8, 2, 1)
+        };
+        let top = FRAME_H - span - margin;
+        // `record_hits` scans an overlay at one phase and answers for all.
+        debug_assert!(TEXTURE_ROWS <= top, "the texture reaches the overlay");
+        frame.paint_qr(matrix, FRAME_W - span - margin, top, scale);
     }
 
     /// Render the stream's video frame at `at` into `frame`, reusing its
@@ -484,6 +508,8 @@ pub(crate) const FRAME_H: usize = 240;
 
 /// Seconds after which a stream's texture repeats.
 const TEXTURE_PERIOD: i64 = 11;
+/// The texture covers the frame's rows `0..TEXTURE_ROWS`.
+const TEXTURE_ROWS: usize = 40;
 
 /// Make `frame` a blank frame of the video geometry, reusing its buffer
 /// when it already has that geometry.
@@ -744,11 +770,15 @@ mod tests {
         yt.stream_details(id, t(10));
         yt.chat_history(id, t(10));
         yt.record(id, t(10), SimDuration::seconds(2));
+        assert_eq!(
+            yt.record_hits(id, t(10), SimDuration::seconds(2)).count(),
+            2
+        );
         let calls = yt.api_calls();
         assert_eq!(calls.search, 2);
         assert_eq!(calls.stream_details, 1);
         assert_eq!(calls.chat_history, 1);
-        assert_eq!(calls.record, 1);
+        assert_eq!(calls.record, 2);
     }
 
     #[test]
@@ -911,9 +941,10 @@ mod tests {
         /// Frames with equal keys are byte-identical, across streams and
         /// instants: each rendered frame is the one the first-written
         /// renderer paints from the stream and the instant alone, and a
-        /// stream has a key exactly when it renders. The second instant
-        /// is a whole number of texture periods from the first, so equal
-        /// keys are common.
+        /// stream has a key exactly when it renders. `record_hits` yields
+        /// a frame exactly then too, with what a scan of it finds. The
+        /// second instant is a whole number of texture periods from the
+        /// first, so equal keys are common.
         #[test]
         fn equal_frame_keys_render_identical_frames(
             first in 0u64..6,
@@ -933,9 +964,12 @@ mod tests {
             for (i, &(id, at)) in samples.iter().enumerate() {
                 keys[i] = yt.frame_key(id, at);
                 prop_assert_eq!(yt.render_into(id, at, &mut frames[i]), keys[i].is_some());
+                let hits: Vec<_> = yt.record_hits(id, at, SimDuration::seconds(1)).collect();
+                prop_assert_eq!(hits.len(), keys[i].is_some() as usize);
                 if keys[i].is_some() {
                     let expect = reference_frame(yt.stream(id), at);
                     prop_assert!(frames[i].luma == expect.luma, "{:?} at {:?}", id, at);
+                    prop_assert_eq!(hits[0], scan_frame(&expect));
                 }
             }
             if keys[0].is_some() && keys[0] == keys[1] {
@@ -952,7 +986,8 @@ mod tests {
         /// visibility, two streams' keys are equal iff no overlay is
         /// visible or their `(qr_url, qr_scale)` are equal. Each keyed
         /// frame is the one the first-written renderer paints with a fresh
-        /// encode. The pool holds a URL too long for any QR version and a
+        /// encode, and `record_hits` answers for it what a scan of it
+        /// finds. The pool holds a URL too long for any QR version and a
         /// scale (9) that needs the scale-1 corner fallback; URL index 3 is
         /// benign video.
         #[test]
@@ -1009,6 +1044,8 @@ mod tests {
             for &(s, key) in &keyed {
                 yt.paint(key, &mut frame);
                 prop_assert!(frame.luma == reference_frame(s, at).luma, "{:?}", s.id);
+                let hits: Vec<_> = yt.record_hits(s.id, at, SimDuration::seconds(1)).collect();
+                prop_assert_eq!(hits, [scan_frame(&frame)], "{:?}", s.id);
             }
             for &(a, a_key) in &keyed {
                 for &(b, b_key) in &keyed {

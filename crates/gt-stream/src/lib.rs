@@ -4,9 +4,9 @@
 //! * [`monitor`] — the YouTube monitoring loop: keyword search every 30
 //!   minutes, stream/chat/viewer sampling every 7.5 minutes, two-second
 //!   video recordings, QR and chat URL lead extraction, daily crawl
-//!   revisits, and the 11 infrastructure outage days. Each window
-//!   QR-scans every distinct frame once, through a memo keyed by what
-//!   determines the frame's pixels (`scan`, private);
+//!   revisits, and the 11 infrastructure outage days. Recordings are
+//!   read through `YouTube::record_hits`, so each distinct QR overlay is
+//!   scanned once per platform, not once per frame;
 //! * [`twitch`] — the Twitch pilot: fetch all streams, filter by
 //!   keywords minus the 16 noisy ones, drop game categories, record 20
 //!   seconds (to outlast the ad roll), keep chat while live;
@@ -16,7 +16,6 @@
 pub mod keywords;
 pub mod monitor;
 pub mod pilot;
-mod scan;
 pub mod twitch;
 
 pub use keywords::{search_keyword_set, SearchKeywords};

@@ -11,12 +11,11 @@
 //! polling.
 
 use crate::keywords::SearchKeywords;
-use crate::scan::ScanMemo;
 use gt_obs::StageSink;
 use gt_qr::FrameHit;
 use gt_sim::faults::{FaultPlan, Gated, RetryPolicy, Substrate};
 use gt_sim::{CivilDate, SimDuration, SimTime};
-use gt_social::{ChannelId, FrameKey, LiveStreamId, YouTube};
+use gt_social::{ChannelId, LiveStreamId, YouTube};
 use gt_store::{StoreDecode, StoreEncode};
 use gt_text::extract_urls;
 use gt_web::crawler::{Crawler, CrawlerConfig, RevisitState};
@@ -296,32 +295,21 @@ impl LeadBook {
 }
 
 /// What the monitor keeps of one recording: its frame count and the QR
-/// hits of its first frame that shows any (scanning stops there).
+/// hits of its first frame that shows any, borrowed from the platform.
 #[derive(Debug, Default, PartialEq)]
-struct Clip {
+struct Clip<'a> {
     frames: u64,
-    hits: Vec<FrameHit>,
+    hits: &'a [FrameHit],
 }
 
-/// Record [`RECORD_LENGTH`] of stream `id` from `t` and scan it through
-/// the window's memo: the frames [`YouTube::record`] returns, scanned in
-/// order up to the first with a hit. Counts no API call.
-fn record_clip(
-    youtube: &YouTube,
-    id: LiveStreamId,
-    t: SimTime,
-    scans: &mut ScanMemo<FrameKey>,
-) -> Clip {
+/// Record [`RECORD_LENGTH`] of stream `id` from `t`, as
+/// [`YouTube::record_hits`] scans it. Counts one record call.
+fn record_clip(youtube: &YouTube, id: LiveStreamId, t: SimTime) -> Clip<'_> {
     let mut clip = Clip::default();
-    for i in 0..RECORD_LENGTH.as_seconds() {
-        let Some(key) = youtube.frame_key(id, t + SimDuration::seconds(i)) else {
-            break;
-        };
+    for hits in youtube.record_hits(id, t, RECORD_LENGTH) {
         clip.frames += 1;
         if clip.hits.is_empty() {
-            clip.hits = scans
-                .hits(key, |key, frame| youtube.paint(key, frame))
-                .to_vec();
+            clip.hits = hits;
         }
     }
     clip
@@ -360,8 +348,6 @@ impl<'a> Monitor<'a> {
         let mut tracked: BTreeMap<LiveStreamId, Tracked> = BTreeMap::new();
         let mut book = LeadBook::default();
         let crawler = Crawler::new(cfg.crawler);
-        // Every distinct frame this window records is scanned once.
-        let mut scans = ScanMemo::new();
         // One gate per window; the label ties this window's jitter
         // stream to its start so pilot and main draw independently.
         let gate_label = format!("monitor@{}", cfg.window_start.0);
@@ -467,17 +453,16 @@ impl<'a> Monitor<'a> {
                     }
                 }
 
-                // Video recording: the admitted call counts once and scans
-                // its frames through the window's memo.
+                // Video recording: only an admitted call counts and reads
+                // the platform's scans.
                 let clip = gate
                     .checked_counted(Substrate::YoutubeRecord, t, || {
-                        youtube.count_record();
-                        let clip = record_clip(youtube, id, t, &mut scans);
+                        let clip = record_clip(youtube, id, t);
                         let frames = clip.frames;
                         (clip, frames)
                     })
                     .unwrap_or_default();
-                for hit in &clip.hits {
+                for hit in clip.hits {
                     if let Ok(text) = std::str::from_utf8(&hit.payload) {
                         book.note(&mut report.leads, text, UrlSource::QrCode, id, t);
                     }
@@ -835,22 +820,23 @@ mod tests {
                 ..base.clone()
             });
         }
-        // What each scanned frame shows, described without `FrameKey`: the
-        // texture phase (the texture repeats every 11 s) and the visible
-        // overlay's `(qr_url, qr_scale)`; and the same with the stream in
-        // place of the overlay, as a per-stream key would have it.
-        let mut by_overlay = BTreeSet::new();
-        let mut by_stream = BTreeSet::new();
-        let mut scans = ScanMemo::new();
+        // What each recorded frame shows, described without frame keys:
+        // the texture phase (the texture repeats every 11 s) and the
+        // visible overlay's `(qr_url, qr_scale)`; and the streams that
+        // showed an overlay.
+        let mut by_phase = BTreeSet::new();
+        let mut overlays = BTreeSet::new();
+        let mut showing = BTreeSet::new();
+        // The scans the clips borrow from the platform, by address.
+        let mut scans = BTreeSet::new();
         let mut t = config.window_start;
         while t < config.window_end {
             for stream in yt.streams() {
                 let frames = yt.record(stream.id, t, RECORD_LENGTH);
-                let mut reference = Clip {
-                    frames: frames.len() as u64,
-                    hits: Vec::new(),
-                };
-                for (at, frame) in (0..).map(|i| t + SimDuration::seconds(i)).zip(&frames) {
+                let scanned: Vec<Vec<FrameHit>> = frames.iter().map(gt_qr::scan_frame).collect();
+                let hits: Vec<&[FrameHit]> = yt.record_hits(stream.id, t, RECORD_LENGTH).collect();
+                assert_eq!(hits, scanned, "{:?} at {t:?}", stream.id);
+                for at in (0..frames.len() as i64).map(|i| t + SimDuration::seconds(i)) {
                     let phase = (at - stream.start).as_seconds().rem_euclid(11);
                     let overlay = match &stream.video {
                         StreamVideo::ScamLoop {
@@ -858,24 +844,33 @@ mod tests {
                         } if stream.qr_visible(at) => Some((qr_url.clone(), *qr_scale)),
                         _ => None,
                     };
-                    by_stream.insert((phase, overlay.as_ref().map(|_| stream.id)));
-                    by_overlay.insert((phase, overlay));
-                    reference.hits = gt_qr::scan_frame(frame);
-                    if !reference.hits.is_empty() {
-                        break;
+                    if let Some(overlay) = overlay {
+                        showing.insert(stream.id);
+                        by_phase.insert((phase, overlay.clone()));
+                        overlays.insert(overlay);
                     }
                 }
-                let clip = record_clip(&yt, stream.id, t, &mut scans);
+                let reference = Clip {
+                    frames: frames.len() as u64,
+                    hits: scanned
+                        .iter()
+                        .find(|h| !h.is_empty())
+                        .map_or(&[], Vec::as_slice),
+                };
+                let clip = record_clip(&yt, stream.id, t);
                 assert_eq!(clip, reference, "{:?} at {t:?}", stream.id);
+                if !clip.hits.is_empty() {
+                    scans.insert(clip.hits.as_ptr());
+                }
             }
             t += SAMPLE_INTERVAL;
         }
-        assert_eq!(
-            scans.len(),
-            by_overlay.len(),
-            "one entry per (phase, overlay)"
+        assert_eq!(scans.len(), overlays.len(), "one scan per overlay");
+        assert!(overlays.len() < showing.len(), "streams share overlays");
+        assert!(
+            overlays.len() < by_phase.len(),
+            "frames show overlays at many phases"
         );
-        assert!(by_overlay.len() < by_stream.len(), "streams share overlays");
     }
 
     /// A one-stream platform whose chat is `messages` from `t0()`: each

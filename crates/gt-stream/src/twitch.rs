@@ -9,7 +9,6 @@
 //! same null result.
 
 use crate::keywords::twitch_keyword_set;
-use crate::scan::ScanMemo;
 use gt_obs::StageSink;
 use gt_sim::faults::{FaultPlan, Gated, RetryPolicy, Substrate};
 use gt_sim::{SimDuration, SimTime};
@@ -68,8 +67,6 @@ pub fn run_twitch_pilot(
         sink.clone(),
     );
     let _window_span = sink.span_sim("twitch.window", window_start.0);
-    // Every distinct frame this window records is scanned once.
-    let mut scans = ScanMemo::new();
 
     let mut t = window_start;
     while t < window_end {
@@ -99,11 +96,10 @@ pub fn run_twitch_pilot(
             // distinct from the Helix listing quota.
             let (frames, hits) = gate
                 .checked_counted(Substrate::TwitchChat, t, || {
-                    twitch.count_record();
                     let (mut frames, mut hits) = (0, 0);
-                    for key in twitch.frame_keys(stream.id, t, SimDuration::seconds(20)) {
+                    for frame in twitch.record_hits(stream.id, t, SimDuration::seconds(20)) {
                         frames += 1;
-                        hits += scans.hits(key, |key, frame| twitch.paint(key, frame)).len();
+                        hits += frame.len();
                     }
                     ((frames, hits), frames)
                 })

@@ -1,8 +1,8 @@
 //! Derived platform caches never show in any output. A world whose
 //! caches are filled (the YouTube live index and both platforms' overlay
-//! tables, every overlay encoded) snapshots to the same bytes as its twin
-//! whose caches are empty, and a world restored from a snapshot, caches
-//! empty, renders the same frames.
+//! tables, every overlay encoded and scanned) snapshots to the same bytes
+//! as its twin whose caches are empty, and a world restored from a
+//! snapshot, caches empty, renders the same frames.
 //!
 //! Snapshots do carry the platforms' API call counters, so the twin
 //! makes the same number of calls against a stream id that does not
@@ -44,22 +44,34 @@ fn filled_caches_leave_snapshots_and_frames_unchanged() {
     let warm = sample_frames(&world);
     let first = world.youtube.streams()[0].start;
     world.youtube.live_at(first);
-    // Paint every stream's first content frame on both platforms: this
-    // builds both overlay tables and encodes every overlay, uncounted.
-    let mut frame = Frame::blank(0, 0);
+    // Scan every stream's first content frame on both platforms: this
+    // builds both overlay tables and encodes and scans every overlay. Each
+    // scan counts a recording, and so does each of the twin's.
+    let second = SimDuration::seconds(1);
+    let nowhere = LiveStreamId(u64::MAX);
+    let mut hits = 0;
     for s in world.youtube.streams() {
-        if let Some(key) = world.youtube.frame_key(s.id, s.start) {
-            world.youtube.paint(key, &mut frame);
-        }
+        hits += world
+            .youtube
+            .record_hits(s.id, s.start, second)
+            .flatten()
+            .count();
+        assert_eq!(twin.youtube.record_hits(nowhere, first, second).count(), 0);
     }
     let content = SimDuration::seconds(AD_SECONDS + 1);
     for id in (0..world.twitch.stream_count() as u64).map(TwitchStreamId) {
         let start = world.twitch.stream(id).start;
-        if let Some(key) = world.twitch.frame_keys(id, start, content).last() {
-            world.twitch.paint(key, &mut frame);
-        }
+        hits += world
+            .twitch
+            .record_hits(id, start, content)
+            .flatten()
+            .count();
+        let twin_hits = twin
+            .twitch
+            .record_hits(TwitchStreamId(u64::MAX), start, content);
+        assert_eq!(twin_hits.count(), 0);
     }
-    let nowhere = LiveStreamId(u64::MAX);
+    assert!(hits > 0, "some stream shows a QR code");
     for _ in 0..world.truth.scam_streams.len() * 3 {
         assert!(twin
             .youtube

@@ -22,7 +22,10 @@ const REPORT_SHA256: &str = "d4a2f090328059a3cb022787f4adc4a836be5022f0da60fe82d
 /// table.
 fn documented_table() -> &'static str {
     let doc = include_str!("../EXPERIMENTS.md");
-    let start = doc.find("```text\n").expect("EXPERIMENTS.md has a text block") + 8;
+    let start = doc
+        .find("```text\n")
+        .expect("EXPERIMENTS.md has a text block")
+        + 8;
     let len = doc[start..].find("```").expect("the text block closes");
     &doc[start..start + len]
 }
@@ -33,9 +36,7 @@ fn paper_scale_world_report_and_table_are_pinned() {
     let world = World::generate(WorldConfig::default());
     let world_sha = digest_hex(&digest(&world.snapshot()));
     let report = Pipeline::new(&world).run().report;
-    let report_sha = digest_hex(&digest(
-        serde_json::to_string(&report).unwrap().as_bytes(),
-    ));
+    let report_sha = digest_hex(&digest(serde_json::to_string(&report).unwrap().as_bytes()));
     let table = report.render_comparison(1.0);
     assert_eq!(world_sha, WORLD_SHA256, "scale-1.0 world digest moved");
     assert_eq!(report_sha, REPORT_SHA256, "scale-1.0 report digest moved");
