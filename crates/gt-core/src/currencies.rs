@@ -6,7 +6,6 @@ use gt_store::{StoreDecode, StoreEncode};
 use gt_stream::monitor::MonitorReport;
 use gt_text::KeywordSet;
 use serde::Serialize;
-use std::collections::BTreeMap;
 
 /// The coins the analysis reports on, with their match keywords.
 const COIN_TAGS: [(&str, &[&str]); 3] = [
@@ -54,21 +53,24 @@ fn finish(counts: [usize; 3], lures: usize) -> CoinRates {
 /// Coin reference rates among scam tweets (matched on hashtags, as the
 /// paper does).
 pub fn twitter_coin_rates(dataset: &TwitterDataset, snapshot: &TwitterSnapshot) -> CoinRates {
-    let sets = tag_sets();
-    // Scam tweets repeat a few dozen hashtag lists: match each list once.
-    let mut memo: BTreeMap<&str, [bool; 3]> = BTreeMap::new();
-    let mut counts = [0usize; 3];
+    // Scam tweets repeat a few dozen hashtag lists: count each list's
+    // lures by its id, then match each list once.
+    let tweets = snapshot.tweets();
+    let lists = snapshot.hashtag_lists();
+    let mut per_list = vec![0usize; lists.len()];
     let mut lures = 0usize;
     for domain in &dataset.domains {
+        lures += domain.tweets.len();
         for &id in &domain.tweets {
-            let tweet = snapshot.tweet(id).expect("dataset tweet exists");
-            lures += 1;
-            let haystack = tweet.hashtags.joined();
-            let hits = memo
-                .entry(haystack)
-                .or_insert_with(|| std::array::from_fn(|k| sets[k].matches(haystack)));
-            for (count, &hit) in counts.iter_mut().zip(hits.iter()) {
-                *count += usize::from(hit);
+            per_list[tweets[id.0 as usize].hashtags.0 as usize] += 1;
+        }
+    }
+    let sets = tag_sets();
+    let mut counts = [0usize; 3];
+    for (list, &n) in lists.iter().zip(&per_list).filter(|&(_, &n)| n > 0) {
+        for (count, set) in counts.iter_mut().zip(&sets) {
+            if set.matches(list.joined()) {
+                *count += n;
             }
         }
     }

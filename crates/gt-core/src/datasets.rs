@@ -16,6 +16,7 @@ use std::collections::{BTreeMap, BTreeSet};
 #[derive(Debug, Clone, PartialEq, StoreEncode, StoreDecode)]
 pub struct TwitterDomain {
     pub domain: String,
+    /// In id order.
     pub tweets: Vec<TweetId>,
     pub tweet_times: Vec<SimTime>,
     /// Checksum-valid BTC/ETH/XRP addresses from the corpus annotation.
@@ -49,30 +50,40 @@ pub fn build_twitter_dataset(
     snapshot: &TwitterSnapshot,
     scam_db: &gt_world::sites::ScamDomainDb,
 ) -> TwitterDataset {
-    let mut dataset = TwitterDataset::default();
+    let tweets = snapshot.tweets();
+    let mut domains = Vec::new();
+    let mut authors = Vec::new();
+    let mut tweet_count = 0;
     for entry in &scam_db.entries {
-        let tweets = snapshot.tweets_with_domain(&entry.domain);
-        if tweets.is_empty() {
+        let ids = snapshot.tweets_with_domain(&entry.domain);
+        if ids.is_empty() {
             continue;
         }
-        let mut ids = Vec::with_capacity(tweets.len());
-        let mut times = Vec::with_capacity(tweets.len());
-        for t in &tweets {
-            ids.push(t.id);
-            times.push(t.time);
-            dataset.accounts.insert(t.author);
+        let mut times = Vec::with_capacity(ids.len());
+        for id in ids {
+            let tweet = &tweets[id.0 as usize];
+            times.push(tweet.time);
+            authors.push(tweet.author);
         }
-        times.sort();
-        dataset.tweet_count += ids.len();
-        dataset.domains.push(TwitterDomain {
+        times.sort_unstable();
+        tweet_count += ids.len();
+        domains.push(TwitterDomain {
             domain: entry.domain.clone(),
-            tweets: ids,
+            tweets: ids.to_vec(),
             tweet_times: times,
             addresses: validate_annotated_addresses(&entry.addresses),
         });
     }
-    dataset.domains.sort_by(|a, b| a.domain.cmp(&b.domain));
-    dataset
+    domains.sort_by(|a, b| a.domain.cmp(&b.domain));
+    // The set is built in bulk from the sorted, distinct authors rather
+    // than by one insert per tweet.
+    authors.sort_unstable();
+    authors.dedup();
+    TwitterDataset {
+        domains,
+        accounts: authors.into_iter().collect(),
+        tweet_count,
+    }
 }
 
 /// One YouTube scam domain with the streams that promoted it.

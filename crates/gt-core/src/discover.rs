@@ -30,13 +30,18 @@ pub fn twitter_discoverability(
     let mut mentions = 0usize;
     let mut replies = 0usize;
     for domain in &dataset.domains {
+        // A domain's tweets and the mention table are both in id order:
+        // walk the table beside the tweets.
+        debug_assert!(domain.tweets.windows(2).all(|w| w[0] <= w[1]));
+        let mut mentioning = snapshot.mentioning().peekable();
         for &id in &domain.tweets {
             let t = snapshot.tweet(id).expect("dataset tweet exists");
             tweets += 1;
-            if !t.hashtags.is_empty() {
+            if !snapshot.hashtags(t.hashtags).is_empty() {
                 hashtags += 1;
             }
-            if !t.mentions.is_empty() {
+            while mentioning.next_if(|&m| m < id).is_some() {}
+            if mentioning.peek() == Some(&id) {
                 mentions += 1;
             }
             if t.reply_to.is_some() {

@@ -15,10 +15,12 @@
 //! * [`dist`] — the heavy-tailed samplers (log-normal, Pareto, Zipf)
 //!   the world generator needs and that `rand` alone lacks;
 //! * [`faults`] — seeded fault plans and the [`Gated`] call gate every
-//!   simulated substrate consults.
+//!   simulated substrate consults;
+//! * [`hash`] — a fast, seedless hasher for interning maps.
 
 pub mod dist;
 pub mod faults;
+pub mod hash;
 pub mod ids;
 pub mod rng;
 pub mod time;

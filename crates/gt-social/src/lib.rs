@@ -25,7 +25,7 @@ pub mod twitter;
 pub mod youtube;
 
 pub use twitch::{Twitch, TwitchStream, TwitchStreamId};
-pub use twitter::{Hashtags, Tweet, TweetId, TwitterAccountId, TwitterSnapshot};
+pub use twitter::{Hashtags, TagsId, TextId, Tweet, TweetId, TwitterAccountId, TwitterSnapshot};
 pub use youtube::{
     ChannelId, ChatMessage, LiveStream, LiveStreamId, StreamVideo, ViewerCurve, YouTube,
 };

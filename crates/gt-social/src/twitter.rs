@@ -6,17 +6,32 @@
 //! domain* — so the snapshot keeps a domain inverted index built with
 //! the same URL scan the chat scanner uses, read through
 //! `extract_url_hosts`, which yields each host without building its
-//! URL. Generation only pushes tweets: the index is built in one pass
-//! over them on the first query, so a run builds it inside the stage
-//! that asks, not on the serial path of world generation. Snapshots
-//! still carry it (encoding builds it first), and a decoded snapshot
-//! starts with it filled.
+//! URL. Generation only pushes tweets: the index is built on the first
+//! query, so a run builds it inside the stage that asks, not on the
+//! serial path of world generation. Snapshots still carry it (encoding
+//! builds it first), and a decoded snapshot starts with it filled.
 //!
-//! A tweet's hashtags are a [`Hashtags`]: every tag in one `Box<str>`,
-//! each followed by a space, so decoding a tweet makes one allocation
-//! for its tags however many it has. It encodes, and serialises to
-//! JSON, exactly as the `Vec<String>` it stands for.
+//! Scam lures repeat: a scale-0.05 world's 22,864 tweets carry 547
+//! distinct texts and 38 distinct hashtag lists. So the snapshot keeps
+//! each text once, in a text table, and each hashtag list once, in a
+//! list table; a [`Tweet`] holds a [`TextId`] and a [`TagsId`] into
+//! them. Mentions, which about one tweet in a thousand has, sit in a
+//! side table keyed by tweet id. Table ids are dense and assigned in
+//! first-occurrence order, by the generator and by a decode alike, so
+//! a decoded snapshot equals the one that was encoded. The index scans
+//! each distinct text once and fans its hosts out to the text's tweets
+//! in id order.
+//!
+//! The codec is written by hand. It writes the bytes a derive wrote
+//! when each tweet owned its text, tags and mentions; decoding interns
+//! each text and list through a map over the borrowed input, so only
+//! a first occurrence allocates.
+//!
+//! A hashtag list is a [`Hashtags`]: every tag in one `Box<str>`, each
+//! followed by a space. It encodes, and serialises to JSON, exactly as
+//! the `Vec<String>` it stands for.
 
+use gt_sim::hash::FastMap;
 use gt_sim::SimTime;
 use gt_store::{DecodeError, Decoder, Encoder, StoreDecode, StoreEncode};
 use gt_text::extract_url_hosts;
@@ -36,17 +51,25 @@ pub struct TweetId(pub u64);
 )]
 pub struct TwitterAccountId(pub u64);
 
-/// A public tweet as the snapshot stores it.
-#[derive(Debug, Clone, PartialEq, Serialize, StoreEncode, StoreDecode)]
+/// Index of a text in a snapshot's text table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct TextId(pub u32);
+
+/// Index of a hashtag list in a snapshot's list table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct TagsId(pub u32);
+
+/// A public tweet as the snapshot stores it. Its text, hashtags and
+/// mentions are read through the snapshot: [`TwitterSnapshot::text`],
+/// [`TwitterSnapshot::hashtags`] and [`TwitterSnapshot::mentions`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Tweet {
     pub id: TweetId,
     pub author: TwitterAccountId,
     pub time: SimTime,
-    pub text: String,
+    pub text: TextId,
     /// Hashtags without the leading '#', lowercased.
-    pub hashtags: Hashtags,
-    /// Accounts @-mentioned.
-    pub mentions: Vec<TwitterAccountId>,
+    pub hashtags: TagsId,
     /// Tweet this one replies to, if any.
     pub reply_to: Option<TweetId>,
 }
@@ -96,28 +119,28 @@ impl StoreEncode for Hashtags {
 
 impl StoreDecode for Hashtags {
     fn store_decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let count = d.begin_seq()?;
-        // A first pass over the borrowed tags sizes the one allocation.
-        let mut scan = d.clone();
-        let mut len = 0;
-        for _ in 0..count {
-            let at = scan.position();
-            let tag = scan.str()?;
-            if tag.contains(' ') {
-                return Err(DecodeError::Invalid {
-                    what: "hashtag contains a space",
-                    at,
-                });
-            }
-            len += tag.len() + 1;
-        }
-        let mut all = String::with_capacity(len);
-        for _ in 0..count {
-            all.push_str(d.str()?);
-            all.push(' ');
-        }
-        Ok(Hashtags(all.into_boxed_str()))
+        let mut tags = Vec::new();
+        read_tags(d, &mut tags)?;
+        Ok(Hashtags::new(&tags))
     }
+}
+
+/// Read an encoded tag list into `tags`, borrowed from the input. A
+/// tag with a space is an error.
+fn read_tags<'a>(d: &mut Decoder<'a>, tags: &mut Vec<&'a str>) -> Result<(), DecodeError> {
+    tags.clear();
+    for _ in 0..d.begin_seq()? {
+        let at = d.position();
+        let tag = d.str()?;
+        if tag.contains(' ') {
+            return Err(DecodeError::Invalid {
+                what: "hashtag contains a space",
+                at,
+            });
+        }
+        tags.push(tag);
+    }
+    Ok(())
 }
 
 /// A list of strings, as `Vec<String>` serialises.
@@ -130,11 +153,19 @@ impl Serialize for Hashtags {
 /// Host → ids of the tweets whose text mentions it, in id order.
 type DomainIndex = HashMap<String, Vec<TweetId>>;
 
-/// The static tweet corpus with a domain inverted index.
+/// The static tweet corpus: the tweets, the text and hashtag-list
+/// tables they point into, the mention table, and a domain index.
 #[derive(Debug, Default)]
 pub struct TwitterSnapshot {
     tweets: Vec<Tweet>,
-    /// Built from `tweets` on first use; see the module docs.
+    /// Each distinct text once, at its [`TextId`].
+    texts: Vec<Box<str>>,
+    /// Each distinct hashtag list once, at its [`TagsId`].
+    hashtag_lists: Vec<Hashtags>,
+    /// The accounts each tweet @-mentions, for the tweets that mention
+    /// any, in id order.
+    mentions: Vec<(TweetId, Vec<TwitterAccountId>)>,
+    /// Built from the tweets and texts on first use; see the module docs.
     by_domain: OnceLock<DomainIndex>,
 }
 
@@ -143,46 +174,97 @@ impl TwitterSnapshot {
         TwitterSnapshot::default()
     }
 
-    /// Insert a tweet. Its URLs are indexed by host on the next query.
+    /// Add a text to the text table and return its id, which every
+    /// tweet carrying the text then shares. Add each distinct text
+    /// once: a decode interns by content, so a text added twice would
+    /// come back as one.
+    pub fn add_text(&mut self, text: impl Into<Box<str>>) -> TextId {
+        let id = TextId(u32::try_from(self.texts.len()).expect("text ids fit in u32"));
+        self.texts.push(text.into());
+        id
+    }
+
+    /// Add a hashtag list to the list table and return its id; as with
+    /// [`add_text`](Self::add_text), add each distinct list once.
+    /// Panics if a tag contains a space.
+    pub fn add_hashtags(&mut self, tags: &[&str]) -> TagsId {
+        let id = TagsId(u32::try_from(self.hashtag_lists.len()).expect("list ids fit in u32"));
+        self.hashtag_lists.push(Hashtags::new(tags));
+        id
+    }
+
+    /// Insert a tweet whose text and hashtags are already in the
+    /// tables. Its URLs are indexed by host on the next query. Panics
+    /// if `text` or `hashtags` is not in its table.
     pub fn insert(
         &mut self,
         author: TwitterAccountId,
         time: SimTime,
-        text: String,
-        hashtags: &[&str],
+        text: TextId,
+        hashtags: TagsId,
         mentions: Vec<TwitterAccountId>,
         reply_to: Option<TweetId>,
     ) -> TweetId {
+        assert!(
+            (text.0 as usize) < self.texts.len(),
+            "{text:?} is not in the table"
+        );
+        assert!(
+            (hashtags.0 as usize) < self.hashtag_lists.len(),
+            "{hashtags:?} is not in the table"
+        );
         let id = TweetId(self.tweets.len() as u64);
         self.by_domain.take();
+        if !mentions.is_empty() {
+            self.mentions.push((id, mentions));
+        }
         self.tweets.push(Tweet {
             id,
             author,
             time,
             text,
-            hashtags: Hashtags::new(hashtags),
-            mentions,
+            hashtags,
             reply_to,
         });
         id
     }
 
-    /// The domain index, built on first use.
+    /// The domain index, built on first use: each distinct text is
+    /// scanned once, and its hosts fan out to its tweets in id order.
     fn index(&self) -> &DomainIndex {
         self.by_domain.get_or_init(|| {
-            let mut index = DomainIndex::new();
+            // Each host gets a slot; each text lists its hosts' slots,
+            // a host twice if the text names it twice, as a scan of
+            // every tweet would find it.
+            let mut slots: HashMap<String, usize> = HashMap::new();
+            let hosts_of: Vec<Vec<usize>> = self
+                .texts
+                .iter()
+                .map(|text| {
+                    extract_url_hosts(text)
+                        .map(|host| match slots.get(host.as_ref()) {
+                            Some(&slot) => slot,
+                            None => {
+                                let slot = slots.len();
+                                slots.insert(host.into_owned(), slot);
+                                slot
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            let mut ids = vec![Vec::new(); slots.len()];
             for tweet in &self.tweets {
-                for host in extract_url_hosts(&tweet.text) {
-                    // Few hosts, many tweets: allocate a host only when
-                    // it is new.
-                    if let Some(ids) = index.get_mut(host.as_ref()) {
-                        ids.push(tweet.id);
-                    } else {
-                        index.insert(host.into_owned(), vec![tweet.id]);
-                    }
+                for &slot in &hosts_of[tweet.text.0 as usize] {
+                    ids[slot].push(tweet.id);
                 }
             }
-            index
+            // A host only on texts no tweet carries is not indexed.
+            slots
+                .into_iter()
+                .map(|(host, slot)| (host, std::mem::take(&mut ids[slot])))
+                .filter(|(_, ids)| !ids.is_empty())
+                .collect()
         })
     }
 
@@ -207,12 +289,38 @@ impl TwitterSnapshot {
         &self.tweets
     }
 
-    /// All tweets whose text contains a URL on `domain`.
-    pub fn tweets_with_domain(&self, domain: &str) -> Vec<&Tweet> {
-        self.index()
-            .get(domain)
-            .map(|ids| ids.iter().map(|&id| &self.tweets[id.0 as usize]).collect())
-            .unwrap_or_default()
+    /// The text at `id` in the text table.
+    pub fn text(&self, id: TextId) -> &str {
+        &self.texts[id.0 as usize]
+    }
+
+    /// The hashtag list at `id` in the list table.
+    pub fn hashtags(&self, id: TagsId) -> &Hashtags {
+        &self.hashtag_lists[id.0 as usize]
+    }
+
+    /// The list table, indexed by [`TagsId`]: each distinct list once.
+    pub fn hashtag_lists(&self) -> &[Hashtags] {
+        &self.hashtag_lists
+    }
+
+    /// The accounts tweet `id` @-mentions; empty for most tweets.
+    pub fn mentions(&self, id: TweetId) -> &[TwitterAccountId] {
+        match self.mentions.binary_search_by_key(&id, |&(tweet, _)| tweet) {
+            Ok(at) => &self.mentions[at].1,
+            Err(_) => &[],
+        }
+    }
+
+    /// Ids of the tweets that @-mention anyone, in id order.
+    pub fn mentioning(&self) -> impl Iterator<Item = TweetId> + '_ {
+        self.mentions.iter().map(|&(id, _)| id)
+    }
+
+    /// Ids of all tweets whose text contains a URL on `domain`, in id
+    /// order.
+    pub fn tweets_with_domain(&self, domain: &str) -> &[TweetId] {
+        self.index().get(domain).map_or(&[], Vec::as_slice)
     }
 
     /// The distinct domains appearing in the snapshot.
@@ -221,14 +329,58 @@ impl TwitterSnapshot {
     }
 }
 
-// Written by hand so the index can be lazy: the bytes are the derive's
-// for `{ tweets, by_domain }`, with the index built before it is
-// encoded and stored filled on decode.
+/// Equal tweets and tables; the index is derived from them.
+impl PartialEq for TwitterSnapshot {
+    fn eq(&self, other: &Self) -> bool {
+        self.tweets == other.tweets
+            && self.texts == other.texts
+            && self.hashtag_lists == other.hashtag_lists
+            && self.mentions == other.mentions
+    }
+}
+
+/// The fields a tweet encodes, as the derive wrote them for a tweet
+/// that owned its text, tags and mentions.
+const TWEET_FIELDS: u16 = 7;
+
+// Written by hand so tweets can share tables and the index can be
+// lazy. The bytes are the derive's for `{ tweets, by_domain }` with
+// each tweet `{ id, author, time, text, hashtags, mentions, reply_to }`
+// holding its own `String`, tag list and mention list; the index is
+// built before it is encoded and stored filled on decode.
 impl StoreEncode for TwitterSnapshot {
     fn store_encode(&self, e: &mut Encoder) {
         e.begin_struct(2);
         e.field("tweets");
-        self.tweets.store_encode(e);
+        // Each list is encoded once; its tweets copy the bytes.
+        let lists: Vec<Vec<u8>> = self
+            .hashtag_lists
+            .iter()
+            .map(gt_store::encode_to_vec)
+            .collect();
+        let mut mentioned = self.mentions.iter().peekable();
+        e.begin_seq(self.tweets.len());
+        for tweet in &self.tweets {
+            let mentions = match mentioned.next_if(|&&(id, _)| id == tweet.id) {
+                Some((_, mentions)) => mentions.as_slice(),
+                None => &[],
+            };
+            e.begin_struct(TWEET_FIELDS);
+            e.field("id");
+            tweet.id.store_encode(e);
+            e.field("author");
+            tweet.author.store_encode(e);
+            e.field("time");
+            tweet.time.store_encode(e);
+            e.field("text");
+            e.string(self.text(tweet.text));
+            e.field("hashtags");
+            e.raw(&lists[tweet.hashtags.0 as usize]);
+            e.field("mentions");
+            mentions.store_encode(e);
+            e.field("reply_to");
+            tweet.reply_to.store_encode(e);
+        }
         e.field("by_domain");
         self.index().store_encode(e);
     }
@@ -238,10 +390,60 @@ impl StoreDecode for TwitterSnapshot {
     fn store_decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         d.begin_struct(2)?;
         d.field("tweets")?;
-        let tweets = StoreDecode::store_decode(d)?;
+        let count = d.begin_seq()?;
+        // One byte per element is the format's minimum, so the input
+        // bounds a corrupt count's reservation.
+        let cap = usize::try_from(count)
+            .unwrap_or(usize::MAX)
+            .min(d.remaining());
+        let mut snapshot = TwitterSnapshot {
+            tweets: Vec::with_capacity(cap),
+            ..TwitterSnapshot::default()
+        };
+        // Texts and lists are interned by their borrowed bytes: only
+        // the first occurrence allocates.
+        let mut text_ids: FastMap<&str, TextId> = FastMap::default();
+        let mut list_ids: FastMap<Vec<&str>, TagsId> = FastMap::default();
+        let mut tags = Vec::new();
+        for position in 0..count {
+            d.begin_struct(TWEET_FIELDS)?;
+            d.field("id")?;
+            let at = d.position();
+            let id = TweetId::store_decode(d)?;
+            if id.0 != position {
+                return Err(DecodeError::Invalid {
+                    what: "tweet id is not its position",
+                    at,
+                });
+            }
+            d.field("author")?;
+            let author = TwitterAccountId::store_decode(d)?;
+            d.field("time")?;
+            let time = SimTime::store_decode(d)?;
+            d.field("text")?;
+            let text = d.str()?;
+            let text = *text_ids
+                .entry(text)
+                .or_insert_with(|| snapshot.add_text(text));
+            d.field("hashtags")?;
+            read_tags(d, &mut tags)?;
+            let hashtags = match list_ids.get(tags.as_slice()) {
+                Some(&id) => id,
+                None => {
+                    let id = snapshot.add_hashtags(&tags);
+                    list_ids.insert(tags.clone(), id);
+                    id
+                }
+            };
+            d.field("mentions")?;
+            let mentions = Vec::store_decode(d)?;
+            d.field("reply_to")?;
+            let reply_to = Option::store_decode(d)?;
+            snapshot.insert(author, time, text, hashtags, mentions, reply_to);
+        }
         d.field("by_domain")?;
-        let by_domain = OnceLock::from(DomainIndex::store_decode(d)?);
-        Ok(TwitterSnapshot { tweets, by_domain })
+        snapshot.by_domain = OnceLock::from(DomainIndex::store_decode(d)?);
+        Ok(snapshot)
     }
 }
 
@@ -255,13 +457,38 @@ mod tests {
         SimTime(1_640_995_200 + s) // 2022-01-01
     }
 
+    impl TwitterSnapshot {
+        /// Insert a tweet from its parts, adding its text and list to
+        /// the tables unless they are there already.
+        fn push(
+            &mut self,
+            author: TwitterAccountId,
+            time: SimTime,
+            text: &str,
+            tags: &[&str],
+            mentions: Vec<TwitterAccountId>,
+            reply_to: Option<TweetId>,
+        ) -> TweetId {
+            let text = match self.texts.iter().position(|known| **known == *text) {
+                Some(at) => TextId(at as u32),
+                None => self.add_text(text),
+            };
+            let wanted = Hashtags::new(tags);
+            let hashtags = match self.hashtag_lists.iter().position(|l| *l == wanted) {
+                Some(at) => TagsId(at as u32),
+                None => self.add_hashtags(tags),
+            };
+            self.insert(author, time, text, hashtags, mentions, reply_to)
+        }
+    }
+
     fn snapshot_with(texts: &[&str]) -> TwitterSnapshot {
         let mut snap = TwitterSnapshot::new();
         for (i, text) in texts.iter().enumerate() {
-            snap.insert(
+            snap.push(
                 TwitterAccountId(i as u64),
                 t(i as i64 * 60),
-                text.to_string(),
+                text,
                 &[],
                 vec![],
                 None,
@@ -277,10 +504,10 @@ mod tests {
             "nothing to see here",
             "also at https://ripple-2x.com/claim and https://btc-x2.net",
         ]);
-        let hits = snap.tweets_with_domain("ripple-2x.com");
-        assert_eq!(hits.len(), 2);
-        assert_eq!(hits[0].id, TweetId(0));
-        assert_eq!(hits[1].id, TweetId(2));
+        assert_eq!(
+            snap.tweets_with_domain("ripple-2x.com"),
+            [TweetId(0), TweetId(2)]
+        );
         assert_eq!(snap.tweets_with_domain("btc-x2.net").len(), 1);
         assert!(snap.tweets_with_domain("unknown.com").is_empty());
     }
@@ -288,19 +515,43 @@ mod tests {
     #[test]
     fn metadata_is_preserved() {
         let mut snap = TwitterSnapshot::new();
+        let text = snap.add_text("reply text https://scam.site");
+        let tags = snap.add_hashtags(&["xrp", "crypto"]);
         let id = snap.insert(
             TwitterAccountId(9),
             t(0),
-            "reply text https://scam.site".into(),
-            &["xrp", "crypto"],
+            text,
+            tags,
             vec![TwitterAccountId(5)],
             Some(TweetId(123)),
         );
         let tw = snap.tweet(id).unwrap();
-        assert!(tw.hashtags.iter().eq(["xrp", "crypto"]));
-        assert_eq!(tw.mentions, [TwitterAccountId(5)]);
+        assert_eq!(snap.text(tw.text), "reply text https://scam.site");
+        assert!(snap.hashtags(tw.hashtags).iter().eq(["xrp", "crypto"]));
+        assert_eq!(snap.mentions(id), [TwitterAccountId(5)]);
         assert_eq!(tw.reply_to, Some(TweetId(123)));
         assert_eq!(tw.author, TwitterAccountId(9));
+    }
+
+    #[test]
+    fn tweets_share_table_entries() {
+        let mut snap = TwitterSnapshot::new();
+        let text = snap.add_text("win https://give.io");
+        let tags = snap.add_hashtags(&["eth"]);
+        let a = snap.insert(TwitterAccountId(1), t(0), text, tags, vec![], None);
+        let b = snap.insert(TwitterAccountId(2), t(1), text, tags, vec![], None);
+        assert_eq!(snap.tweet(a).unwrap().text, snap.tweet(b).unwrap().text);
+        assert_eq!(snap.hashtag_lists().len(), 1);
+        assert_eq!(snap.tweets_with_domain("give.io"), [a, b]);
+        assert!(snap.mentions(a).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "is not in the table")]
+    fn an_unknown_text_id_is_refused() {
+        let mut snap = TwitterSnapshot::new();
+        let tags = snap.add_hashtags(&[]);
+        snap.insert(TwitterAccountId(1), t(0), TextId(0), tags, vec![], None);
     }
 
     #[test]
@@ -325,15 +576,23 @@ mod tests {
     }
 
     #[test]
+    fn a_text_no_tweet_carries_is_not_indexed() {
+        let mut snap = snapshot_with(&["https://one.com"]);
+        snap.add_text("https://two.com");
+        assert!(snap.tweets_with_domain("two.com").is_empty());
+        assert_eq!(snap.indexed_domains().count(), 1);
+    }
+
+    #[test]
     fn inserts_leave_the_index_unbuilt() {
         let mut snap = snapshot_with(&["https://one.com", "www.two.io/x", "plain"]);
         assert!(snap.by_domain.get().is_none(), "generation builds no index");
         assert_eq!(snap.tweets_with_domain("one.com").len(), 1);
         assert!(snap.by_domain.get().is_some());
-        snap.insert(
+        snap.push(
             TwitterAccountId(7),
             t(0),
-            "https://one.com/b".into(),
+            "https://one.com/b",
             &[],
             vec![],
             None,
@@ -355,44 +614,95 @@ mod tests {
             "a decoded index is filled"
         );
         assert_eq!(gt_store::encode_to_vec(&decoded), bytes);
-        assert_eq!(decoded.tweets(), snap.tweets());
+        assert_eq!(decoded, snap);
+    }
+
+    #[test]
+    fn a_tweet_id_off_its_position_is_an_error() {
+        let mut snap = OwnedSnapshot::default();
+        let mut tweet = owned("x", vec![], vec![], None);
+        tweet.id = TweetId(1);
+        snap.tweets.push(tweet);
+        let decoded = gt_store::decode_from_slice::<TwitterSnapshot>(&encode(&snap));
+        assert!(matches!(decoded, Err(DecodeError::Invalid { .. })));
+    }
+
+    /// A tweet as it was when it owned its text, tags and mentions.
+    /// Its derived codec is the reference the snapshot's hand-written
+    /// one must match byte for byte (`Hashtags` encoded as the
+    /// `Vec<String>` it stands for; `hashtags_match_a_vec_of_strings`
+    /// checks that).
+    #[derive(Debug, Clone, PartialEq, StoreEncode, StoreDecode)]
+    struct OwnedTweet {
+        id: TweetId,
+        author: TwitterAccountId,
+        time: SimTime,
+        text: String,
+        hashtags: Vec<String>,
+        mentions: Vec<TwitterAccountId>,
+        reply_to: Option<TweetId>,
+    }
+
+    fn owned(
+        text: &str,
+        hashtags: Vec<String>,
+        mentions: Vec<TwitterAccountId>,
+        reply_to: Option<TweetId>,
+    ) -> OwnedTweet {
+        OwnedTweet {
+            id: TweetId(0),
+            author: TwitterAccountId(4),
+            time: t(5),
+            text: text.to_string(),
+            hashtags,
+            mentions,
+            reply_to,
+        }
     }
 
     /// The snapshot as it was when `insert` indexed each tweet's URLs
-    /// eagerly, with the derived codec: the reference the lazy index
-    /// must match in answers and in encoded bytes.
-    #[derive(Default, StoreEncode)]
-    struct EagerSnapshot {
-        tweets: Vec<Tweet>,
+    /// eagerly and each tweet owned its parts, with the derived codec:
+    /// the reference the lazy index and the tables must match in
+    /// answers and in encoded bytes.
+    #[derive(Default, StoreEncode, StoreDecode)]
+    struct OwnedSnapshot {
+        tweets: Vec<OwnedTweet>,
         by_domain: HashMap<String, Vec<TweetId>>,
     }
 
-    impl EagerSnapshot {
-        fn insert(&mut self, author: TwitterAccountId, time: SimTime, text: String) {
-            let id = TweetId(self.tweets.len() as u64);
-            for url in extract_urls(&text) {
+    impl OwnedSnapshot {
+        fn insert(&mut self, mut tweet: OwnedTweet) {
+            tweet.id = TweetId(self.tweets.len() as u64);
+            for url in extract_urls(&tweet.text) {
                 self.by_domain
                     .entry(url.host().to_string())
                     .or_default()
-                    .push(id);
+                    .push(tweet.id);
             }
-            self.tweets.push(Tweet {
-                id,
-                author,
-                time,
-                text,
-                hashtags: Hashtags::default(),
-                mentions: vec![],
-                reply_to: None,
-            });
+            self.tweets.push(tweet);
         }
 
-        fn tweets_with_domain(&self, domain: &str) -> Vec<&Tweet> {
-            self.by_domain
-                .get(domain)
-                .map(|ids| ids.iter().map(|&id| &self.tweets[id.0 as usize]).collect())
-                .unwrap_or_default()
+        fn tweets_with_domain(&self, domain: &str) -> &[TweetId] {
+            self.by_domain.get(domain).map_or(&[], Vec::as_slice)
         }
+    }
+
+    fn encode(snapshot: &OwnedSnapshot) -> Vec<u8> {
+        gt_store::encode_to_vec(snapshot)
+    }
+
+    /// Insert `tweet` into both snapshots.
+    fn insert_both(lazy: &mut TwitterSnapshot, eager: &mut OwnedSnapshot, tweet: OwnedTweet) {
+        let tags: Vec<&str> = tweet.hashtags.iter().map(String::as_str).collect();
+        lazy.push(
+            tweet.author,
+            tweet.time,
+            &tweet.text,
+            &tags,
+            tweet.mentions.clone(),
+            tweet.reply_to,
+        );
+        eager.insert(tweet);
     }
 
     const HOSTS: &[&str] = &["one.com", "two.io", "www.three.net", "Four.LIVE", "five.zz"];
@@ -421,17 +731,47 @@ mod tests {
         })
     }
 
-    /// `Tweet` as it was with `Vec<String>` hashtags: the JSON
-    /// reference for the one-allocation [`Hashtags`].
-    #[derive(Serialize)]
-    struct TweetWithVec {
-        id: TweetId,
-        author: TwitterAccountId,
-        time: SimTime,
-        text: String,
-        hashtags: Vec<String>,
-        mentions: Vec<TwitterAccountId>,
-        reply_to: Option<TweetId>,
+    /// A tag list: `[]`, `[""]` or a few space-free tags.
+    fn tag_list() -> impl Strategy<Value = Vec<String>> {
+        prop_oneof![
+            Just(vec![]),
+            Just(vec![String::new()]),
+            proptest::collection::vec("[a-z0-9#_é]{0,6}", 0..4),
+        ]
+    }
+
+    /// A tweet drawn from small pools of texts and tag lists, so most
+    /// texts and lists repeat, with a mention list and a reply target.
+    fn pooled_tweets() -> impl Strategy<Value = Vec<OwnedTweet>> {
+        (
+            proptest::collection::vec(tweet_text(), 1..5),
+            proptest::collection::vec(tag_list(), 1..4),
+            proptest::collection::vec(
+                (
+                    (any::<usize>(), any::<usize>()),
+                    proptest::collection::vec(0u64..5, 0..3),
+                    (any::<bool>(), 0u64..40),
+                    0u64..1_000,
+                ),
+                0..40,
+            ),
+        )
+            .prop_map(|(texts, lists, picks)| {
+                picks
+                    .into_iter()
+                    .map(|((text, list), mentions, (replies, to), author)| {
+                        let mut tweet = owned(
+                            &texts[text % texts.len()],
+                            lists[list % lists.len()].clone(),
+                            mentions.into_iter().map(TwitterAccountId).collect(),
+                            replies.then_some(TweetId(to)),
+                        );
+                        tweet.author = TwitterAccountId(author);
+                        tweet.time = t(author as i64);
+                        tweet
+                    })
+                    .collect()
+            })
     }
 
     proptest! {
@@ -441,14 +781,7 @@ mod tests {
         /// decodes, joins and serialises as the `Vec<String>` it
         /// replaced.
         #[test]
-        fn hashtags_match_a_vec_of_strings(
-            tags in prop_oneof![
-                Just(vec![]),
-                Just(vec![String::new()]),
-                proptest::collection::vec("[a-z0-9#_é]{0,6}", 0..6),
-            ],
-            text in "[a-z ]{0,12}",
-        ) {
+        fn hashtags_match_a_vec_of_strings(tags in tag_list()) {
             let refs: Vec<&str> = tags.iter().map(String::as_str).collect();
             let hashtags = Hashtags::new(&refs);
             prop_assert!(hashtags.iter().eq(refs.iter().copied()));
@@ -457,27 +790,9 @@ mod tests {
             let bytes = gt_store::encode_to_vec(&tags);
             prop_assert_eq!(gt_store::encode_to_vec(&hashtags), bytes.clone());
             prop_assert_eq!(gt_store::decode_from_slice::<Hashtags>(&bytes), Ok(hashtags.clone()));
-            let tweet = Tweet {
-                id: TweetId(3),
-                author: TwitterAccountId(4),
-                time: t(5),
-                text: text.clone(),
-                hashtags,
-                mentions: vec![TwitterAccountId(6)],
-                reply_to: Some(TweetId(1)),
-            };
-            let reference = TweetWithVec {
-                id: tweet.id,
-                author: tweet.author,
-                time: tweet.time,
-                text,
-                hashtags: tags,
-                mentions: tweet.mentions.clone(),
-                reply_to: tweet.reply_to,
-            };
             prop_assert_eq!(
-                serde_json::to_string(&tweet).unwrap(),
-                serde_json::to_string(&reference).unwrap()
+                serde_json::to_string(&hashtags).unwrap(),
+                serde_json::to_string(&tags).unwrap()
             );
         }
 
@@ -495,6 +810,47 @@ mod tests {
             }
         }
 
+        /// The interned snapshot encodes exactly as the owned-tweet
+        /// reference; decoding the bytes gives them back unchanged and
+        /// holds each distinct text and list once, at its
+        /// first-occurrence id, so it equals the snapshot encoded.
+        #[test]
+        fn interned_codec_matches_the_owned_reference(tweets in pooled_tweets()) {
+            let mut snap = TwitterSnapshot::new();
+            let mut reference = OwnedSnapshot::default();
+            for tweet in tweets.iter().cloned() {
+                insert_both(&mut snap, &mut reference, tweet);
+            }
+            let bytes = encode(&reference);
+            prop_assert_eq!(gt_store::encode_to_vec(&snap), bytes.clone());
+
+            let decoded: TwitterSnapshot = gt_store::decode_from_slice(&bytes).unwrap();
+            prop_assert_eq!(gt_store::encode_to_vec(&decoded), bytes.clone());
+            let mut texts: Vec<&str> = Vec::new();
+            let mut lists: Vec<&[String]> = Vec::new();
+            for tweet in &tweets {
+                if !texts.contains(&tweet.text.as_str()) {
+                    texts.push(&tweet.text);
+                }
+                if !lists.contains(&tweet.hashtags.as_slice()) {
+                    lists.push(&tweet.hashtags);
+                }
+            }
+            prop_assert!(decoded.texts.iter().map(|text| &**text).eq(texts));
+            prop_assert_eq!(decoded.hashtag_lists.len(), lists.len());
+            for (list, want) in decoded.hashtag_lists.iter().zip(lists) {
+                prop_assert!(list.iter().eq(want.iter().map(String::as_str)));
+            }
+            for (tweet, want) in decoded.tweets().iter().zip(&reference.tweets) {
+                prop_assert_eq!(decoded.text(tweet.text), want.text.as_str());
+                prop_assert_eq!(decoded.mentions(tweet.id), want.mentions.as_slice());
+                prop_assert_eq!(tweet.reply_to, want.reply_to);
+            }
+            prop_assert!(decoded == snap);
+            let round_trip = gt_store::decode_from_slice::<OwnedSnapshot>(&bytes).unwrap();
+            prop_assert_eq!(round_trip.tweets, reference.tweets);
+        }
+
         /// Whenever it is queried or encoded — after every insert, or
         /// with inserts between queries — the lazy snapshot answers and
         /// encodes exactly as the eager one does.
@@ -504,29 +860,28 @@ mod tests {
             query_after in proptest::collection::vec(any::<bool>(), 12),
         ) {
             let mut lazy = TwitterSnapshot::new();
-            let mut eager = EagerSnapshot::default();
-            let check = |lazy: &TwitterSnapshot, eager: &EagerSnapshot| {
+            let mut eager = OwnedSnapshot::default();
+            let check = |lazy: &TwitterSnapshot, eager: &OwnedSnapshot| {
                 let mut domains: Vec<&str> = lazy.indexed_domains().collect();
                 let mut want: Vec<&str> = eager.by_domain.keys().map(String::as_str).collect();
                 domains.sort();
                 want.sort();
                 prop_assert_eq!(&domains, &want);
                 for domain in HOSTS.iter().map(|h| h.to_ascii_lowercase()) {
-                    let ids = |found: Vec<&Tweet>| found.iter().map(|t| t.id).collect::<Vec<_>>();
                     prop_assert_eq!(
-                        ids(lazy.tweets_with_domain(&domain)),
-                        ids(eager.tweets_with_domain(&domain)),
+                        lazy.tweets_with_domain(&domain),
+                        eager.tweets_with_domain(&domain),
                         "domain {}", domain
                     );
                 }
-                prop_assert_eq!(gt_store::encode_to_vec(lazy), gt_store::encode_to_vec(eager));
+                prop_assert_eq!(gt_store::encode_to_vec(lazy), encode(eager));
                 Ok(())
             };
             let inserted = texts.len();
             for (i, text) in texts.into_iter().enumerate() {
-                let (author, time) = (TwitterAccountId(i as u64), t(i as i64));
-                lazy.insert(author, time, text.clone(), &[], vec![], None);
-                eager.insert(author, time, text);
+                let mut tweet = owned(&text, vec![], vec![], None);
+                (tweet.author, tweet.time) = (TwitterAccountId(i as u64), t(i as i64));
+                insert_both(&mut lazy, &mut eager, tweet);
                 if query_after[i] {
                     check(&lazy, &eager)?;
                 }

@@ -9,8 +9,9 @@ use crate::sites::{
 };
 use gt_addr::{Address, AddressGenerator, Coin};
 use gt_sim::dist::{sample_weighted, Zipf};
+use gt_sim::hash::FastMap;
 use gt_sim::{RngFactory, SimDuration, SimTime};
-use gt_social::{TweetId, TwitterAccountId, TwitterSnapshot};
+use gt_social::{TagsId, TextId, TweetId, TwitterAccountId, TwitterSnapshot};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -283,16 +284,31 @@ pub fn generate_tweets(
     // across tweets: at most two coins, a ticker and maybe a name each,
     // plus `crypto`.
     let mut tags: Vec<&'static str> = Vec::with_capacity(5);
+    // Lures repeat, so each distinct list and each `(domain, blurb,
+    // list)` lure goes into the snapshot's tables once, on its first
+    // appearance; later tweets reuse its id.
+    let mut list_ids: FastMap<Vec<&'static str>, TagsId> = FastMap::default();
+    let mut lure_ids: FastMap<(usize, &'static str, TagsId), TextId> = FastMap::default();
+    let mut list_id = |snapshot: &mut TwitterSnapshot, tags: &[&'static str]| {
+        if let Some(&id) = list_ids.get(tags) {
+            return id;
+        }
+        let id = snapshot.add_hashtags(tags);
+        list_ids.insert(tags.to_vec(), id);
+        id
+    };
 
     // Every scam tweet plus the benign reply target.
     snapshot.reserve(config.scam_tweets + 1);
 
     // A couple of benign tweets so reply targets exist.
+    let benign_text = snapshot.add_text("gm crypto fam, market looking interesting today");
+    let benign_tags = list_id(snapshot, &["crypto"]);
     let benign_target = snapshot.insert(
         TwitterAccountId(u64::MAX),
         config.twitter_start,
-        "gm crypto fam, market looking interesting today".into(),
-        &["crypto"],
+        benign_text,
+        benign_tags,
         vec![],
         None,
     );
@@ -339,8 +355,18 @@ pub fn generate_tweets(
             let reply_to = rng.gen_bool(0.003).then_some(benign_target);
 
             let coin_blurb = coins.first().map_or("CRYPTO", |&c| shouted_name(c));
-            let text = lure_text(&domain.persona, coin_blurb, &domain.domain, &tags);
-            let id = snapshot.insert(author, time, text, &tags, mentions, reply_to);
+            let hashtags = list_id(snapshot, &tags);
+            let text = *lure_ids
+                .entry((domain_idx, coin_blurb, hashtags))
+                .or_insert_with(|| {
+                    snapshot.add_text(lure_text(
+                        &domain.persona,
+                        coin_blurb,
+                        &domain.domain,
+                        &tags,
+                    ))
+                });
+            let id = snapshot.insert(author, time, text, hashtags, mentions, reply_to);
             scam_tweets.push(id);
             lure_times[domain_idx].push(time);
         }
@@ -460,7 +486,10 @@ mod tests {
             .map(|&id| snapshot.tweet(id).unwrap())
             .collect();
         let n = tweets.len() as f64;
-        let hashtagged = tweets.iter().filter(|t| !t.hashtags.is_empty()).count() as f64;
+        let hashtagged = tweets
+            .iter()
+            .filter(|t| !snapshot.hashtags(t.hashtags).is_empty())
+            .count() as f64;
         assert!((hashtagged / n - 0.96).abs() < 0.02, "{}", hashtagged / n);
         let replies = tweets.iter().filter(|t| t.reply_to.is_some()).count() as f64;
         assert!(replies / n < 0.01, "{}", replies / n);
@@ -478,14 +507,14 @@ mod tests {
         let mut eth = 0.0;
         let mut btc = 0.0;
         for &id in &world.scam_tweets {
-            let t = snapshot.tweet(id).unwrap();
-            if t.hashtags.iter().any(|h| h == "xrp" || h == "ripple") {
+            let tags = snapshot.hashtags(snapshot.tweet(id).unwrap().hashtags);
+            if tags.iter().any(|h| h == "xrp" || h == "ripple") {
                 xrp += 1.0;
             }
-            if t.hashtags.iter().any(|h| h == "eth" || h == "ethereum") {
+            if tags.iter().any(|h| h == "eth" || h == "ethereum") {
                 eth += 1.0;
             }
-            if t.hashtags.iter().any(|h| h == "btc" || h == "bitcoin") {
+            if tags.iter().any(|h| h == "btc" || h == "bitcoin") {
                 btc += 1.0;
             }
         }

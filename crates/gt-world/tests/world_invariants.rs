@@ -69,7 +69,7 @@ fn co_occurring_payments_sit_inside_lure_windows() {
                     .twitter
                     .tweets_with_domain(&d.domain)
                     .iter()
-                    .map(|t| t.time)
+                    .map(|&id| world.twitter.tweet(id).unwrap().time)
                     .collect()
             })
             .collect();
@@ -146,7 +146,8 @@ fn background_payments_avoid_co_occurrence_windows() {
                     // holding that address.
                     for d in &world.truth.twitter_domains {
                         if d.tracked_addresses().any(|a| a == payment.recipient) {
-                            for t in world.twitter.tweets_with_domain(&d.domain) {
+                            for &id in world.twitter.tweets_with_domain(&d.domain) {
+                                let t = world.twitter.tweet(id).unwrap();
                                 assert!(
                                     payment.time > t.time + SimDuration::days(7)
                                         || payment.time < t.time,
