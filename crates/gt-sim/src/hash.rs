@@ -6,7 +6,9 @@
 //! the table saves. [`FastHasher`] folds eight bytes at a time with one
 //! rotate, xor and multiply (the scheme of rustc's `FxHasher`). It has
 //! no random seed, so it is the same in every process; still, no map
-//! built with it may be iterated into an output.
+//! built with it may be iterated into an output. Nor does it resist
+//! keys crafted to collide: use it only for keys this program made
+//! itself, such as generated lures or the snapshots it wrote.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -32,7 +34,9 @@ impl Hasher for FastHasher {
     fn write(&mut self, bytes: &[u8]) {
         let mut words = bytes.chunks_exact(8);
         for word in &mut words {
-            self.add(u64::from_le_bytes(word.try_into().unwrap()));
+            self.add(u64::from_le_bytes(
+                word.try_into().expect("chunks of 8 bytes"),
+            ));
         }
         let rest = words.remainder();
         if !rest.is_empty() {
@@ -53,11 +57,6 @@ impl Hasher for FastHasher {
     #[inline]
     fn write_u32(&mut self, n: u32) {
         self.add(u64::from(n));
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
     }
 
     #[inline]
