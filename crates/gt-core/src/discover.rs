@@ -106,10 +106,73 @@ pub fn youtube_discoverability(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::datasets::build_twitter_dataset;
-    use gt_sim::RngFactory;
+    use crate::datasets::{build_twitter_dataset, TwitterDomain};
+    use gt_sim::{RngFactory, SimTime};
+    use gt_social::{TweetId, TwitterAccountId};
     use gt_world::sites::DomainFactory;
     use gt_world::WorldConfig;
+
+    /// Two domains whose mentioning tweets have neighbours that mention
+    /// no one, the second domain starting below where the first ends:
+    /// a walk that reads a neighbour's mentions, or does not restart
+    /// for each domain, counts a different set than per-tweet lookups.
+    #[test]
+    fn mention_walk_matches_per_tweet_lookups() {
+        let mut snapshot = TwitterSnapshot::new();
+        let text = snapshot.add_text("claim at a.com b.com");
+        let tagged = snapshot.add_hashtags(&["btc"]);
+        let untagged = snapshot.add_hashtags(&[]);
+        let mentioning = [3, 7, 10];
+        for i in 0..12u64 {
+            snapshot.insert(
+                TwitterAccountId(i),
+                SimTime(i as i64),
+                text,
+                if i % 3 == 0 { untagged } else { tagged },
+                if mentioning.contains(&i) {
+                    vec![TwitterAccountId(99)]
+                } else {
+                    vec![]
+                },
+                (i % 4 == 1).then_some(TweetId(0)),
+            );
+        }
+        let domain = |name: &str, ids: &[u64]| TwitterDomain {
+            domain: name.to_string(),
+            tweets: ids.iter().copied().map(TweetId).collect(),
+            tweet_times: ids.iter().map(|&i| SimTime(i as i64)).collect(),
+            addresses: vec![],
+        };
+        let dataset = TwitterDataset {
+            domains: vec![
+                domain("a.com", &[1, 3, 8, 10]),
+                domain("b.com", &[0, 2, 6, 7, 11]),
+            ],
+            ..TwitterDataset::default()
+        };
+
+        let ids: Vec<TweetId> = dataset
+            .domains
+            .iter()
+            .flat_map(|d| d.tweets.iter().copied())
+            .collect();
+        let count = |keep: &dyn Fn(TweetId) -> bool| ids.iter().filter(|&&id| keep(id)).count();
+        let tweet = |id| snapshot.tweet(id).unwrap();
+        let mentions = count(&|id| !snapshot.mentions(id).is_empty());
+        let hashtags = count(&|id| !snapshot.hashtags(tweet(id).hashtags).is_empty());
+        let replies = count(&|id| tweet(id).reply_to.is_some());
+        assert_eq!(mentions, 3);
+        let n = ids.len() as f64;
+        assert_eq!(
+            twitter_discoverability(&dataset, &snapshot),
+            TwitterDiscoverability {
+                tweets: ids.len(),
+                hashtag_rate: hashtags as f64 / n,
+                mention_rate: mentions as f64 / n,
+                reply_rate: replies as f64 / n,
+            }
+        );
+    }
 
     #[test]
     fn twitter_rates_match_generation() {
