@@ -4,5 +4,6 @@
 //! guards (warm-store speedup, scam/benign recording cost ratio, one QR
 //! scan per overlay in the monitor, URL extractor against its
 //! reference, chat path against copying into a set, monitor cost per
-//! sample against ended streams). The end-to-end and per-layer timings
+//! sample against ended streams, tweet snapshot decode allocations, QR
+//! encode against a frame scan). The end-to-end and per-layer timings
 //! live in the `givebench` benchmark.

@@ -4,9 +4,10 @@
 //! Both render the same 320×240 frames with the same textured band; a
 //! scam stream's frames add a painted QR overlay. The overlay's matrix
 //! depends only on the stream's URL, so the platform encodes it once per
-//! stream. If `YouTube::record` ever re-encodes per frame again (~150 µs
+//! stream. If `YouTube::record` ever re-encodes per frame again (~20 µs
 //! of Reed–Solomon and mask selection each, release build), the scam
-//! stream's cost jumps to several times the benign one and this fails.
+//! stream's cost jumps to four to ten times the benign one, so this
+//! fails in most runs (see `MAX_RATIO`).
 //! Both are timed best-of-N in one process, so machine speed cancels.
 //! Debug builds skip it: the threshold is set from release timings.
 
@@ -17,8 +18,10 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 const ROUNDS: usize = 200;
-/// Measured 2.0-2.3× in release builds on a 2-vCPU x86-64 VM. With the
-/// QR re-encoded for every frame it was 7.9-8.3×.
+/// Measured 1.7-3.4× in release builds on a 2-vCPU x86-64 VM; the
+/// benign recording alone takes 5-15 µs from one run to the next. With
+/// the QR re-encoded for every frame it is 4.3-10× (7.9-8.3× while an
+/// encode scored its masks module by module and cost ~250 µs).
 const MAX_RATIO: f64 = 4.6;
 
 fn stream(channel: ChannelId, video: StreamVideo) -> LiveStream {

@@ -76,18 +76,17 @@ pub fn encode_with_version(
         matrix.set(r, c, bit);
     }
 
-    // Pick the best mask by penalty.
+    // Pick the mask with the lowest penalty, scored on packed rows; the
+    // lowest mask wins a tie.
+    let packed = matrix.packed();
     let mut best_mask = 0u8;
     let mut best_penalty = u32::MAX;
     for mask in 0..8u8 {
-        matrix.apply_mask(mask);
-        write_format_info(&mut matrix, level, mask);
-        let p = matrix.penalty();
+        let p = packed.penalty(mask, encode_format(level, mask));
         if p < best_penalty {
             best_penalty = p;
             best_mask = mask;
         }
-        matrix.apply_mask(mask); // undo
     }
     matrix.apply_mask(best_mask);
     write_format_info(&mut matrix, level, best_mask);
@@ -188,7 +187,74 @@ fn write_version_info(matrix: &mut Matrix, version: u8) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tables::symbol_size;
+    use crate::tables::{symbol_size, MAX_VERSION};
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+
+    /// The scalar reference: apply `mask` to a copy, write the format
+    /// bits and score it module by module.
+    fn scalar_penalty(matrix: &Matrix, level: EcLevel, mask: u8) -> u32 {
+        let mut m = matrix.clone();
+        m.apply_mask(mask);
+        write_format_info(&mut m, level, mask);
+        m.penalty()
+    }
+
+    fn check_every_mask(matrix: &Matrix, level: EcLevel) -> Result<(), String> {
+        let packed = matrix.packed();
+        for mask in 0..8u8 {
+            let (fast, slow) = (
+                packed.penalty(mask, encode_format(level, mask)),
+                scalar_penalty(matrix, level, mask),
+            );
+            if fast != slow {
+                return Err(format!("mask {mask}: packed {fast}, scalar {slow}"));
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn packed_penalty_matches_the_scalar_one(
+            version in 1..=MAX_VERSION,
+            level in 0..4usize,
+            dark_eighths in 0..=8u32,
+            seed in any::<u64>(),
+        ) {
+            // Data modules dark with probability `dark_eighths / 8`.
+            let mut matrix = Matrix::for_version(version);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            for (r, c) in matrix.data_order() {
+                matrix.set(r, c, rng.gen_range(0..8) < dark_eighths);
+            }
+            let checked = check_every_mask(&matrix, EcLevel::ALL[level]);
+            prop_assert!(checked.is_ok(), "v{version}: {}", checked.unwrap_err());
+        }
+    }
+
+    #[test]
+    fn packed_penalty_matches_the_scalar_one_on_uniform_matrices() {
+        for version in 1..=MAX_VERSION {
+            let level = EcLevel::ALL[version as usize % 4];
+            for dark in [false, true] {
+                // Uniform data around the function patterns, then every
+                // module uniform, the patterns too.
+                let mut matrix = Matrix::for_version(version);
+                for (r, c) in matrix.data_order() {
+                    matrix.set(r, c, dark);
+                }
+                check_every_mask(&matrix, level).unwrap_or_else(|e| panic!("v{version}: {e}"));
+                let size = matrix.size();
+                for i in 0..size * size {
+                    matrix.set(i / size, i % size, dark);
+                }
+                check_every_mask(&matrix, level).unwrap_or_else(|e| panic!("v{version}: {e}"));
+            }
+        }
+    }
 
     #[test]
     fn chooses_smallest_version() {

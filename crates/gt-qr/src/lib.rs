@@ -2,11 +2,13 @@
 //!
 //! Scam livestreams promote their landing pages with QR codes embedded in
 //! the video; the paper's pipeline extracts them with opencv + pyzbar.
-//! This crate is the from-scratch equivalent used by `gt-stream`:
+//! This crate is the from-scratch equivalent. Its only production caller
+//! is `gt-social`'s per-platform overlay table, which encodes each
+//! distinct overlay URL once and scans the frame painted with it once:
 //!
 //! * [`encode()`] renders byte-mode QR symbols, versions 1–10, all four EC
-//!   levels, with standard masking and penalty selection — used by
-//!   `gt-world` to draw codes into synthetic video frames;
+//!   levels, with standard masking; the mask with the lowest penalty is
+//!   picked by scoring all eight on bit-packed rows and columns;
 //! * [`decode()`] reads a module matrix back, correcting codeword errors
 //!   via Berlekamp–Massey / Chien / Forney;
 //! * [`frame`] locates an upright QR symbol inside a larger luma frame by

@@ -1,6 +1,43 @@
-//! Module matrix: function patterns, data placement order, masking.
+//! Module matrix: function patterns, data placement order, masking, and
+//! the penalty score that picks the mask, taken on bit-packed rows.
 
-use crate::tables::{alignment_positions, symbol_size};
+use crate::tables::{alignment_positions, symbol_size, MAX_VERSION};
+
+/// Side of the largest symbol in modules: a row or column fits a `u64`.
+const MAX_SIZE: usize = 17 + 4 * MAX_VERSION as usize;
+
+/// Every mask pattern repeats down the rows and across the columns with
+/// a period that divides 12.
+const MASK_PERIOD: usize = 12;
+
+/// `MASK_ROWS[k][r % 12]`: the modules of row `r` that mask `k` flips,
+/// bit `c` for column `c`.
+static MASK_ROWS: [[u64; MASK_PERIOD]; 8] = mask_words(false);
+
+/// `MASK_COLS[k][c % 12]`: the modules of column `c` that mask `k`
+/// flips, bit `r` for row `r`.
+static MASK_COLS: [[u64; MASK_PERIOD]; 8] = mask_words(true);
+
+const fn mask_words(transpose: bool) -> [[u64; MASK_PERIOD]; 8] {
+    let mut words = [[0; MASK_PERIOD]; 8];
+    let mut k = 0;
+    while k < 8 {
+        let mut i = 0;
+        while i < MASK_PERIOD {
+            let mut j = 0;
+            while j < 64 {
+                let (r, c) = if transpose { (j, i) } else { (i, j) };
+                if mask_bit(k as u8, r, c) {
+                    words[k][i] |= 1 << j;
+                }
+                j += 1;
+            }
+            i += 1;
+        }
+        k += 1;
+    }
+    words
+}
 
 /// A square module matrix. `true` = dark.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -176,18 +213,133 @@ impl Matrix {
     /// Apply (or remove — XOR is an involution) mask `mask` to all
     /// non-function modules.
     pub fn apply_mask(&mut self, mask: u8) {
+        let flips = &MASK_ROWS[mask as usize];
         for row in 0..self.size {
+            let flip = flips[row % MASK_PERIOD];
             for col in 0..self.size {
-                if !self.is_function(row, col) && mask_bit(mask, row, col) {
-                    let v = self.get(row, col);
-                    self.set(row, col, !v);
-                }
+                let i = row * self.size + col;
+                self.modules[i] ^= !self.function[i] & (flip >> col & 1 == 1);
             }
         }
     }
 
-    /// Standard penalty score used to pick the mask.
-    pub fn penalty(&self) -> u32 {
+    /// The modules and the non-function map packed one `u64` per row and
+    /// per column, to score the masks on.
+    pub(crate) fn packed(&self) -> Packed {
+        let mut p = Packed {
+            size: self.size,
+            rows: [0; MAX_SIZE],
+            cols: [0; MAX_SIZE],
+            free_rows: [0; MAX_SIZE],
+            free_cols: [0; MAX_SIZE],
+        };
+        for r in 0..self.size {
+            for c in 0..self.size {
+                let i = r * self.size + c;
+                let (dark, free) = (u64::from(self.modules[i]), u64::from(!self.function[i]));
+                p.rows[r] |= dark << c;
+                p.cols[c] |= dark << r;
+                p.free_rows[r] |= free << c;
+                p.free_cols[c] |= free << r;
+            }
+        }
+        p
+    }
+}
+
+/// A matrix packed for mask selection: bit `j` of `rows[i]` is module
+/// `(i, j)` and bit `j` of `cols[i]` is module `(j, i)`; the `free_*`
+/// words mark the non-function modules, the ones a mask flips.
+pub(crate) struct Packed {
+    size: usize,
+    rows: [u64; MAX_SIZE],
+    cols: [u64; MAX_SIZE],
+    free_rows: [u64; MAX_SIZE],
+    free_cols: [u64; MAX_SIZE],
+}
+
+/// Rule 3's finder-like line, 1011101 then four light modules: bit `k`
+/// is the `k`-th module.
+const FINDER_LINE: u16 = 0b000_0101_1101;
+/// The same line reversed: four light modules, then 1011101.
+const FINDER_LINE_REV: u16 = 0b101_1101_0000;
+
+impl Packed {
+    /// The standard penalty of the symbol with mask `mask` applied and
+    /// the format word `format` written, scored without branching on
+    /// module values. Lower is better.
+    pub(crate) fn penalty(&self, mask: u8, format: u16) -> u32 {
+        let n = self.size;
+        let (flip_rows, flip_cols) = (&MASK_ROWS[mask as usize], &MASK_COLS[mask as usize]);
+        let mut rows = [0u64; MAX_SIZE];
+        let mut cols = [0u64; MAX_SIZE];
+        for i in 0..n {
+            rows[i] = self.rows[i] ^ (flip_rows[i % MASK_PERIOD] & self.free_rows[i]);
+            cols[i] = self.cols[i] ^ (flip_cols[i % MASK_PERIOD] & self.free_cols[i]);
+        }
+        let copies = format_positions_copy1()
+            .into_iter()
+            .zip(format_positions_copy2(n));
+        for (i, (p1, p2)) in copies.enumerate() {
+            let bit = u64::from(format >> (14 - i) & 1);
+            for (r, c) in [p1, p2] {
+                rows[r] = rows[r] & !(1 << c) | bit << c;
+                cols[c] = cols[c] & !(1 << r) | bit << r;
+            }
+        }
+        let (rows, cols) = (&rows[..n], &cols[..n]);
+
+        let mut score = 0;
+        for &line in rows.iter().chain(cols) {
+            score += run_penalty(line, n)
+                + 40 * (count_line(line, FINDER_LINE, n) + count_line(line, FINDER_LINE_REV, n));
+        }
+        // Rule 2: 2x2 blocks of the same colour.
+        for pair in rows.windows(2) {
+            let same_down = !(pair[0] ^ pair[1]);
+            let same_right = !(pair[0] ^ pair[0] >> 1);
+            score += 3 * (same_down & same_down >> 1 & same_right & low_bits(n - 1)).count_ones();
+        }
+        // Rule 4: dark-module balance.
+        let dark: u32 = rows.iter().map(|w| w.count_ones()).sum();
+        let dark_pct = (f64::from(dark) / (n * n) as f64 * 100.0).round() as i32;
+        score + ((dark_pct - 50).abs() / 5) as u32 * 10
+    }
+}
+
+/// The low `k` bits set.
+fn low_bits(k: usize) -> u64 {
+    (1 << k) - 1
+}
+
+/// Rule 1 on a line of `n` modules: a run of `L >= 5` same-colour
+/// modules scores `3 + (L - 5)`. It holds `L - 4` uniform 5-wide
+/// windows, so the line scores one per such window plus two per window
+/// that starts a run.
+fn run_penalty(line: u64, n: usize) -> u32 {
+    // Bit j: modules j and j + 1 match.
+    let same = !(line ^ line >> 1) & low_bits(n - 1);
+    // Bit j: modules j..j + 5 match.
+    let windows = same & same >> 1 & same >> 2 & same >> 3;
+    windows.count_ones() + 2 * (windows & !(windows << 1)).count_ones()
+}
+
+/// How many 11-module windows of a line of `n` modules equal `pattern`
+/// (bit `k` the window's `k`-th module).
+fn count_line(line: u64, pattern: u16, n: usize) -> u32 {
+    let mut hits = low_bits(n - 10);
+    for k in 0..11 {
+        let want = 0u64.wrapping_sub(u64::from(pattern >> k & 1));
+        hits &= !(line >> k ^ want);
+    }
+    hits.count_ones()
+}
+
+/// The scalar penalty score: the reference the packed one is checked
+/// against.
+#[cfg(test)]
+impl Matrix {
+    pub(crate) fn penalty(&self) -> u32 {
         let size = self.size;
         let mut score = 0u32;
 
@@ -261,7 +413,7 @@ impl Matrix {
 }
 
 /// Mask predicate: whether (row, col) flips under mask `mask`.
-pub fn mask_bit(mask: u8, r: usize, c: usize) -> bool {
+pub const fn mask_bit(mask: u8, r: usize, c: usize) -> bool {
     match mask {
         0 => (r + c).is_multiple_of(2),
         1 => r.is_multiple_of(2),
@@ -271,7 +423,7 @@ pub fn mask_bit(mask: u8, r: usize, c: usize) -> bool {
         5 => (r * c) % 2 + (r * c) % 3 == 0,
         6 => ((r * c) % 2 + (r * c) % 3).is_multiple_of(2),
         7 => ((r + c) % 2 + (r * c) % 3).is_multiple_of(2),
-        _ => panic!("mask {mask} out of range"),
+        _ => panic!("mask out of range"),
     }
 }
 

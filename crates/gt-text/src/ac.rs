@@ -143,19 +143,25 @@ impl AhoCorasick {
 
     /// All (possibly overlapping) matches in `haystack`.
     pub fn find_all(&self, haystack: &[u8]) -> Vec<Match> {
-        let mut out = Vec::new();
+        self.find_iter(haystack).collect()
+    }
+
+    /// The matches of [`AhoCorasick::find_all`], in the same order,
+    /// found as the walk over `haystack` reaches them: a caller that
+    /// stops early leaves the rest of `haystack` unread.
+    pub(crate) fn find_iter<'a>(&'a self, haystack: &'a [u8]) -> impl Iterator<Item = Match> + 'a {
         let mut state = 0u32;
-        for (i, &b) in haystack.iter().enumerate() {
+        haystack.iter().enumerate().flat_map(move |(i, &b)| {
             state = self.step(state, b);
-            for &pat in &self.nodes[state as usize].outputs {
-                out.push(Match {
+            self.nodes[state as usize]
+                .outputs
+                .iter()
+                .map(move |&pat| Match {
                     pattern: pat,
                     start: i + 1 - self.pattern_lens[pat],
                     end: i + 1,
-                });
-            }
-        }
-        out
+                })
+        })
     }
 }
 

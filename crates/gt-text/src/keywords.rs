@@ -64,11 +64,16 @@ impl KeywordSet {
 
     /// All whole-word matches in `text`.
     pub fn find_all(&self, text: &str) -> Vec<KeywordMatch> {
+        self.whole_words(text).collect()
+    }
+
+    /// The whole-word matches in `text`, found as the automaton's walk
+    /// reaches them.
+    fn whole_words<'a>(&'a self, text: &'a str) -> impl Iterator<Item = KeywordMatch> + 'a {
         let bytes = text.as_bytes();
         self.automaton
-            .find_all(bytes)
-            .into_iter()
-            .filter(|m| {
+            .find_iter(bytes)
+            .filter(move |m| {
                 let left_ok = m.start == 0 || !is_word_byte(bytes[m.start - 1]);
                 let right_ok = m.end == bytes.len() || !is_word_byte(bytes[m.end]);
                 left_ok && right_ok
@@ -78,18 +83,18 @@ impl KeywordSet {
                 start: m.start,
                 end: m.end,
             })
-            .collect()
     }
 
-    /// Whether any keyword occurs (whole-word) in `text`.
+    /// Whether any keyword occurs (whole-word) in `text`. Stops at the
+    /// first whole-word match and allocates nothing.
     pub fn matches(&self, text: &str) -> bool {
-        !self.find_all(text).is_empty()
+        self.whole_words(text).next().is_some()
     }
 
     /// Distinct keyword indices occurring (whole-word) in `text`.
     pub fn matching_keywords(&self, text: &str) -> Vec<usize> {
         let mut seen = vec![false; self.keywords.len()];
-        for m in self.find_all(text) {
+        for m in self.whole_words(text) {
             seen[m.keyword] = true;
         }
         seen.iter()

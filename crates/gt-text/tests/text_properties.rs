@@ -1,6 +1,7 @@
 //! Property tests for the text scanners: Aho–Corasick agrees with a
-//! naive reference, URL extraction finds planted URLs, and the address
-//! scanner is faithful to the codecs.
+//! naive reference, URL extraction finds planted URLs, the address
+//! scanner is faithful to the codecs, and `KeywordSet::matches` stops
+//! early without changing its answer.
 
 use gt_addr::{Address, AddressGenerator, Coin};
 use gt_text::{extract_urls, scan_address_candidates, AhoCorasick, KeywordSet};
@@ -78,6 +79,18 @@ proptest! {
                 address.encode()
             );
         }
+    }
+
+    #[test]
+    fn keyword_set_matches_iff_find_all_finds(
+        keywords in proptest::collection::vec("[a-c]{1,3} ?[a-c]{0,2}", 1..5),
+        text in "[a-cA-C #]{0,40}",
+    ) {
+        // Words and phrases over a small alphabet, so matches, inner
+        // (non-whole-word) hits and misses all occur.
+        let ks = KeywordSet::new(keywords.iter().map(String::as_str));
+        let found = ks.find_all(&text);
+        prop_assert_eq!(ks.matches(&text), !found.is_empty(), "{:?} in {:?}", keywords, text);
     }
 
     #[test]
