@@ -5,6 +5,7 @@ use crate::tables::{alignment_positions, symbol_size, MAX_VERSION};
 
 /// Side of the largest symbol in modules: a row or column fits a `u64`.
 const MAX_SIZE: usize = 17 + 4 * MAX_VERSION as usize;
+const _: () = assert!(MAX_SIZE <= 64);
 
 /// Every mask pattern repeats down the rows and across the columns with
 /// a period that divides 12.
@@ -319,7 +320,7 @@ fn low_bits(k: usize) -> u64 {
 fn run_penalty(line: u64, n: usize) -> u32 {
     // Bit j: modules j and j + 1 match.
     let same = !(line ^ line >> 1) & low_bits(n - 1);
-    // Bit j: modules j..j + 5 match.
+    // Bit j: modules j to j + 4 match.
     let windows = same & same >> 1 & same >> 2 & same >> 3;
     windows.count_ones() + 2 * (windows & !(windows << 1)).count_ones()
 }
@@ -333,6 +334,58 @@ fn count_line(line: u64, pattern: u16, n: usize) -> u32 {
         hits &= !(line >> k ^ want);
     }
     hits.count_ones()
+}
+
+/// Mask predicate: whether (row, col) flips under mask `mask`.
+pub const fn mask_bit(mask: u8, r: usize, c: usize) -> bool {
+    match mask {
+        0 => (r + c).is_multiple_of(2),
+        1 => r.is_multiple_of(2),
+        2 => c.is_multiple_of(3),
+        3 => (r + c).is_multiple_of(3),
+        4 => (r / 2 + c / 3).is_multiple_of(2),
+        5 => (r * c) % 2 + (r * c) % 3 == 0,
+        6 => ((r * c) % 2 + (r * c) % 3).is_multiple_of(2),
+        7 => ((r + c) % 2 + (r * c) % 3).is_multiple_of(2),
+        _ => panic!("mask out of range"),
+    }
+}
+
+/// Format-info module positions for copy 1 (around the top-left finder),
+/// most significant bit first.
+pub fn format_positions_copy1() -> [(usize, usize); 15] {
+    [
+        (8, 0),
+        (8, 1),
+        (8, 2),
+        (8, 3),
+        (8, 4),
+        (8, 5),
+        (8, 7),
+        (8, 8),
+        (7, 8),
+        (5, 8),
+        (4, 8),
+        (3, 8),
+        (2, 8),
+        (1, 8),
+        (0, 8),
+    ]
+}
+
+/// Format-info module positions for copy 2 (split between the bottom-left
+/// and top-right finders), most significant bit first.
+pub fn format_positions_copy2(size: usize) -> [(usize, usize); 15] {
+    let mut out = [(0usize, 0usize); 15];
+    // 7 bits down the left of the bottom-left finder (col 8).
+    for (i, slot) in out.iter_mut().take(7).enumerate() {
+        *slot = (size - 1 - i, 8);
+    }
+    // 8 bits along the bottom of the top-right finder (row 8).
+    for i in 0..8 {
+        out[7 + i] = (8, size - 8 + i);
+    }
+    out
 }
 
 /// The scalar penalty score: the reference the packed one is checked
@@ -410,58 +463,6 @@ impl Matrix {
             self.get(j, i)
         }
     }
-}
-
-/// Mask predicate: whether (row, col) flips under mask `mask`.
-pub const fn mask_bit(mask: u8, r: usize, c: usize) -> bool {
-    match mask {
-        0 => (r + c).is_multiple_of(2),
-        1 => r.is_multiple_of(2),
-        2 => c.is_multiple_of(3),
-        3 => (r + c).is_multiple_of(3),
-        4 => (r / 2 + c / 3).is_multiple_of(2),
-        5 => (r * c) % 2 + (r * c) % 3 == 0,
-        6 => ((r * c) % 2 + (r * c) % 3).is_multiple_of(2),
-        7 => ((r + c) % 2 + (r * c) % 3).is_multiple_of(2),
-        _ => panic!("mask out of range"),
-    }
-}
-
-/// Format-info module positions for copy 1 (around the top-left finder),
-/// most significant bit first.
-pub fn format_positions_copy1() -> [(usize, usize); 15] {
-    [
-        (8, 0),
-        (8, 1),
-        (8, 2),
-        (8, 3),
-        (8, 4),
-        (8, 5),
-        (8, 7),
-        (8, 8),
-        (7, 8),
-        (5, 8),
-        (4, 8),
-        (3, 8),
-        (2, 8),
-        (1, 8),
-        (0, 8),
-    ]
-}
-
-/// Format-info module positions for copy 2 (split between the bottom-left
-/// and top-right finders), most significant bit first.
-pub fn format_positions_copy2(size: usize) -> [(usize, usize); 15] {
-    let mut out = [(0usize, 0usize); 15];
-    // 7 bits down the left of the bottom-left finder (col 8).
-    for (i, slot) in out.iter_mut().take(7).enumerate() {
-        *slot = (size - 1 - i, 8);
-    }
-    // 8 bits along the bottom of the top-right finder (row 8).
-    for i in 0..8 {
-        out[7 + i] = (8, size - 8 + i);
-    }
-    out
 }
 
 #[cfg(test)]
