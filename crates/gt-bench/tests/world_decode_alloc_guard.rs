@@ -14,59 +14,18 @@
 //! - generating the tweets formats and allocates each distinct lure's
 //!   text once, where it used to allocate one per tweet.
 //!
-//! The counts are taken by a counting global allocator on the calling
+//! The counts are taken by `gt_bench::CountingAlloc` on the calling
 //! thread, so they are exact and the same in debug and release builds.
 
+use gt_bench::{counted, CountingAlloc};
 use gt_sim::RngFactory;
 use gt_social::{TweetId, TwitterSnapshot};
 use gt_world::sites::DomainFactory;
 use gt_world::{twitter_gen, WorldConfig};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
-
-thread_local! {
-    /// Allocations this thread made since the last reset.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn note() {
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-}
-
-/// The system allocator, counting each thread's allocations.
-struct CountingAlloc;
-
-// SAFETY: every method forwards to `System` with the caller's arguments
-// unchanged; the count touches no allocator state.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
-        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
-
-/// `f`'s result and the allocations it made on this thread.
-fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    ALLOCS.with(|n| n.set(0));
-    let out = f();
-    (out, ALLOCS.with(Cell::get))
-}
 
 /// Allocations a table or map makes growing to `len` entries by
 /// doubling from empty, with room to spare.

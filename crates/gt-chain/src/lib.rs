@@ -26,7 +26,7 @@ pub mod xrp;
 
 pub use btc::{BtcLedger, BtcTx, OutPoint, TxOut};
 pub use eth::EthLedger;
-pub use rpc::{ChainReads, RpcView};
+pub use rpc::RpcView;
 pub use types::{Amount, ChainError, Transfer, TxRef};
 pub use view::ChainView;
 pub use xrp::XrpLedger;

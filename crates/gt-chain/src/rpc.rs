@@ -1,10 +1,10 @@
-//! Fault-aware RPC facade over [`ChainView`].
+//! Fault-aware RPC facade over [`ChainView`]: the one path by which
+//! the analysis layer reads a blockchain.
 //!
 //! The real pipeline read address histories through node RPCs that
-//! could time out, rate-limit or die. [`ChainReads`] abstracts "what
-//! the analysis layer asks of a blockchain" so the same analysis code
-//! runs against the raw [`ChainView`] (clean, zero-overhead) or an
-//! [`RpcView`] that consults a [`FaultPlan`] before every read.
+//! could time out, rate-limit or die. An [`RpcView`] consults its
+//! gate's [`FaultPlan`] before every read; without a plan the gate
+//! admits every call, so the view serves exactly the ledger's data.
 //!
 //! Reads in the analysis layer are not tied to a monitoring tick, so
 //! `RpcView` models the batch backfill the paper ran after collection:
@@ -20,39 +20,19 @@ use gt_addr::Address;
 use gt_obs::StageSink;
 use gt_sim::faults::{FaultPlan, Gated, RetryPolicy, Substrate};
 use gt_sim::{SimDuration, SimTime};
-use std::cell::{Cell, RefCell};
-
-/// The blockchain query surface the analysis layer depends on.
-pub trait ChainReads {
-    /// All transfers into `address`, in confirmation order.
-    fn incoming(&self, address: Address) -> Vec<Transfer>;
-    /// All transfers out of `address`, in confirmation order.
-    fn outgoing(&self, address: Address) -> Vec<Transfer>;
-}
-
-impl ChainReads for ChainView {
-    fn incoming(&self, address: Address) -> Vec<Transfer> {
-        ChainView::incoming(self, address)
-    }
-
-    fn outgoing(&self, address: Address) -> Vec<Transfer> {
-        ChainView::outgoing(self, address)
-    }
-}
 
 /// Spacing between consecutive RPC reads on the virtual cursor.
 const READ_SPACING: SimDuration = SimDuration::seconds(2);
 
 /// A [`ChainView`] behind a fault-gated RPC boundary.
 ///
-/// Interior mutability keeps the `ChainReads` methods `&self` (the
-/// analysis layer reads through shared references); an `RpcView` must
-/// therefore stay within one sequential analysis stage — cloning the
-/// plan into one `RpcView` per stage is the intended use.
+/// Each read advances the cursor, so an `RpcView` belongs to one
+/// sequential analysis stage, and the order of its reads decides which
+/// of them a fault window drops.
 pub struct RpcView<'a> {
     chains: &'a ChainView,
-    gate: RefCell<Gated<'a>>,
-    cursor: Cell<SimTime>,
+    gate: Gated<'a>,
+    cursor: SimTime,
 }
 
 impl<'a> RpcView<'a> {
@@ -71,32 +51,37 @@ impl<'a> RpcView<'a> {
     ) -> Self {
         RpcView {
             chains,
-            gate: RefCell::new(Gated::new(plan, label, RetryPolicy::default(), sink)),
-            cursor: Cell::new(epoch),
+            gate: Gated::new(plan, label, RetryPolicy::default(), sink),
+            cursor: epoch,
         }
     }
 
-    fn read(&self, fetch: impl FnOnce() -> Vec<Transfer>) -> Vec<Transfer> {
-        let at = self.cursor.get();
-        self.cursor.set(at + READ_SPACING);
+    /// All transfers into `address`, in confirmation order; empty if
+    /// the read is denied.
+    pub fn incoming(&mut self, address: Address) -> Vec<Transfer> {
+        self.read(ChainView::incoming, address)
+    }
+
+    /// All transfers out of `address`, in confirmation order; empty if
+    /// the read is denied.
+    pub fn outgoing(&mut self, address: Address) -> Vec<Transfer> {
+        self.read(ChainView::outgoing, address)
+    }
+
+    fn read(
+        &mut self,
+        fetch: fn(&ChainView, Address) -> Vec<Transfer>,
+        address: Address,
+    ) -> Vec<Transfer> {
+        let at = self.cursor;
+        self.cursor = at + READ_SPACING;
         self.gate
-            .borrow_mut()
             .checked_counted(Substrate::ChainRpc, at, || {
-                let transfers = fetch();
+                let transfers = fetch(self.chains, address);
                 let n = transfers.len() as u64;
                 (transfers, n)
             })
             .unwrap_or_default()
-    }
-}
-
-impl ChainReads for RpcView<'_> {
-    fn incoming(&self, address: Address) -> Vec<Transfer> {
-        self.read(|| self.chains.incoming(address))
-    }
-
-    fn outgoing(&self, address: Address) -> Vec<Transfer> {
-        self.read(|| self.chains.outgoing(address))
     }
 }
 
@@ -131,7 +116,7 @@ mod tests {
     fn clean_rpc_view_matches_chain_view() {
         let (view, addr) = view_with_history();
         let sink = gt_obs::MetricsRegistry::new().sink("test");
-        let rpc = RpcView::new(&view, None, "test", SimTime(1_000), sink.clone());
+        let mut rpc = RpcView::new(&view, None, "test", SimTime(1_000), sink.clone());
         assert_eq!(rpc.incoming(addr), view.incoming(addr));
         assert_eq!(rpc.outgoing(addr), view.outgoing(addr));
         drop(rpc);
@@ -154,7 +139,7 @@ mod tests {
             }],
         );
         let sink = gt_obs::MetricsRegistry::new().sink("test");
-        let rpc = RpcView::new(&view, Some(&plan), "test", SimTime(1_000), sink.clone());
+        let mut rpc = RpcView::new(&view, Some(&plan), "test", SimTime(1_000), sink.clone());
         assert!(rpc.incoming(addr).is_empty());
         assert!(!view.incoming(addr).is_empty(), "data exists underneath");
         drop(rpc);
@@ -175,7 +160,7 @@ mod tests {
             }],
         );
         let sink = gt_obs::MetricsRegistry::new().sink("test");
-        let rpc = RpcView::new(&view, Some(&plan), "test", SimTime(1_000), sink.clone());
+        let mut rpc = RpcView::new(&view, Some(&plan), "test", SimTime(1_000), sink.clone());
         // First read hits the blip but retries through it; the second
         // is past the window entirely.
         assert_eq!(rpc.incoming(addr), view.incoming(addr));

@@ -2,7 +2,7 @@
 
 use crate::datasets::{TwitterDataset, YouTubeDataset};
 use gt_addr::{Address, Coin};
-use gt_chain::{ChainReads, Transfer};
+use gt_chain::{RpcView, Transfer};
 use gt_cluster::{Category, ClusterView, TagResolver};
 use gt_price::PriceOracle;
 use gt_sim::{SimDuration, SimTime};
@@ -98,13 +98,11 @@ fn is_known_scam(
 /// co-occurrence windows attached to it.
 type DomainWindows = (String, Vec<Address>, Vec<(SimTime, SimTime)>);
 
-/// Shared isolation logic over (domain, addresses, windows) triples.
-/// Generic over [`ChainReads`] so the same loop runs against the raw
-/// ledger or a fault-gated RPC view.
-#[allow(clippy::too_many_arguments)]
-fn isolate<C: ChainReads>(
+/// Shared isolation logic over (domain, addresses, windows) triples,
+/// reading each address's history through the fault-gated `chains`.
+fn isolate(
     domains: Vec<DomainWindows>,
-    chains: &C,
+    chains: &mut RpcView<'_>,
     prices: &PriceOracle,
     tags: &TagResolver,
     clustering: &ClusterView,
@@ -200,9 +198,9 @@ fn isolate<C: ChainReads>(
 
 /// Run payment isolation for the Twitter dataset: a payment co-occurs
 /// if it lands within one week after a promoting tweet.
-pub fn analyze_twitter<C: ChainReads>(
+pub fn analyze_twitter(
     dataset: &TwitterDataset,
-    chains: &C,
+    chains: &mut RpcView<'_>,
     prices: &PriceOracle,
     tags: &TagResolver,
     clustering: &ClusterView,
@@ -222,10 +220,10 @@ pub fn analyze_twitter<C: ChainReads>(
 /// [`analyze_twitter`] with an explicit co-occurrence window width
 /// (used by the window-sweep ablation).
 #[allow(clippy::too_many_arguments)]
-pub fn analyze_twitter_with_window<C: ChainReads>(
+pub fn analyze_twitter_with_window(
     dataset: &TwitterDataset,
     window: gt_sim::SimDuration,
-    chains: &C,
+    chains: &mut RpcView<'_>,
     prices: &PriceOracle,
     tags: &TagResolver,
     clustering: &ClusterView,
@@ -252,9 +250,9 @@ pub fn analyze_twitter_with_window<C: ChainReads>(
 
 /// Run payment isolation for the YouTube dataset: a payment co-occurs
 /// if it lands during a promoting stream or within eight hours after.
-pub fn analyze_youtube<C: ChainReads>(
+pub fn analyze_youtube(
     dataset: &YouTubeDataset,
-    chains: &C,
+    chains: &mut RpcView<'_>,
     prices: &PriceOracle,
     tags: &TagResolver,
     clustering: &ClusterView,
@@ -288,6 +286,7 @@ mod tests {
     use gt_addr::BtcAddress;
     use gt_chain::{Amount, ChainView};
     use gt_cluster::TagService;
+    use gt_obs::StageSink;
     use gt_sim::RngFactory;
 
     fn addr(b: u8) -> Address {
@@ -336,9 +335,10 @@ mod tests {
         known: &HashSet<Address>,
     ) -> PaymentAnalysis {
         let clustering = ClusterView::build(&chains.btc);
+        let mut rpc = RpcView::new(chains, None, "test", t(0, 0), StageSink::noop());
         isolate(
             vec![("scam.com".into(), vec![addr(9)], windows)],
-            chains,
+            &mut rpc,
             prices,
             &tags.resolver(&clustering),
             &clustering,

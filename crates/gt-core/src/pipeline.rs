@@ -378,7 +378,7 @@ impl<'w> Pipeline<'w> {
                 let ca = r.get(chain);
                 // Without a fault plan the gate admits every call, so
                 // the RPC facade serves exactly the chain's data.
-                let rpc = RpcView::new(
+                let mut rpc = RpcView::new(
                     &world.chains,
                     plan,
                     "rpc.twitter",
@@ -387,7 +387,7 @@ impl<'w> Pipeline<'w> {
                 );
                 let analysis = analyze_twitter(
                     r.get(twitter_ds),
-                    &rpc,
+                    &mut rpc,
                     &world.prices,
                     &ca.resolver,
                     &ca.view,
@@ -403,7 +403,7 @@ impl<'w> Pipeline<'w> {
             &[youtube_ds.index(), chain.index(), known_scam.index()],
             move |r| {
                 let ca = r.get(chain);
-                let rpc = RpcView::new(
+                let mut rpc = RpcView::new(
                     &world.chains,
                     plan,
                     "rpc.youtube",
@@ -412,7 +412,7 @@ impl<'w> Pipeline<'w> {
                 );
                 let analysis = analyze_youtube(
                     r.get(youtube_ds),
-                    &rpc,
+                    &mut rpc,
                     &world.prices,
                     &ca.resolver,
                     &ca.view,
@@ -548,14 +548,14 @@ impl<'w> Pipeline<'w> {
             move |r| {
                 let ca = r.get(chain);
                 let analyses = [r.get(twitter_an), r.get(youtube_an)];
-                let rpc = RpcView::new(
+                let mut rpc = RpcView::new(
                     &world.chains,
                     plan,
                     "rpc.outgoing",
                     rpc_epoch,
                     r.sink().clone(),
                 );
-                let stats = scammers::outgoing_stats(&analyses, &rpc, &ca.resolver, &ca.view);
+                let stats = scammers::outgoing_stats(&analyses, &mut rpc, &ca.resolver, &ca.view);
                 (stats, 0)
             },
         );

@@ -3,11 +3,11 @@
 
 use crate::payments::PaymentAnalysis;
 use gt_addr::Address;
-use gt_chain::ChainReads;
+use gt_chain::RpcView;
 use gt_cluster::{Category, ClusterView, TagResolver};
 use gt_store::{StoreDecode, StoreEncode};
 use serde::Serialize;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 /// Recipient-address statistics.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, StoreEncode, StoreDecode)]
@@ -79,21 +79,22 @@ impl OutgoingStats {
 }
 
 /// Classify the recipients of every outgoing transfer from the given
-/// scam recipient addresses.
-pub fn outgoing_stats<C: ChainReads>(
+/// scam recipient addresses. The addresses are read in ascending order:
+/// each read moves `chains`' cursor, so the order decides which reads a
+/// fault window drops.
+pub fn outgoing_stats(
     analyses: &[&PaymentAnalysis],
-    chains: &C,
+    chains: &mut RpcView<'_>,
     tags: &TagResolver,
     clustering: &ClusterView,
 ) -> OutgoingStats {
-    let mut scam_recipients: HashSet<Address> = HashSet::new();
-    for analysis in analyses {
-        for p in analysis.victim_payments() {
-            scam_recipients.insert(p.transfer.recipient);
-        }
-    }
+    let scam_recipients: BTreeSet<Address> = analyses
+        .iter()
+        .flat_map(|a| a.victim_payments())
+        .map(|p| p.transfer.recipient)
+        .collect();
     let mut out_recipients: HashSet<Address> = HashSet::new();
-    for &addr in &scam_recipients {
+    for addr in scam_recipients {
         for transfer in chains.outgoing(addr) {
             out_recipients.insert(transfer.recipient);
         }
@@ -118,7 +119,9 @@ mod tests {
     use gt_addr::{BtcAddress, Coin};
     use gt_chain::{Amount, BtcLedger, ChainView, Transfer, TxRef};
     use gt_cluster::TagService;
-    use gt_sim::SimTime;
+    use gt_obs::StageSink;
+    use gt_sim::faults::{FaultKind, FaultPlan, FaultWindow, Substrate};
+    use gt_sim::{SimDuration, SimTime};
 
     fn addr(b: u8) -> BtcAddress {
         BtcAddress::P2pkh([b; 20])
@@ -214,10 +217,50 @@ mod tests {
         tags.tag(Address::Btc(addr(60)), Category::Exchange);
         let clustering = ClusterView::build(&chains.btc);
         let a = analysis(vec![payment_to(9)]);
-        let stats = outgoing_stats(&[&a], &chains, &tags.resolver(&clustering), &clustering);
+        let mut rpc = RpcView::new(&chains, None, "test", t, StageSink::noop());
+        let stats = outgoing_stats(&[&a], &mut rpc, &tags.resolver(&clustering), &clustering);
         assert_eq!(stats.recipients, 2);
         assert_eq!(stats.count(Category::Exchange), 1);
         assert_eq!(stats.unlabeled, 1);
         assert!((stats.unlabeled_rate() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_fault_window_drops_the_same_read_every_time() {
+        // Scam address `10 + i` pays out to `i + 1` fresh addresses, so
+        // the count of recipients names the address whose read was lost.
+        let t = SimTime(1_700_000_000);
+        let mut chains = ChainView::new();
+        let scams: Vec<u8> = (10..16).collect();
+        for (i, &scam) in scams.iter().enumerate() {
+            chains.btc.coinbase(addr(scam), Amount(100_000), t).unwrap();
+            for j in 0..=i as u8 {
+                let to = addr(100 + 10 * i as u8 + j);
+                chains
+                    .btc
+                    .pay(&[addr(scam)], to, Amount(1_000), addr(scam), Amount(0), t)
+                    .unwrap();
+            }
+        }
+        // An outage over the third read only (reads are 2 s apart).
+        let epoch = SimTime(1_800_000_000);
+        let mut plan = FaultPlan::quiet(5);
+        plan.schedules.insert(
+            Substrate::ChainRpc,
+            vec![FaultWindow {
+                start: epoch + SimDuration::seconds(4),
+                end: epoch + SimDuration::seconds(5),
+                kind: FaultKind::Outage,
+            }],
+        );
+        let clustering = ClusterView::build(&chains.btc);
+        let tags = TagService::new();
+        let a = analysis(scams.iter().rev().map(|&s| payment_to(s)).collect());
+        for run in 0..16 {
+            let mut rpc = RpcView::new(&chains, Some(&plan), "test", epoch, StageSink::noop());
+            let stats = outgoing_stats(&[&a], &mut rpc, &tags.resolver(&clustering), &clustering);
+            // 1 + 2 + … + 6 recipients, less the third-lowest address's 3.
+            assert_eq!(stats.recipients, 21 - 3, "run {run}");
+        }
     }
 }

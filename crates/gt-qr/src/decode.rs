@@ -2,7 +2,7 @@
 
 use crate::bits::BitReader;
 use crate::format::decode_format;
-use crate::gf::Gf;
+use crate::gf::GF;
 use crate::matrix::{format_positions_copy1, format_positions_copy2, Matrix};
 use crate::rs;
 use crate::tables::{block_spec, byte_count_bits, version_for_size};
@@ -91,7 +91,6 @@ pub fn decode(matrix: &Matrix) -> Result<Vec<u8>, DecodeError> {
     }
 
     // RS-correct each block and concatenate the data parts.
-    let gf = Gf::new();
     let mut stream = Vec::with_capacity(spec.data_codewords());
     for (bi, &(d, e)) in blocks.iter().enumerate() {
         let mut codeword: Vec<u8> = data_blocks[bi]
@@ -99,7 +98,7 @@ pub fn decode(matrix: &Matrix) -> Result<Vec<u8>, DecodeError> {
             .chain(ec_blocks[bi].iter())
             .copied()
             .collect();
-        rs::correct(&gf, &mut codeword, e).map_err(|_| DecodeError::Unrecoverable)?;
+        rs::correct(&GF, &mut codeword, e).map_err(|_| DecodeError::Unrecoverable)?;
         stream.extend_from_slice(&codeword[..d]);
     }
 

@@ -2,7 +2,7 @@
 
 use crate::bits::BitWriter;
 use crate::format::encode_format;
-use crate::gf::Gf;
+use crate::gf::GF;
 use crate::matrix::{format_positions_copy1, format_positions_copy2, Matrix};
 use crate::rs;
 use crate::tables::{block_spec, byte_count_bits, remainder_bits, smallest_version, EcLevel};
@@ -125,14 +125,13 @@ fn build_codewords(data: &[u8], level: EcLevel, version: u8) -> Vec<u8> {
     }
 
     // Split into blocks and compute EC per block.
-    let gf = Gf::new();
     let mut data_blocks: Vec<Vec<u8>> = Vec::new();
     let mut ec_blocks: Vec<Vec<u8>> = Vec::new();
     let mut offset = 0usize;
     for (data_len, ec_len) in spec.blocks() {
         let block = stream[offset..offset + data_len].to_vec();
         offset += data_len;
-        ec_blocks.push(rs::encode(&gf, &block, ec_len));
+        ec_blocks.push(rs::encode(&GF, &block, ec_len));
         data_blocks.push(block);
     }
     debug_assert_eq!(offset, stream.len());

@@ -1,35 +1,35 @@
 //! GF(2⁸) arithmetic with the QR/Reed–Solomon polynomial x⁸+x⁴+x³+x²+1
 //! (0x11D), generator α = 2.
 
-/// Exponent table: `EXP[i] = α^i`, doubled so products index without a
-/// modulo.
-fn build_tables() -> ([u8; 512], [u8; 256]) {
-    let mut exp = [0u8; 512];
-    let mut log = [0u8; 256];
-    let mut x: u16 = 1;
-    for (i, e) in exp.iter_mut().enumerate().take(255) {
-        *e = x as u8;
-        log[x as usize] = i as u8;
-        x <<= 1;
-        if x & 0x100 != 0 {
-            x ^= 0x11d;
-        }
-    }
-    for i in 255..512 {
-        exp[i] = exp[i - 255];
-    }
-    (exp, log)
-}
+/// The field tables, built once, at compile time.
+pub static GF: Gf = Gf::new();
 
 /// Precomputed field tables.
 pub struct Gf {
+    /// `exp[i] = α^i`, doubled so products index without a modulo.
     exp: [u8; 512],
     log: [u8; 256],
 }
 
 impl Gf {
-    pub fn new() -> Self {
-        let (exp, log) = build_tables();
+    const fn new() -> Self {
+        let mut exp = [0u8; 512];
+        let mut log = [0u8; 256];
+        let mut x: u16 = 1;
+        let mut i = 0;
+        while i < 255 {
+            exp[i] = x as u8;
+            log[x as usize] = i as u8;
+            x <<= 1;
+            if x & 0x100 != 0 {
+                x ^= 0x11d;
+            }
+            i += 1;
+        }
+        while i < 512 {
+            exp[i] = exp[i - 255];
+            i += 1;
+        }
         Gf { exp, log }
     }
 
@@ -84,19 +84,13 @@ impl Gf {
     }
 }
 
-impl Default for Gf {
-    fn default() -> Self {
-        Gf::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn exp_log_inverse_of_each_other() {
-        let gf = Gf::new();
+        let gf = &GF;
         for x in 1..=255u8 {
             assert_eq!(gf.exp(gf.log(x)), x);
         }
@@ -107,7 +101,7 @@ mod tests {
 
     #[test]
     fn known_powers_of_two() {
-        let gf = Gf::new();
+        let gf = &GF;
         assert_eq!(gf.exp(0), 1);
         assert_eq!(gf.exp(1), 2);
         assert_eq!(gf.exp(8), 29, "α⁸ = 0x1D after reduction");
@@ -130,7 +124,7 @@ mod tests {
             }
             p as u8
         }
-        let gf = Gf::new();
+        let gf = &GF;
         for a in (0..=255u16).step_by(7) {
             for b in (0..=255u16).step_by(11) {
                 assert_eq!(gf.mul(a as u8, b as u8), slow_mul(a, b), "{a} * {b}");
@@ -140,7 +134,7 @@ mod tests {
 
     #[test]
     fn div_inverts_mul() {
-        let gf = Gf::new();
+        let gf = &GF;
         for a in 1..=255u8 {
             for b in [1u8, 2, 3, 29, 128, 255] {
                 assert_eq!(gf.div(gf.mul(a, b), b), a);
@@ -150,7 +144,7 @@ mod tests {
 
     #[test]
     fn poly_eval_horner() {
-        let gf = Gf::new();
+        let gf = &GF;
         // p(x) = x² + 3x + 2 at x=1 is 1^2 ^ 3 ^ 2 = 0 (XOR arithmetic).
         assert_eq!(gf.poly_eval(&[1, 3, 2], 1), 1 ^ 3 ^ 2);
         // p(0) = constant term.
@@ -159,7 +153,7 @@ mod tests {
 
     #[test]
     fn poly_mul_degree_adds() {
-        let gf = Gf::new();
+        let gf = &GF;
         let p = gf.poly_mul(&[1, 1], &[1, 2]); // (x+1)(x+2) = x² + 3x + 2
         assert_eq!(p, vec![1, 3, 2]);
     }

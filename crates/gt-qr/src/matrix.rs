@@ -185,19 +185,15 @@ impl Matrix {
     /// agree.
     pub fn data_order(&self) -> Vec<(usize, usize)> {
         let size = self.size;
-        let mut order = Vec::new();
+        let mut order = Vec::with_capacity(size * size);
         let mut col = size as isize - 1;
         let mut upward = true;
         while col > 0 {
             if col == 6 {
                 col -= 1; // the vertical timing pattern column is skipped entirely
             }
-            let rows: Vec<usize> = if upward {
-                (0..size).rev().collect()
-            } else {
-                (0..size).collect()
-            };
-            for row in rows {
+            for i in 0..size {
+                let row = if upward { size - 1 - i } else { i };
                 for c in [col, col - 1] {
                     let c = c as usize;
                     if !self.is_function(row, c) {

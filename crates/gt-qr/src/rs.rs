@@ -190,20 +190,16 @@ fn eval_ascending(gf: &Gf, p: &[u8], x: u8) -> u8 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn gf() -> Gf {
-        Gf::new()
-    }
+    use crate::gf::GF;
 
     #[test]
     fn known_generator_polynomials() {
-        let gf = gf();
         // Standard QR generator for 7 EC codewords (exponents of α):
         // x⁷ + α87·x⁶ + α229·x⁵ + α146·x⁴ + α149·x³ + α238·x² + α102·x + α21
-        let g7 = generator_poly(&gf, 7);
+        let g7 = generator_poly(&GF, 7);
         let expected: Vec<u8> = [0usize, 87, 229, 146, 149, 238, 102, 21]
             .iter()
-            .map(|&e| gf.exp(e))
+            .map(|&e| GF.exp(e))
             .collect();
         assert_eq!(g7, expected);
     }
@@ -212,31 +208,28 @@ mod tests {
     fn known_qr_example_parity() {
         // The "HELLO WORLD" example from Thonky's QR tutorial: the v1-M
         // data codewords below must produce these 10 EC codewords.
-        let gf = gf();
         let data = [
             32, 91, 11, 120, 209, 114, 220, 77, 67, 64, 236, 17, 236, 17, 236, 17,
         ];
-        let parity = encode(&gf, &data, 10);
+        let parity = encode(&GF, &data, 10);
         assert_eq!(parity, vec![196, 35, 39, 119, 235, 215, 231, 226, 93, 23]);
     }
 
     #[test]
     fn clean_codeword_needs_no_correction() {
-        let gf = gf();
         let data = b"giveaway scam measurement".to_vec();
-        let parity = encode(&gf, &data, 16);
+        let parity = encode(&GF, &data, 16);
         let mut codeword = data.clone();
         codeword.extend(parity);
-        assert_eq!(correct(&gf, &mut codeword, 16), Ok(0));
+        assert_eq!(correct(&GF, &mut codeword, 16), Ok(0));
         assert_eq!(&codeword[..data.len()], &data[..]);
     }
 
     #[test]
     fn corrects_up_to_capacity() {
-        let gf = gf();
         let data: Vec<u8> = (0..40u8).collect();
         for ec_len in [8usize, 16, 22, 30] {
-            let parity = encode(&gf, &data, ec_len);
+            let parity = encode(&GF, &data, ec_len);
             let clean: Vec<u8> = data.iter().chain(parity.iter()).copied().collect();
             for num_errors in 1..=ec_len / 2 {
                 let mut corrupted = clean.clone();
@@ -246,7 +239,7 @@ mod tests {
                     let pos = e * stride;
                     corrupted[pos] ^= 0x5a + e as u8;
                 }
-                let fixed = correct(&gf, &mut corrupted, ec_len)
+                let fixed = correct(&GF, &mut corrupted, ec_len)
                     .unwrap_or_else(|_| panic!("ec={ec_len} errors={num_errors}"));
                 assert_eq!(fixed, num_errors);
                 assert_eq!(corrupted, clean, "ec={ec_len} errors={num_errors}");
@@ -256,43 +249,40 @@ mod tests {
 
     #[test]
     fn too_many_errors_detected() {
-        let gf = gf();
         let data: Vec<u8> = (100..150u8).collect();
         let ec_len = 10;
-        let parity = encode(&gf, &data, ec_len);
+        let parity = encode(&GF, &data, ec_len);
         let mut codeword: Vec<u8> = data.iter().chain(parity.iter()).copied().collect();
         // 6 errors > capacity 5 — decoder must not silently "correct".
         for e in 0..6 {
             codeword[e * 3] ^= 0xff;
         }
         assert_eq!(
-            correct(&gf, &mut codeword, ec_len),
+            correct(&GF, &mut codeword, ec_len),
             Err(RsError::TooManyErrors)
         );
     }
 
     #[test]
     fn parity_position_errors_corrected_too() {
-        let gf = gf();
         let data = b"scanned from stream".to_vec();
-        let parity = encode(&gf, &data, 12);
+        let parity = encode(&GF, &data, 12);
         let mut codeword: Vec<u8> = data.iter().chain(parity.iter()).copied().collect();
         let n = codeword.len();
         codeword[n - 1] ^= 0x42; // corrupt last parity byte
         codeword[n - 5] ^= 0x17;
-        assert_eq!(correct(&gf, &mut codeword, 12), Ok(2));
+        assert_eq!(correct(&GF, &mut codeword, 12), Ok(2));
         assert_eq!(&codeword[..data.len()], &data[..]);
     }
 
     #[test]
     fn single_parity_byte_detects_but_cannot_correct() {
-        let gf = gf();
         let data = [1u8, 2, 3];
-        let parity = encode(&gf, &data, 2);
+        let parity = encode(&GF, &data, 2);
         let mut codeword: Vec<u8> = data.iter().chain(parity.iter()).copied().collect();
         codeword[0] ^= 1;
         // 2 parity bytes correct 1 error.
-        assert_eq!(correct(&gf, &mut codeword, 2), Ok(1));
+        assert_eq!(correct(&GF, &mut codeword, 2), Ok(1));
         assert_eq!(&codeword[..3], &data[..]);
     }
 }

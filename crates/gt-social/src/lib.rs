@@ -16,8 +16,10 @@
 //!
 //! All state is generated up front by `gt-world`; queries are
 //! parameterised by virtual time (`now`), which keeps monitoring runs
-//! deterministic. API call counts are tracked so the pipeline's quota
-//! behaviour (poll cadences from the paper) can be audited in tests.
+//! deterministic. The platforms keep no call counts: every monitored
+//! call goes through a `gt_sim::faults::Gated` gate, whose metric rows
+//! record it, so the pipeline's quota behaviour (poll cadences from the
+//! paper) is audited from the run's telemetry.
 
 mod overlay;
 pub mod twitch;

@@ -16,7 +16,6 @@ use gt_qr::{Frame, FrameHit};
 use gt_sim::faults::{Denied, Gated, Substrate};
 use gt_sim::{SimDuration, SimTime};
 use gt_store::{StoreDecode, StoreEncode};
-use parking_lot::Mutex;
 use serde::Serialize;
 use std::sync::OnceLock;
 
@@ -60,19 +59,23 @@ enum FrameKey {
     Content(Option<OverlayId>),
 }
 
-/// Per-endpoint call counts.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, StoreEncode, StoreDecode)]
-pub struct TwitchApiCalls {
-    pub get_streams: u64,
-    pub record: u64,
-    pub chat_poll: u64,
+/// Three zero counters that keep the world snapshot's bytes where the
+/// benchmark pins them: a snapshot-format placeholder, never written
+/// after construction, that the next re-pin removes. A decoded value is
+/// kept as decoded, so a decode re-encodes to the same bytes.
+#[derive(Debug, Default, StoreEncode, StoreDecode)]
+struct TwitchApiCalls {
+    get_streams: u64,
+    record: u64,
+    chat_poll: u64,
 }
 
 /// The Twitch platform.
 #[derive(Debug, Default, StoreEncode, StoreDecode)]
 pub struct Twitch {
     streams: Vec<TwitchStream>,
-    calls: Mutex<TwitchApiCalls>,
+    /// Snapshot-format placeholder (see `TwitchApiCalls`).
+    calls: TwitchApiCalls,
     /// Derived overlay table with each overlay's matrix and scan, built
     /// lazily on the first frame recorded or scanned; excluded from
     /// snapshots.
@@ -112,21 +115,16 @@ impl Twitch {
         self.streams.len()
     }
 
-    pub fn api_calls(&self) -> TwitchApiCalls {
-        *self.calls.lock()
-    }
-
     /// All streams live at `now` (the Helix "get streams" endpoint; no
     /// keyword filtering server-side), behind `gate`: `Err(Denied)`
-    /// means the poll was shed before it reached the platform, so only
-    /// admitted calls are counted. A served call answers as of `now`.
+    /// means the poll was shed before it reached the platform. A served
+    /// call answers as of `now`.
     pub fn get_streams(
         &self,
         now: SimTime,
         gate: &mut Gated<'_>,
     ) -> Result<Vec<&TwitchStream>, Denied> {
         gate.checked_counted(Substrate::TwitchList, now, || {
-            self.calls.lock().get_streams += 1;
             let streams: Vec<_> = self.streams.iter().filter(|s| s.is_live(now)).collect();
             let n = streams.len() as u64;
             (streams, n)
@@ -137,7 +135,6 @@ impl Twitch {
     /// seconds after the recording starts show an advertisement (no
     /// stream content, no QR).
     pub fn record(&self, id: TwitchStreamId, now: SimTime, duration: SimDuration) -> Vec<Frame> {
-        self.calls.lock().record += 1;
         self.frame_keys(id, now, duration)
             .map(|key| {
                 let mut frame = Frame::blank(0, 0);
@@ -148,8 +145,8 @@ impl Twitch {
     }
 
     /// The QR hits of each frame [`Twitch::record`] returns for the same
-    /// arguments, in order: what `scan_frame` finds in that frame. Counts
-    /// one record call, as `record` does. The advertisement card and
+    /// arguments, in order: what `scan_frame` finds in that frame. The
+    /// advertisement card and
     /// content without an overlay have none; content with one has that
     /// overlay's hits, painted and scanned the first time any stream
     /// shows it.
@@ -159,7 +156,6 @@ impl Twitch {
         now: SimTime,
         duration: SimDuration,
     ) -> impl Iterator<Item = &[FrameHit]> + '_ {
-        self.calls.lock().record += 1;
         self.frame_keys(id, now, duration).map(|key| match key {
             FrameKey::Ad | FrameKey::Content(None) => &[][..],
             FrameKey::Content(Some(overlay)) => self
@@ -223,7 +219,6 @@ impl Twitch {
         gate: &mut Gated<'_>,
     ) -> Result<&[ChatMessage], Denied> {
         gate.checked_counted(Substrate::TwitchChat, now, || {
-            self.calls.lock().chat_poll += 1;
             let messages = match self.streams.get(id.0 as usize) {
                 Some(s) if s.is_live(now) => {
                     // `chat` is time-ordered: the answer is the run
@@ -377,19 +372,11 @@ mod tests {
     }
 
     #[test]
-    fn call_counters() {
+    fn record_hits_answers_one_entry_per_recorded_frame() {
         let mut tw = Twitch::new();
         let id = tw.add_stream(gaming_stream());
-        let gate = &mut Gated::disabled();
-        tw.get_streams(t(0), gate).unwrap();
-        tw.record(id, t(0), SimDuration::seconds(2));
+        assert_eq!(tw.record(id, t(0), SimDuration::seconds(2)).len(), 2);
         assert_eq!(tw.record_hits(id, t(0), SimDuration::seconds(2)).count(), 2);
-        tw.chat_since(id, t(0), t(10), gate).unwrap();
-        let calls = tw.api_calls();
-        assert_eq!(
-            (calls.get_streams, calls.record, calls.chat_poll),
-            (1, 2, 1)
-        );
     }
 
     #[test]
@@ -433,10 +420,5 @@ mod tests {
                 .collect();
             assert_eq!(hits, scanned, "{id:?} at {at}");
         }
-        assert_eq!(
-            tw.api_calls().record,
-            12,
-            "only `record` and `record_hits` count"
-        );
     }
 }

@@ -197,22 +197,6 @@ impl<T> StoreDecode for PhantomData<T> {
     }
 }
 
-/// Locks and encodes the guarded value. Cached payloads and world
-/// snapshots carry observational counters behind `parking_lot` mutexes;
-/// snapshotting them is safe because encoding happens while no consumer
-/// is mutating the world.
-impl<T: StoreEncode> StoreEncode for parking_lot::Mutex<T> {
-    fn store_encode(&self, e: &mut Encoder) {
-        self.lock().store_encode(e);
-    }
-}
-
-impl<T: StoreDecode> StoreDecode for parking_lot::Mutex<T> {
-    fn store_decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(parking_lot::Mutex::new(T::store_decode(d)?))
-    }
-}
-
 // ---- sequences ----
 
 impl<T: StoreEncode> StoreEncode for [T] {

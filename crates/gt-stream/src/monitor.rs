@@ -453,8 +453,8 @@ impl<'a> Monitor<'a> {
                     }
                 }
 
-                // Video recording: only an admitted call counts and reads
-                // the platform's scans.
+                // Video recording: only an admitted call reads the
+                // platform's scans.
                 let clip = gate
                     .checked_counted(Substrate::YoutubeRecord, t, || {
                         let clip = record_clip(youtube, id, t);

@@ -1,8 +1,10 @@
 //! Ablation-style integration tests: the pipeline's design choices
 //! must actually matter, and the whole run must be deterministic.
 
+use givetake::chain::RpcView;
 use givetake::cluster::{ClusterView, ClusteringOptions};
 use givetake::core::Pipeline;
+use givetake::obs::StageSink;
 use givetake::sim::SimDuration;
 use givetake::stream::keywords::search_keyword_set;
 use givetake::stream::monitor::{Monitor, MonitorConfig};
@@ -85,10 +87,12 @@ fn co_occurrence_window_sweep_is_monotone() {
     let mut previous = 0;
     let mut counts = Vec::new();
     for days in [0i64, 1, 3, 7, 30] {
+        let epoch = w.config.twitter_end;
+        let mut rpc = RpcView::new(&w.chains, None, "test", epoch, StageSink::noop());
         let analysis = givetake::core::payments::analyze_twitter_with_window(
             &dataset,
             SimDuration::days(days),
-            &w.chains,
+            &mut rpc,
             &w.prices,
             &tags,
             &clustering,
